@@ -20,8 +20,6 @@ from . import pipeline as pipeline_mod
 from . import skeleton as sk
 from . import synth as synth_mod
 from .calib import load_rig
-from .smooth import FilterSpec
-from .tracker import LatticeConfig
 
 
 def _atomic(path):
@@ -51,30 +49,32 @@ class _AtomicWriter:
         self.pending = []
 
 
+# Each config flag and the config-tree path (section, key) it sets.
+_FLAG_PATHS = {
+    "lattice_s": ("lattice", "s"),
+    "lattice_k": ("lattice", "k"),
+    "rotation": ("lattice", "rotation_enabled"),
+    "cutoff_hz": ("filter", "cutoff_hz"),
+    "filter_mode": ("filter", "mode"),
+}
+
+
 def _build_config(args) -> pipeline_mod.PipelineConfig:
-    base = {}
-    if getattr(args, "config", None):
+    """The --config file's tree (or a run.json's "config" member) with the
+    flags laid over it, checked by PipelineConfig.from_dict."""
+    tree = {}
+    if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            base = json.load(fh)
-    lat = dict(base.get("lattice", {}))
-    if args.lattice_s is not None:
-        lat["s"] = args.lattice_s
-    if args.lattice_k is not None:
-        lat["k"] = args.lattice_k
-    if args.rotation is not None:
-        lat["rotation_enabled"] = args.rotation == "on"
-    filt = dict(base.get("filter", {}))
-    filt.setdefault("cutoff_hz", 5.0)
-    filt.setdefault("sample_rate_hz", 60.0)
-    if args.cutoff_hz is not None:
-        filt["cutoff_hz"] = args.cutoff_hz
-    if args.filter_mode is not None:
-        filt["mode"] = args.filter_mode
-    return pipeline_mod.PipelineConfig(
-        lattice=LatticeConfig(**lat),
-        filter=FilterSpec(**filt),
-        init=pipeline_mod.InitSettings(**base.get("init", {})),
-    )
+            tree = json.load(fh)
+        if isinstance(tree, dict) and "config" in tree:
+            tree = tree["config"]
+        if not isinstance(tree, dict):
+            raise ValueError(f"{args.config}: config must be a JSON object")
+    for flag, (section, key) in _FLAG_PATHS.items():
+        value = getattr(args, flag)
+        if value is not None:
+            tree.setdefault(section, {})[key] = value
+    return pipeline_mod.PipelineConfig.from_dict(tree)
 
 
 def cmd_synth(args):
@@ -189,6 +189,12 @@ class _SeriesAdapter:
                        for idx, pos in zip(indices, pred_frames)]
 
 
+def _on_off(text):
+    if text not in ("on", "off"):
+        raise argparse.ArgumentTypeError(f"expected on or off, got {text!r}")
+    return text == "on"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mocapfuse",
@@ -204,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--lattice-s", type=float, help="lattice spacing, mm")
         p.add_argument("--lattice-k", type=int, help="lattice half-extent")
         p.add_argument("--cutoff-hz", type=float, help="smoothing cutoff, Hz")
-        p.add_argument("--rotation", choices=["on", "off"],
+        p.add_argument("--rotation", type=_on_off, metavar="{on,off}",
                        help="tilt-driven rotated sampling")
         p.add_argument("--filter-mode", choices=["causal", "offline"],
                        help="smoothing mode")

@@ -16,6 +16,11 @@ import numpy as np
 from . import skeleton as sk
 from .tracker import VirtualMarkerSet
 
+# Levenberg-Marquardt damping: multiplied by LAMBDA_UP after a rejected step,
+# divided by LAMBDA_DOWN after an accepted one.
+LAMBDA_UP = 10.0
+LAMBDA_DOWN = 10.0
+
 
 @dataclass(frozen=True)
 class IkSettings:
@@ -23,15 +28,13 @@ class IkSettings:
     step_tol: float = 1e-8          # in scaled coordinates
     residual_tol: float = 1e-4      # mm^2, objective value
     lambda0: float = 1e-3
-    lambda_up: float = 10.0
-    lambda_down: float = 10.0
     translation_scale: float = 500.0  # mm per radian-equivalent unit
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        for name in ("step_tol", "residual_tol", "lambda0", "lambda_up",
-                     "lambda_down", "translation_scale"):
+        for name in ("step_tol", "residual_tol", "lambda0",
+                     "translation_scale"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
 
@@ -134,7 +137,7 @@ def solve(model, q_init, markers: VirtualMarkerSet,
             try:
                 delta_u = np.linalg.solve(H + lam * mu * eye, g)
             except np.linalg.LinAlgError:
-                lam *= settings.lambda_up
+                lam *= LAMBDA_UP
                 continue
             q_new = q + scale * delta_u
             r_new = _stack_residual(
@@ -144,12 +147,12 @@ def solve(model, q_init, markers: VirtualMarkerSet,
             if np.isfinite(obj_new) and obj_new < obj:
                 step = float(np.linalg.norm(delta_u))
                 q, obj = q_new, obj_new
-                lam = max(lam / settings.lambda_down, 1e-12)
+                lam = max(lam / LAMBDA_DOWN, 1e-12)
                 accepted = True
                 if step < settings.step_tol:
                     converged = True
                 break
-            lam *= settings.lambda_up
+            lam *= LAMBDA_UP
         trace.append((it, lam, obj))
         if not accepted or converged:
             if not accepted:

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calib import rotate_pixel
 from .labels import KEYPOINT_INDEX, KEYPOINTS
 
 MAGIC = b"PCMF"
@@ -209,16 +208,3 @@ class DirectoryProvider(PcmProvider):
                 f"{frame.frame_index}) does not match its location")
         return frame
 
-
-def sample_rotated(provider: PcmProvider, camera, frame_index, rotation_deg,
-                   label, pixel_original) -> float:
-    """Sample a keypoint channel at an original-image pixel through a rotated
-    heatmap: the pixel is mapped into the rotated image frame first.
-
-    Raises RotationUnavailable when the provider lacks the rotated frame.
-    """
-    frame = provider.get(camera.id, frame_index, rotation_deg)
-    px = pixel_original
-    if frame.rotation_deg != 0.0:
-        px = rotate_pixel(px, frame.rotation_deg, camera.image_center)
-    return sample(frame, label, px)

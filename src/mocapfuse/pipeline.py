@@ -10,6 +10,7 @@ frame.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import logging
 from dataclasses import dataclass, field
@@ -101,6 +102,43 @@ class PipelineConfig:
     def __post_init__(self):
         if self.lattice_center not in ("stage1", "stage2"):
             raise ValueError("lattice_center must be 'stage1' or 'stage2'")
+
+    def to_dict(self) -> dict:
+        """The whole config as a tree of JSON values (what run.json holds)."""
+        return dataclasses.asdict(self)
+
+    @classmethod
+    def from_dict(cls, tree) -> "PipelineConfig":
+        """A config from a partial tree laid over the defaults.
+
+        Keys left out keep their default values.  An unknown key, or a value
+        of the wrong type, raises ValueError naming its dotted path (e.g.
+        ``ik.max_iters``); every rebuilt section runs its own validation.
+        """
+        return _overlay(cls(), tree, "")
+
+
+def _overlay(default, tree, path):
+    """Copy of the dataclass ``default`` with the values of ``tree`` set."""
+    if not isinstance(tree, dict):
+        raise ValueError(f"config {path.rstrip('.') or 'tree'} must be a "
+                         f"JSON object, got {tree!r}")
+    names = {f.name for f in dataclasses.fields(default)}
+    changes = {}
+    for key, value in tree.items():
+        dotted = path + key
+        if key not in names:
+            raise ValueError(f"unknown config key {dotted!r}")
+        current = getattr(default, key)
+        if dataclasses.is_dataclass(current):
+            value = _overlay(current, value, dotted + ".")
+        elif type(current) is float and type(value) is int:
+            value = float(value)
+        elif type(value) is not type(current):
+            raise ValueError(f"config key {dotted!r} must be "
+                             f"{type(current).__name__}, got {value!r}")
+        changes[key] = value
+    return dataclasses.replace(default, **changes)
 
 
 @dataclass
@@ -304,7 +342,6 @@ def track(provider, rig: CameraRig, model, pose0, config: PipelineConfig,
     pose_prev = sk.check_pose(model, pose0).copy()
     positions_prev = sk.forward_kinematics(model, pose_prev)
     frames = []
-    stage1_cache = []   # kept for offline filtering mode
     for frame_index in frame_range:
         if cfg.rotation_enabled:
             rotations = tracker_mod.plan_rotations(positions_prev, rig, cfg)
@@ -345,33 +382,28 @@ def track(provider, rig: CameraRig, model, pose0, config: PipelineConfig,
             positions_stage1=positions1, positions_stage2=positions2,
             weights=weights, rotations=rotations, low_confidence=low_conf,
             per_camera=per_camera, lattice_offsets=chosen))
-        stage1_cache.append(q1)
         pose_prev = q2
         positions_prev = (positions2 if config.lattice_center == "stage2"
                           else positions1)
 
     if config.filter.mode == "offline" and frames:
-        _refit_offline(model, frames, stage1_cache, config)
+        _refit_offline(model, frames, config)
     return MotionSequence(frames=frames, sample_rate_hz=fps)
 
 
-def _refit_offline(model, frames, stage1_poses, config):
+def _refit_offline(model, frames, config):
     """Replace stage-2 output with a zero-phase (forward-backward) variant."""
     coeffs = smooth_mod.design_biquad(config.filter)
     traj = np.stack([
         np.concatenate([f.positions_stage1[lb] for lb in KEYPOINTS])
         for f in frames])
     smoothed = smooth_mod.filtfilt(coeffs, traj)
-    q_prev = stage1_poses[0]
-    for f, q1, row in zip(frames, stage1_poses, smoothed):
-        markers = VirtualMarkerSet(
-            positions={lb: row[3 * i:3 * i + 3]
-                       for i, lb in enumerate(KEYPOINTS)},
-            weights={lb: 1.0 for lb in KEYPOINTS})
-        result = ik_mod.solve(model, q_prev, markers, config.ik)
-        f.pose_stage2 = result.q
-        f.positions_stage2 = sk.forward_kinematics(model, result.q)
-        q_prev = result.q
+    q_prev = frames[0].pose_stage1
+    for f, row in zip(frames, smoothed):
+        q_prev = smooth_mod.refit(
+            model, q_prev, dict(zip(KEYPOINTS, row.reshape(-1, 3))), config.ik)
+        f.pose_stage2 = q_prev
+        f.positions_stage2 = sk.forward_kinematics(model, q_prev)
 
 
 # ---------------------------------------------------------------------------
@@ -420,23 +452,7 @@ def write_pose_csv(seq: MotionSequence, path):
 def write_run_metadata(path, config: PipelineConfig, model, extra=None):
     payload = {
         "version": 1,
-        "config": {
-            "lattice": {"s": config.lattice.s, "k": config.lattice.k,
-                        "tilt_threshold_deg": config.lattice.tilt_threshold_deg,
-                        "rotation_enabled": config.lattice.rotation_enabled},
-            "ik": {"max_iterations": config.ik.max_iterations,
-                   "residual_tol": config.ik.residual_tol,
-                   "step_tol": config.ik.step_tol,
-                   "lambda0": config.ik.lambda0,
-                   "translation_scale": config.ik.translation_scale},
-            "filter": {"cutoff_hz": config.filter.cutoff_hz,
-                       "sample_rate_hz": config.filter.sample_rate_hz,
-                       "mode": config.filter.mode},
-            "init": {"centroid_floor": config.init.centroid_floor,
-                     "agreement_residual_mm": config.init.agreement_residual_mm,
-                     "min_agreement_frames": config.init.min_agreement_frames},
-            "lattice_center": config.lattice_center,
-        },
+        "config": config.to_dict(),
         "link_lengths_mm": {k: float(v) for k, v in model.link_lengths().items()},
     }
     if extra:

@@ -284,21 +284,6 @@ def _chain_to_root(model, ji):
     return chain
 
 
-def jacobian(model: SkeletonModel, q, target: str):
-    """3 x total_dof matrix of d(target position)/dq.
-
-    ``target`` may be a joint name or a keypoint label.  Columns of DOFs not
-    on the root-to-target chain are zero.
-    """
-    return _jacobian_from_frames(model, _frames(model, q), target)
-
-
-def jacobians(model: SkeletonModel, q, targets):
-    """Jacobians of several targets sharing one forward-kinematics pass."""
-    frames = _frames(model, q)
-    return {t: _jacobian_from_frames(model, frames, t) for t in targets}
-
-
 def keypoint_positions(model: SkeletonModel, q, targets):
     """World positions of selected keypoint labels only (one FK pass)."""
     pos, rot, _ = _frames(model, q)
@@ -306,20 +291,20 @@ def keypoint_positions(model: SkeletonModel, q, targets):
 
 
 def fk_and_jacobians(model: SkeletonModel, q, targets):
-    """Positions and jacobians of several targets from one FK pass."""
+    """Positions and 3 x total_dof jacobians d(position)/dq of several
+    targets (joint names or keypoint labels) from one FK pass.
+
+    Columns of DOFs not on the root-to-target chain are zero.  An unknown
+    target raises SkeletonError.
+    """
     frames = _frames(model, q)
-    pos, rot, _ = frames
-    positions = {}
+    positions, jacobians = {}, {}
     for t in targets:
-        if t in model.keypoint_map:
-            positions[t] = _keypoint_position(model, pos, rot, t)[0]
-        else:
-            positions[t] = pos[model.joint_index[t]].copy()
-    return positions, {t: _jacobian_from_frames(model, frames, t)
-                       for t in targets}
+        positions[t], jacobians[t] = _point_and_jacobian(model, frames, t)
+    return positions, jacobians
 
 
-def _jacobian_from_frames(model, frames, target):
+def _point_and_jacobian(model, frames, target):
     pos, rot, dof_records = frames
     idx = model.joint_index
     if target in model.keypoint_map:
@@ -330,7 +315,7 @@ def _jacobian_from_frames(model, frames, target):
         chain_rot = chain if attached else chain - {ji_t}
     elif target in idx:
         ji_t = idx[target]
-        p_t = pos[ji_t]
+        p_t = pos[ji_t].copy()
         chain = _chain_to_root(model, ji_t)
         chain_rot = chain - {ji_t}
     else:
@@ -353,7 +338,7 @@ def _jacobian_from_frames(model, frames, target):
                 R_pre, origin, w = rec[2], rec[3], rec[4]
                 J[:, qi:qi + 3] = -skew(p_t - origin) @ R_pre @ left_jacobian_so3(w)
         qi += width
-    return J
+    return p_t, J
 
 
 # ---------------------------------------------------------------------------

@@ -24,12 +24,9 @@ from .tracker import VirtualMarkerSet
 class FilterSpec:
     cutoff_hz: float
     sample_rate_hz: float
-    order: int = 2
     mode: str = "causal"   # "causal" or "offline" (forward-backward)
 
     def __post_init__(self):
-        if self.order != 2:
-            raise ValueError("only 2nd-order (biquad) filters are supported")
         if self.mode not in ("causal", "offline"):
             raise ValueError(f"unknown filter mode {self.mode!r}")
         if not (0.0 < self.cutoff_hz < self.sample_rate_hz / 2.0):
@@ -94,11 +91,6 @@ class FilterState:
         return y
 
 
-def filter_step(state: FilterState, sample):
-    """One causal filter step over a channel vector (e.g. one joint's xyz)."""
-    return state.step(sample)
-
-
 def filtfilt(coeffs, samples):
     """Zero-phase forward-backward filtering of a (T, C) trajectory."""
     x = np.asarray(samples, dtype=float)
@@ -140,8 +132,13 @@ def smooth_and_refit(model, q_stage1, traj_filter: TrajectoryFilter,
     """
     fk = sk.forward_kinematics(model, q_stage1)
     smoothed = traj_filter.step_positions(fk)
+    return refit(model, q_stage1, smoothed, ik_settings), smoothed
+
+
+def refit(model, q_init, positions: dict, ik_settings: ik_mod.IkSettings):
+    """Stage-2 pose: IK warm-started at ``q_init`` against ``positions``
+    (label -> (3,)) for every keypoint, all weighted 1."""
     markers = VirtualMarkerSet(
-        positions={lb: smoothed[lb] for lb in KEYPOINTS},
+        positions={lb: positions[lb] for lb in KEYPOINTS},
         weights={lb: 1.0 for lb in KEYPOINTS})
-    result = ik_mod.solve(model, q_stage1, markers, ik_settings)
-    return result.q, smoothed
+    return ik_mod.solve(model, q_init, markers, ik_settings).q

@@ -354,16 +354,24 @@ PRESETS = {
 # Dataset generation (files)
 
 def spec_to_json(spec: SceneSpec):
+    """JSON tree of a scene.  The motion is stored as a preset name and its
+    hold frames, so a motion that is not a preset at its default parameters
+    raises ValueError instead of being written as a different one."""
+    motion = spec.motion
+    preset = PRESETS.get(motion.name)
+    if preset is None or preset(hold_frames=motion.hold_frames) != motion:
+        raise ValueError(f"motion {motion.name!r} is not a preset at its "
+                         f"default parameters and cannot be stored by name")
     payload = asdict(spec)
-    payload["motion"] = {"preset": spec.motion.name,
-                         "hold_frames": spec.motion.hold_frames}
+    payload["motion"] = {"preset": motion.name,
+                         "hold_frames": motion.hold_frames}
     return payload
 
 
 def spec_from_json(payload) -> SceneSpec:
+    payload = dict(payload)
     motion = payload.pop("motion")
     preset = PRESETS[motion["preset"]]
-    payload = dict(payload)
     payload["noise"] = NoiseModel(**payload.get("noise", {}))
     payload["tilt_bias"] = TiltBias(**payload.get("tilt_bias", {}))
     payload["look_at_mm"] = tuple(payload.get("look_at_mm", (0, 0, 1000)))

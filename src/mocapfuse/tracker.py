@@ -49,9 +49,6 @@ class VirtualMarkerSet:
     weights: dict                       # label -> float >= 0
     per_camera: dict = field(default_factory=dict)  # label -> (n_c,) samples
 
-    def total_weight(self):
-        return float(sum(self.weights.values()))
-
 
 @functools.lru_cache(maxsize=None)
 def lattice_offsets(k: int):
@@ -113,15 +110,6 @@ def lattice_search(prev_positions, label, provider, rig: CameraRig,
                                       frame_index, cfg, rotations)
     best = int(np.argmax(scores))   # first max in tie-break order
     return candidates[best], float(scores[best]), per_camera[:, best].copy()
-
-
-def pcm_weight(j_pred, label, provider, rig: CameraRig, frame_index,
-               cfg: LatticeConfig, rotations=None):
-    """IK weight of a marker: total PCM confidence at its projections."""
-    scores, per_camera = score_points(np.asarray(j_pred, dtype=float)[None, :],
-                                      label, provider, rig, frame_index, cfg,
-                                      rotations)
-    return float(scores[0]), per_camera[:, 0].copy()
 
 
 def trunk_tilt(neck_px, midhip_px) -> float:

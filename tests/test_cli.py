@@ -138,6 +138,48 @@ class TestFlags:
         assert run["config"]["filter"]["cutoff_hz"] == 3.0
 
 
+    def track(self, dataset, init_run, out, *extra):
+        root, data = dataset
+        return cli.main(["track", "--calib", str(data / "calib.json"),
+                         "--pcm-dir", str(data / "pcm"),
+                         "--skeleton", str(init_run / "skeleton.json"),
+                         "--out", str(out), "--end-frame", "13", *extra])
+
+    def test_config_file_reaches_ik_and_lattice_center(self, dataset,
+                                                       init_run, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"ik": {"max_iterations": 8},
+                                   "lattice_center": "stage1"}))
+        assert self.track(dataset, init_run, tmp_path / "run",
+                          "--config", str(cfg)) == 0
+        run = json.loads((tmp_path / "run" / "run.json").read_text())
+        assert run["config"]["ik"]["max_iterations"] == 8
+        assert run["config"]["lattice_center"] == "stage1"
+
+    def test_run_json_round_trips_through_config(self, dataset, init_run,
+                                                 tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert self.track(dataset, init_run, first, "--lattice-s", "12",
+                          "--lattice-k", "2", "--cutoff-hz", "8",
+                          "--rotation", "on", "--filter-mode", "offline") == 0
+        assert self.track(dataset, init_run, second,
+                          "--config", str(first / "run.json")) == 0
+        old = json.loads((first / "run.json").read_text())["config"]
+        new = json.loads((second / "run.json").read_text())["config"]
+        assert new == old
+        assert old["lattice"]["rotation_enabled"] is True
+
+    def test_unknown_config_key_exits_one(self, dataset, init_run, tmp_path,
+                                          capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"ik": {"max_iters": 5}}))
+        assert self.track(dataset, init_run, tmp_path / "run",
+                          "--config", str(cfg)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "ik.max_iters" in err
+        assert not (tmp_path / "run").exists()
+
+
 class TestUsageErrors:
     def test_track_without_calib_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

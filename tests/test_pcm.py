@@ -5,8 +5,8 @@ import numpy.testing as npt
 import pytest
 
 from helpers import DictProvider, frame_with_channel, gaussian_grid, make_frame
-from mocapfuse import pcm
-from mocapfuse.calib import Camera, rotate_pixel
+from mocapfuse import pcm, tracker
+from mocapfuse.calib import Camera, CameraRig, project_points, rotate_pixel
 from mocapfuse.labels import KEYPOINTS
 
 
@@ -213,32 +213,49 @@ class TestQuantizeRotation:
 
 
 class TestSampleRotated:
+    """Lower-body samples through a rotated heatmap: the projected pixel is
+    mapped into the rotated image frame first (tracker.score_points)."""
+
+    cfg = tracker.LatticeConfig(rotation_enabled=True)
+
     def camera(self):
         return Camera(id=0, width=64, height=48, fx=50.0, fy=50.0,
-                      cx=32.0, cy=24.0)
+                      cx=32.0, cy=24.0, translation=(0.0, 0.0, 1000.0))
+
+    def score(self, provider, points, rotation_deg):
+        rig = CameraRig(cameras=(self.camera(),))
+        scores, _ = tracker.score_points(points, "r_hip", provider, rig, 0,
+                                         self.cfg, rotations={0: rotation_deg})
+        return scores
 
     def test_rotation_zero_equals_plain_sample(self, rng):
         grid = rng.uniform(0, 1, (48, 64)).astype(np.float32)
         frame = frame_with_channel("r_hip", grid)
         provider = DictProvider({(0, 0, 0): frame})
-        for _ in range(50):
-            p = rng.uniform([0, 0], [63, 47])
-            assert pcm.sample_rotated(provider, self.camera(), 0, 0.0,
-                                      "r_hip", p) == pcm.sample(frame, "r_hip", p)
+        points = np.column_stack([rng.uniform(-640, 620, 50),
+                                  rng.uniform(-480, 460, 50), np.zeros(50)])
+        px, _ = project_points(self.camera(), points)
+        expected = [pcm.sample(frame, "r_hip", p) for p in px]
+        npt.assert_array_equal(self.score(provider, points, 0.0), expected)
 
     def test_peak_recovered_through_rotated_render(self):
         cam = self.camera()
-        p_orig = np.array([40.0, 30.0])
+        point = np.array([160.0, 120.0, 0.0])
+        p_orig, _ = project_points(cam, point)
         # Render the Gaussian where the original point lands on the image
         # rotated 180 degrees about the camera center.
         p_rot = rotate_pixel(p_orig, 180.0, cam.image_center)
         grid = gaussian_grid(48, 64, p_rot[0], p_rot[1], 3.0)
         frame = frame_with_channel("r_hip", grid, rotation=180.0)
         provider = DictProvider({(0, 0, 180): frame})
-        val = pcm.sample_rotated(provider, cam, 0, 180.0, "r_hip", p_orig)
+        val = self.score(provider, point, 180.0)[0]
         assert val == pytest.approx(1.0, abs=1e-6)
 
     def test_missing_rotation_surfaces(self):
-        provider = DictProvider({})
+        grid = gaussian_grid(48, 64, 32.0, 24.0, 3.0)
+        provider = DictProvider({(0, 0, 0): frame_with_channel("r_hip", grid)})
         with pytest.raises(pcm.RotationUnavailable):
-            pcm.sample_rotated(provider, self.camera(), 0, 37.0, "r_hip", (1, 1))
+            provider.get(0, 0, 37.0)
+        # score_points meets the RotationUnavailable and samples rotation 0.
+        val = self.score(provider, np.zeros(3), 37.0)[0]
+        assert val == pytest.approx(1.0, abs=1e-6)

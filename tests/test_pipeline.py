@@ -16,6 +16,8 @@ from mocapfuse.pipeline import (
     track,
     triangulate,
 )
+from mocapfuse.smooth import FilterSpec
+from mocapfuse.tracker import LatticeConfig
 
 
 class MaskingProvider(pcm.PcmProvider):
@@ -197,7 +199,6 @@ class TestTrack:
 
     def test_offline_mode_is_fk_consistent(self, still_spec, still_rig,
                                            still_init):
-        from mocapfuse.smooth import FilterSpec
         model, pose0, _, first = still_init
         provider = synth.SyntheticProvider(still_spec, still_rig, n_frames=200)
         config = PipelineConfig(filter=FilterSpec(cutoff_hz=5.0,
@@ -213,7 +214,7 @@ class TestTrack:
 
     def test_monotone_evidence_under_camera_subsets(self, still_spec,
                                                     still_rig, rng):
-        from mocapfuse.tracker import LatticeConfig, score_points
+        from mocapfuse.tracker import score_points
         provider = synth.SyntheticProvider(still_spec, still_rig, n_frames=10)
         subset = CameraRig(cameras=still_rig.cameras[:3])
         cfg = LatticeConfig()
@@ -229,6 +230,49 @@ class TestTrack:
             PipelineConfig(lattice_center="stage3")
         with pytest.raises(ValueError):
             InitSettings(agreement_residual_mm=0.0)
+
+
+def handstand_config():
+    return PipelineConfig(
+        lattice=LatticeConfig(s=15.0, rotation_enabled=True),
+        filter=FilterSpec(cutoff_hz=10.0, sample_rate_hz=60.0),
+        lattice_center="stage1")
+
+
+class TestConfigTree:
+    def test_round_trip(self):
+        for config in (PipelineConfig(), handstand_config()):
+            assert PipelineConfig.from_dict(config.to_dict()) == config
+            tree = json.loads(json.dumps(config.to_dict()))
+            assert PipelineConfig.from_dict(tree) == config
+
+    def test_partial_tree_keeps_defaults(self):
+        tree = {"lattice": {"s": 15, "rotation_enabled": True},
+                "filter": {"cutoff_hz": 10},
+                "lattice_center": "stage1"}
+        config = PipelineConfig.from_dict(tree)
+        assert config == handstand_config()
+        assert isinstance(config.lattice.s, float)
+        assert PipelineConfig.from_dict({}) == PipelineConfig()
+
+    def test_unknown_key_names_its_path(self):
+        for tree, path in (({"ik": {"max_iters": 5}}, "ik.max_iters"),
+                           ({"lattice_centre": "stage1"}, "lattice_centre"),
+                           ({"ik": {"lambda_up": 10.0}}, "ik.lambda_up")):
+            with pytest.raises(ValueError, match=f"'{path}'"):
+                PipelineConfig.from_dict(tree)
+
+    def test_values_are_checked(self):
+        for tree in ({"lattice": {"k": 0}},            # section validation
+                     {"lattice_center": "stage3"},
+                     {"filter": {"cutoff_hz": 30.0}},
+                     {"lattice": {"k": 3.0}},          # wrong types
+                     {"lattice": {"rotation_enabled": 1}},
+                     {"ik": {"max_iterations": "8"}},
+                     {"ik": 8},
+                     []):
+            with pytest.raises(ValueError):
+                PipelineConfig.from_dict(tree)
 
 
 class TestOutputs:
@@ -261,6 +305,7 @@ class TestOutputs:
                                     extra={"frames": [0, 40]})
         payload = json.loads(path.read_text())
         assert payload["config"]["lattice"]["s"] == 10.0
+        assert payload["config"] == PipelineConfig().to_dict()
         assert payload["frames"] == [0, 40]
         assert set(payload["link_lengths_mm"]) == {
             j.name for j in model.joints if j.parent >= 0}

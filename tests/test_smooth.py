@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from mocapfuse import ik, skeleton as sk, smooth
+from mocapfuse.pipeline import PipelineConfig
 from mocapfuse.labels import KEYPOINTS
 
 
@@ -22,8 +23,9 @@ class TestFilterSpec:
             smooth.FilterSpec(cutoff_hz=0.0, sample_rate_hz=60.0)
 
     def test_only_biquads(self):
-        with pytest.raises(ValueError):
-            smooth.FilterSpec(cutoff_hz=5.0, sample_rate_hz=60.0, order=4)
+        # The filter order is fixed at 2; a config cannot ask for another.
+        with pytest.raises(ValueError, match="'filter.order'"):
+            PipelineConfig.from_dict({"filter": {"order": 4}})
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):

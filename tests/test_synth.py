@@ -205,8 +205,16 @@ class TestSceneJson:
             tilt_bias=synth.TiltBias(enabled=True, jitter_px=9.0),
             seed=42)
         payload = json.loads(json.dumps(synth.spec_to_json(spec)))
+        kept = json.loads(json.dumps(payload))
         back = synth.spec_from_json(payload)
         assert back == spec
+        assert payload == kept          # the argument is not consumed
+        # Motions a preset name cannot reproduce are refused when written.
+        for motion in (synth.handstand_like(period_s=4.0),
+                       synth.MotionProgram(curves={}, name="still"),
+                       synth.MotionProgram(curves={})):
+            with pytest.raises(ValueError):
+                synth.spec_to_json(small_scene(motion=motion))
 
 
 @pytest.fixture(scope="module")

@@ -13,7 +13,6 @@ from mocapfuse.tracker import (
     LatticeConfig,
     lattice_offsets,
     lattice_search,
-    pcm_weight,
     plan_rotations,
     score_points,
     trunk_tilt,
@@ -148,35 +147,37 @@ class TestLatticeSearch:
 
 
 class TestPcmWeight:
+    """The IK weight of a marker is the score of its single point."""
+
     def test_all_zero_channels(self):
         rig = axial_rig()
-        w, cams = pcm_weight(np.zeros(3), "r_hip", zero_provider(rig), rig, 0,
-                             LatticeConfig())
-        assert w == 0.0
+        w, cams = score_points(np.zeros(3), "r_hip", zero_provider(rig), rig,
+                               0, LatticeConfig())
+        assert w[0] == 0.0
 
     def test_unit_peaks_in_all_cameras(self):
         rig = axial_rig(4)
         provider = render_point(rig, (0.0, 0.0, 0.0), "r_hip")
-        w, cams = pcm_weight(np.zeros(3), "r_hip", provider, rig, 0,
-                             LatticeConfig())
-        assert w == pytest.approx(4.0, abs=1e-6)
+        w, cams = score_points(np.zeros(3), "r_hip", provider, rig, 0,
+                               LatticeConfig())
+        assert w[0] == pytest.approx(4.0, abs=1e-6)
 
     def test_point_behind_one_camera(self):
         rig = axial_rig(4, behind=(2,))
         provider = render_point(rig, (0.0, 0.0, 0.0), "r_hip")
-        w, cams = pcm_weight(np.zeros(3), "r_hip", provider, rig, 0,
-                             LatticeConfig())
-        assert w == pytest.approx(3.0, abs=1e-6)
-        assert cams[2] == 0.0
+        w, cams = score_points(np.zeros(3), "r_hip", provider, rig, 0,
+                               LatticeConfig())
+        assert w[0] == pytest.approx(3.0, abs=1e-6)
+        assert cams[2, 0] == 0.0
 
     def test_weight_bounded_by_camera_count(self, rng):
         rig = axial_rig(3)
         grids = {(cam.id, 0, 0): frame_with_channel(
             "neck", rng.uniform(0, 1, (48, 64)), camera_id=cam.id)
             for cam in rig.cameras}
-        w, _ = pcm_weight(rng.uniform(-20, 20, 3), "neck",
-                          DictProvider(grids), rig, 0, LatticeConfig())
-        assert 0.0 <= w <= rig.n_c
+        w, _ = score_points(rng.uniform(-20, 20, 3), "neck",
+                            DictProvider(grids), rig, 0, LatticeConfig())
+        assert 0.0 <= w[0] <= rig.n_c
 
 
 class TestRotatedSampling:
