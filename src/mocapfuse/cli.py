@@ -125,12 +125,11 @@ def cmd_track(args):
         else args.start_frame
     last = args.end_frame
     if last is None:
+        # The sequence ends at the first frame the first camera has no
+        # file for; track reads and validates each frame it tracks.
         last = first
-        while True:
-            try:
-                provider.get(rig.cameras[0].id, last, 0.0)
-            except pcm_mod.FrameMissing:
-                break
+        while os.path.exists(pcm_mod.frame_path(args.pcm_dir,
+                                                rig.cameras[0].id, last)):
             last += 1
     seq = pipeline_mod.track(provider, rig, model, state["pose0"], config,
                              range(first, last))

@@ -65,35 +65,6 @@ def objective(model, q, markers: VirtualMarkerSet) -> float:
     return total
 
 
-def _coordinate_scale(model, settings):
-    s = np.ones(model.total_dof)
-    qi = 0
-    for joint in model.joints:
-        for tok in joint.dofs:
-            width = 3 if tok == "exp" else 1
-            if tok[0] == "t":
-                s[qi] = settings.translation_scale
-            qi += width
-    return s
-
-
-def _stack_residual(fk, markers, labels, sqrt_w):
-    r = np.empty(3 * len(labels))
-    for i, label in enumerate(labels):
-        e = np.asarray(markers.positions[label], dtype=float) - fk[label]
-        r[3 * i:3 * i + 3] = sqrt_w[i] * e
-    return r
-
-
-def _residuals_and_jacobian(model, q, markers, labels, sqrt_w):
-    fk, jac = sk.fk_and_jacobians(model, q, labels)
-    r = _stack_residual(fk, markers, labels, sqrt_w)
-    J = np.empty((3 * len(labels), model.total_dof))
-    for i, label in enumerate(labels):
-        J[3 * i:3 * i + 3] = sqrt_w[i] * jac[label]
-    return r, J
-
-
 def solve(model, q_init, markers: VirtualMarkerSet,
           settings: IkSettings = IkSettings(), trace_path=None) -> IkResult:
     """Fit the pose to the weighted markers, warm-started at ``q_init``.
@@ -106,13 +77,16 @@ def solve(model, q_init, markers: VirtualMarkerSet,
               if markers.weights.get(lb, 0.0) > 0.0]
     if not labels:
         return IkResult(q=q, residual=0.0, converged=False, no_evidence=True)
-    sqrt_w = np.sqrt([markers.weights[lb] for lb in labels])
+    observed = np.array([markers.positions[lb] for lb in labels], dtype=float)
+    sqrt_w = np.sqrt([markers.weights[lb] for lb in labels])[:, None]
 
-    scale = _coordinate_scale(model, settings)
+    def residual(positions):
+        return (sqrt_w * (observed - positions)).ravel()
+
+    scale = np.where(model.dof_rotational, 1.0, settings.translation_scale)
     lam = settings.lambda0
     # The objective equals 0.5 * |r|^2 for the sqrt-weighted residual stack.
-    r0 = _stack_residual(sk.keypoint_positions(model, q, labels),
-                         markers, labels, sqrt_w)
+    r0 = residual(sk.keypoint_positions(model, q, labels))
     obj = 0.5 * float(r0 @ r0)
     trace = [(0, lam, obj)]
     converged = False
@@ -123,7 +97,9 @@ def solve(model, q_init, markers: VirtualMarkerSet,
         if obj <= settings.residual_tol:
             converged = True
             break
-        r, J = _residuals_and_jacobian(model, q, markers, labels, sqrt_w)
+        positions, jac = sk.fk_and_jacobians(model, q, labels)
+        r = residual(positions)
+        J = (sqrt_w[:, :, None] * jac).reshape(r.size, model.total_dof)
         if not (np.all(np.isfinite(r)) and np.all(np.isfinite(J))):
             raise FloatingPointError("non-finite IK residual or jacobian")
         Js = J * scale[None, :]
@@ -140,9 +116,7 @@ def solve(model, q_init, markers: VirtualMarkerSet,
                 lam *= LAMBDA_UP
                 continue
             q_new = q + scale * delta_u
-            r_new = _stack_residual(
-                sk.keypoint_positions(model, q_new, labels),
-                markers, labels, sqrt_w)
+            r_new = residual(sk.keypoint_positions(model, q_new, labels))
             obj_new = 0.5 * float(r_new @ r_new)
             if np.isfinite(obj_new) and obj_new < obj:
                 step = float(np.linalg.norm(delta_u))

@@ -170,6 +170,13 @@ def quantize_rotation(angle_deg) -> int:
     return int(round(float(angle_deg)))
 
 
+def frame_path(root, camera_id, frame_index, rotation_deg=0.0):
+    """Where a frame lives in a PCM directory: cam{ID}/rot{angle}/frame{N}.pcm."""
+    return os.path.join(root, f"cam{camera_id}",
+                        f"rot{quantize_rotation(rotation_deg)}",
+                        f"frame{frame_index}.pcm")
+
+
 class PcmProvider:
     """Source of heatmap frames keyed by (camera_id, frame_index, rotation)."""
 
@@ -178,22 +185,13 @@ class PcmProvider:
 
 
 class DirectoryProvider(PcmProvider):
-    """File-backed store with layout cam{ID}/rot{angle}/frame{N}.pcm."""
+    """File-backed store laid out as ``frame_path`` says."""
 
     def __init__(self, root):
         self.root = root
 
-    @staticmethod
-    def relative_path(camera_id, frame_index, rotation_deg=0.0):
-        rot = quantize_rotation(rotation_deg)
-        return os.path.join(f"cam{camera_id}", f"rot{rot}", f"frame{frame_index}.pcm")
-
-    def path_for(self, camera_id, frame_index, rotation_deg=0.0):
-        return os.path.join(self.root,
-                            self.relative_path(camera_id, frame_index, rotation_deg))
-
     def get(self, camera_id, frame_index, rotation_deg=0.0) -> HeatmapFrame:
-        path = self.path_for(camera_id, frame_index, rotation_deg)
+        path = frame_path(self.root, camera_id, frame_index, rotation_deg)
         if not os.path.exists(path):
             if quantize_rotation(rotation_deg) == 0:
                 raise FrameMissing(

@@ -306,7 +306,7 @@ def initialize(provider, rig: CameraRig, skeleton_template, config: PipelineConf
     offsets = {lb: [] for lb in face_labels}
     for points in tri_frames:
         q = _fit_pose_to_points(model, points, q, config.ik).q
-        pos, rot, _ = sk._frames(model, q)
+        pos, rot, _, _ = sk._frames(model, q)
         idx = model.joint_index
         for lb in face_labels:
             if lb not in points:

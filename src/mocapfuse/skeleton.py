@@ -9,6 +9,12 @@ ears).
 Pose vector layout: root translation (mm, 3), root orientation as an
 exponential-map 3-vector, then the remaining joints' rotational coordinates
 (radians) in model order.
+
+Each model carries a dof/target table built once (see ``SkeletonModel``),
+and every entry point makes one FK pass: ``forward_kinematics`` returns a
+dict of every joint and keypoint, ``keypoint_positions`` an ``(n, 3)`` array
+of the requested targets in order, and ``fk_and_jacobians`` that array plus
+the ``(n, 3, total_dof)`` jacobians.
 """
 
 from __future__ import annotations
@@ -35,14 +41,6 @@ _DOF_WIDTH = {"tx": 1, "ty": 1, "tz": 1, "rx": 1, "ry": 1, "rz": 1, "exp": 3}
 
 class SkeletonError(ValueError):
     pass
-
-
-def skew(v):
-    return np.array([
-        [0.0, -v[2], v[1]],
-        [v[2], 0.0, -v[0]],
-        [-v[1], v[0], 0.0],
-    ])
 
 
 def _rodrigues_family(w, a, b):
@@ -123,10 +121,6 @@ class Joint:
             if tok not in _DOF_WIDTH:
                 raise SkeletonError(f"joint {self.name}: unknown dof token {tok!r}")
 
-    @property
-    def ndof(self):
-        return sum(_DOF_WIDTH[t] for t in self.dofs)
-
 
 @dataclass(frozen=True)
 class SkeletonModel:
@@ -135,6 +129,16 @@ class SkeletonModel:
     ``keypoint_map`` maps a keypoint label either to a joint name or to
     ``(joint name, local offset 3-vector)`` for points rigidly attached to a
     segment frame.
+
+    The targets are every joint, then every keypoint label (a label that is
+    also a joint name resolves to the keypoint).  Built once per model:
+    ``target_index`` (name -> row), ``target_joint`` and ``target_offset``
+    (the segment each target rides on and its local offset),
+    ``target_mask`` (target x dof: the dof belongs to the target's segment
+    or one of its ancestors) and ``dof_rotational`` (per dof).  A joint
+    origin does not move with its own rotation while an attached point
+    does; the rotational column ``axis x (p - origin)`` is zero for the
+    former because p is the origin, so the mask needs no rule for it.
     """
 
     joints: tuple
@@ -150,25 +154,38 @@ class SkeletonModel:
                 raise SkeletonError("joints must be listed parents-first")
             if j.parent >= 0 and j.length <= 0:
                 raise SkeletonError(f"joint {j.name}: link length must be > 0")
-        names = [j.name for j in self.joints]
-        if len(set(names)) != len(names):
+        index = {j.name: i for i, j in enumerate(self.joints)}
+        if len(index) != len(self.joints):
             raise SkeletonError("duplicate joint names")
+        names = list(index)
+        refs = [(name, np.zeros(3)) for name in names]
         for label, ref in self.keypoint_map.items():
-            jname = ref[0] if isinstance(ref, tuple) else ref
-            if jname not in names:
+            jname, offset = ref if isinstance(ref, tuple) else (ref, np.zeros(3))
+            if jname not in index:
                 raise SkeletonError(f"keypoint {label}: unknown joint {jname}")
-        object.__setattr__(self, "_total_dof",
-                           sum(j.ndof for j in self.joints))
-        object.__setattr__(self, "_joint_index",
-                           {j.name: i for i, j in enumerate(self.joints)})
+            names.append(label)
+            refs.append((jname, offset))
 
-    @property
-    def total_dof(self):
-        return self._total_dof
-
-    @property
-    def joint_index(self):
-        return self._joint_index
+        ancestry = np.zeros((len(self.joints),) * 2, dtype=bool)
+        for i, j in enumerate(self.joints):
+            if j.parent >= 0:
+                ancestry[i] = ancestry[j.parent]
+            ancestry[i, i] = True
+        dofs = [(i, tok[0] != "t") for i, j in enumerate(self.joints)
+                for tok in j.dofs for _ in range(_DOF_WIDTH[tok])]
+        dof_joint = np.array([i for i, _ in dofs], dtype=int)
+        rotational = np.array([r for _, r in dofs], dtype=bool)
+        target_joint = np.array([index[jname] for jname, _ in refs], dtype=int)
+        for attr, value in (
+                ("total_dof", len(dof_joint)),
+                ("joint_index", index),
+                ("dof_rotational", rotational),
+                ("target_index", {n: i for i, n in enumerate(names)}),
+                ("target_joint", target_joint),
+                ("target_offset", np.array([np.asarray(off, dtype=float)
+                                            for _, off in refs])),
+                ("target_mask", ancestry[target_joint][:, dof_joint])):
+            object.__setattr__(self, attr, value)
 
     def link_lengths(self):
         return {j.name: j.length for j in self.joints if j.parent >= 0}
@@ -213,18 +230,18 @@ def check_pose(model: SkeletonModel, q):
 
 
 def _frames(model: SkeletonModel, q):
-    """FK pass returning per-joint world position/rotation and per-dof records.
+    """One FK pass: world position and rotation of every joint, and each
+    dof's world motion axis and origin, aligned with q.
 
-    Each dof record is ``(joint_index, kind, data...)`` where kind is "t"
-    (data: world axis), "r" (world axis, joint origin) or "exp"
-    (pre-rotation, origin, coordinates).  Records are aligned with q: "exp"
-    consumes three consecutive entries.
+    An exp joint's three axes are the columns of R_pre Jl(w), all about the
+    joint origin.  A translational dof's origin is not used.
     """
     q = check_pose(model, q)
     n = len(model.joints)
     pos = np.zeros((n, 3))
     rot = np.zeros((n, 3, 3))
-    dof_records = []
+    axes = np.zeros((model.total_dof, 3))
+    origins = np.zeros((model.total_dof, 3))
     qi = 0
     for ji, joint in enumerate(model.joints):
         if joint.parent < 0:
@@ -232,113 +249,67 @@ def _frames(model: SkeletonModel, q):
             R = np.eye(3)
         else:
             p = pos[joint.parent] + rot[joint.parent] @ (joint.direction * joint.length)
-            R = rot[joint.parent].copy()
+            R = rot[joint.parent]
         for tok in joint.dofs:
-            if tok[0] == "t":
-                axis = R @ _AXES[tok]
-                p = p + q[qi] * axis
-                dof_records.append((ji, "t", axis))
-                qi += 1
-            elif tok == "exp":
-                w = q[qi:qi + 3].copy()
-                dof_records.append((ji, "exp", R.copy(), p.copy(), w))
+            origins[qi:qi + _DOF_WIDTH[tok]] = p
+            if tok == "exp":
+                w = q[qi:qi + 3]
+                axes[qi:qi + 3] = (R @ left_jacobian_so3(w)).T
                 R = R @ exp_so3(w)
-                qi += 3
             else:
-                axis = R @ _AXES[tok]
-                dof_records.append((ji, "r", axis, p.copy()))
-                R = R @ _axis_rotation(tok, q[qi])
-                qi += 1
+                axes[qi] = R @ _AXES[tok]
+                if tok[0] == "t":
+                    p = p + q[qi] * axes[qi]
+                else:
+                    R = R @ _axis_rotation(tok, q[qi])
+            qi += _DOF_WIDTH[tok]
         pos[ji] = p
         rot[ji] = R
-    return pos, rot, dof_records
+    return pos, rot, axes, origins
 
 
-def _keypoint_position(model, pos, rot, label):
-    ref = model.keypoint_map[label]
-    idx = model.joint_index
-    if isinstance(ref, tuple):
-        ji = idx[ref[0]]
-        return pos[ji] + rot[ji] @ np.asarray(ref[1], dtype=float), ji, True
-    ji = idx[ref]
-    return pos[ji].copy(), ji, False
+def _rows(model, targets):
+    try:
+        return [model.target_index[t] for t in targets]
+    except KeyError as exc:
+        raise SkeletonError(f"unknown target: {exc.args[0]}") from None
+
+
+def _target_positions(model, pos, rot, rows):
+    tj = model.target_joint[rows]
+    return pos[tj] + (rot[tj] @ model.target_offset[rows][:, :, None])[:, :, 0]
 
 
 def forward_kinematics(model: SkeletonModel, q) -> dict:
     """World positions (mm) of every joint and every mapped keypoint."""
-    pos, rot, _ = _frames(model, q)
-    out = {}
-    for ji, joint in enumerate(model.joints):
-        out[joint.name] = pos[ji].copy()
-    for label in model.keypoint_map:
-        p, _, _ = _keypoint_position(model, pos, rot, label)
-        out[label] = p
-    return out
-
-
-def _chain_to_root(model, ji):
-    chain = set()
-    while ji >= 0:
-        chain.add(ji)
-        ji = model.joints[ji].parent
-    return chain
+    pos, rot, _, _ = _frames(model, q)
+    rows = list(model.target_index.values())
+    return dict(zip(model.target_index,
+                    _target_positions(model, pos, rot, rows)))
 
 
 def keypoint_positions(model: SkeletonModel, q, targets):
-    """World positions of selected keypoint labels only (one FK pass)."""
-    pos, rot, _ = _frames(model, q)
-    return {t: _keypoint_position(model, pos, rot, t)[0] for t in targets}
+    """(n, 3) world positions of the targets (joint names or keypoint
+    labels), in order, from one FK pass."""
+    pos, rot, _, _ = _frames(model, q)
+    return _target_positions(model, pos, rot, _rows(model, targets))
 
 
 def fk_and_jacobians(model: SkeletonModel, q, targets):
-    """Positions and 3 x total_dof jacobians d(position)/dq of several
+    """(n, 3) positions and (n, 3, total_dof) jacobians d(position)/dq of the
     targets (joint names or keypoint labels) from one FK pass.
 
-    Columns of DOFs not on the root-to-target chain are zero.  An unknown
+    A rotational column is ``axis x (p - origin)``, a translational one the
+    axis; columns of dofs that do not move the target are zero.  An unknown
     target raises SkeletonError.
     """
-    frames = _frames(model, q)
-    positions, jacobians = {}, {}
-    for t in targets:
-        positions[t], jacobians[t] = _point_and_jacobian(model, frames, t)
-    return positions, jacobians
-
-
-def _point_and_jacobian(model, frames, target):
-    pos, rot, dof_records = frames
-    idx = model.joint_index
-    if target in model.keypoint_map:
-        p_t, ji_t, attached = _keypoint_position(model, pos, rot, target)
-        chain = _chain_to_root(model, ji_t)
-        # A point rigidly attached to a segment moves with that segment's own
-        # rotational dofs; a joint origin does not move with its own rotation.
-        chain_rot = chain if attached else chain - {ji_t}
-    elif target in idx:
-        ji_t = idx[target]
-        p_t = pos[ji_t].copy()
-        chain = _chain_to_root(model, ji_t)
-        chain_rot = chain - {ji_t}
-    else:
-        raise SkeletonError(f"unknown jacobian target: {target}")
-
-    J = np.zeros((3, model.total_dof))
-    qi = 0
-    for rec in dof_records:
-        ji, kind = rec[0], rec[1]
-        width = 3 if kind == "exp" else 1
-        if kind == "t":
-            if ji in chain:
-                J[:, qi] = rec[2]
-        elif kind == "r":
-            if ji in chain_rot:
-                axis, origin = rec[2], rec[3]
-                J[:, qi] = np.cross(axis, p_t - origin)
-        else:  # exp
-            if ji in chain_rot:
-                R_pre, origin, w = rec[2], rec[3], rec[4]
-                J[:, qi:qi + 3] = -skew(p_t - origin) @ R_pre @ left_jacobian_so3(w)
-        qi += width
-    return p_t, J
+    pos, rot, axes, origins = _frames(model, q)
+    rows = _rows(model, targets)
+    p = _target_positions(model, pos, rot, rows)
+    cols = np.where(model.dof_rotational[:, None],
+                    np.cross(axes, p[:, None, :] - origins), axes)
+    J = cols * model.target_mask[rows][:, :, None]
+    return p, J.transpose(0, 2, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -369,9 +369,15 @@ def spec_to_json(spec: SceneSpec):
 
 
 def spec_from_json(payload) -> SceneSpec:
+    """Scene from its JSON tree; a missing or unknown motion preset raises
+    ValueError naming the key and the presets."""
     payload = dict(payload)
-    motion = payload.pop("motion")
-    preset = PRESETS[motion["preset"]]
+    motion = payload.pop("motion", None) or {}
+    preset = PRESETS.get(motion.get("preset"))
+    if preset is None:
+        raise ValueError(f"motion.preset: unknown preset "
+                         f"{motion.get('preset')!r}, expected one of "
+                         f"{sorted(PRESETS)}")
     payload["noise"] = NoiseModel(**payload.get("noise", {}))
     payload["tilt_bias"] = TiltBias(**payload.get("tilt_bias", {}))
     payload["look_at_mm"] = tuple(payload.get("look_at_mm", (0, 0, 1000)))
@@ -398,8 +404,7 @@ def generate(spec: SceneSpec, n_frames, out_dir):
         gt_frames.append(ground_truth_positions(spec, frame_index, model))
         for camera in rig.cameras:
             frame = render_frame(spec, camera, frame_index, 0.0, model)
-            rel = pcm_mod.DirectoryProvider.relative_path(camera.id, frame_index)
-            path = os.path.join(pcm_root, rel)
+            path = pcm_mod.frame_path(pcm_root, camera.id, frame_index)
             os.makedirs(os.path.dirname(path), exist_ok=True)
             pcm_mod.write_pcm(frame, path)
     _write_ground_truth_csv(spec, gt_frames,

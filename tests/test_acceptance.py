@@ -208,9 +208,9 @@ def test_acceptance_4_ik_correctness(rng):
             weights={lb: rng.uniform(0.2, 2.0) for lb in labels})
         pos, jac = sk.fk_and_jacobians(human, q, list(labels))
         grad = np.zeros(40)
-        for lb in labels:
-            grad -= markers.weights[lb] * (jac[lb].T
-                                           @ (markers.positions[lb] - pos[lb]))
+        for i, lb in enumerate(labels):
+            grad -= markers.weights[lb] * (jac[i].T
+                                           @ (markers.positions[lb] - pos[i]))
         fd = np.zeros(40)
         for i in range(40):
             qp, qm = q.copy(), q.copy()

@@ -5,8 +5,9 @@ import sys
 
 import pytest
 
+import mocapfuse
 from conftest import small_scene
-from mocapfuse import cli, synth
+from mocapfuse import cli, pcm, pipeline, skeleton as sk, synth
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +96,40 @@ class TestDeterminism:
         for name in ("positions.csv", "pose.csv", "diagnostics.csv"):
             assert (outputs[0] / name).read_bytes() == \
                 (outputs[1] / name).read_bytes()
+
+
+def test_end_of_sequence_probe_decodes_no_pcm(tmp_path, monkeypatch):
+    """Without --end-frame, track finds the last frame from the file tree:
+    no .pcm file is decoded before pipeline.track starts."""
+    spec = small_scene(image_width=160, image_height=120, focal_px=150.0,
+                       sigma_px=3.0, motion=synth.walk_like())
+    synth.generate(spec, 4, tmp_path / "data")
+    model = synth.build_model(spec)
+    sk.save_skeleton(model, tmp_path / "skeleton.json")
+    (tmp_path / "init_state.json").write_text(json.dumps({
+        "pose0": list(synth.ground_truth_pose(spec, 1)),
+        "first_track_frame": 1}))
+
+    decoded, tracked = [], []
+    read_pcm, track = pcm.read_pcm, pipeline.track
+
+    def counting_read(path):
+        decoded.append(path)
+        return read_pcm(path)
+
+    def recording_track(provider, rig, model, pose0, config, frames):
+        tracked.append((len(decoded), frames))
+        return track(provider, rig, model, pose0, config, frames)
+
+    monkeypatch.setattr(pcm, "read_pcm", counting_read)
+    monkeypatch.setattr(pipeline, "track", recording_track)
+    assert cli.main(["track", "--calib", str(tmp_path / "data" / "calib.json"),
+                     "--pcm-dir", str(tmp_path / "data" / "pcm"),
+                     "--skeleton", str(tmp_path / "skeleton.json"),
+                     "--out", str(tmp_path / "out")]) == 0
+    assert tracked == [(0, range(1, 4))]
+    run = json.loads((tmp_path / "out" / "run.json").read_text())
+    assert run["frames"] == [1, 4]
 
 
 class TestFlags:
@@ -230,6 +265,15 @@ class TestRuntimeErrors:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_unknown_spec_preset_exits_one(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"motion": {"preset": "custom"}}))
+        rc = cli.main(["synth", "--spec", str(spec), "--frames", "1",
+                       "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError") and "'custom'" in err
+
 
 class TestInstalledEntryPoint:
     def test_console_script_smoke(self, tmp_path):
@@ -237,7 +281,10 @@ class TestInstalledEntryPoint:
                            sigma_px=3.0, motion=synth.walk_like())
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(synth.spec_to_json(spec)))
-        env = dict(os.environ, MOCAPFUSE_LOG="INFO")
+        # The child process does not inherit pytest's pythonpath setting.
+        package_root = os.path.dirname(os.path.dirname(mocapfuse.__file__))
+        env = dict(os.environ, MOCAPFUSE_LOG="INFO", PYTHONPATH=os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-m", "mocapfuse.cli", "synth",
              "--spec", str(spec_path), "--frames", "2",

@@ -204,9 +204,9 @@ class TestGradient:
                 weights={lb: rng.uniform(0.2, 2.0) for lb in labels})
             pos, jac = sk.fk_and_jacobians(model, q, list(labels))
             grad = np.zeros(40)
-            for lb in labels:
-                e = markers.positions[lb] - pos[lb]
-                grad -= markers.weights[lb] * (jac[lb].T @ e)
+            for i, lb in enumerate(labels):
+                e = markers.positions[lb] - pos[i]
+                grad -= markers.weights[lb] * (jac[i].T @ e)
             fd = np.zeros(40)
             for i in range(40):
                 qp, qm = q.copy(), q.copy()

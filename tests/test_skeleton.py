@@ -6,10 +6,15 @@ import pytest
 
 from mocapfuse import skeleton as sk
 from mocapfuse.labels import KEYPOINTS
+from test_ik import planar_two_link
 
 
 def zero_pose(model):
     return np.zeros(model.total_dof)
+
+
+def skew(v):
+    return np.cross(np.eye(3), v)
 
 
 class TestRotationHelpers:
@@ -19,7 +24,7 @@ class TestRotationHelpers:
 
     def test_exp_so3_small_angle_series(self):
         w = np.array([1e-12, -2e-12, 1e-12])
-        npt.assert_allclose(sk.exp_so3(w), np.eye(3) + sk.skew(w), atol=1e-15)
+        npt.assert_allclose(sk.exp_so3(w), np.eye(3) + skew(w), atol=1e-15)
 
     def test_exp_so3_orthonormal(self, rng):
         for _ in range(50):
@@ -38,7 +43,7 @@ class TestRotationHelpers:
                 dw[k] = eps
                 for v in np.eye(3):
                     num = (sk.exp_so3(w + dw) @ v - sk.exp_so3(w - dw) @ v) / (2 * eps)
-                    ana = -sk.skew(sk.exp_so3(w) @ v) @ J[:, k]
+                    ana = -skew(sk.exp_so3(w) @ v) @ J[:, k]
                     npt.assert_allclose(num, ana, atol=1e-6)
 
 
@@ -122,21 +127,27 @@ class TestForwardKinematicsProperties:
             sk.forward_kinematics(model, q)
 
 
-def fd_jacobian(model, q, target, eps=1e-6):
-    J = np.zeros((3, model.total_dof))
+def fd_jacobians(model, q, targets, eps=1e-6):
+    J = np.zeros((len(targets), 3, model.total_dof))
     for i in range(model.total_dof):
         qp, qm = q.copy(), q.copy()
         qp[i] += eps
         qm[i] -= eps
-        fp = sk.forward_kinematics(model, qp)[target]
-        fm = sk.forward_kinematics(model, qm)[target]
-        J[:, i] = (fp - fm) / (2 * eps)
+        fp = sk.forward_kinematics(model, qp)
+        fm = sk.forward_kinematics(model, qm)
+        for k, t in enumerate(targets):
+            J[k, :, i] = (fp[t] - fm[t]) / (2 * eps)
     return J
+
+
+def fd_jacobian(model, q, target):
+    return fd_jacobians(model, q, [target])[0]
 
 
 def jacobian(model, q, target):
     _, jac = sk.fk_and_jacobians(model, q, [target])
-    return jac[target]
+    assert jac.shape == (1, 3, model.total_dof)
+    return jac[0]
 
 
 class TestJacobian:
@@ -179,10 +190,53 @@ class TestJacobian:
         fk_all = sk.forward_kinematics(model, q)
         pos, jac = sk.fk_and_jacobians(model, q, targets)
         only_pos = sk.keypoint_positions(model, q, targets)
-        for t in targets:
-            npt.assert_array_equal(pos[t], fk_all[t])
-            npt.assert_array_equal(only_pos[t], fk_all[t])
-            npt.assert_array_equal(jac[t], jacobian(model, q, t))
+        assert pos.shape == only_pos.shape == (len(targets), 3)
+        for i, t in enumerate(targets):
+            npt.assert_array_equal(pos[i], fk_all[t])
+            npt.assert_array_equal(only_pos[i], fk_all[t])
+            npt.assert_array_equal(jac[i], jacobian(model, q, t))
+
+
+def planar_with_marker():
+    """The two-link arm with a point riding on its second segment."""
+    arm = planar_two_link()
+    return sk.SkeletonModel(joints=arm.joints, keypoint_map={
+        "tip": "tip", "marker": ("mid", np.array([40.0, 30.0, 0.0]))})
+
+
+def saved_and_loaded(tmp_path):
+    path = tmp_path / "skeleton.json"
+    sk.save_skeleton(sk.scaled_human_skeleton(0.93), path)
+    return sk.load_skeleton(path)
+
+
+class TestTargetTable:
+    """One call over every joint and keypoint of models built every way."""
+
+    @pytest.mark.parametrize("build", [
+        lambda tmp: sk.with_link_lengths(
+            sk.human_skeleton(), {"r_elbow": 340.0, "l_knee": 380.0,
+                                  "waist": 120.0}),
+        lambda tmp: sk.with_keypoint_offsets(
+            sk.human_skeleton(), {"nose": (10.0, 110.0, 20.0),
+                                  "l_ear": (-60.0, -5.0, 45.0)}),
+        saved_and_loaded,
+        lambda tmp: planar_two_link(),
+        lambda tmp: planar_with_marker(),
+    ], ids=["link_lengths", "keypoint_offsets", "save_load", "planar",
+            "planar_marker"])
+    def test_all_targets_match_finite_differences(self, build, tmp_path, rng):
+        model = build(tmp_path)
+        targets = [j.name for j in model.joints] + list(model.keypoint_map)
+        for _ in range(5):
+            q = rng.normal(0, 0.8, model.total_dof)
+            if model.joints[0].dofs[:3] == ("tx", "ty", "tz"):
+                q[0:3] = rng.normal(0, 300, 3)
+            pos, jac = sk.fk_and_jacobians(model, q, targets)
+            assert jac.shape == (len(targets), 3, model.total_dof)
+            fk = sk.forward_kinematics(model, q)
+            npt.assert_array_equal(pos, [fk[t] for t in targets])
+            assert np.abs(jac - fd_jacobians(model, q, targets)).max() <= 1e-5
 
 
 class TestModelEdits:

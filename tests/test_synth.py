@@ -215,6 +215,11 @@ class TestSceneJson:
                        synth.MotionProgram(curves={})):
             with pytest.raises(ValueError):
                 synth.spec_to_json(small_scene(motion=motion))
+        # A file with an unknown or missing preset is refused by key.
+        for bad in ({"motion": {"preset": "custom"}}, {}):
+            with pytest.raises(ValueError, match=r"motion\.preset") as exc:
+                synth.spec_from_json(bad)
+            assert str(sorted(synth.PRESETS)) in str(exc.value)
 
 
 @pytest.fixture(scope="module")
