@@ -145,15 +145,16 @@ def cmd_track(args):
 
 
 def cmd_eval(args):
-    indices_p, pred = pipeline_mod.read_positions_csv(args.pred, stage="stage2")
+    indices_p, pred, weights = pipeline_mod._read_positions_and_weights(
+        args.pred, "stage2")
     indices_g, gt = synth_mod.read_ground_truth_csv(args.gt)
-    keep = [i for i, idx in enumerate(indices_g) if idx in set(indices_p)]
-    gt = [gt[i] for i in keep]
+    tracked = set(indices_p)
+    gt = [frame for idx, frame in zip(indices_g, gt) if idx in tracked]
     if len(pred) != len(gt):
         raise ValueError("prediction and ground truth frames do not align")
     writer = _AtomicWriter(args.out)
     metrics_mod.write_summary(pred, gt, writer.path("summary.json"))
-    seq_like = _SeriesAdapter(args.pred, indices_p, pred)
+    seq_like = _SeriesAdapter(indices_p, pred, weights)
     metrics_mod.emit_series(seq_like, gt, writer.path("series.csv"))
     writer.commit()
     with open(os.path.join(args.out, "summary.json"), "r",
@@ -175,17 +176,9 @@ class _SeriesAdapter:
         def total_score(self):
             return float(sum(self.weights.values()))
 
-    def __init__(self, csv_path, indices, pred_frames):
-        import csv as _csv
-        weights = {}
-        with open(csv_path, "r", newline="", encoding="utf-8") as fh:
-            for row in _csv.DictReader(fh):
-                if row["stage"] != "stage2":
-                    continue
-                weights.setdefault(int(row["frame"]), {})[row["label"]] = \
-                    float(row["weight"])
-        self.frames = [self._Frame(idx, pos, weights.get(idx, {}))
-                       for idx, pos in zip(indices, pred_frames)]
+    def __init__(self, indices, pred_frames, weights):
+        self.frames = [self._Frame(idx, pos, w)
+                       for idx, pos, w in zip(indices, pred_frames, weights)]
 
 
 def _on_off(text):

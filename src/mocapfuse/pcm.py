@@ -9,6 +9,7 @@ grid, or behind the camera, contributes confidence 0.
 
 from __future__ import annotations
 
+import mmap
 import os
 import struct
 from dataclasses import dataclass, field
@@ -63,11 +64,6 @@ class HeatmapFrame:
         if lo < 0.0 or hi > 1.0:
             raise PcmError(f"channel values outside [0, 1]: min={lo}, max={hi}")
 
-    def image_center(self):
-        # Center of the full-resolution image this heatmap was computed on.
-        return np.array([self.width / self.scale / 2.0,
-                         self.height / self.scale / 2.0])
-
 
 def sample_many(frame: HeatmapFrame, label: str, pixels, valid=None):
     """Bilinear samples of one channel at image-space pixels (N,2).
@@ -75,9 +71,14 @@ def sample_many(frame: HeatmapFrame, label: str, pixels, valid=None):
     ``valid`` optionally masks out entries (e.g. behind-camera projections);
     masked and out-of-grid samples return 0.
     """
-    grid = frame.channels[KEYPOINT_INDEX[label]]
+    return sample_channels(frame, KEYPOINT_INDEX[label], pixels, valid)
+
+
+def sample_channels(frame: HeatmapFrame, chan, pixels, valid=None):
+    """Bilinear samples at image-space pixels (N,2) of channel ``chan``
+    (one index, or one per pixel), with ``sample_many``'s masking."""
     px = np.atleast_2d(np.asarray(pixels, dtype=float)) * frame.scale
-    h, w = grid.shape
+    _, h, w = frame.channels.shape
     x, y = px[:, 0], px[:, 1]
     inside = (x >= 0.0) & (x <= w - 1.0) & (y >= 0.0) & (y <= h - 1.0)
     if valid is not None:
@@ -90,8 +91,10 @@ def sample_many(frame: HeatmapFrame, label: str, pixels, valid=None):
     fy = ys - y0
     x1 = np.minimum(x0 + 1, w - 1)
     y1 = np.minimum(y0 + 1, h - 1)
-    v = ((1 - fx) * (1 - fy) * grid[y0, x0] + fx * (1 - fy) * grid[y0, x1]
-         + (1 - fx) * fy * grid[y1, x0] + fx * fy * grid[y1, x1])
+    ch = frame.channels
+    v = ((1 - fx) * (1 - fy) * ch[chan, y0, x0]
+         + fx * (1 - fy) * ch[chan, y0, x1]
+         + (1 - fx) * fy * ch[chan, y1, x0] + fx * fy * ch[chan, y1, x1])
     return np.where(inside, v, 0.0)
 
 
@@ -136,30 +139,38 @@ def write_pcm(frame: HeatmapFrame, path):
 
 
 def read_pcm(path) -> HeatmapFrame:
+    """Map a .pcm file read-only and check it.
+
+    The frame's channels are a read-only view of the mapping, which is
+    released with its last reference.
+    """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER.size:
-        raise PcmFormatError(f"{path}: truncated header")
+        size = os.fstat(fh.fileno()).st_size
+        if size < _HEADER.size:
+            raise PcmFormatError(f"{path}: truncated header")
+        mapped = mmap.mmap(fh.fileno(), size, access=mmap.ACCESS_READ)
     magic, version, flags, cam_id, frame_index, rot, width, height, nch, scale = \
-        _HEADER.unpack_from(raw)
+        _HEADER.unpack_from(mapped)
     if magic != MAGIC:
         raise PcmFormatError(f"{path}: bad magic {magic!r}")
     if version != VERSION:
         raise PcmFormatError(f"{path}: unsupported version {version}")
     if nch != len(KEYPOINTS):
         raise PcmFormatError(f"{path}: expected {len(KEYPOINTS)} channels, got {nch}")
-    expected = nch * height * width * 4
-    payload = raw[_HEADER.size:]
-    if len(payload) < expected:
+    count = nch * height * width
+    payload = size - _HEADER.size
+    if payload < 4 * count:
         raise PcmFormatError(f"{path}: truncated payload "
-                             f"({len(payload)} of {expected} bytes)")
-    values = np.frombuffer(payload[:expected], dtype="<f4").reshape(nch, height, width)
-    if values.min() < 0.0 or values.max() > 1.0:
-        raise PcmFormatError(f"{path}: channel values outside [0, 1]")
-    return HeatmapFrame(camera_id=cam_id, frame_index=frame_index,
-                        rotation_deg=rot, width=width, height=height,
-                        scale=scale, channels=values,
-                        undistorted=bool(flags & 1))
+                             f"({payload} of {4 * count} bytes)")
+    values = np.frombuffer(mapped, dtype="<f4", count=count,
+                           offset=_HEADER.size).reshape(nch, height, width)
+    try:
+        return HeatmapFrame(camera_id=cam_id, frame_index=frame_index,
+                            rotation_deg=rot, width=width, height=height,
+                            scale=scale, channels=values,
+                            undistorted=bool(flags & 1))
+    except PcmError as exc:   # dimensions, scale or value range
+        raise PcmFormatError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -347,22 +347,15 @@ def track(provider, rig: CameraRig, model, pose0, config: PipelineConfig,
             rotations = tracker_mod.plan_rotations(positions_prev, rig, cfg)
         else:
             rotations = {c.id: 0.0 for c in rig.cameras}
-        marker_pos, weights, per_camera, chosen = {}, {}, {}, {}
-        for label in KEYPOINTS:
-            try:
-                p, score, cams = tracker_mod.lattice_search(
-                    positions_prev, label, provider, rig, cfg, frame_index,
-                    rotations)
-            except pcm_mod.FrameMissing as exc:
-                raise pcm_mod.FrameMissing(
-                    f"frame {frame_index}: {exc}") from exc
-            marker_pos[label] = p
-            weights[label] = score
-            per_camera[label] = cams
-            chosen[label] = tuple(
-                int(round(v)) for v in (p - positions_prev[label]) / cfg.s)
-        markers = VirtualMarkerSet(positions=marker_pos, weights=weights,
-                                   per_camera=per_camera)
+        try:
+            markers = tracker_mod.lattice_search(
+                positions_prev, provider, rig, cfg, frame_index, rotations)
+        except pcm_mod.FrameMissing as exc:
+            raise pcm_mod.FrameMissing(f"frame {frame_index}: {exc}") from exc
+        weights = markers.weights
+        chosen = {lb: tuple(int(round(v)) for v in
+                            (markers.positions[lb] - positions_prev[lb]) / cfg.s)
+                  for lb in KEYPOINTS}
         low_conf = tuple(lb for lb in KEYPOINTS
                          if weights[lb] < config.low_confidence_fraction * rig.n_c)
         if low_conf:
@@ -381,7 +374,7 @@ def track(provider, rig: CameraRig, model, pose0, config: PipelineConfig,
             pose_stage1=q1, pose_stage2=q2,
             positions_stage1=positions1, positions_stage2=positions2,
             weights=weights, rotations=rotations, low_confidence=low_conf,
-            per_camera=per_camera, lattice_offsets=chosen))
+            per_camera=markers.per_camera, lattice_offsets=chosen))
         pose_prev = q2
         positions_prev = (positions2 if config.lattice_center == "stage2"
                           else positions1)
@@ -427,16 +420,24 @@ def write_positions_csv(seq: MotionSequence, path):
 
 def read_positions_csv(path, stage="stage2"):
     """Read back a positions CSV into (frame indices, list of label->pos)."""
-    per_frame = {}
+    return _read_positions_and_weights(path, stage)[:2]
+
+
+def _read_positions_and_weights(path, stage):
+    """One pass over a positions CSV: (frame indices, list of label->pos,
+    list of label->weight)."""
+    positions, weights = {}, {}
     with open(path, "r", newline="", encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
             if row["stage"] != stage:
                 continue
             idx = int(row["frame"])
-            per_frame.setdefault(idx, {})[row["label"]] = np.array(
+            positions.setdefault(idx, {})[row["label"]] = np.array(
                 [float(row["x_mm"]), float(row["y_mm"]), float(row["z_mm"])])
-    indices = sorted(per_frame)
-    return indices, [per_frame[i] for i in indices]
+            weights.setdefault(idx, {})[row["label"]] = float(row["weight"])
+    indices = sorted(positions)
+    return (indices, [positions[i] for i in indices],
+            [weights[i] for i in indices])
 
 
 def write_pose_csv(seq: MotionSequence, path):

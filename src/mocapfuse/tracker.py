@@ -7,6 +7,11 @@ becomes the virtual marker for that keypoint and the score at that point is
 its IK weight.  When the trunk is strongly tilted in a camera image, the
 lower-body channels are sampled through heatmaps computed on a rotated copy
 of that image.
+
+One ``lattice_search`` call searches every keypoint of a frame: per camera
+it fetches the rotation-0 heatmap frame once (plus the rotated frame once
+for a tilted camera), projects all keypoints' candidates together and
+samples them in one gather, then picks each keypoint's best candidate.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import numpy as np
 
 from . import pcm as pcm_mod
 from .calib import Camera, CameraRig, project_points, rotate_pixel
-from .labels import LOWER_BODY
+from .labels import KEYPOINT_INDEX, KEYPOINTS, LOWER_BODY
 
 log = logging.getLogger("mocapfuse.tracker")
 
@@ -62,54 +67,86 @@ def lattice_offsets(k: int):
     return arr
 
 
-def _rotation_for(label, camera_id, rotations, cfg: LatticeConfig):
-    if not cfg.rotation_enabled or rotations is None or label not in LOWER_BODY:
-        return 0.0
-    return float(rotations.get(camera_id, 0.0))
+def _rotated_frame(provider, camera, frame_index, rotations,
+                   cfg: LatticeConfig):
+    """The frame a tilted camera's lower-body rows are sampled from, or None
+    when they use rotation 0.  A missing rotated frame falls back to
+    rotation 0 with a logged diagnostic."""
+    if not cfg.rotation_enabled or rotations is None:
+        return None
+    angle = float(rotations.get(camera.id, 0.0))
+    if angle == 0.0:
+        return None
+    try:
+        return provider.get(camera.id, frame_index, angle)
+    except pcm_mod.RotationUnavailable:
+        log.info("camera %s frame %s: rotation %s unavailable for the lower "
+                 "body, falling back to rotation 0", camera.id, frame_index,
+                 angle)
+        return None
 
 
-def score_points(points, label, provider, rig: CameraRig, frame_index,
+def score_points(points, labels, provider, rig: CameraRig, frame_index,
                  cfg: LatticeConfig, rotations=None):
-    """Sum of per-camera PCM samples at the projections of world points (N,3).
+    """Per-camera PCM samples at the projections of world points.
 
-    Returns (scores (N,), per_camera (n_c, N)).  A camera whose rotated
-    heatmap is unavailable falls back to rotation 0 with a logged diagnostic;
-    a missing rotation-0 frame propagates as an error.
+    ``points`` is (L, N, 3): N points for each of the L keypoint ``labels``.
+    Each camera fetches its rotation-0 frame once, and its rotated frame at
+    most once for the ``LOWER_BODY`` rows; all L*N points are projected
+    together and sampled in one gather per frame.  Returns (scores (L, N),
+    per_camera (n_c, L, N)).  A missing rotation-0 frame propagates as an
+    error.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    n = points.shape[0]
-    per_camera = np.zeros((rig.n_c, n))
+    points = np.asarray(points, dtype=float)
+    n_labels, n = points.shape[:2]
+    flat = points.reshape(-1, 3)
+    chan = np.repeat([KEYPOINT_INDEX[lb] for lb in labels], n)
+    lower = np.repeat([lb in LOWER_BODY for lb in labels], n)
+    per_camera = np.zeros((rig.n_c, n_labels * n))
     for ci, camera in enumerate(rig.cameras):
-        angle = _rotation_for(label, camera.id, rotations, cfg)
-        try:
-            frame = provider.get(camera.id, frame_index, angle)
-        except pcm_mod.RotationUnavailable:
-            log.info("camera %s frame %s: rotation %s unavailable for %s, "
-                     "falling back to rotation 0",
-                     camera.id, frame_index, angle, label)
-            frame = provider.get(camera.id, frame_index, 0.0)
-        px, in_front = project_points(camera, points)
-        if frame.rotation_deg != 0.0:
-            px = rotate_pixel(px, frame.rotation_deg, camera.image_center)
-        per_camera[ci] = pcm_mod.sample_many(frame, label, px, valid=in_front)
+        frame = provider.get(camera.id, frame_index, 0.0)
+        rotated = _rotated_frame(provider, camera, frame_index, rotations, cfg)
+        px, in_front = project_points(camera, flat)
+        rows = ~lower if rotated is not None else slice(None)
+        per_camera[ci, rows] = pcm_mod.sample_channels(
+            frame, chan[rows], px[rows], valid=in_front[rows])
+        if rotated is not None:
+            px_rot = px[lower]
+            if rotated.rotation_deg != 0.0:
+                px_rot = rotate_pixel(px_rot, rotated.rotation_deg,
+                                      camera.image_center)
+            per_camera[ci, lower] = pcm_mod.sample_channels(
+                rotated, chan[lower], px_rot, valid=in_front[lower])
+    per_camera = per_camera.reshape(rig.n_c, n_labels, n)
     return per_camera.sum(axis=0), per_camera
 
 
-def lattice_search(prev_positions, label, provider, rig: CameraRig,
+def lattice_search(prev_positions, provider, rig: CameraRig,
                    cfg: LatticeConfig, frame_index, rotations=None):
-    """Best lattice point around the previous position of one keypoint.
+    """Best lattice point around the previous position of every keypoint.
 
-    Returns (position (3,), score, per_camera (n_c,)).  Candidates are
-    visited center-outward so a strict argmax realizes the documented
-    tie-break (smallest Chebyshev distance, then lexicographic offset).
+    Searches each label of ``prev_positions`` (in ``KEYPOINTS`` order) with
+    one ``score_points`` call and returns a VirtualMarkerSet: the chosen
+    point, its score (the IK weight) and its per-camera samples (n_c,).
+    Candidates are visited center-outward so a strict argmax realizes the
+    documented tie-break (smallest Chebyshev distance, then lexicographic
+    offset).
     """
-    center = np.asarray(prev_positions[label], dtype=float)
+    labels = [lb for lb in KEYPOINTS if lb in prev_positions]
+    centers = np.stack([np.asarray(prev_positions[lb], dtype=float)
+                        for lb in labels])
     offsets = lattice_offsets(cfg.k)
-    candidates = center[None, :] + cfg.s * offsets.astype(float)
-    scores, per_camera = score_points(candidates, label, provider, rig,
+    candidates = centers[:, None, :] + cfg.s * offsets.astype(float)
+    scores, per_camera = score_points(candidates, labels, provider, rig,
                                       frame_index, cfg, rotations)
-    best = int(np.argmax(scores))   # first max in tie-break order
-    return candidates[best], float(scores[best]), per_camera[:, best].copy()
+    rows = np.arange(len(labels))
+    best = np.argmax(scores, axis=1)   # first max in tie-break order
+    chosen, weights = candidates[rows, best], scores[rows, best]
+    cams = per_camera[:, rows, best]
+    return VirtualMarkerSet(
+        positions={lb: chosen[i] for i, lb in enumerate(labels)},
+        weights={lb: float(weights[i]) for i, lb in enumerate(labels)},
+        per_camera={lb: cams[:, i] for i, lb in enumerate(labels)})
 
 
 def trunk_tilt(neck_px, midhip_px) -> float:

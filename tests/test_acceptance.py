@@ -307,8 +307,9 @@ def test_acceptance_5_lattice_search_oracle(rng):
                 camera_id=camera.id)
         provider = DictProvider(frames)
         cfg = LatticeConfig(s=s, k=k)
-        p, score, _ = tracker.lattice_search({label: center}, label, provider,
-                                             rig, cfg, 0)
+        markers = tracker.lattice_search({label: center}, provider, rig, cfg,
+                                         0)
+        p, score = markers.positions[label], markers.weights[label]
         o_score, o_off, o_p = exhaustive_lattice_oracle(center, label,
                                                         provider, rig, s, k)
         npt.assert_allclose(p, o_p, atol=1e-9)

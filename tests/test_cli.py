@@ -1,13 +1,16 @@
+import builtins
+import csv
 import json
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import mocapfuse
 from conftest import small_scene
-from mocapfuse import cli, pcm, pipeline, skeleton as sk, synth
+from mocapfuse import cli, metrics, pcm, pipeline, skeleton as sk, synth
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +80,49 @@ class TestHappyPath:
         assert summary["pck_percent"]["@150mm"]["Total"] == 100.0
         series = (out / "series.csv").read_text().strip().splitlines()
         assert len(series) > 1
+
+
+    def test_eval_reads_positions_once(self, dataset, track_run, tmp_path,
+                                       monkeypatch):
+        """eval opens positions.csv once; series.csv carries each tracked
+        frame's errors and the sum of its stage-2 weights in file order."""
+        root, data = dataset
+        pred = track_run / "positions.csv"
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        rc = cli.main(["eval", "--pred", str(pred),
+                       "--gt", str(data / "ground_truth.csv"),
+                       "--out", str(tmp_path / "eval")])
+        monkeypatch.undo()
+        assert rc == 0
+        assert opened.count(str(pred)) == 1
+
+        positions, weights = {}, {}
+        with open(pred, newline="", encoding="utf-8") as fh:
+            for row in csv.DictReader(fh):
+                if row["stage"] == "stage2":
+                    idx = int(row["frame"])
+                    positions.setdefault(idx, {})[row["label"]] = np.array(
+                        [float(row[k]) for k in ("x_mm", "y_mm", "z_mm")])
+                    weights.setdefault(idx, []).append(float(row["weight"]))
+        gt_indices, gt = synth.read_ground_truth_csv(data / "ground_truth.csv")
+        gt = dict(zip(gt_indices, gt))
+        expected = [",".join(metrics.SERIES_HEADER)]
+        for idx in sorted(positions):
+            expected.append(",".join([
+                str(idx),
+                repr(metrics.mpjpe([positions[idx]], [gt[idx]])),
+                repr(metrics.mpjpe([positions[idx]], [gt[idx]],
+                                   metrics.LOWER_BODY)),
+                repr(float(sum(weights[idx]))), "0"]))
+        series = (tmp_path / "eval" / "series.csv").read_text()
+        assert series.splitlines() == expected
 
 
 class TestDeterminism:

@@ -161,8 +161,33 @@ class TestFileFormat:
         header = struct.Struct("<4sHHIIfIIIf")
         raw[header.size:header.size + 4] = struct.pack("<f", 1.5)
         path.write_bytes(raw)
-        with pytest.raises(pcm.PcmFormatError, match=r"\[0, 1\]"):
+        with pytest.raises(pcm.PcmFormatError, match=r"\[0, 1\]") as exc:
             pcm.read_pcm(path)
+        assert str(exc.value).startswith(f"{path}: ")
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "frame.pcm"
+        path.write_bytes(b"")
+        with pytest.raises(pcm.PcmFormatError, match="truncated header"):
+            pcm.read_pcm(path)
+
+    def test_truncated_header(self, tmp_path, rng):
+        path = tmp_path / "frame.pcm"
+        pcm.write_pcm(self.random_frame(rng), path)
+        path.write_bytes(path.read_bytes()[:10])
+        with pytest.raises(pcm.PcmFormatError, match="truncated header"):
+            pcm.read_pcm(path)
+
+    def test_channels_are_a_read_only_view_of_the_file(self, tmp_path, rng):
+        frame = self.random_frame(rng)
+        path = tmp_path / "frame.pcm"
+        pcm.write_pcm(frame, path)
+        back = pcm.read_pcm(path)
+        assert not back.channels.flags.writeable
+        with pytest.raises(ValueError):
+            back.channels[0, 0, 0] = 0.5
+        header = struct.Struct("<4sHHIIfIIIf")
+        assert back.channels.tobytes() == path.read_bytes()[header.size:]
 
     def test_unsupported_version(self, tmp_path, rng):
         path = tmp_path / "frame.pcm"
@@ -224,9 +249,10 @@ class TestSampleRotated:
 
     def score(self, provider, points, rotation_deg):
         rig = CameraRig(cameras=(self.camera(),))
-        scores, _ = tracker.score_points(points, "r_hip", provider, rig, 0,
+        points = np.asarray(points, dtype=float).reshape(1, -1, 3)
+        scores, _ = tracker.score_points(points, ["r_hip"], provider, rig, 0,
                                          self.cfg, rotations={0: rotation_deg})
-        return scores
+        return scores[0]
 
     def test_rotation_zero_equals_plain_sample(self, rng):
         grid = rng.uniform(0, 1, (48, 64)).astype(np.float32)
@@ -247,7 +273,8 @@ class TestSampleRotated:
         p_rot = rotate_pixel(p_orig, 180.0, cam.image_center)
         grid = gaussian_grid(48, 64, p_rot[0], p_rot[1], 3.0)
         frame = frame_with_channel("r_hip", grid, rotation=180.0)
-        provider = DictProvider({(0, 0, 180): frame})
+        # score_points fetches every camera's rotation-0 frame (blank here).
+        provider = DictProvider({(0, 0, 0): make_frame(), (0, 0, 180): frame})
         val = self.score(provider, point, 180.0)[0]
         assert val == pytest.approx(1.0, abs=1e-6)
 

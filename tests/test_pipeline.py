@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from conftest import small_scene
 from mocapfuse import pcm, pipeline, skeleton as sk, synth
 from mocapfuse.calib import CameraRig, look_at_camera, pixel_to_ray, project
 from mocapfuse.labels import KEYPOINT_INDEX, KEYPOINTS
@@ -42,6 +43,18 @@ class MaskingProvider(pcm.PcmProvider):
             rotation_deg=frame.rotation_deg, width=frame.width,
             height=frame.height, scale=frame.scale, channels=channels,
             undistorted=frame.undistorted)
+
+
+class CountingProvider(pcm.PcmProvider):
+    """Wraps a provider, recording the frame index of every get."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+
+    def get(self, camera_id, frame_index, rotation_deg=0.0):
+        self.calls.append(frame_index)
+        return self.inner.get(camera_id, frame_index, rotation_deg)
 
 
 def two_orthogonal_cameras():
@@ -219,11 +232,30 @@ class TestTrack:
         subset = CameraRig(cameras=still_rig.cameras[:3])
         cfg = LatticeConfig()
         gt = synth.ground_truth_positions(still_spec, 0)
-        for lb in ("neck", "r_ankle", "nose"):
-            pts = gt[lb] + rng.normal(0, 30, (10, 3))
-            full, _ = score_points(pts, lb, provider, still_rig, 0, cfg)
-            part, _ = score_points(pts, lb, provider, subset, 0, cfg)
-            assert np.all(part <= full + 1e-12)
+        labels = ("neck", "r_ankle", "nose")
+        pts = np.stack([gt[lb] + rng.normal(0, 30, (10, 3)) for lb in labels])
+        full, _ = score_points(pts, labels, provider, still_rig, 0, cfg)
+        part, _ = score_points(pts, labels, provider, subset, 0, cfg)
+        assert np.all(part <= full + 1e-12)
+
+    def test_one_fetch_per_camera_per_frame(self):
+        """track fetches each camera's rotation-0 frame once per frame, plus
+        one rotated frame per camera the plan tilts."""
+        spec = small_scene(motion=synth.handstand_like(period_s=4.0))
+        rig = synth.build_rig(spec)
+        model = synth.build_model(spec)
+        frames = range(129, 132)                 # around the inversion
+        pose0 = synth.ground_truth_pose(spec, frames[0] - 1)
+        for rotation in (False, True):
+            provider = CountingProvider(synth.SyntheticProvider(spec, rig))
+            config = PipelineConfig(lattice=LatticeConfig(
+                s=15.0, rotation_enabled=rotation))
+            seq = track(provider, rig, model, pose0, config, frames)
+            tilted = [sum(a != 0.0 for a in f.rotations.values())
+                      for f in seq.frames]
+            assert all(tilted) == rotation
+            assert [provider.calls.count(f) for f in frames] == \
+                [rig.n_c + t for t in tilted]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ import pytest
 from helpers import DictProvider, frame_with_channel, gaussian_grid, make_frame
 from mocapfuse import pcm, synth, tracker
 from mocapfuse.calib import Camera, CameraRig, project_points, rotate_pixel
-from mocapfuse.labels import KEYPOINT_INDEX, KEYPOINTS
+from mocapfuse.labels import KEYPOINT_INDEX, KEYPOINTS, LOWER_BODY
 from mocapfuse.tracker import (
     LatticeConfig,
     lattice_offsets,
@@ -56,6 +56,10 @@ def render_point(rig, point, label, sigma=3.0, frame_index=0):
     return DictProvider(frames)
 
 
+# One point, the world origin, for one label: score_points' (L, N, 3) input.
+ORIGIN = np.zeros((1, 1, 3))
+
+
 def zero_provider(rig, frame_index=0):
     return DictProvider({(cam.id, frame_index, 0):
                          make_frame(camera_id=cam.id, frame_index=frame_index)
@@ -91,11 +95,10 @@ class TestLatticeSearch:
         rig = axial_rig()
         cfg = LatticeConfig(s=10.0, k=1)
         prev = {"neck": np.array([3.0, -4.0, 5.0])}
-        p, score, cams = lattice_search(prev, "neck", zero_provider(rig), rig,
-                                        cfg, 0)
-        npt.assert_array_equal(p, prev["neck"])
-        assert score == 0.0
-        npt.assert_array_equal(cams, np.zeros(4))
+        markers = lattice_search(prev, zero_provider(rig), rig, cfg, 0)
+        npt.assert_array_equal(markers.positions["neck"], prev["neck"])
+        assert markers.weights["neck"] == 0.0
+        npt.assert_array_equal(markers.per_camera["neck"], np.zeros(4))
 
     def test_tracks_one_lattice_step(self):
         rig = orthogonal_rig()
@@ -103,9 +106,9 @@ class TestLatticeSearch:
         prev = {"r_wrist": np.array([0.0, 0.0, 0.0])}
         true = prev["r_wrist"] + np.array([10.0, 0.0, 0.0])
         provider = render_point(rig, true, "r_wrist")
-        p, score, _ = lattice_search(prev, "r_wrist", provider, rig, cfg, 0)
-        npt.assert_allclose(p, true)
-        assert score > 1.9
+        markers = lattice_search(prev, provider, rig, cfg, 0)
+        npt.assert_allclose(markers.positions["r_wrist"], true)
+        assert markers.weights["r_wrist"] > 1.9
 
     def test_out_of_frame_camera_contributes_zero(self):
         rig = orthogonal_rig()
@@ -115,9 +118,9 @@ class TestLatticeSearch:
         frames = dict(render_point(rig, prev["neck"], "neck").frames)
         far = frame_with_channel("neck", np.zeros((48, 64)), camera_id=1)
         frames[(1, 0, 0)] = far
-        p, score, cams = lattice_search(prev, "neck", DictProvider(frames),
-                                        rig, cfg, 0)
-        npt.assert_array_equal(p, prev["neck"])
+        markers = lattice_search(prev, DictProvider(frames), rig, cfg, 0)
+        npt.assert_array_equal(markers.positions["neck"], prev["neck"])
+        cams = markers.per_camera["neck"]
         assert cams[1] == 0.0 and cams[0] > 0.99
 
     def test_result_is_on_the_lattice(self, rng):
@@ -129,21 +132,40 @@ class TestLatticeSearch:
                 for cam in rig.cameras}
             provider = DictProvider(grids)
             prev = {"l_knee": rng.uniform(-40, 40, 3)}
-            p, score, _ = lattice_search(prev, "l_knee", provider, rig, cfg, 0)
-            steps = (p - prev["l_knee"]) / cfg.s
+            markers = lattice_search(prev, provider, rig, cfg, 0)
+            score = markers.weights["l_knee"]
+            steps = (markers.positions["l_knee"] - prev["l_knee"]) / cfg.s
             npt.assert_allclose(steps, np.round(steps), atol=1e-9)
             assert np.all(np.abs(np.round(steps)) <= cfg.k)
             # The maximum can never undercut the center's own score.
-            center_score, _ = score_points(prev["l_knee"], "l_knee", provider,
-                                           rig, 0, cfg)
-            assert score >= center_score[0] - 1e-12
+            center_score, _ = score_points(prev["l_knee"][None, None],
+                                           ["l_knee"], provider, rig, 0, cfg)
+            assert score >= center_score[0, 0] - 1e-12
+
+    def test_all_keypoints_match_one_label_searches(self, rng):
+        """Searching every keypoint in one call gives, for each, what a
+        search of that keypoint alone gives, bit for bit."""
+        rig = orthogonal_rig()
+        cfg = LatticeConfig(s=7.5, k=2)
+        provider = DictProvider({(cam.id, 0, 0): make_frame(
+            channels=rng.uniform(0, 1, (18, 48, 64)).astype(np.float32),
+            camera_id=cam.id) for cam in rig.cameras})
+        prev = {lb: rng.uniform(-40, 40, 3) for lb in KEYPOINTS}
+        markers = lattice_search(prev, provider, rig, cfg, 0)
+        assert list(markers.positions) == list(KEYPOINTS)
+        for lb in KEYPOINTS:
+            alone = lattice_search({lb: prev[lb]}, provider, rig, cfg, 0)
+            npt.assert_array_equal(markers.positions[lb], alone.positions[lb])
+            assert markers.weights[lb] == alone.weights[lb]
+            npt.assert_array_equal(markers.per_camera[lb],
+                                   alone.per_camera[lb])
 
     def test_missing_rotation_zero_frame_is_an_error(self):
         rig = axial_rig(2)
         cfg = LatticeConfig()
         with pytest.raises(pcm.FrameMissing):
-            lattice_search({"neck": np.zeros(3)}, "neck",
-                           DictProvider({}), rig, cfg, 0)
+            lattice_search({"neck": np.zeros(3)}, DictProvider({}), rig,
+                           cfg, 0)
 
 
 class TestPcmWeight:
@@ -151,33 +173,33 @@ class TestPcmWeight:
 
     def test_all_zero_channels(self):
         rig = axial_rig()
-        w, cams = score_points(np.zeros(3), "r_hip", zero_provider(rig), rig,
+        w, cams = score_points(ORIGIN, ["r_hip"], zero_provider(rig), rig,
                                0, LatticeConfig())
-        assert w[0] == 0.0
+        assert w[0, 0] == 0.0
 
     def test_unit_peaks_in_all_cameras(self):
         rig = axial_rig(4)
         provider = render_point(rig, (0.0, 0.0, 0.0), "r_hip")
-        w, cams = score_points(np.zeros(3), "r_hip", provider, rig, 0,
+        w, cams = score_points(ORIGIN, ["r_hip"], provider, rig, 0,
                                LatticeConfig())
-        assert w[0] == pytest.approx(4.0, abs=1e-6)
+        assert w[0, 0] == pytest.approx(4.0, abs=1e-6)
 
     def test_point_behind_one_camera(self):
         rig = axial_rig(4, behind=(2,))
         provider = render_point(rig, (0.0, 0.0, 0.0), "r_hip")
-        w, cams = score_points(np.zeros(3), "r_hip", provider, rig, 0,
+        w, cams = score_points(ORIGIN, ["r_hip"], provider, rig, 0,
                                LatticeConfig())
-        assert w[0] == pytest.approx(3.0, abs=1e-6)
-        assert cams[2, 0] == 0.0
+        assert w[0, 0] == pytest.approx(3.0, abs=1e-6)
+        assert cams[2, 0, 0] == 0.0
 
     def test_weight_bounded_by_camera_count(self, rng):
         rig = axial_rig(3)
         grids = {(cam.id, 0, 0): frame_with_channel(
             "neck", rng.uniform(0, 1, (48, 64)), camera_id=cam.id)
             for cam in rig.cameras}
-        w, _ = score_points(rng.uniform(-20, 20, 3), "neck",
+        w, _ = score_points(rng.uniform(-20, 20, (1, 1, 3)), ["neck"],
                             DictProvider(grids), rig, 0, LatticeConfig())
-        assert 0.0 <= w[0] <= rig.n_c
+        assert 0.0 <= w[0, 0] <= rig.n_c
 
 
 class TestRotatedSampling:
@@ -199,24 +221,24 @@ class TestRotatedSampling:
     def test_lower_body_uses_assigned_rotation(self):
         rig, point, provider = self.make_rotated_scene()
         cfg = LatticeConfig(rotation_enabled=True)
-        scores, _ = score_points(point, "r_hip", provider, rig, 0, cfg,
-                                 rotations={0: 90.0})
-        assert scores[0] == pytest.approx(1.0, abs=1e-6)
+        scores, _ = score_points(point[None, None], ["r_hip"], provider, rig,
+                                 0, cfg, rotations={0: 90.0})
+        assert scores[0, 0] == pytest.approx(1.0, abs=1e-6)
 
     def test_non_lower_body_labels_stay_unrotated(self):
         rig, point, provider = self.make_rotated_scene()
         cfg = LatticeConfig(rotation_enabled=True)
         # neck is not a LowerBody label: rotation-0 frame (all zero) is used.
-        scores, _ = score_points(point, "neck", provider, rig, 0, cfg,
-                                 rotations={0: 90.0})
-        assert scores[0] == 0.0
+        scores, _ = score_points(point[None, None], ["neck"], provider, rig,
+                                 0, cfg, rotations={0: 90.0})
+        assert scores[0, 0] == 0.0
 
     def test_rotation_disabled_ignores_plan(self):
         rig, point, provider = self.make_rotated_scene()
         cfg = LatticeConfig(rotation_enabled=False)
-        scores, _ = score_points(point, "r_hip", provider, rig, 0, cfg,
-                                 rotations={0: 90.0})
-        assert scores[0] == 0.0
+        scores, _ = score_points(point[None, None], ["r_hip"], provider, rig,
+                                 0, cfg, rotations={0: 90.0})
+        assert scores[0, 0] == 0.0
 
     def test_missing_rotated_frame_falls_back(self, caplog):
         rig = axial_rig(1)
@@ -224,10 +246,44 @@ class TestRotatedSampling:
         provider = render_point(rig, point, "r_hip")  # rotation 0 only
         cfg = LatticeConfig(rotation_enabled=True)
         with caplog.at_level(logging.INFO, logger="mocapfuse.tracker"):
-            scores, _ = score_points(point, "r_hip", provider, rig, 0, cfg,
-                                     rotations={0: 45.0})
-        assert scores[0] == pytest.approx(1.0, abs=1e-6)
+            scores, _ = score_points(point[None, None], ["r_hip"], provider,
+                                     rig, 0, cfg, rotations={0: 45.0})
+        assert scores[0, 0] == pytest.approx(1.0, abs=1e-6)
         assert any("falling back" in r.message for r in caplog.records)
+
+
+def test_batched_samples_equal_sample_many(rng, caplog):
+    """Every label's per-camera samples from one score_points call equal
+    pcm.sample_many at the same (rotated) pixels exactly, with one camera's
+    rotated frame missing."""
+    rig = axial_rig(3)
+    plan = {0: 90.0, 1: 180.0, 2: 45.0}        # camera 2 has no 45-degree frame
+    frames = {}
+    for cam in rig.cameras:
+        for rot in (0.0, plan[cam.id]):
+            frames[(cam.id, 0, int(rot))] = make_frame(
+                channels=rng.uniform(0, 1, (18, 48, 64)).astype(np.float32),
+                rotation=rot, camera_id=cam.id)
+    del frames[(2, 0, 45)]
+    provider = DictProvider(frames)
+    points = rng.uniform(-40, 40, (len(KEYPOINTS), 25, 3))
+    cfg = LatticeConfig(rotation_enabled=True)
+    with caplog.at_level(logging.INFO, logger="mocapfuse.tracker"):
+        scores, per_camera = score_points(points, KEYPOINTS, provider, rig, 0,
+                                          cfg, rotations=plan)
+    fallbacks = [r for r in caplog.records if "falling back" in r.message]
+    assert len(fallbacks) == 1                 # once per camera, not per label
+    for ci, cam in enumerate(rig.cameras):
+        for li, label in enumerate(KEYPOINTS):
+            rot = plan[cam.id] if label in LOWER_BODY and cam.id != 2 else 0.0
+            frame = frames[(cam.id, 0, int(rot))]
+            px, in_front = project_points(cam, points[li])
+            if rot:
+                px = rotate_pixel(px, rot, cam.image_center)
+            npt.assert_array_equal(
+                per_camera[ci, li],
+                pcm.sample_many(frame, label, px, valid=in_front))
+    npt.assert_array_equal(scores, per_camera.sum(axis=0))
 
 
 class TestTrunkTilt:
