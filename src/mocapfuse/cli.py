@@ -131,6 +131,13 @@ def cmd_track(args):
         while os.path.exists(pcm_mod.frame_path(args.pcm_dir,
                                                 rig.cameras[0].id, last)):
             last += 1
+        if last == first:
+            raise pcm_mod.FrameMissing(
+                "nothing to track: no PCM file " + pcm_mod.frame_path(
+                    args.pcm_dir, rig.cameras[0].id, first))
+    elif last <= first:
+        raise ValueError(f"nothing to track: empty frame range "
+                         f"[{first}, {last})")
     seq = pipeline_mod.track(provider, rig, model, state["pose0"], config,
                              range(first, last))
     writer = _AtomicWriter(args.out)
@@ -241,7 +248,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("MOCAPFUSE_LOG", "WARNING"))
+    level = os.environ.get("MOCAPFUSE_LOG", "WARNING")
+    if not isinstance(logging.getLevelName(level), int):
+        print(f"error: MOCAPFUSE_LOG={level!r} is not a log level (use "
+              f"DEBUG, INFO, WARNING, ERROR or CRITICAL)", file=sys.stderr)
+        return 2
+    logging.basicConfig(level=level)
     parser = build_parser()
     args = parser.parse_args(argv)
     for name in getattr(args, "required_paths", []):

@@ -8,7 +8,6 @@ fixed diagonal scaling (1 rad = 500 mm by default).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,8 +15,9 @@ import numpy as np
 from . import skeleton as sk
 from .tracker import VirtualMarkerSet
 
-# Levenberg-Marquardt damping: multiplied by LAMBDA_UP after a rejected step,
-# divided by LAMBDA_DOWN after an accepted one.
+# Levenberg-Marquardt damping: starts at LAMBDA0, is multiplied by LAMBDA_UP
+# after a rejected step and divided by LAMBDA_DOWN after an accepted one.
+LAMBDA0 = 1e-3
 LAMBDA_UP = 10.0
 LAMBDA_DOWN = 10.0
 
@@ -27,14 +27,12 @@ class IkSettings:
     max_iterations: int = 50
     step_tol: float = 1e-8          # in scaled coordinates
     residual_tol: float = 1e-4      # mm^2, objective value
-    lambda0: float = 1e-3
     translation_scale: float = 500.0  # mm per radian-equivalent unit
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        for name in ("step_tol", "residual_tol", "lambda0",
-                     "translation_scale"):
+        for name in ("step_tol", "residual_tol", "translation_scale"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
 
@@ -66,7 +64,7 @@ def objective(model, q, markers: VirtualMarkerSet) -> float:
 
 
 def solve(model, q_init, markers: VirtualMarkerSet,
-          settings: IkSettings = IkSettings(), trace_path=None) -> IkResult:
+          settings: IkSettings = IkSettings()) -> IkResult:
     """Fit the pose to the weighted markers, warm-started at ``q_init``.
 
     The accepted-step objective sequence is non-increasing; with all weights
@@ -84,16 +82,13 @@ def solve(model, q_init, markers: VirtualMarkerSet,
         return (sqrt_w * (observed - positions)).ravel()
 
     scale = np.where(model.dof_rotational, 1.0, settings.translation_scale)
-    lam = settings.lambda0
+    lam = LAMBDA0
     # The objective equals 0.5 * |r|^2 for the sqrt-weighted residual stack.
     r0 = residual(sk.keypoint_positions(model, q, labels))
     obj = 0.5 * float(r0 @ r0)
-    trace = [(0, lam, obj)]
     converged = False
-    iterations = 0
     eye = np.eye(model.total_dof)
-    for it in range(1, settings.max_iterations + 1):
-        iterations = it
+    for iterations in range(1, settings.max_iterations + 1):
         if obj <= settings.residual_tol:
             converged = True
             break
@@ -127,18 +122,11 @@ def solve(model, q_init, markers: VirtualMarkerSet,
                     converged = True
                 break
             lam *= LAMBDA_UP
-        trace.append((it, lam, obj))
         if not accepted or converged:
             if not accepted:
                 converged = True   # damping exhausted: local minimum
             break
     else:
         converged = obj <= settings.residual_tol
-
-    if trace_path is not None:
-        with open(trace_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iteration", "lambda", "objective"])
-            writer.writerows(trace)
     return IkResult(q=q, residual=obj, converged=converged,
                     iterations=iterations)

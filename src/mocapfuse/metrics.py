@@ -39,6 +39,8 @@ def _errors(pred_frames, gt_frames, group: PartGroup):
     if len(pred_frames) != len(gt_frames):
         raise ValueError(f"frame count mismatch: {len(pred_frames)} vs "
                          f"{len(gt_frames)}")
+    if not pred_frames:
+        raise ValueError("no frames to score")
     errs = np.empty((len(pred_frames), len(group.labels)))
     for i, (pred, gt) in enumerate(zip(pred_frames, gt_frames)):
         for j, label in enumerate(group.labels):
@@ -97,7 +99,7 @@ def summary(pred_frames, gt_frames, taus=(50.0, 100.0, 150.0)) -> dict:
 
 
 def write_summary(pred_frames, gt_frames, path, taus=(50.0, 100.0, 150.0)):
+    table = summary(pred_frames, gt_frames, taus)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary(pred_frames, gt_frames, taus), fh, indent=2,
-                  sort_keys=True)
+        json.dump(table, fh, indent=2, sort_keys=True)
         fh.write("\n")

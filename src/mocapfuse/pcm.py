@@ -177,7 +177,7 @@ def read_pcm(path) -> HeatmapFrame:
 # Providers
 
 def quantize_rotation(angle_deg) -> int:
-    """Provider cache key for a continuous rotation angle (1 degree bins)."""
+    """The 1-degree bin a rotation angle's frames are stored and rendered at."""
     return int(round(float(angle_deg)))
 
 

@@ -74,12 +74,15 @@ def triangulate(pixels: dict, rig: CameraRig):
 # ---------------------------------------------------------------------------
 # Configuration and sequence record
 
+CENTROID_FLOOR = 0.3       # init triangulates centroids of cells >= this
+MAX_SEARCH_FRAMES = 120    # init finds its agreement run within these frames
+LOW_CONFIDENCE_FRACTION = 0.05  # of n_c; flags a keypoint, never drops it
+
+
 @dataclass(frozen=True)
 class InitSettings:
-    centroid_floor: float = 0.3
     agreement_residual_mm: float = 20.0
     min_agreement_frames: int = 10
-    max_search_frames: int = 120
 
     def __post_init__(self):
         if self.agreement_residual_mm <= 0:
@@ -97,7 +100,6 @@ class PipelineConfig:
                                                       sample_rate_hz=60.0))
     init: InitSettings = field(default_factory=InitSettings)
     lattice_center: str = "stage2"       # or "stage1"
-    low_confidence_fraction: float = 0.05  # of n_c; flags, never drops
 
     def __post_init__(self):
         if self.lattice_center not in ("stage1", "stage2"):
@@ -175,7 +177,7 @@ class MotionSequence:
 # ---------------------------------------------------------------------------
 # Initialization
 
-def _triangulated_keypoints(provider, rig, frame_index, floor):
+def _triangulated_keypoints(provider, rig, frame_index):
     """Triangulate every keypoint's centroid for one frame.
 
     Returns (points {label: (3,)}, residuals {label: mm}, missing labels).
@@ -187,7 +189,7 @@ def _triangulated_keypoints(provider, rig, frame_index, floor):
     for label in KEYPOINTS:
         pixels = {}
         for camera in rig.cameras:
-            c = pcm_mod.centroid(frames[camera.id], label, floor)
+            c = pcm_mod.centroid(frames[camera.id], label, CENTROID_FLOOR)
             if c is not None:
                 pixels[camera.id] = c
         try:
@@ -269,10 +271,10 @@ def initialize(provider, rig: CameraRig, skeleton_template, config: PipelineConf
     settings = config.init
     run = []          # list of (frame_index, points dict)
     worst = {}
-    for frame_index in range(settings.max_search_frames):
+    for frame_index in range(MAX_SEARCH_FRAMES):
         try:
             points, residuals, missing = _triangulated_keypoints(
-                provider, rig, frame_index, settings.centroid_floor)
+                provider, rig, frame_index)
         except pcm_mod.FrameMissing:
             break
         bad = list(missing)
@@ -357,7 +359,7 @@ def track(provider, rig: CameraRig, model, pose0, config: PipelineConfig,
                             (markers.positions[lb] - positions_prev[lb]) / cfg.s)
                   for lb in KEYPOINTS}
         low_conf = tuple(lb for lb in KEYPOINTS
-                         if weights[lb] < config.low_confidence_fraction * rig.n_c)
+                         if weights[lb] < LOW_CONFIDENCE_FRACTION * rig.n_c)
         if low_conf:
             log.debug("frame %s: low-confidence keypoints %s",
                       frame_index, low_conf)

@@ -238,30 +238,23 @@ def render_frame(spec: SceneSpec, camera, frame_index, rotation_deg=0.0,
 
 
 class SyntheticProvider(pcm_mod.PcmProvider):
-    """Renders heatmap frames on demand; any rotation angle is available."""
+    """Renders heatmap frames on demand; any rotation angle is available.
+    No frame is kept: tracking asks for each (camera, frame, rotation) once."""
 
-    def __init__(self, spec: SceneSpec, rig: CameraRig = None,
-                 n_frames=None, cache_size=16):
+    def __init__(self, spec: SceneSpec, rig: CameraRig = None, n_frames=None):
         self.spec = spec
         self.rig = rig or build_rig(spec)
         self.model = build_model(spec)
         self.n_frames = n_frames
-        self.cache_size = cache_size
-        self._cache = {}
 
     def get(self, camera_id, frame_index, rotation_deg=0.0):
         if self.n_frames is not None and not (0 <= frame_index < self.n_frames):
             raise pcm_mod.FrameMissing(
                 f"synthetic scene has {self.n_frames} frames, "
                 f"requested {frame_index}")
-        key = (camera_id, frame_index, pcm_mod.quantize_rotation(rotation_deg))
-        if key not in self._cache:
-            if len(self._cache) >= self.cache_size:
-                self._cache.pop(next(iter(self._cache)))
-            self._cache[key] = render_frame(
-                self.spec, self.rig.camera(camera_id), frame_index,
-                float(key[2]), self.model)
-        return self._cache[key]
+        return render_frame(
+            self.spec, self.rig.camera(camera_id), frame_index,
+            float(pcm_mod.quantize_rotation(rotation_deg)), self.model)
 
 
 # ---------------------------------------------------------------------------

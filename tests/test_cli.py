@@ -11,6 +11,7 @@ import pytest
 import mocapfuse
 from conftest import small_scene
 from mocapfuse import cli, metrics, pcm, pipeline, skeleton as sk, synth
+from mocapfuse.calib import load_rig
 
 
 @pytest.fixture(scope="module")
@@ -310,6 +311,65 @@ class TestRuntimeErrors:
                        "--out", str(tmp_path / "out")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_track_without_pcm_files_exits_one(self, dataset, init_run,
+                                               tmp_path, capsys):
+        root, data = dataset
+        empty = tmp_path / "no_pcm"
+        out = tmp_path / "track"
+        rc = cli.main(["track", "--calib", str(data / "calib.json"),
+                       "--pcm-dir", str(empty),
+                       "--skeleton", str(init_run / "skeleton.json"),
+                       "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        first = json.loads(
+            (init_run / "init_state.json").read_text())["first_track_frame"]
+        assert len(err) == 1 and err[0].startswith("error: FrameMissing")
+        cam0 = load_rig(str(data / "calib.json")).cameras[0].id
+        assert err[0].endswith(pcm.frame_path(str(empty), cam0, first))
+        assert not out.exists()
+
+    def test_track_empty_frame_range_exits_one(self, dataset, init_run,
+                                               tmp_path, capsys):
+        root, data = dataset
+        out = tmp_path / "track"
+        rc = cli.main(["track", "--calib", str(data / "calib.json"),
+                       "--pcm-dir", str(data / "pcm"),
+                       "--skeleton", str(init_run / "skeleton.json"),
+                       "--start-frame", "12", "--end-frame", "12",
+                       "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ValueError")
+        assert "[12, 12)" in err[0]
+        assert not out.exists()
+
+    def test_eval_of_zero_frames_exits_one(self, dataset, tmp_path, capsys):
+        root, data = dataset
+        pred = tmp_path / "positions.csv"
+        pipeline.write_positions_csv(
+            pipeline.MotionSequence(frames=[], sample_rate_hz=60.0), pred)
+        out = tmp_path / "eval"
+        rc = cli.main(["eval", "--pred", str(pred),
+                       "--gt", str(data / "ground_truth.csv"),
+                       "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ValueError")
+        assert not (out / "summary.json").exists()
+        assert not (out / "summary.json.tmp").exists()
+
+    def test_invalid_log_level_is_usage_error(self, tmp_path, capsys,
+                                              monkeypatch):
+        monkeypatch.setenv("MOCAPFUSE_LOG", "verbose")
+        rc = cli.main(["eval", "--pred", str(tmp_path / "p.csv"),
+                       "--gt", str(tmp_path / "g.csv"),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "MOCAPFUSE_LOG" in err[0] and "'verbose'" in err[0]
 
     def test_unknown_spec_preset_exits_one(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"

@@ -41,6 +41,11 @@ class TestMpjpe:
         frames = pose_frames(4, rng)
         assert metrics.mpjpe(frames, frames) == 0.0
 
+    def test_zero_frames_refused(self):
+        for score in (metrics.mpjpe, metrics.pck3d):
+            with pytest.raises(ValueError, match="no frames"):
+                score([], [])
+
     def test_uniform_offset_exact(self, rng):
         frames = pose_frames(3, rng)
         shifted = offset_frames(frames, (6.0, 8.0, 0.0))

@@ -290,9 +290,35 @@ class TestConfigTree:
     def test_unknown_key_names_its_path(self):
         for tree, path in (({"ik": {"max_iters": 5}}, "ik.max_iters"),
                            ({"lattice_centre": "stage1"}, "lattice_centre"),
-                           ({"ik": {"lambda_up": 10.0}}, "ik.lambda_up")):
+                           ({"ik": {"lambda_up": 10.0}}, "ik.lambda_up"),
+                           ({"ik": {"lambda0": 1e-3}}, "ik.lambda0"),
+                           ({"init": {"centroid_floor": 0.3}},
+                            "init.centroid_floor"),
+                           ({"init": {"max_search_frames": 120}},
+                            "init.max_search_frames"),
+                           ({"low_confidence_fraction": 0.05},
+                            "low_confidence_fraction")):
             with pytest.raises(ValueError, match=f"'{path}'"):
                 PipelineConfig.from_dict(tree)
+
+    def test_settable_values(self):
+        """Every leaf of the config tree; a new setting is added here on
+        purpose, once something sets it."""
+        def leaves(tree, prefix=""):
+            for key, value in tree.items():
+                if isinstance(value, dict):
+                    yield from leaves(value, prefix + key + ".")
+                else:
+                    yield prefix + key
+
+        assert sorted(leaves(PipelineConfig().to_dict())) == [
+            "filter.cutoff_hz", "filter.mode", "filter.sample_rate_hz",
+            "ik.max_iterations", "ik.residual_tol", "ik.step_tol",
+            "ik.translation_scale",
+            "init.agreement_residual_mm", "init.min_agreement_frames",
+            "lattice.k", "lattice.rotation_enabled", "lattice.s",
+            "lattice.tilt_threshold_deg",
+            "lattice_center"]
 
     def test_values_are_checked(self):
         for tree in ({"lattice": {"k": 0}},            # section validation

@@ -1,6 +1,8 @@
+import gc
 import json
 import math
 import os
+import weakref
 
 import numpy as np
 import numpy.testing as npt
@@ -189,12 +191,20 @@ class TestProvider:
         with pytest.raises(pcm.FrameMissing, match="200"):
             still_provider.get(0, 200)
 
-    def test_rotation_quantization_shares_cache(self, still_spec, still_rig):
+    def test_rotation_quantization(self, still_spec, still_rig):
         provider = synth.SyntheticProvider(still_spec, still_rig, n_frames=5)
         a = provider.get(0, 0, 12.3)
         b = provider.get(0, 0, 11.8)
-        assert a is b
-        assert a.rotation_deg == 12.0
+        assert a.rotation_deg == b.rotation_deg == 12.0
+        npt.assert_array_equal(a.channels, b.channels)
+
+    def test_provider_keeps_no_frames(self, still_spec, still_rig):
+        provider = synth.SyntheticProvider(still_spec, still_rig, n_frames=5)
+        frame = provider.get(0, 0)
+        ref = weakref.ref(frame)
+        del frame
+        gc.collect()
+        assert ref() is None
 
 
 class TestSceneJson:
