@@ -139,11 +139,6 @@ def project_points(camera: Camera, points):
     return px, in_front
 
 
-def project(camera: Camera, point):
-    """Project a single world point; see ``project_points``."""
-    return project_points(camera, point)
-
-
 def undistort_normalized(camera: Camera, xd, yd, iterations=8):
     """Invert the distortion model for normalized coordinates (iteratively)."""
     k1, k2, p1, p2, k3 = camera.dist

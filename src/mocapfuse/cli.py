@@ -22,31 +22,33 @@ from . import synth as synth_mod
 from .calib import load_rig
 
 
-def _atomic(path):
-    return path + ".tmp"
-
-
-def _commit(path):
-    os.replace(_atomic(path), path)
-
-
 class _AtomicWriter:
-    """Write-to-temp-then-rename for a set of files in one output dir."""
+    """Write-to-temp-then-rename for a set of files in one output dir, as a
+    context manager: the files are renamed into place when the block ends.
+    If it raises, the temp files are removed, and so is the directory if
+    the block created it."""
 
     def __init__(self, out_dir):
         self.out_dir = out_dir
+        self.existed = os.path.isdir(out_dir)
         self.pending = []
+
+    def __enter__(self):
+        return self
 
     def path(self, name):
         os.makedirs(self.out_dir, exist_ok=True)
-        final = os.path.join(self.out_dir, name)
-        self.pending.append(final)
-        return _atomic(final)
+        self.pending.append(os.path.join(self.out_dir, name))
+        return self.pending[-1] + ".tmp"
 
-    def commit(self):
+    def __exit__(self, failed, *_):
         for final in self.pending:
-            _commit(final)
-        self.pending = []
+            if not failed:
+                os.replace(final + ".tmp", final)
+            elif os.path.exists(final + ".tmp"):
+                os.remove(final + ".tmp")
+        if failed and not self.existed and os.path.isdir(self.out_dir):
+            os.rmdir(self.out_dir)
 
 
 # Each config flag and the config-tree path (section, key) it sets.
@@ -100,13 +102,12 @@ def cmd_init(args):
                 else sk.human_skeleton())
     model, pose0, _, first_frame = pipeline_mod.initialize(
         provider, rig, template, config)
-    writer = _AtomicWriter(args.out)
-    sk.save_skeleton(model, writer.path("skeleton.json"))
-    with open(writer.path("init_state.json"), "w", encoding="utf-8") as fh:
-        json.dump({"pose0": [float(v) for v in pose0],
-                   "first_track_frame": first_frame}, fh, indent=2)
-        fh.write("\n")
-    writer.commit()
+    with _AtomicWriter(args.out) as writer:
+        sk.save_skeleton(model, writer.path("skeleton.json"))
+        with open(writer.path("init_state.json"), "w", encoding="utf-8") as fh:
+            json.dump({"pose0": [float(v) for v in pose0],
+                       "first_track_frame": first_frame}, fh, indent=2)
+            fh.write("\n")
     print(f"initialized: lengths in {args.out}/skeleton.json, "
           f"tracking starts at frame {first_frame}")
     return 0
@@ -140,13 +141,13 @@ def cmd_track(args):
                          f"[{first}, {last})")
     seq = pipeline_mod.track(provider, rig, model, state["pose0"], config,
                              range(first, last))
-    writer = _AtomicWriter(args.out)
-    pipeline_mod.write_positions_csv(seq, writer.path("positions.csv"))
-    pipeline_mod.write_pose_csv(seq, writer.path("pose.csv"))
-    pipeline_mod.write_run_metadata(writer.path("run.json"), config, model,
-                                    extra={"frames": [first, last]})
-    pipeline_mod.write_diagnostics_csv(seq, rig, writer.path("diagnostics.csv"))
-    writer.commit()
+    with _AtomicWriter(args.out) as writer:
+        pipeline_mod.write_positions_csv(seq, writer.path("positions.csv"))
+        pipeline_mod.write_pose_csv(seq, writer.path("pose.csv"))
+        pipeline_mod.write_run_metadata(writer.path("run.json"), config, model,
+                                        extra={"frames": [first, last]})
+        pipeline_mod.write_diagnostics_csv(seq, rig,
+                                           writer.path("diagnostics.csv"))
     print(f"tracked frames [{first}, {last}) into {args.out}")
     return 0
 
@@ -159,11 +160,10 @@ def cmd_eval(args):
     gt = [frame for idx, frame in zip(indices_g, gt) if idx in tracked]
     if len(pred) != len(gt):
         raise ValueError("prediction and ground truth frames do not align")
-    writer = _AtomicWriter(args.out)
-    metrics_mod.write_summary(pred, gt, writer.path("summary.json"))
-    seq_like = _SeriesAdapter(indices_p, pred, weights)
-    metrics_mod.emit_series(seq_like, gt, writer.path("series.csv"))
-    writer.commit()
+    with _AtomicWriter(args.out) as writer:
+        metrics_mod.write_summary(pred, gt, writer.path("summary.json"))
+        seq_like = _SeriesAdapter(indices_p, pred, weights)
+        metrics_mod.emit_series(seq_like, gt, writer.path("series.csv"))
     with open(os.path.join(args.out, "summary.json"), "r",
               encoding="utf-8") as fh:
         print(fh.read().strip())

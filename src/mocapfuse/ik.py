@@ -17,7 +17,10 @@ from .tracker import VirtualMarkerSet
 
 # Levenberg-Marquardt damping: starts at LAMBDA0, is multiplied by LAMBDA_UP
 # after a rejected step and divided by LAMBDA_DOWN after an accepted one.
-LAMBDA0 = 1e-3
+# LAMBDA0 is 1e-3 times the human model's dof count over that of its older
+# form, whose six extra coordinates added nothing to trace(H) but counted in
+# the mean that scales the damping, so the damping is held.
+LAMBDA0 = 8.5e-4
 LAMBDA_UP = 10.0
 LAMBDA_DOWN = 10.0
 

@@ -210,24 +210,22 @@ def _joint_keypoint_labels(model):
 def _identify_lengths(model, tri_frames):
     """Map median inter-keypoint distances onto the skeleton's links.
 
-    Directly observable links take the median distance between their end
-    keypoints; the trunk column (pelvis->waist->chest->neck) splits the
+    Directly observable links (a joint and its parent both carry a
+    keypoint) take the median distance between their end keypoints; the
+    trunk column (pelvis->waist->chest->neck) splits the
     hip-midpoint-to-neck distance by the template's proportions.
     """
     def med(fn):
         return float(np.median([fn(tf) for tf in tri_frames]))
 
-    pairs = {
-        "r_shoulder": ("neck", "r_shoulder"), "l_shoulder": ("neck", "l_shoulder"),
-        "r_elbow": ("r_shoulder", "r_elbow"), "l_elbow": ("l_shoulder", "l_elbow"),
-        "r_wrist": ("r_elbow", "r_wrist"), "l_wrist": ("l_elbow", "l_wrist"),
-        "r_knee": ("r_hip", "r_knee"), "l_knee": ("l_hip", "l_knee"),
-        "r_ankle": ("r_knee", "r_ankle"), "l_ankle": ("l_knee", "l_ankle"),
-    }
+    on_joint = {model.keypoint_map[lb]: lb
+                for lb in _joint_keypoint_labels(model)}
     lengths = {}
-    for link, (a, b) in pairs.items():
-        lengths[link] = med(lambda tf, a=a, b=b:
-                            np.linalg.norm(tf[a] - tf[b]))
+    for j in model.joints[1:]:     # the root, listed first, has no link
+        a, b = on_joint.get(model.joints[j.parent].name), on_joint.get(j.name)
+        if a and b:
+            lengths[j.name] = med(lambda tf, a=a, b=b:
+                                  np.linalg.norm(tf[a] - tf[b]))
     half_hip = med(lambda tf: 0.5 * np.linalg.norm(tf["r_hip"] - tf["l_hip"]))
     lengths["r_hip"] = half_hip
     lengths["l_hip"] = half_hip
@@ -253,11 +251,11 @@ def _seed_pose(model, points):
     """Cheap pose seed: root translation at the hip midpoint, root yaw from
     the hip axis, everything else zero."""
     q = np.zeros(model.total_dof)
-    midhip = 0.5 * (points["r_hip"] + points["l_hip"])
-    q[0:3] = midhip
+    root = np.array(model.dofs_of(model.joints[0].name))
+    rotational = model.dof_rotational[root]
+    q[root[~rotational]] = 0.5 * (points["r_hip"] + points["l_hip"])
     hip_axis = points["r_hip"] - points["l_hip"]
-    yaw = float(np.arctan2(hip_axis[1], hip_axis[0]))
-    q[3:6] = np.array([0.0, 0.0, yaw])
+    q[root[rotational]] = [0.0, 0.0, np.arctan2(hip_axis[1], hip_axis[0])]
     return q
 
 

@@ -1,14 +1,16 @@
 """Tree-structured kinematic chain: topology, forward kinematics, Jacobians.
 
-The default human model has 40 generalized coordinates: a 6-DOF free root
+The default human model has 34 generalized coordinates: a 6-DOF free root
 (pelvis), exponential-map 3-DOF joints for waist/chest/neck/head, shoulders
-and hips, single-axis elbows/knees/wrists and 2-DOF ankles.  Keypoints are
-either joints of the chain or fixed offsets on the head segment (nose, eyes,
-ears).
+and hips, and single-axis elbows and knees.  Wrists and ankles carry no
+dofs: no keypoint rides on the hand or foot segments they would turn.
+Keypoints are either joints of the chain or fixed offsets on the head
+segment (nose, eyes, ears).
 
 Pose vector layout: root translation (mm, 3), root orientation as an
 exponential-map 3-vector, then the remaining joints' rotational coordinates
-(radians) in model order.
+(radians) in model order.  This module alone knows it: ``dof_joint`` maps
+each coordinate to its joint and ``dofs_of`` gives a joint's coordinates.
 
 Each model carries a dof/target table built once (see ``SkeletonModel``),
 and every entry point makes one FK pass: ``forward_kinematics`` returns a
@@ -135,10 +137,11 @@ class SkeletonModel:
     ``target_index`` (name -> row), ``target_joint`` and ``target_offset``
     (the segment each target rides on and its local offset),
     ``target_mask`` (target x dof: the dof belongs to the target's segment
-    or one of its ancestors) and ``dof_rotational`` (per dof).  A joint
-    origin does not move with its own rotation while an attached point
-    does; the rotational column ``axis x (p - origin)`` is zero for the
-    former because p is the origin, so the mask needs no rule for it.
+    or one of its ancestors), ``dof_joint`` (the joint of each dof) and
+    ``dof_rotational`` (per dof).  A joint origin does not move with its
+    own rotation while an attached point does; the rotational column
+    ``axis x (p - origin)`` is zero for the former because p is the origin,
+    so the mask needs no rule for it.
     """
 
     joints: tuple
@@ -179,6 +182,7 @@ class SkeletonModel:
         for attr, value in (
                 ("total_dof", len(dof_joint)),
                 ("joint_index", index),
+                ("dof_joint", dof_joint),
                 ("dof_rotational", rotational),
                 ("target_index", {n: i for i, n in enumerate(names)}),
                 ("target_joint", target_joint),
@@ -186,6 +190,11 @@ class SkeletonModel:
                                             for _, off in refs])),
                 ("target_mask", ancestry[target_joint][:, dof_joint])):
             object.__setattr__(self, attr, value)
+
+    def dofs_of(self, joint_name):
+        """Pose indices of a joint's coordinates, in order."""
+        return np.flatnonzero(
+            self.dof_joint == self.joint_index[joint_name]).tolist()
 
     def link_lengths(self):
         return {j.name: j.length for j in self.joints if j.parent >= 0}
@@ -327,16 +336,16 @@ _HUMAN_SPEC = [
     ("head", "neck", (0, 0, 1), 120.0, ("exp",)),
     ("r_shoulder", "neck", (1, 0, 0), 180.0, ("exp",)),
     ("r_elbow", "r_shoulder", (1, 0, 0), 300.0, ("rz",)),
-    ("r_wrist", "r_elbow", (1, 0, 0), 250.0, ("rz",)),
+    ("r_wrist", "r_elbow", (1, 0, 0), 250.0, ()),
     ("l_shoulder", "neck", (-1, 0, 0), 180.0, ("exp",)),
     ("l_elbow", "l_shoulder", (-1, 0, 0), 300.0, ("rz",)),
-    ("l_wrist", "l_elbow", (-1, 0, 0), 250.0, ("rz",)),
+    ("l_wrist", "l_elbow", (-1, 0, 0), 250.0, ()),
     ("r_hip", "pelvis", (1, 0, 0), 100.0, ("exp",)),
     ("r_knee", "r_hip", (0, 0, -1), 420.0, ("rx",)),
-    ("r_ankle", "r_knee", (0, 0, -1), 400.0, ("rx", "ry")),
+    ("r_ankle", "r_knee", (0, 0, -1), 400.0, ()),
     ("l_hip", "pelvis", (-1, 0, 0), 100.0, ("exp",)),
     ("l_knee", "l_hip", (0, 0, -1), 420.0, ("rx",)),
-    ("l_ankle", "l_knee", (0, 0, -1), 400.0, ("rx", "ry")),
+    ("l_ankle", "l_knee", (0, 0, -1), 400.0, ()),
 ]
 
 # Face keypoints ride on the head segment (offsets in the head frame, mm).
@@ -350,7 +359,7 @@ _HUMAN_FACE_OFFSETS = {
 
 
 def human_skeleton() -> SkeletonModel:
-    """The default 40-DOF human model in its reference proportions."""
+    """The default 34-DOF human model in its reference proportions."""
     name_to_idx = {}
     joints = []
     for name, parent, direction, length, dofs in _HUMAN_SPEC:
@@ -367,9 +376,7 @@ def human_skeleton() -> SkeletonModel:
             kmap[label] = ("head", np.asarray(_HUMAN_FACE_OFFSETS[label]))
         else:
             kmap[label] = label
-    model = SkeletonModel(joints=tuple(joints), keypoint_map=kmap)
-    assert model.total_dof == 40
-    return model
+    return SkeletonModel(joints=tuple(joints), keypoint_map=kmap)
 
 
 def scaled_human_skeleton(scale: float) -> SkeletonModel:
@@ -407,12 +414,26 @@ def save_skeleton(model: SkeletonModel, path):
 
 
 def load_skeleton(path) -> SkeletonModel:
+    """Model from a skeleton file; a missing key or an unknown parent raises
+    SkeletonError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
+    try:
+        return _model_from_tree(payload)
+    except KeyError as exc:
+        raise SkeletonError(f"{path}: missing key {exc.args[0]!r}") from None
+    except SkeletonError as exc:
+        raise SkeletonError(f"{path}: {exc}") from None
+
+
+def _model_from_tree(payload) -> SkeletonModel:
     name_to_idx = {}
     joints = []
     for entry in payload["joints"]:
         parent = entry["parent"]
+        if parent is not None and parent not in name_to_idx:
+            raise SkeletonError(f"joint {entry['name']!r}: unknown parent "
+                                f"{parent!r} (parents are listed first)")
         pidx = -1 if parent is None else name_to_idx[parent]
         joints.append(Joint(entry["name"], pidx,
                             np.asarray(entry["direction"], dtype=float),

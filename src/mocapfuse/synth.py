@@ -49,9 +49,9 @@ class MotionProgram:
     hold_frames: int = 12
     name: str = "custom"
 
-    def pose(self, frame_index, fps, ndof=40):
+    def pose(self, frame_index, fps, model):
         t = max(0.0, (frame_index - self.hold_frames)) / fps
-        q = np.zeros(ndof)
+        q = np.zeros(model.total_dof)
         for idx, curve in self.curves.items():
             q[idx] = curve.value(t)
         return q
@@ -138,9 +138,9 @@ def build_model(spec: SceneSpec) -> sk.SkeletonModel:
     return sk.scaled_human_skeleton(spec.subject_scale)
 
 
-def ground_truth_pose(spec: SceneSpec, frame_index):
-    q = spec.motion.pose(frame_index, spec.fps)
-    q[2] += spec.root_height_mm
+def ground_truth_pose(spec: SceneSpec, frame_index, model=None):
+    q = spec.motion.pose(frame_index, spec.fps, model or build_model(spec))
+    q[Q_ROOT_Z] += spec.root_height_mm
     return q
 
 
@@ -149,7 +149,8 @@ def ground_truth_positions(spec: SceneSpec, frame_index, model=None) -> dict:
     if frame_index < 0:
         raise ValueError(f"frame index {frame_index} out of range")
     model = model or build_model(spec)
-    return sk.forward_kinematics(model, ground_truth_pose(spec, frame_index))
+    return sk.forward_kinematics(model,
+                                 ground_truth_pose(spec, frame_index, model))
 
 
 def _channel_rng(spec, camera_id, frame_index, rotation_key, channel):
@@ -260,21 +261,14 @@ class SyntheticProvider(pcm_mod.PcmProvider):
 # ---------------------------------------------------------------------------
 # Motion presets
 
-# Pose vector layout of the default human model (see skeleton._HUMAN_SPEC):
-#   0-2 root translation, 3-5 root orientation, 6-8 waist, 9-11 chest,
-#   12-14 neck, 15-17 head, 18-20 r_shoulder, 21 r_elbow, 22 r_wrist,
-#   23-25 l_shoulder, 26 l_elbow, 27 l_wrist, 28-30 r_hip, 31 r_knee,
-#   32-33 r_ankle, 34-36 l_hip, 37 l_knee, 38-39 l_ankle
-Q_ROOT_RX = 3
-Q_ROOT_RY = 4
-Q_R_SHOULDER_Y = 19
-Q_L_SHOULDER_Y = 24
-Q_R_ELBOW = 21
-Q_L_ELBOW = 26
-Q_R_HIP_X = 28
-Q_L_HIP_X = 34
-Q_R_KNEE = 31
-Q_L_KNEE = 37
+# Pose indices of the coordinates the presets drive, in the default model.
+_dofs_of = sk.human_skeleton().dofs_of
+Q_ROOT_X, _, Q_ROOT_Z, Q_ROOT_RX, Q_ROOT_RY, _ = _dofs_of("pelvis")
+Q_R_SHOULDER_X, Q_R_SHOULDER_Y, _ = _dofs_of("r_shoulder")
+Q_L_SHOULDER_X, Q_L_SHOULDER_Y, _ = _dofs_of("l_shoulder")
+(Q_R_ELBOW,), (Q_L_ELBOW,) = _dofs_of("r_elbow"), _dofs_of("l_elbow")
+(Q_R_KNEE,), (Q_L_KNEE,) = _dofs_of("r_knee"), _dofs_of("l_knee")
+Q_R_HIP_X, Q_L_HIP_X = _dofs_of("r_hip")[0], _dofs_of("l_hip")[0]
 
 
 def walk_like(hold_frames=12) -> MotionProgram:
@@ -283,8 +277,9 @@ def walk_like(hold_frames=12) -> MotionProgram:
     a +-30 mm lattice at 60 Hz."""
     f = 0.4
     curves = {
-        0: DofCurve(amp=30.0, freq_hz=f),                       # lateral sway
-        2: DofCurve(amp=15.0, freq_hz=2 * f, phase=math.pi / 2),  # bounce
+        Q_ROOT_X: DofCurve(amp=30.0, freq_hz=f),              # lateral sway
+        Q_ROOT_Z: DofCurve(amp=15.0, freq_hz=2 * f,
+                           phase=math.pi / 2),                  # bounce
         Q_R_HIP_X: DofCurve(amp=0.20, freq_hz=f),
         Q_L_HIP_X: DofCurve(amp=0.20, freq_hz=f, phase=math.pi),
         Q_R_KNEE: DofCurve(offset=0.15, amp=0.15, freq_hz=f, phase=math.pi),
@@ -328,8 +323,8 @@ def bent_elbow_like(hold_frames=12) -> MotionProgram:
     curves = {
         Q_R_ELBOW: DofCurve(offset=math.pi / 2, amp=0.4, freq_hz=2.0),
         Q_L_ELBOW: DofCurve(offset=-math.pi / 2, amp=-0.4, freq_hz=2.0),
-        18: DofCurve(amp=0.3, freq_hz=0.5),
-        23: DofCurve(amp=-0.3, freq_hz=0.5),
+        Q_R_SHOULDER_X: DofCurve(amp=0.3, freq_hz=0.5),
+        Q_L_SHOULDER_X: DofCurve(amp=-0.3, freq_hz=0.5),
     }
     return MotionProgram(curves=curves, hold_frames=hold_frames,
                          name="bent_elbow")

@@ -14,7 +14,8 @@ import pytest
 from conftest import small_scene
 from helpers import DictProvider, frame_with_channel, gaussian_grid
 from mocapfuse import cli, ik, metrics, pcm, pipeline, skeleton as sk, smooth, synth, tracker
-from mocapfuse.calib import CameraRig, look_at_camera, pixel_to_ray, project
+from mocapfuse.calib import (CameraRig, look_at_camera, pixel_to_ray,
+                             project_points)
 from mocapfuse.labels import KEYPOINTS
 from mocapfuse.tracker import LatticeConfig, VirtualMarkerSet
 
@@ -200,19 +201,19 @@ def test_acceptance_4_ik_correctness(rng):
     eps = 1e-6
     worst_grad = 0.0
     for _ in range(100):
-        q = rng.normal(0, 0.4, 40)
+        q = rng.normal(0, 0.4, human.total_dof)
         labels = ("neck", "r_wrist", "l_wrist", "r_ankle", "l_ankle", "nose")
         fk = sk.forward_kinematics(human, q)
         markers = VirtualMarkerSet(
             positions={lb: fk[lb] + rng.normal(0, 30.0, 3) for lb in labels},
             weights={lb: rng.uniform(0.2, 2.0) for lb in labels})
         pos, jac = sk.fk_and_jacobians(human, q, list(labels))
-        grad = np.zeros(40)
+        grad = np.zeros(human.total_dof)
         for i, lb in enumerate(labels):
             grad -= markers.weights[lb] * (jac[i].T
                                            @ (markers.positions[lb] - pos[i]))
-        fd = np.zeros(40)
-        for i in range(40):
+        fd = np.zeros(human.total_dof)
+        for i in range(human.total_dof):
             qp, qm = q.copy(), q.copy()
             qp[i] += eps
             qm[i] -= eps
@@ -268,7 +269,7 @@ def exhaustive_lattice_oracle(center, label, provider, rig, s, k):
         score = 0.0
         for camera in rig.cameras:
             frame = provider.get(camera.id, 0, 0.0)
-            px, in_front = project(camera, p)
+            px, in_front = project_points(camera, p)
             if in_front:
                 score += pcm.sample(frame, label, px)
         if best is None or score > best[0]:
@@ -295,7 +296,7 @@ def test_acceptance_5_lattice_search_oracle(rng):
                 # Flat heatmap: every candidate ties, the center must win.
                 grid = np.full((h, w), 0.5, dtype=np.float32)
             else:
-                px, in_front = project(camera, true_point)
+                px, in_front = project_points(camera, true_point)
                 grid = rng.uniform(0.0, 0.2, (h, w))
                 if in_front:
                     grid = grid + gaussian_grid(h, w, px[0] * 0.25,
@@ -329,7 +330,7 @@ def test_acceptance_6_triangulation_and_length_identification(walk_run, rng):
         point = rng.normal(0.0, 400.0, 3) + np.array([0.0, 0.0, 1000.0])
         pixels = {}
         for camera in rig.cameras:
-            px, in_front = project(camera, point)
+            px, in_front = project_points(camera, point)
             if in_front:
                 pixels[camera.id] = px + rng.normal(0.0, 0.5, 2)
         if len(pixels) < 2:
@@ -388,7 +389,7 @@ def test_acceptance_7_filter_properties():
 
 def test_acceptance_8_metrics_oracle(rng):
     model = sk.human_skeleton()
-    gt = [sk.forward_kinematics(model, rng.normal(0, 0.3, 40))
+    gt = [sk.forward_kinematics(model, rng.normal(0, 0.3, model.total_dof))
           for _ in range(6)]
     pred = [{lb: p + rng.normal(0, 40.0, 3) for lb, p in f.items()}
             for f in gt]

@@ -14,7 +14,6 @@ from mocapfuse.calib import (
     load_rig,
     look_at_camera,
     pixel_to_ray,
-    project,
     project_points,
     rotate_pixel,
     save_rig,
@@ -31,22 +30,22 @@ def axis_camera(**kw):
 
 class TestProject:
     def test_optical_axis_point_maps_to_principal_point(self):
-        px, in_front = project(axis_camera(), (0.0, 0.0, 1000.0))
+        px, in_front = project_points(axis_camera(), (0.0, 0.0, 1000.0))
         npt.assert_allclose(px, [512.0, 384.0])
         assert in_front
 
     def test_off_axis_point(self):
-        px, in_front = project(axis_camera(), (100.0, 0.0, 1000.0))
+        px, in_front = project_points(axis_camera(), (100.0, 0.0, 1000.0))
         npt.assert_allclose(px, [612.0, 384.0])
         assert in_front
 
     def test_behind_camera(self):
-        _, in_front = project(axis_camera(), (0.0, 0.0, -1000.0))
+        _, in_front = project_points(axis_camera(), (0.0, 0.0, -1000.0))
         assert not in_front
 
     def test_non_finite_point_rejected(self):
         with pytest.raises(ValueError):
-            project(axis_camera(), (np.nan, 0.0, 1000.0))
+            project_points(axis_camera(), (np.nan, 0.0, 1000.0))
 
     def test_scale_consistency_zero_distortion(self, rng):
         cam = axis_camera()
@@ -61,17 +60,17 @@ class TestProject:
         pts = rng.uniform(-400, 400, (20, 3)) + np.array([0, 0, 1000.0])
         px, in_front = project_points(cam, pts)
         for i in range(20):
-            p_i, f_i = project(cam, pts[i])
+            p_i, f_i = project_points(cam, pts[i])
             npt.assert_allclose(p_i, px[i])
             assert f_i == in_front[i]
 
     def test_distortion_changes_off_axis_pixels_only(self):
         plain = axis_camera()
         distorted = axis_camera(dist=np.array([-0.2, 0.05, 0.001, -0.001, 0.0]))
-        on_axis, _ = project(distorted, (0.0, 0.0, 1000.0))
+        on_axis, _ = project_points(distorted, (0.0, 0.0, 1000.0))
         npt.assert_allclose(on_axis, [512.0, 384.0], atol=1e-9)
-        p0, _ = project(plain, (300.0, 200.0, 1000.0))
-        p1, _ = project(distorted, (300.0, 200.0, 1000.0))
+        p0, _ = project_points(plain, (300.0, 200.0, 1000.0))
+        p1, _ = project_points(distorted, (300.0, 200.0, 1000.0))
         assert np.linalg.norm(p0 - p1) > 1.0
 
 
@@ -80,7 +79,7 @@ class TestPixelToRay:
         cam = look_at_camera(1, (3000, -1200, 1700), (0, 0, 900), 1024, 768, 750)
         for _ in range(20):
             p = rng.uniform(-500, 500, 3) + np.array([0, 0, 1000.0])
-            px, in_front = project(cam, p)
+            px, in_front = project_points(cam, p)
             assert in_front
             origin, d = pixel_to_ray(cam, px)
             v = p - origin
@@ -93,7 +92,7 @@ class TestPixelToRay:
                      dist=np.array([-0.1, 0.02, 0.0005, -0.0005, 0.001]))
         for _ in range(20):
             p = rng.uniform([-300, -300, 800], [300, 300, 3000], 3)
-            px, _ = project(cam, p)
+            px, _ = project_points(cam, p)
             origin, d = pixel_to_ray(cam, px)
             v = p - origin
             perp = v - (v @ d) * d

@@ -60,7 +60,9 @@ class TestHappyPath:
     def test_init_outputs(self, init_run):
         assert (init_run / "skeleton.json").exists()
         state = json.loads((init_run / "init_state.json").read_text())
-        assert len(state["pose0"]) == 40
+        model = sk.load_skeleton(init_run / "skeleton.json")
+        assert len(state["pose0"]) == model.total_dof \
+            == sk.human_skeleton().total_dof
         assert state["first_track_frame"] >= 1
 
     def test_track_outputs(self, track_run):
@@ -177,6 +179,66 @@ def test_end_of_sequence_probe_decodes_no_pcm(tmp_path, monkeypatch):
     assert tracked == [(0, range(1, 4))]
     run = json.loads((tmp_path / "out" / "run.json").read_text())
     assert run["frames"] == [1, 4]
+
+
+# The older human model's extra coordinates, which move no keypoint.
+_OLDER_DOFS = {"r_wrist": ("rz",), "l_wrist": ("rz",),
+               "r_ankle": ("rx", "ry"), "l_ankle": ("rx", "ry")}
+
+
+def older_layout(model, pose):
+    """The model and pose in the older 40-DOF layout: wrist rz and ankle
+    rx/ry coordinates, held at zero."""
+    older = sk.SkeletonModel(joints=tuple(
+        sk.Joint(j.name, j.parent, j.direction, j.length,
+                 j.dofs + _OLDER_DOFS.get(j.name, ()))
+        for j in model.joints), keypoint_map=model.keypoint_map)
+    q = np.zeros(older.total_dof)
+    for j in model.joints:
+        own = model.dofs_of(j.name)
+        q[older.dofs_of(j.name)[:len(own)]] = np.asarray(pose)[own]
+    return older, q
+
+
+class TestOlderSkeletonFiles:
+    def write_older_state(self, init_run, tmp_path):
+        model = sk.load_skeleton(init_run / "skeleton.json")
+        state = json.loads((init_run / "init_state.json").read_text())
+        older, pose0 = older_layout(model, state["pose0"])
+        assert older.total_dof == 40
+        sk.save_skeleton(older, tmp_path / "skeleton.json")
+        (tmp_path / "init_state.json").write_text(
+            json.dumps(dict(state, pose0=pose0.tolist())))
+        return state["first_track_frame"]
+
+    def track(self, dataset, out, skeleton, init_state, end):
+        root, data = dataset
+        return cli.main(["track", "--calib", str(data / "calib.json"),
+                         "--pcm-dir", str(data / "pcm"),
+                         "--skeleton", str(skeleton),
+                         "--init-state", str(init_state),
+                         "--end-frame", str(end), "--out", str(out)])
+
+    def test_older_40_dof_pair_still_tracks(self, dataset, init_run,
+                                            tmp_path):
+        first = self.write_older_state(init_run, tmp_path)
+        out = tmp_path / "track"
+        assert self.track(dataset, out, tmp_path / "skeleton.json",
+                          tmp_path / "init_state.json", first + 4) == 0
+        lines = (out / "pose.csv").read_text().splitlines()
+        assert lines[0].split(",")[2:] == [f"q{i}" for i in range(40)]
+        assert len(lines) == 5
+
+    def test_40_wide_pose_with_34_dof_skeleton_exits_one(
+            self, dataset, init_run, tmp_path, capsys):
+        first = self.write_older_state(init_run, tmp_path)
+        out = tmp_path / "track"
+        assert self.track(dataset, out, init_run / "skeleton.json",
+                          tmp_path / "init_state.json", first + 4) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: SkeletonError")
+        assert "(40,)" in err[0] and "34" in err[0]
+        assert not out.exists()
 
 
 class TestFlags:
@@ -359,6 +421,49 @@ class TestRuntimeErrors:
         assert len(err) == 1 and err[0].startswith("error: ValueError")
         assert not (out / "summary.json").exists()
         assert not (out / "summary.json.tmp").exists()
+
+    def test_failed_eval_leaves_no_output_directory(self, dataset, tmp_path,
+                                                    capsys):
+        """A failed eval removes the --out directory it created and keeps
+        one that was there before, with its contents."""
+        root, data = dataset
+        pred = tmp_path / "positions.csv"
+        pipeline.write_positions_csv(
+            pipeline.MotionSequence(frames=[], sample_rate_hz=60.0), pred)
+
+        def run(out):
+            return cli.main(["eval", "--pred", str(pred),
+                             "--gt", str(data / "ground_truth.csv"),
+                             "--out", str(out)])
+
+        assert run(tmp_path / "new") == 1
+        assert not (tmp_path / "new").exists()
+        (tmp_path / "old").mkdir()
+        (tmp_path / "old" / "notes.txt").write_text("kept")
+        assert run(tmp_path / "old") == 1
+        assert os.listdir(tmp_path / "old") == ["notes.txt"]
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda tree: tree.pop("joints"), "missing key 'joints'"),
+        (lambda tree: tree["joints"][1].update(parent="zz"), "'zz'"),
+    ], ids=["missing_joints", "unknown_parent"])
+    def test_bad_skeleton_file_exits_one(self, dataset, tmp_path, capsys,
+                                         edit, named):
+        root, data = dataset
+        path = tmp_path / "skeleton.json"
+        sk.save_skeleton(sk.human_skeleton(), path)
+        tree = json.loads(path.read_text())
+        edit(tree)
+        path.write_text(json.dumps(tree))
+        rc = cli.main(["init", "--calib", str(data / "calib.json"),
+                       "--pcm-dir", str(data / "pcm"),
+                       "--skeleton", str(path),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: SkeletonError")
+        assert str(path) in err[0] and named in err[0]
+        assert not (tmp_path / "out").exists()
 
     def test_invalid_log_level_is_usage_error(self, tmp_path, capsys,
                                               monkeypatch):

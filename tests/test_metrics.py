@@ -10,7 +10,8 @@ from mocapfuse.labels import KEYPOINTS
 
 def pose_frames(n, rng, spread=0.3):
     model = sk.human_skeleton()
-    return [sk.forward_kinematics(model, rng.normal(0, spread, 40))
+    return [sk.forward_kinematics(model,
+                                  rng.normal(0, spread, model.total_dof))
             for _ in range(n)]
 
 
@@ -132,11 +133,12 @@ class TestSummary:
 
 class TestEmitSeries:
     def make_sequence(self, frames):
+        dof = sk.human_skeleton().total_dof
         records = []
         for i, pos in enumerate(frames):
             records.append(pipeline.FrameRecord(
                 index=i, time_s=i / 60.0,
-                pose_stage1=np.zeros(40), pose_stage2=np.zeros(40),
+                pose_stage1=np.zeros(dof), pose_stage2=np.zeros(dof),
                 positions_stage1=pos, positions_stage2=pos,
                 weights={lb: 2.0 for lb in KEYPOINTS},
                 rotations={0: 0.0, 1: 180.0, 2: 0.0}))

@@ -6,7 +6,8 @@ import pytest
 
 from conftest import small_scene
 from mocapfuse import pcm, pipeline, skeleton as sk, synth
-from mocapfuse.calib import CameraRig, look_at_camera, pixel_to_ray, project
+from mocapfuse.calib import (CameraRig, look_at_camera, pixel_to_ray,
+                             project_points)
 from mocapfuse.labels import KEYPOINT_INDEX, KEYPOINTS
 from mocapfuse.pipeline import (
     DegenerateGeometry,
@@ -67,7 +68,7 @@ class TestTriangulate:
     def test_exact_intersection(self):
         rig = two_orthogonal_cameras()
         p = np.array([120.0, -230.0, 1340.0])
-        pixels = {c.id: project(c, p)[0] for c in rig.cameras}
+        pixels = {c.id: project_points(c, p)[0] for c in rig.cameras}
         point, residual = triangulate(pixels, rig)
         npt.assert_allclose(point, p, atol=1e-6)
         assert residual < 1e-6
@@ -76,7 +77,7 @@ class TestTriangulate:
         rig = two_orthogonal_cameras()
         for _ in range(50):
             p = rng.uniform(-600, 600, 3) + np.array([0, 0, 1000.0])
-            pixels = {c.id: project(c, p)[0] + rng.normal(0, 1.0, 2)
+            pixels = {c.id: project_points(c, p)[0] + rng.normal(0, 1.0, 2)
                       for c in rig.cameras}
             point, _ = triangulate(pixels, rig)
             # Independent assembly of sum (I - d d^T)(x - o) = 0.
@@ -353,7 +354,8 @@ class TestOutputs:
         path = tmp_path / "pose.csv"
         pipeline.write_pose_csv(seq, path)
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "frame,time_s," + ",".join(f"q{i}" for i in range(40))
+        assert lines[0] == "frame,time_s," + ",".join(
+            f"q{i}" for i in range(model.total_dof))
         assert len(lines) == len(seq.frames) + 1
 
     def test_run_metadata(self, still_track, tmp_path):

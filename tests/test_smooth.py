@@ -160,8 +160,8 @@ class TestSmoothAndRefit:
 
     def test_stationary_pose_is_fixed_point(self, rng):
         model = sk.human_skeleton()
-        q = rng.normal(0, 0.2, 40)
-        q[0:3] = [0.0, 0.0, 1000.0]
+        q = rng.normal(0, 0.2, model.total_dof)
+        q[model.dofs_of("pelvis")[:3]] = [0.0, 0.0, 1000.0]
         traj = self.make_filter()
         settings = ik.IkSettings()
         q_prev = q
@@ -174,7 +174,7 @@ class TestSmoothAndRefit:
 
     def test_priming_frame_passes_through(self, rng):
         model = sk.human_skeleton()
-        q = rng.normal(0, 0.2, 40)
+        q = rng.normal(0, 0.2, model.total_dof)
         traj = self.make_filter()
         q2, smoothed = smooth.smooth_and_refit(model, q, traj, ik.IkSettings())
         fk = sk.forward_kinematics(model, q)
@@ -186,11 +186,12 @@ class TestSmoothAndRefit:
         traj = self.make_filter()
         settings = ik.IkSettings()
         lengths = model.link_lengths()
-        q = np.zeros(40)
+        elbow, root_rx = model.dofs_of("r_elbow"), model.dofs_of("pelvis")[3]
+        q = np.zeros(model.total_dof)
         for frame in range(20):
             q = q.copy()
-            q[21] = 0.8 * math.sin(0.4 * frame)   # swing the right elbow
-            q[3] = 0.2 * math.sin(0.25 * frame)
+            q[elbow] = 0.8 * math.sin(0.4 * frame)   # swing the right elbow
+            q[root_rx] = 0.2 * math.sin(0.25 * frame)
             q2, smoothed = smooth.smooth_and_refit(model, q, traj, settings)
             fk = sk.forward_kinematics(model, q2)
             for joint in model.joints:
@@ -209,8 +210,8 @@ class TestSmoothAndRefit:
         worst = 0.0
         forearm = model.link_lengths()["r_wrist"]
         for frame in range(60):
-            q = np.zeros(40)
-            q[21] = 1.2 * math.sin(0.5 * frame)
+            q = np.zeros(model.total_dof)
+            q[model.dofs_of("r_elbow")] = 1.2 * math.sin(0.5 * frame)
             _, smoothed = smooth.smooth_and_refit(model, q, traj, settings)
             d = np.linalg.norm(smoothed["r_wrist"] - smoothed["r_elbow"])
             worst = max(worst, abs(d - forearm))

@@ -9,8 +9,8 @@ import numpy.testing as npt
 import pytest
 
 from conftest import small_scene
-from mocapfuse import pcm, synth
-from mocapfuse.calib import project, rotate_pixel
+from mocapfuse import pcm, skeleton as sk, synth
+from mocapfuse.calib import project_points, rotate_pixel
 from mocapfuse.labels import KEYPOINT_INDEX, KEYPOINTS, LOWER_BODY
 
 
@@ -43,10 +43,12 @@ class TestDofCurve:
 class TestMotionProgram:
     def test_hold_freezes_initial_pose(self):
         program = synth.walk_like(hold_frames=10)
-        q0 = program.pose(0, 60.0)
+        model = sk.human_skeleton()
+        q0 = program.pose(0, 60.0, model)
+        assert q0.shape == (model.total_dof,)
         for frame in (3, 7, 10):
-            npt.assert_array_equal(program.pose(frame, 60.0), q0)
-        assert not np.array_equal(program.pose(30, 60.0), q0)
+            npt.assert_array_equal(program.pose(frame, 60.0, model), q0)
+        assert not np.array_equal(program.pose(30, 60.0, model), q0)
 
 
 class TestSceneSpec:
@@ -67,7 +69,8 @@ class TestBuildRig:
             d = np.linalg.norm(p[:2])
             assert d == pytest.approx(still_spec.camera_distance_mm)
             assert p[2] == pytest.approx(still_spec.camera_height_mm)
-            px, in_front = project(camera, np.array(still_spec.look_at_mm))
+            px, in_front = project_points(camera,
+                                          np.array(still_spec.look_at_mm))
             assert in_front
             npt.assert_allclose(px, [camera.cx, camera.cy], atol=1e-6)
 
@@ -97,7 +100,7 @@ class TestRenderFrame:
         for camera in still_rig.cameras:
             frame = synth.render_frame(still_spec, camera, 0)
             for label in KEYPOINTS:
-                px, in_front = project(camera, gt[label])
+                px, in_front = project_points(camera, gt[label])
                 assert in_front
                 c = pcm.centroid(frame, label, 0.3)
                 assert np.linalg.norm(c - px) < 0.5
@@ -122,7 +125,7 @@ class TestRenderFrame:
         gt = synth.ground_truth_positions(still_spec, 0)
         frame = synth.render_frame(still_spec, camera, 0, rotation_deg=37.0)
         assert frame.rotation_deg == 37.0
-        px, _ = project(camera, gt["neck"])
+        px, _ = project_points(camera, gt["neck"])
         expected = rotate_pixel(px, 37.0, camera.image_center)
         assert np.linalg.norm(peak_image_coords(frame, "neck") - expected) <= 1.0
 
@@ -177,7 +180,7 @@ class TestTiltBias:
                                      rotation_deg=180.0)
         displaced = []
         for label in sorted(LOWER_BODY):
-            px, _ = project(camera, gt[label])
+            px, _ = project_points(camera, gt[label])
             displaced.append(
                 np.linalg.norm(peak_image_coords(plain, label) - px))
             rotated = rotate_pixel(px, 180.0, camera.image_center)

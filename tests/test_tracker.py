@@ -6,7 +6,7 @@ import numpy.testing as npt
 import pytest
 
 from helpers import DictProvider, frame_with_channel, gaussian_grid, make_frame
-from mocapfuse import pcm, synth, tracker
+from mocapfuse import pcm, skeleton as sk, synth, tracker
 from mocapfuse.calib import Camera, CameraRig, project_points, rotate_pixel
 from mocapfuse.labels import KEYPOINT_INDEX, KEYPOINTS, LOWER_BODY
 from mocapfuse.tracker import (
@@ -333,6 +333,15 @@ class TestPlanRotations:
     def upright_positions(self, spec):
         return synth.ground_truth_positions(spec, 0)
 
+    def pitched_positions(self, spec, pitch):
+        """Keypoints with the root 1 m up and pitched by ``pitch`` rad."""
+        model = synth.build_model(spec)
+        _, _, root_z, root_rx, _, _ = model.dofs_of("pelvis")
+        q = np.zeros(model.total_dof)
+        q[root_z] = 1000.0
+        q[root_rx] = pitch
+        return sk.forward_kinematics(model, q)
+
     def test_upright_pose_plans_zero(self, still_spec, still_rig):
         plan = plan_rotations(self.upright_positions(still_spec), still_rig,
                               LatticeConfig())
@@ -340,23 +349,13 @@ class TestPlanRotations:
         assert all(a == 0.0 for a in plan.values())
 
     def test_inverted_pose_plans_half_turn(self, still_spec, still_rig):
-        q = np.zeros(40)
-        q[2] = 1000.0
-        q[3] = math.pi           # root pitch: full inversion
-        model = synth.build_model(still_spec)
-        from mocapfuse import skeleton as sk
-        positions = sk.forward_kinematics(model, q)
+        positions = self.pitched_positions(still_spec, math.pi)  # inversion
         plan = plan_rotations(positions, still_rig, LatticeConfig())
         for angle in plan.values():
             assert abs(angle) >= 170.0
 
     def test_below_threshold_plans_zero(self, still_spec, still_rig):
-        q = np.zeros(40)
-        q[2] = 1000.0
-        q[3] = math.radians(30.0)
-        model = synth.build_model(still_spec)
-        from mocapfuse import skeleton as sk
-        positions = sk.forward_kinematics(model, q)
+        positions = self.pitched_positions(still_spec, math.radians(30.0))
         plan = plan_rotations(positions, still_rig, LatticeConfig())
         assert all(a == 0.0 for a in plan.values())
 
@@ -382,12 +381,7 @@ class TestPlanRotations:
         assert plan == {0: 0.0}
 
     def test_angles_are_quantized(self, still_spec, still_rig):
-        q = np.zeros(40)
-        q[2] = 1000.0
-        q[3] = math.radians(123.456)
-        model = synth.build_model(still_spec)
-        from mocapfuse import skeleton as sk
-        positions = sk.forward_kinematics(model, q)
+        positions = self.pitched_positions(still_spec, math.radians(123.456))
         plan = plan_rotations(positions, still_rig, LatticeConfig())
         for angle in plan.values():
             assert angle == float(int(angle))
