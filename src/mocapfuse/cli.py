@@ -51,7 +51,7 @@ class _AtomicWriter:
             os.rmdir(self.out_dir)
 
 
-# Each config flag and the config-tree path (section, key) it sets.
+# Each of track's config flags and the config-tree path (section, key) it sets.
 _FLAG_PATHS = {
     "lattice_s": ("lattice", "s"),
     "lattice_k": ("lattice", "k"),
@@ -62,8 +62,8 @@ _FLAG_PATHS = {
 
 
 def _build_config(args) -> pipeline_mod.PipelineConfig:
-    """The --config file's tree (or a run.json's "config" member) with the
-    flags laid over it, checked by PipelineConfig.from_dict."""
+    """The --config file's tree (or a run.json's "config" member) with
+    track's flags laid over it, checked by PipelineConfig.from_dict."""
     tree = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -73,7 +73,7 @@ def _build_config(args) -> pipeline_mod.PipelineConfig:
         if not isinstance(tree, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")
     for flag, (section, key) in _FLAG_PATHS.items():
-        value = getattr(args, flag)
+        value = getattr(args, flag, None)
         if value is not None:
             tree.setdefault(section, {})[key] = value
     return pipeline_mod.PipelineConfig.from_dict(tree)
@@ -161,31 +161,11 @@ def cmd_eval(args):
     if len(pred) != len(gt):
         raise ValueError("prediction and ground truth frames do not align")
     with _AtomicWriter(args.out) as writer:
-        metrics_mod.write_summary(pred, gt, writer.path("summary.json"))
-        seq_like = _SeriesAdapter(indices_p, pred, weights)
-        metrics_mod.emit_series(seq_like, gt, writer.path("series.csv"))
-    with open(os.path.join(args.out, "summary.json"), "r",
-              encoding="utf-8") as fh:
-        print(fh.read().strip())
+        table = metrics_mod.write_summary(pred, gt, writer.path("summary.json"))
+        metrics_mod.emit_series(indices_p, pred, weights, gt,
+                                writer.path("series.csv"))
+    print(table)
     return 0
-
-
-class _SeriesAdapter:
-    """Minimal MotionSequence look-alike built from a positions CSV."""
-
-    class _Frame:
-        def __init__(self, index, positions, weights):
-            self.index = index
-            self.positions_stage2 = positions
-            self.weights = weights
-            self.rotations = {}
-
-        def total_score(self):
-            return float(sum(self.weights.values()))
-
-    def __init__(self, indices, pred_frames, weights):
-        self.frames = [self._Frame(idx, pos, w)
-                       for idx, pos, w in zip(indices, pred_frames, weights)]
 
 
 def _on_off(text):
@@ -200,19 +180,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multi-camera motion reconstruction from confidence maps")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, pcm=True):
-        p.add_argument("--config", help="JSON config file (flags override it)")
+    def common(p):
+        p.add_argument("--config", help="JSON config file, or a run.json "
+                                        "(track's flags override it)")
         p.add_argument("--calib", help="camera calibration JSON")
-        if pcm:
-            p.add_argument("--pcm-dir", help="PCM directory (cam*/rot*/frame*.pcm)")
+        p.add_argument("--pcm-dir", help="PCM directory (cam*/rot*/frame*.pcm)")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--lattice-s", type=float, help="lattice spacing, mm")
-        p.add_argument("--lattice-k", type=int, help="lattice half-extent")
-        p.add_argument("--cutoff-hz", type=float, help="smoothing cutoff, Hz")
-        p.add_argument("--rotation", type=_on_off, metavar="{on,off}",
-                       help="tilt-driven rotated sampling")
-        p.add_argument("--filter-mode", choices=["causal", "offline"],
-                       help="smoothing mode")
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--spec", help="scene spec JSON")
@@ -232,6 +205,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("track", help="run the tracking pipeline")
     common(p)
+    p.add_argument("--lattice-s", type=float, help="lattice spacing, mm")
+    p.add_argument("--lattice-k", type=int, help="lattice half-extent")
+    p.add_argument("--cutoff-hz", type=float, help="smoothing cutoff, Hz")
+    p.add_argument("--rotation", type=_on_off, metavar="{on,off}",
+                   help="tilt-driven rotated sampling")
+    p.add_argument("--filter-mode", choices=["causal", "offline"],
+                   help="smoothing mode")
     p.add_argument("--skeleton", help="initialized skeleton JSON")
     p.add_argument("--init-state", help="init_state.json from the init step")
     p.add_argument("--start-frame", type=int)

@@ -3,7 +3,7 @@
 Minimizes sum_n 1/2 * W_n * ||marker_n - FK_n(q)||^2 over the pose vector by
 Levenberg-Marquardt on the sqrt(W)-scaled stacked residuals.  Translation
 coordinates (mm) and rotation coordinates (radians) are conditioned by a
-fixed diagonal scaling (1 rad = 500 mm by default).
+fixed diagonal scaling (1 rad = ``TRANSLATION_SCALE`` mm).
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .tracker import VirtualMarkerSet
 LAMBDA0 = 8.5e-4
 LAMBDA_UP = 10.0
 LAMBDA_DOWN = 10.0
+TRANSLATION_SCALE = 500.0   # mm per radian-equivalent unit
 
 
 @dataclass(frozen=True)
@@ -30,12 +31,11 @@ class IkSettings:
     max_iterations: int = 50
     step_tol: float = 1e-8          # in scaled coordinates
     residual_tol: float = 1e-4      # mm^2, objective value
-    translation_scale: float = 500.0  # mm per radian-equivalent unit
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        for name in ("step_tol", "residual_tol", "translation_scale"):
+        for name in ("step_tol", "residual_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
 
@@ -84,7 +84,7 @@ def solve(model, q_init, markers: VirtualMarkerSet,
     def residual(positions):
         return (sqrt_w * (observed - positions)).ravel()
 
-    scale = np.where(model.dof_rotational, 1.0, settings.translation_scale)
+    scale = np.where(model.dof_rotational, 1.0, TRANSLATION_SCALE)
     lam = LAMBDA0
     # The objective equals 0.5 * |r|^2 for the sqrt-weighted residual stack.
     r0 = residual(sk.keypoint_positions(model, q, labels))

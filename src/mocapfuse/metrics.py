@@ -65,24 +65,22 @@ def pck3d(pred_frames, gt_frames, group: PartGroup = TOTAL,
     return float(100.0 * (errs < tau).mean())
 
 
-SERIES_HEADER = ["frame", "mpjpe_total", "mpjpe_lowerbody",
-                 "pcm_score_total", "rotated_cameras"]
+SERIES_HEADER = ["frame", "mpjpe_total", "mpjpe_lowerbody", "pcm_score_total"]
 
 
-def emit_series(seq, gt_frames, path):
-    """Per-frame CSV: total and lower-body MPJPE, total PCM score and how
-    many cameras used a rotated render; enough to plot error/score series."""
-    if len(seq.frames) != len(gt_frames):
-        raise ValueError("sequence and ground truth differ in frame count")
+def emit_series(indices, pred_frames, weights, gt_frames, path):
+    """Per-frame CSV of what a positions CSV holds, scored against the
+    ground truth: total and lower-body MPJPE and the summed marker weights
+    (the total PCM score); enough to plot error/score series."""
+    if not len(indices) == len(pred_frames) == len(weights) == len(gt_frames):
+        raise ValueError("predictions and ground truth differ in frame count")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(SERIES_HEADER)
-        for f, gt in zip(seq.frames, gt_frames):
-            e_tot = mpjpe([f.positions_stage2], [gt], TOTAL)
-            e_low = mpjpe([f.positions_stage2], [gt], LOWER_BODY)
-            rotated = sum(1 for a in f.rotations.values() if a != 0.0)
-            writer.writerow([f.index, repr(e_tot), repr(e_low),
-                             repr(f.total_score()), rotated])
+        for index, pred, w, gt in zip(indices, pred_frames, weights, gt_frames):
+            writer.writerow([index, repr(mpjpe([pred], [gt], TOTAL)),
+                             repr(mpjpe([pred], [gt], LOWER_BODY)),
+                             repr(float(sum(w.values())))])
 
 
 def summary(pred_frames, gt_frames, taus=(50.0, 100.0, 150.0)) -> dict:
@@ -99,7 +97,10 @@ def summary(pred_frames, gt_frames, taus=(50.0, 100.0, 150.0)) -> dict:
 
 
 def write_summary(pred_frames, gt_frames, path, taus=(50.0, 100.0, 150.0)):
-    table = summary(pred_frames, gt_frames, taus)
+    """Write the summary table as JSON; returns the text written, without
+    its final newline."""
+    text = json.dumps(summary(pred_frames, gt_frames, taus), indent=2,
+                      sort_keys=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(table, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
+    return text

@@ -94,7 +94,6 @@ class InitSettings:
 @dataclass(frozen=True)
 class PipelineConfig:
     lattice: LatticeConfig = field(default_factory=LatticeConfig)
-    ik: ik_mod.IkSettings = field(default_factory=ik_mod.IkSettings)
     filter: smooth_mod.FilterSpec = field(
         default_factory=lambda: smooth_mod.FilterSpec(cutoff_hz=5.0,
                                                       sample_rate_hz=60.0))
@@ -115,7 +114,7 @@ class PipelineConfig:
 
         Keys left out keep their default values.  An unknown key, or a value
         of the wrong type, raises ValueError naming its dotted path (e.g.
-        ``ik.max_iters``); every rebuilt section runs its own validation.
+        ``lattice.spacing``); every rebuilt section runs its own validation.
         """
         return _overlay(cls(), tree, "")
 
@@ -207,6 +206,10 @@ def _joint_keypoint_labels(model):
             if not isinstance(model.keypoint_map[lb], tuple)]
 
 
+# The joints that the hip, trunk and head rules of _identify_lengths name.
+TRUNK_JOINTS = ("r_hip", "l_hip", "waist", "chest", "neck", "head")
+
+
 def _identify_lengths(model, tri_frames):
     """Map median inter-keypoint distances onto the skeleton's links.
 
@@ -240,11 +243,11 @@ def _identify_lengths(model, tri_frames):
     return lengths
 
 
-def _fit_pose_to_points(model, points, q_init, settings):
+def _fit_pose_to_points(model, points, q_init):
     labels = [lb for lb in _joint_keypoint_labels(model) if lb in points]
     markers = VirtualMarkerSet(positions={lb: points[lb] for lb in labels},
                                weights={lb: 1.0 for lb in labels})
-    return ik_mod.solve(model, q_init, markers, settings)
+    return ik_mod.solve(model, q_init, markers)
 
 
 def _seed_pose(model, points):
@@ -264,8 +267,13 @@ def initialize(provider, rig: CameraRig, skeleton_template, config: PipelineConf
 
     Scans frames from 0 for a run of ``min_agreement_frames`` consecutive
     frames in which every keypoint triangulates with residual below the
-    threshold.  Returns (model, pose0, positions0, first_track_frame).
+    threshold.  Returns (model, pose0, positions0, first_track_frame).  A
+    template without all of ``TRUNK_JOINTS`` raises SkeletonError first.
     """
+    missing = [j for j in TRUNK_JOINTS if j not in skeleton_template.joint_index]
+    if missing:
+        raise sk.SkeletonError("skeleton template lacks joints that "
+                               "initialization needs: " + ", ".join(missing))
     settings = config.init
     run = []          # list of (frame_index, points dict)
     worst = {}
@@ -305,7 +313,7 @@ def initialize(provider, rig: CameraRig, skeleton_template, config: PipelineConf
                    if isinstance(model.keypoint_map[lb], tuple)]
     offsets = {lb: [] for lb in face_labels}
     for points in tri_frames:
-        q = _fit_pose_to_points(model, points, q, config.ik).q
+        q = _fit_pose_to_points(model, points, q).q
         pos, rot, _, _ = sk._frames(model, q)
         idx = model.joint_index
         for lb in face_labels:
@@ -319,8 +327,7 @@ def initialize(provider, rig: CameraRig, skeleton_template, config: PipelineConf
     model = sk.with_keypoint_offsets(model, med_offsets)
 
     last_frame, last_points = run[-1]
-    result = _fit_pose_to_points(model, last_points, q, config.ik)
-    pose0 = result.q
+    pose0 = _fit_pose_to_points(model, last_points, q).q
     positions0 = sk.forward_kinematics(model, pose0)
     return model, pose0, positions0, last_frame + 1
 
@@ -344,7 +351,7 @@ def track(provider, rig: CameraRig, model, pose0, config: PipelineConfig,
     frames = []
     for frame_index in frame_range:
         if cfg.rotation_enabled:
-            rotations = tracker_mod.plan_rotations(positions_prev, rig, cfg)
+            rotations = tracker_mod.plan_rotations(positions_prev, rig)
         else:
             rotations = {c.id: 0.0 for c in rig.cameras}
         try:
@@ -361,13 +368,13 @@ def track(provider, rig: CameraRig, model, pose0, config: PipelineConfig,
         if low_conf:
             log.debug("frame %s: low-confidence keypoints %s",
                       frame_index, low_conf)
-        result1 = ik_mod.solve(model, pose_prev, markers, config.ik)
+        result1 = ik_mod.solve(model, pose_prev, markers)
         q1 = result1.q
         if result1.no_evidence:
             log.info("frame %s: no PCM evidence, holding previous pose",
                      frame_index)
         positions1 = sk.forward_kinematics(model, q1)
-        q2, _ = smooth_mod.smooth_and_refit(model, q1, traj_filter, config.ik)
+        q2, _ = smooth_mod.smooth_and_refit(model, q1, traj_filter)
         positions2 = sk.forward_kinematics(model, q2)
         frames.append(FrameRecord(
             index=frame_index, time_s=frame_index / fps,
@@ -380,13 +387,13 @@ def track(provider, rig: CameraRig, model, pose0, config: PipelineConfig,
                           else positions1)
 
     if config.filter.mode == "offline" and frames:
-        _refit_offline(model, frames, config)
+        _refit_offline(model, frames, config.filter)
     return MotionSequence(frames=frames, sample_rate_hz=fps)
 
 
-def _refit_offline(model, frames, config):
+def _refit_offline(model, frames, spec):
     """Replace stage-2 output with a zero-phase (forward-backward) variant."""
-    coeffs = smooth_mod.design_biquad(config.filter)
+    coeffs = smooth_mod.design_biquad(spec)
     traj = np.stack([
         np.concatenate([f.positions_stage1[lb] for lb in KEYPOINTS])
         for f in frames])
@@ -394,7 +401,7 @@ def _refit_offline(model, frames, config):
     q_prev = frames[0].pose_stage1
     for f, row in zip(frames, smoothed):
         q_prev = smooth_mod.refit(
-            model, q_prev, dict(zip(KEYPOINTS, row.reshape(-1, 3))), config.ik)
+            model, q_prev, dict(zip(KEYPOINTS, row.reshape(-1, 3))))
         f.pose_stage2 = q_prev
         f.positions_stage2 = sk.forward_kinematics(model, q_prev)
 

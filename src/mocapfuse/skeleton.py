@@ -414,19 +414,22 @@ def save_skeleton(model: SkeletonModel, path):
 
 
 def load_skeleton(path) -> SkeletonModel:
-    """Model from a skeleton file; a missing key or an unknown parent raises
-    SkeletonError naming the file."""
+    """Model from a skeleton file; a missing key, an unknown parent or a value
+    of the wrong JSON type raises SkeletonError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     try:
         return _model_from_tree(payload)
     except KeyError as exc:
         raise SkeletonError(f"{path}: missing key {exc.args[0]!r}") from None
-    except SkeletonError as exc:
+    except (TypeError, ValueError, AttributeError) as exc:
         raise SkeletonError(f"{path}: {exc}") from None
 
 
 def _model_from_tree(payload) -> SkeletonModel:
+    if not isinstance(payload, dict):
+        raise SkeletonError(f"must be a JSON object, not a "
+                            f"{type(payload).__name__}")
     name_to_idx = {}
     joints = []
     for entry in payload["joints"]:

@@ -121,8 +121,7 @@ class TrajectoryFilter:
         return {lb: out[3 * i:3 * i + 3] for i, lb in enumerate(KEYPOINTS)}
 
 
-def smooth_and_refit(model, q_stage1, traj_filter: TrajectoryFilter,
-                     ik_settings: ik_mod.IkSettings):
+def smooth_and_refit(model, q_stage1, traj_filter: TrajectoryFilter):
     """Second-pass pose: filter the stage-1 keypoint positions, then re-solve
     IK against them with uniform weights.
 
@@ -132,13 +131,13 @@ def smooth_and_refit(model, q_stage1, traj_filter: TrajectoryFilter,
     """
     fk = sk.forward_kinematics(model, q_stage1)
     smoothed = traj_filter.step_positions(fk)
-    return refit(model, q_stage1, smoothed, ik_settings), smoothed
+    return refit(model, q_stage1, smoothed), smoothed
 
 
-def refit(model, q_init, positions: dict, ik_settings: ik_mod.IkSettings):
+def refit(model, q_init, positions: dict):
     """Stage-2 pose: IK warm-started at ``q_init`` against ``positions``
     (label -> (3,)) for every keypoint, all weighted 1."""
     markers = VirtualMarkerSet(
         positions={lb: positions[lb] for lb in KEYPOINTS},
         weights={lb: 1.0 for lb in KEYPOINTS})
-    return ik_mod.solve(model, q_init, markers, ik_settings).q
+    return ik_mod.solve(model, q_init, markers).q

@@ -29,12 +29,13 @@ from .labels import KEYPOINT_INDEX, KEYPOINTS, LOWER_BODY
 
 log = logging.getLogger("mocapfuse.tracker")
 
+TILT_THRESHOLD_DEG = 45.0   # |trunk tilt| from which a camera is rotated
+
 
 @dataclass(frozen=True)
 class LatticeConfig:
     s: float = 10.0                 # lattice unit distance, mm
     k: int = 3                      # half-extent; cube side is 2k+1
-    tilt_threshold_deg: float = 45.0
     rotation_enabled: bool = False
 
     def __post_init__(self):
@@ -42,8 +43,6 @@ class LatticeConfig:
             raise ValueError("lattice spacing s must be > 0")
         if self.k < 1:
             raise ValueError("lattice half-extent k must be >= 1")
-        if not (0.0 < self.tilt_threshold_deg < 180.0):
-            raise ValueError("tilt threshold must be in (0, 180) degrees")
 
 
 @dataclass
@@ -167,12 +166,12 @@ def trunk_tilt(neck_px, midhip_px) -> float:
     return angle
 
 
-def plan_rotations(positions, rig: CameraRig, cfg: LatticeConfig) -> dict:
+def plan_rotations(positions, rig: CameraRig) -> dict:
     """Per-camera image rotation (degrees, 1-degree quantized) for the next
     frame, from the current model's neck and hip-midpoint positions.
 
-    Cameras with |tilt| below the threshold, or where the trunk does not
-    project in front of the camera, get 0.
+    Cameras with |tilt| below ``TILT_THRESHOLD_DEG``, or where the trunk
+    does not project in front of the camera, get 0.
     """
     neck = np.asarray(positions["neck"], dtype=float)
     midhip = 0.5 * (np.asarray(positions["r_hip"], dtype=float)
@@ -191,7 +190,7 @@ def plan_rotations(positions, rig: CameraRig, cfg: LatticeConfig) -> dict:
                      camera.id)
             plan[camera.id] = 0.0
             continue
-        if abs(tilt) < cfg.tilt_threshold_deg:
+        if abs(tilt) < TILT_THRESHOLD_DEG:
             plan[camera.id] = 0.0
         else:
             plan[camera.id] = float(pcm_mod.quantize_rotation(tilt))

@@ -123,7 +123,7 @@ class TestHappyPath:
                 repr(metrics.mpjpe([positions[idx]], [gt[idx]])),
                 repr(metrics.mpjpe([positions[idx]], [gt[idx]],
                                    metrics.LOWER_BODY)),
-                repr(float(sum(weights[idx]))), "0"]))
+                repr(float(sum(weights[idx])))]))
         series = (tmp_path / "eval" / "series.csv").read_text()
         assert series.splitlines() == expected
 
@@ -289,15 +289,13 @@ class TestFlags:
                          "--skeleton", str(init_run / "skeleton.json"),
                          "--out", str(out), "--end-frame", "13", *extra])
 
-    def test_config_file_reaches_ik_and_lattice_center(self, dataset,
-                                                       init_run, tmp_path):
+    def test_config_file_reaches_lattice_center(self, dataset, init_run,
+                                                tmp_path):
         cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({"ik": {"max_iterations": 8},
-                                   "lattice_center": "stage1"}))
+        cfg.write_text(json.dumps({"lattice_center": "stage1"}))
         assert self.track(dataset, init_run, tmp_path / "run",
                           "--config", str(cfg)) == 0
         run = json.loads((tmp_path / "run" / "run.json").read_text())
-        assert run["config"]["ik"]["max_iterations"] == 8
         assert run["config"]["lattice_center"] == "stage1"
 
     def test_run_json_round_trips_through_config(self, dataset, init_run,
@@ -316,12 +314,35 @@ class TestFlags:
     def test_unknown_config_key_exits_one(self, dataset, init_run, tmp_path,
                                           capsys):
         cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({"ik": {"max_iters": 5}}))
+        cfg.write_text(json.dumps({"lattice": {"spacing": 5}}))
         assert self.track(dataset, init_run, tmp_path / "run",
                           "--config", str(cfg)) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "ik.max_iters" in err
+        assert err.startswith("error: ") and "lattice.spacing" in err
         assert not (tmp_path / "run").exists()
+
+    def test_older_run_json_with_ik_section_exits_one(self, dataset, init_run,
+                                                      tmp_path, capsys):
+        """A run.json written while the IK tolerances and the tilt threshold
+        were config values is refused until those keys are deleted."""
+        assert self.track(dataset, init_run, tmp_path / "first") == 0
+        run = json.loads((tmp_path / "first" / "run.json").read_text())
+        run["config"]["ik"] = {"max_iterations": 50, "step_tol": 1e-08,
+                               "residual_tol": 0.0001,
+                               "translation_scale": 500.0}
+        run["config"]["lattice"]["tilt_threshold_deg"] = 45.0
+        older = tmp_path / "older.json"
+        older.write_text(json.dumps(run, indent=2, sort_keys=True))
+        assert self.track(dataset, init_run, tmp_path / "second",
+                          "--config", str(older)) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: ValueError: unknown config key 'ik'"]
+        del run["config"]["ik"], run["config"]["lattice"]["tilt_threshold_deg"]
+        older.write_text(json.dumps(run))
+        assert self.track(dataset, init_run, tmp_path / "second",
+                          "--config", str(older)) == 0
+        assert (tmp_path / "second" / "run.json").read_bytes() == \
+            (tmp_path / "first" / "run.json").read_bytes()
 
 
 class TestUsageErrors:
@@ -355,6 +376,24 @@ class TestUsageErrors:
         with pytest.raises(SystemExit):
             cli.main(["synth", "--help"])
         assert "--seed" in capsys.readouterr().out
+
+    def test_tracking_flags_belong_to_track_only(self, capsys):
+        flags = {"--lattice-s": "12", "--lattice-k": "2", "--cutoff-hz": "8",
+                 "--rotation": "on", "--filter-mode": "offline"}
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["init", "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for flag in ("--config", "--calib", "--pcm-dir", "--out",
+                     "--skeleton"):
+            assert flag in out
+        for flag, value in flags.items():
+            assert flag not in out
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["init", "--calib", "c.json", "--pcm-dir", "p",
+                          "--out", "o", flag, value])
+            assert exc.value.code == 2
+            assert flag in capsys.readouterr().err
 
 
 class TestRuntimeErrors:
@@ -444,17 +483,19 @@ class TestRuntimeErrors:
         assert os.listdir(tmp_path / "old") == ["notes.txt"]
 
     @pytest.mark.parametrize("edit, named", [
-        (lambda tree: tree.pop("joints"), "missing key 'joints'"),
-        (lambda tree: tree["joints"][1].update(parent="zz"), "'zz'"),
-    ], ids=["missing_joints", "unknown_parent"])
+        (lambda tree: {k: v for k, v in tree.items() if k != "joints"},
+         "missing key 'joints'"),
+        (lambda tree: dict(tree, joints=[dict(j, parent="zz") if i == 1 else j
+                                         for i, j in enumerate(tree["joints"])]),
+         "'zz'"),
+        (lambda tree: [], "must be a JSON object, not a list"),
+    ], ids=["missing_joints", "unknown_parent", "top_level_list"])
     def test_bad_skeleton_file_exits_one(self, dataset, tmp_path, capsys,
                                          edit, named):
         root, data = dataset
         path = tmp_path / "skeleton.json"
         sk.save_skeleton(sk.human_skeleton(), path)
-        tree = json.loads(path.read_text())
-        edit(tree)
-        path.write_text(json.dumps(tree))
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
         rc = cli.main(["init", "--calib", str(data / "calib.json"),
                        "--pcm-dir", str(data / "pcm"),
                        "--skeleton", str(path),
@@ -463,6 +504,24 @@ class TestRuntimeErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: SkeletonError")
         assert str(path) in err[0] and named in err[0]
+        assert not (tmp_path / "out").exists()
+
+    def test_template_without_trunk_joint_exits_one(self, dataset, tmp_path,
+                                                    capsys):
+        """init --skeleton with a template that lacks a joint the length
+        rules name exits 1 with one line naming it."""
+        root, data = dataset
+        path = tmp_path / "skeleton.json"
+        sk.save_skeleton(sk.human_skeleton(), path)
+        path.write_text(path.read_text().replace('"waist"', '"spine"'))
+        rc = cli.main(["init", "--calib", str(data / "calib.json"),
+                       "--pcm-dir", str(data / "pcm"),
+                       "--skeleton", str(path),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: SkeletonError: skeleton template lacks joints that "
+            "initialization needs: waist"]
         assert not (tmp_path / "out").exists()
 
     def test_invalid_log_level_is_usage_error(self, tmp_path, capsys,

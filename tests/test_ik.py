@@ -48,7 +48,7 @@ class TestSettings:
         with pytest.raises(ValueError):
             ik.IkSettings(step_tol=0.0)
         with pytest.raises(ValueError):
-            ik.IkSettings(translation_scale=-1.0)
+            ik.IkSettings(residual_tol=-1.0)
 
 
 class TestObjective:

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from mocapfuse import metrics, pipeline, skeleton as sk
+from mocapfuse import metrics, skeleton as sk
 from mocapfuse.labels import KEYPOINTS
 
 
@@ -132,35 +132,27 @@ class TestSummary:
 
 
 class TestEmitSeries:
-    def make_sequence(self, frames):
-        dof = sk.human_skeleton().total_dof
-        records = []
-        for i, pos in enumerate(frames):
-            records.append(pipeline.FrameRecord(
-                index=i, time_s=i / 60.0,
-                pose_stage1=np.zeros(dof), pose_stage2=np.zeros(dof),
-                positions_stage1=pos, positions_stage2=pos,
-                weights={lb: 2.0 for lb in KEYPOINTS},
-                rotations={0: 0.0, 1: 180.0, 2: 0.0}))
-        return pipeline.MotionSequence(frames=records, sample_rate_hz=60.0)
+    def weights(self, n):
+        return [{lb: 2.0 for lb in KEYPOINTS} for _ in range(n)]
 
     def test_rows(self, rng, tmp_path):
         gt = pose_frames(3, rng)
         pred = offset_frames(gt, (5.0, 0.0, 0.0))
-        seq = self.make_sequence(pred)
         path = tmp_path / "series.csv"
-        metrics.emit_series(seq, gt, path)
+        metrics.emit_series([4, 5, 7], pred, self.weights(3), gt, path)
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
+        assert metrics.SERIES_HEADER == ["frame", "mpjpe_total",
+                                         "mpjpe_lowerbody", "pcm_score_total"]
         assert list(rows[0]) == metrics.SERIES_HEADER
-        assert len(rows) == 3
+        assert [row["frame"] for row in rows] == ["4", "5", "7"]
         for row in rows:
             assert float(row["mpjpe_total"]) == pytest.approx(5.0, abs=1e-12)
             assert float(row["pcm_score_total"]) == 36.0
-            assert row["rotated_cameras"] == "1"
 
     def test_length_mismatch(self, rng, tmp_path):
         gt = pose_frames(2, rng)
-        seq = self.make_sequence(offset_frames(gt, (0, 0, 0)))
+        pred = offset_frames(gt, (0, 0, 0))
         with pytest.raises(ValueError):
-            metrics.emit_series(seq, gt[:1], tmp_path / "x.csv")
+            metrics.emit_series([0, 1], pred, self.weights(2), gt[:1],
+                                tmp_path / "x.csv")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -154,6 +155,18 @@ class TestInitialize:
         with pytest.raises(InitializationError):
             initialize(still_provider, still_rig, sk.human_skeleton(), config)
 
+    def test_template_without_trunk_joint_fails_before_reading(
+            self, still_spec, still_rig):
+        human = sk.human_skeleton()
+        template = sk.SkeletonModel(joints=tuple(
+            dataclasses.replace(j, name="spine") if j.name == "waist" else j
+            for j in human.joints), keypoint_map=human.keypoint_map)
+        provider = CountingProvider(
+            synth.SyntheticProvider(still_spec, still_rig))
+        with pytest.raises(sk.SkeletonError, match="needs: waist$"):
+            initialize(provider, still_rig, template, PipelineConfig())
+        assert provider.calls == []
+
 
 class TestTrack:
     def test_positions_near_ground_truth_no_drift(self, still_spec, still_track):
@@ -289,10 +302,11 @@ class TestConfigTree:
         assert PipelineConfig.from_dict({}) == PipelineConfig()
 
     def test_unknown_key_names_its_path(self):
-        for tree, path in (({"ik": {"max_iters": 5}}, "ik.max_iters"),
+        for tree, path in (({"lattice": {"spacing": 5}}, "lattice.spacing"),
                            ({"lattice_centre": "stage1"}, "lattice_centre"),
-                           ({"ik": {"lambda_up": 10.0}}, "ik.lambda_up"),
-                           ({"ik": {"lambda0": 1e-3}}, "ik.lambda0"),
+                           ({"ik": {"max_iterations": 50}}, "ik"),
+                           ({"lattice": {"tilt_threshold_deg": 45.0}},
+                            "lattice.tilt_threshold_deg"),
                            ({"init": {"centroid_floor": 0.3}},
                             "init.centroid_floor"),
                            ({"init": {"max_search_frames": 120}},
@@ -314,11 +328,8 @@ class TestConfigTree:
 
         assert sorted(leaves(PipelineConfig().to_dict())) == [
             "filter.cutoff_hz", "filter.mode", "filter.sample_rate_hz",
-            "ik.max_iterations", "ik.residual_tol", "ik.step_tol",
-            "ik.translation_scale",
             "init.agreement_residual_mm", "init.min_agreement_frames",
             "lattice.k", "lattice.rotation_enabled", "lattice.s",
-            "lattice.tilt_threshold_deg",
             "lattice_center"]
 
     def test_values_are_checked(self):
@@ -327,8 +338,8 @@ class TestConfigTree:
                      {"filter": {"cutoff_hz": 30.0}},
                      {"lattice": {"k": 3.0}},          # wrong types
                      {"lattice": {"rotation_enabled": 1}},
-                     {"ik": {"max_iterations": "8"}},
-                     {"ik": 8},
+                     {"init": {"min_agreement_frames": "8"}},
+                     {"init": 8},
                      []):
             with pytest.raises(ValueError):
                 PipelineConfig.from_dict(tree)

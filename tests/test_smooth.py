@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from mocapfuse import ik, skeleton as sk, smooth
+from mocapfuse import skeleton as sk, smooth
 from mocapfuse.pipeline import PipelineConfig
 from mocapfuse.labels import KEYPOINTS
 
@@ -163,10 +163,9 @@ class TestSmoothAndRefit:
         q = rng.normal(0, 0.2, model.total_dof)
         q[model.dofs_of("pelvis")[:3]] = [0.0, 0.0, 1000.0]
         traj = self.make_filter()
-        settings = ik.IkSettings()
         q_prev = q
         for _ in range(5):
-            q_prev, _ = smooth.smooth_and_refit(model, q_prev, traj, settings)
+            q_prev, _ = smooth.smooth_and_refit(model, q_prev, traj)
         fk_in = sk.forward_kinematics(model, q)
         fk_out = sk.forward_kinematics(model, q_prev)
         for lb in KEYPOINTS:
@@ -176,7 +175,7 @@ class TestSmoothAndRefit:
         model = sk.human_skeleton()
         q = rng.normal(0, 0.2, model.total_dof)
         traj = self.make_filter()
-        q2, smoothed = smooth.smooth_and_refit(model, q, traj, ik.IkSettings())
+        q2, smoothed = smooth.smooth_and_refit(model, q, traj)
         fk = sk.forward_kinematics(model, q)
         for lb in KEYPOINTS:
             npt.assert_allclose(smoothed[lb], fk[lb], atol=1e-12)
@@ -184,7 +183,6 @@ class TestSmoothAndRefit:
     def test_link_lengths_invariant_under_motion(self, rng):
         model = sk.human_skeleton()
         traj = self.make_filter()
-        settings = ik.IkSettings()
         lengths = model.link_lengths()
         elbow, root_rx = model.dofs_of("r_elbow"), model.dofs_of("pelvis")[3]
         q = np.zeros(model.total_dof)
@@ -192,7 +190,7 @@ class TestSmoothAndRefit:
             q = q.copy()
             q[elbow] = 0.8 * math.sin(0.4 * frame)   # swing the right elbow
             q[root_rx] = 0.2 * math.sin(0.25 * frame)
-            q2, smoothed = smooth.smooth_and_refit(model, q, traj, settings)
+            q2, smoothed = smooth.smooth_and_refit(model, q, traj)
             fk = sk.forward_kinematics(model, q2)
             for joint in model.joints:
                 if joint.parent < 0:
@@ -206,13 +204,12 @@ class TestSmoothAndRefit:
         # would output) stretch the forearm while the elbow swings.
         model = sk.human_skeleton()
         traj = self.make_filter()
-        settings = ik.IkSettings()
         worst = 0.0
         forearm = model.link_lengths()["r_wrist"]
         for frame in range(60):
             q = np.zeros(model.total_dof)
             q[model.dofs_of("r_elbow")] = 1.2 * math.sin(0.5 * frame)
-            _, smoothed = smooth.smooth_and_refit(model, q, traj, settings)
+            _, smoothed = smooth.smooth_and_refit(model, q, traj)
             d = np.linalg.norm(smoothed["r_wrist"] - smoothed["r_elbow"])
             worst = max(worst, abs(d - forearm))
         assert worst > 1.0

@@ -86,8 +86,6 @@ class TestLatticeOffsets:
             LatticeConfig(s=0.0)
         with pytest.raises(ValueError):
             LatticeConfig(k=0)
-        with pytest.raises(ValueError):
-            LatticeConfig(tilt_threshold_deg=180.0)
 
 
 class TestLatticeSearch:
@@ -343,28 +341,26 @@ class TestPlanRotations:
         return sk.forward_kinematics(model, q)
 
     def test_upright_pose_plans_zero(self, still_spec, still_rig):
-        plan = plan_rotations(self.upright_positions(still_spec), still_rig,
-                              LatticeConfig())
+        plan = plan_rotations(self.upright_positions(still_spec), still_rig)
         assert set(plan) == {c.id for c in still_rig.cameras}
         assert all(a == 0.0 for a in plan.values())
 
     def test_inverted_pose_plans_half_turn(self, still_spec, still_rig):
         positions = self.pitched_positions(still_spec, math.pi)  # inversion
-        plan = plan_rotations(positions, still_rig, LatticeConfig())
+        plan = plan_rotations(positions, still_rig)
         for angle in plan.values():
             assert abs(angle) >= 170.0
 
     def test_below_threshold_plans_zero(self, still_spec, still_rig):
         positions = self.pitched_positions(still_spec, math.radians(30.0))
-        plan = plan_rotations(positions, still_rig, LatticeConfig())
+        plan = plan_rotations(positions, still_rig)
         assert all(a == 0.0 for a in plan.values())
 
     def test_trunk_behind_camera_plans_zero(self, still_spec):
         cam = Camera(id=0, width=64, height=48, fx=50.0, fy=50.0, cx=32.0,
                      cy=24.0, translation=(0.0, 0.0, -5000.0))
         rig = CameraRig(cameras=(cam,))
-        plan = plan_rotations(self.upright_positions(still_spec), rig,
-                              LatticeConfig())
+        plan = plan_rotations(self.upright_positions(still_spec), rig)
         assert plan == {0: 0.0}
 
     def test_degenerate_projection_plans_zero(self):
@@ -377,11 +373,11 @@ class TestPlanRotations:
         positions = {"neck": np.array([0.0, 0.0, 1500.0]),
                      "r_hip": np.array([0.0, 0.0, 1000.0]),
                      "l_hip": np.array([0.0, 0.0, 1000.0])}
-        plan = plan_rotations(positions, rig, LatticeConfig())
+        plan = plan_rotations(positions, rig)
         assert plan == {0: 0.0}
 
     def test_angles_are_quantized(self, still_spec, still_rig):
         positions = self.pitched_positions(still_spec, math.radians(123.456))
-        plan = plan_rotations(positions, still_rig, LatticeConfig())
+        plan = plan_rotations(positions, still_rig)
         for angle in plan.values():
             assert angle == float(int(angle))
