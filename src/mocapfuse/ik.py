@@ -4,6 +4,14 @@ Minimizes sum_n 1/2 * W_n * ||marker_n - FK_n(q)||^2 over the pose vector by
 Levenberg-Marquardt on the sqrt(W)-scaled stacked residuals.  Translation
 coordinates (mm) and rotation coordinates (radians) are conditioned by a
 fixed diagonal scaling (1 rad = ``TRANSLATION_SCALE`` mm).
+
+An anchored solve (``anchor`` > 0) minimizes the marker term plus
+rho/2 * ||(q - q_warm) / scale||^2, with rho = anchor * trace(H) / n of the
+first iteration's Gauss-Newton matrix H, so the few dofs the markers barely
+observe stay at the warm start instead of drifting along a flat valley.  It
+also stops once an accepted step lowers that objective by at most
+``RELATIVE_DECREASE_TOL`` of its value.  Tracking (stage 1 and the stage-2
+refit) passes ``ANCHOR``; every other solve is unanchored.
 """
 
 from __future__ import annotations
@@ -24,6 +32,10 @@ LAMBDA0 = 8.5e-4
 LAMBDA_UP = 10.0
 LAMBDA_DOWN = 10.0
 TRANSLATION_SCALE = 500.0   # mm per radian-equivalent unit
+# Anchor weight of the tracking solves, relative to the mean curvature of the
+# marker term, and the stop of an anchored solve.
+ANCHOR = 1e-3
+RELATIVE_DECREASE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -43,7 +55,7 @@ class IkSettings:
 @dataclass
 class IkResult:
     q: np.ndarray
-    residual: float        # final objective value, mm^2
+    residual: float        # final marker-fit objective (no anchor), mm^2
     converged: bool
     iterations: int = 0
     no_evidence: bool = False
@@ -67,13 +79,17 @@ def objective(model, q, markers: VirtualMarkerSet) -> float:
 
 
 def solve(model, q_init, markers: VirtualMarkerSet,
-          settings: IkSettings = IkSettings()) -> IkResult:
+          settings: IkSettings = IkSettings(), *, anchor=0.0) -> IkResult:
     """Fit the pose to the weighted markers, warm-started at ``q_init``.
 
+    With ``anchor`` > 0 the objective also holds the pose to ``q_init`` (see
+    the module docstring); ``residual`` is always the marker-fit objective.
     The accepted-step objective sequence is non-increasing; with all weights
     zero the warm start is returned untouched with ``no_evidence`` set.
     """
-    q = sk.check_pose(model, q_init).copy()
+    if not anchor >= 0.0:
+        raise ValueError("anchor must be >= 0")
+    q_warm = q = sk.check_pose(model, q_init).copy()
     labels = [lb for lb in _marker_labels(model, markers)
               if markers.weights.get(lb, 0.0) > 0.0]
     if not labels:
@@ -86,13 +102,15 @@ def solve(model, q_init, markers: VirtualMarkerSet,
 
     scale = np.where(model.dof_rotational, 1.0, TRANSLATION_SCALE)
     lam = LAMBDA0
-    # The objective equals 0.5 * |r|^2 for the sqrt-weighted residual stack.
+    # The marker fit equals 0.5 * |r|^2 for the sqrt-weighted residual stack;
+    # obj adds the anchor term, which is 0 at the warm start.
     r0 = residual(sk.keypoint_positions(model, q, labels))
-    obj = 0.5 * float(r0 @ r0)
+    fit = obj = 0.5 * float(r0 @ r0)
+    rho = 0.0
     converged = False
     eye = np.eye(model.total_dof)
     for iterations in range(1, settings.max_iterations + 1):
-        if obj <= settings.residual_tol:
+        if fit <= settings.residual_tol:
             converged = True
             break
         positions, jac = sk.fk_and_jacobians(model, q, labels)
@@ -103,6 +121,11 @@ def solve(model, q_init, markers: VirtualMarkerSet,
         Js = J * scale[None, :]
         H = Js.T @ Js
         g = Js.T @ r
+        if anchor:
+            if iterations == 1:
+                rho = anchor * float(np.trace(H)) / H.shape[0]
+            H = H + rho * eye
+            g = g - rho * (q - q_warm) / scale
         # Damping proportional to the mean curvature makes the iterates
         # invariant to a uniform rescaling of all marker weights.
         mu = max(float(np.trace(H)) / H.shape[0], 1e-30)
@@ -115,14 +138,18 @@ def solve(model, q_init, markers: VirtualMarkerSet,
                 continue
             q_new = q + scale * delta_u
             r_new = residual(sk.keypoint_positions(model, q_new, labels))
-            obj_new = 0.5 * float(r_new @ r_new)
+            fit_new = obj_new = 0.5 * float(r_new @ r_new)
+            if rho:
+                d = (q_new - q_warm) / scale
+                obj_new = fit_new + 0.5 * rho * float(d @ d)
             if np.isfinite(obj_new) and obj_new < obj:
                 step = float(np.linalg.norm(delta_u))
-                q, obj = q_new, obj_new
+                if step < settings.step_tol or (
+                        rho and obj - obj_new <= RELATIVE_DECREASE_TOL * obj):
+                    converged = True
+                q, fit, obj = q_new, fit_new, obj_new
                 lam = max(lam / LAMBDA_DOWN, 1e-12)
                 accepted = True
-                if step < settings.step_tol:
-                    converged = True
                 break
             lam *= LAMBDA_UP
         if not accepted or converged:
@@ -130,6 +157,6 @@ def solve(model, q_init, markers: VirtualMarkerSet,
                 converged = True   # damping exhausted: local minimum
             break
     else:
-        converged = obj <= settings.residual_tol
-    return IkResult(q=q, residual=obj, converged=converged,
+        converged = fit <= settings.residual_tol
+    return IkResult(q=q, residual=fit, converged=converged,
                     iterations=iterations)

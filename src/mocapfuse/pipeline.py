@@ -368,7 +368,7 @@ def track(provider, rig: CameraRig, model, pose0, config: PipelineConfig,
         if low_conf:
             log.debug("frame %s: low-confidence keypoints %s",
                       frame_index, low_conf)
-        result1 = ik_mod.solve(model, pose_prev, markers)
+        result1 = ik_mod.solve(model, pose_prev, markers, anchor=ik_mod.ANCHOR)
         q1 = result1.q
         if result1.no_evidence:
             log.info("frame %s: no PCM evidence, holding previous pose",

@@ -135,9 +135,9 @@ def smooth_and_refit(model, q_stage1, traj_filter: TrajectoryFilter):
 
 
 def refit(model, q_init, positions: dict):
-    """Stage-2 pose: IK warm-started at ``q_init`` against ``positions``
+    """Stage-2 pose: IK anchored at ``q_init`` against ``positions``
     (label -> (3,)) for every keypoint, all weighted 1."""
     markers = VirtualMarkerSet(
         positions={lb: positions[lb] for lb in KEYPOINTS},
         weights={lb: 1.0 for lb in KEYPOINTS})
-    return ik_mod.solve(model, q_init, markers).q
+    return ik_mod.solve(model, q_init, markers, anchor=ik_mod.ANCHOR).q

@@ -154,9 +154,10 @@ def ground_truth_positions(spec: SceneSpec, frame_index, model=None) -> dict:
 
 
 def _channel_rng(spec, camera_id, frame_index, rotation_key, channel):
-    # Independent, order-insensitive stream per rendered channel.
+    # Independent, order-insensitive stream per rendered channel; a negative
+    # angle draws the stream of the same angle in [0, 360).
     return np.random.default_rng(
-        (spec.seed, camera_id, frame_index, rotation_key, channel))
+        (spec.seed, camera_id, frame_index, rotation_key % 360, channel))
 
 
 def _splat(grid, center_hm, amplitude, sigma_hm):

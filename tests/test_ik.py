@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -150,7 +151,7 @@ class TestSolve:
 
     def test_weight_rescale_argmin_invariance(self, rng):
         model = planar_two_link()
-        for c in (0.1, 7.3):
+        for anchor, c in itertools.product((0.0, ik.ANCHOR), (0.1, 7.3)):
             for _ in range(10):
                 r = rng.uniform(150.0, 500.0)
                 phi = rng.uniform(-math.pi, math.pi)
@@ -159,11 +160,11 @@ class TestSolve:
                 a = ik.solve(model, q_init,
                              VirtualMarkerSet(positions={"tip": target},
                                               weights={"tip": 1.0}),
-                             tight_settings())
+                             tight_settings(), anchor=anchor)
                 b = ik.solve(model, q_init,
                              VirtualMarkerSet(positions={"tip": target},
                                               weights={"tip": c}),
-                             tight_settings())
+                             tight_settings(), anchor=anchor)
                 npt.assert_allclose(a.q, b.q, atol=1e-8)
 
     def test_full_skeleton_marker_fit(self, rng):
@@ -214,3 +215,88 @@ class TestGradient:
                          - ik.objective(model, qm, markers)) / (2 * eps)
             scale = max(1.0, np.abs(fd).max())
             assert np.abs(grad - fd).max() / scale <= 1e-5
+
+
+class TestAnchoredSolve:
+    LABELS = ("neck", "r_wrist", "l_wrist", "r_ankle", "l_ankle", "nose")
+
+    def weak_fit(self, rng):
+        """Six markers on a 34-dof body: several dofs are barely observed.
+        Returns the model, the markers and the pose they were taken at."""
+        model = sk.human_skeleton()
+        q_true = rng.normal(0, 0.4, model.total_dof)
+        fk = sk.forward_kinematics(model, q_true)
+        markers = VirtualMarkerSet(
+            positions={lb: fk[lb] + rng.normal(0, 5.0, 3)
+                       for lb in self.LABELS},
+            weights={lb: rng.uniform(0.5, 2.0) for lb in self.LABELS})
+        return model, markers, q_true
+
+    def anchor_weight(self, model, q_warm, markers):
+        """rho = ANCHOR * trace(H) / n of the Gauss-Newton matrix at the warm
+        start, in the scaled coordinates q / scale."""
+        scale = np.where(model.dof_rotational, 1.0, ik.TRANSLATION_SCALE)
+        _, jac = sk.fk_and_jacobians(model, q_warm, list(self.LABELS))
+        w = np.array([markers.weights[lb] for lb in self.LABELS])
+        trace_h = float(np.sum(w[:, None, None] * (jac * scale) ** 2))
+        return ik.ANCHOR * trace_h / model.total_dof, scale
+
+    def anchored_objective(self, model, q_warm, markers):
+        """The marker fit plus rho/2 * |(q - q_warm) / scale|^2."""
+        rho, scale = self.anchor_weight(model, q_warm, markers)
+
+        def total(q):
+            d = (q - q_warm) / scale
+            return ik.objective(model, q, markers) + 0.5 * rho * float(d @ d)
+        return total
+
+    def test_anchored_objective_never_increases(self, rng):
+        model, markers, _ = self.weak_fit(rng)
+        q0 = np.zeros(model.total_dof)
+        total = self.anchored_objective(model, q0, markers)
+        objs = [total(q0)]
+        for n in range(1, ik.IkSettings().max_iterations + 1):
+            result = ik.solve(model, q0, markers,
+                              ik.IkSettings(max_iterations=n), anchor=ik.ANCHOR)
+            objs.append(total(result.q))
+        assert objs[-1] < objs[0]
+        assert all(b <= a * (1 + 1e-12) for a, b in zip(objs, objs[1:]))
+
+    def test_stops_where_the_anchored_gradient_vanishes(self, rng):
+        for _ in range(5):
+            model, markers, q_true = self.weak_fit(rng)
+            q_warm = q_true + rng.normal(0, 0.05, model.total_dof)
+            rho, scale = self.anchor_weight(model, q_warm, markers)
+            observed = np.array([markers.positions[lb] for lb in self.LABELS])
+            w = np.array([markers.weights[lb] for lb in self.LABELS])
+
+            def gradient(q):
+                """Of the anchored objective, in scaled coordinates."""
+                positions, jac = sk.fk_and_jacobians(model, q,
+                                                     list(self.LABELS))
+                e = observed - positions
+                fit = -np.einsum("n,nk,nkd->d", w, e, jac) * scale
+                return fit + rho * (q - q_warm) / scale
+
+            result = ik.solve(model, q_warm, markers, anchor=ik.ANCHOR)
+            assert result.converged
+            assert (np.linalg.norm(gradient(result.q))
+                    < 1e-7 * np.linalg.norm(gradient(q_warm)))
+
+    def test_residual_is_the_marker_fit(self, rng):
+        model, markers, _ = self.weak_fit(rng)
+        q0 = np.zeros(model.total_dof)
+        result = ik.solve(model, q0, markers, anchor=ik.ANCHOR)
+        assert result.residual == pytest.approx(
+            ik.objective(model, result.q, markers), rel=1e-12)
+        # The anchor holds the pose back: it is not the unanchored fit.
+        free = ik.solve(model, q0, markers)
+        assert np.abs(result.q - free.q).max() > 1e-6
+
+    def test_negative_anchor_rejected(self):
+        model = planar_two_link()
+        markers = VirtualMarkerSet(positions={"tip": np.array([400.0, 0, 0])},
+                                   weights={"tip": 1.0})
+        for anchor in (-1e-3, math.nan):
+            with pytest.raises(ValueError):
+                ik.solve(model, np.zeros(2), markers, anchor=anchor)

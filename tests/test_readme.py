@@ -35,5 +35,5 @@ def test_stated_constants_match_the_code():
         assert actual == float(value), \
             f"{module}.{path} is {actual}, README says {value}"
     names = {f"{module}.{path}" for module, path, _ in stated}
-    assert {"ik.LAMBDA0", "ik.TRANSLATION_SCALE",
+    assert {"ik.LAMBDA0", "ik.TRANSLATION_SCALE", "ik.ANCHOR",
             "tracker.TILT_THRESHOLD_DEG"} <= names

@@ -201,6 +201,17 @@ class TestProvider:
         assert a.rotation_deg == b.rotation_deg == 12.0
         npt.assert_array_equal(a.channels, b.channels)
 
+    def test_negative_rotation_draws_the_noise_of_its_angle(self, still_rig):
+        noisy = small_scene(noise=synth.NoiseModel(
+            jitter_px=1.0, amplitude_std=0.2, false_peak_rate=0.5))
+        provider = synth.SyntheticProvider(noisy, still_rig, n_frames=5)
+        a = provider.get(0, 3, -30.0)
+        b = provider.get(0, 3, 330.0)
+        assert a.rotation_deg == -30.0
+        # The same image rotation and the same draws; only the rotation
+        # matrices of -30 and 330 degrees differ, in their last bits.
+        npt.assert_allclose(a.channels, b.channels, atol=1e-6)
+
     def test_provider_keeps_no_frames(self, still_spec, still_rig):
         provider = synth.SyntheticProvider(still_spec, still_rig, n_frames=5)
         frame = provider.get(0, 0)
