@@ -14,7 +14,7 @@ stage-1 positions.
 import numpy as np
 
 from mocapfuse import pipeline, skeleton as sk, smooth, synth
-from mocapfuse.labels import KEYPOINTS
+from mocapfuse.labels import KEYPOINT_INDEX, KEYPOINTS
 
 
 def main():
@@ -37,13 +37,13 @@ def main():
 
     worst_naive = 0.0
     worst_refit = 0.0
+    wrist, elbow = KEYPOINT_INDEX["r_wrist"], KEYPOINT_INDEX["r_elbow"]
     for f in seq.frames:
-        vec = np.concatenate([f.positions_stage1[lb] for lb in KEYPOINTS])
-        out = state.step(vec)
-        naive = {lb: out[3 * i:3 * i + 3] for i, lb in enumerate(KEYPOINTS)}
-        d_naive = np.linalg.norm(naive["r_wrist"] - naive["r_elbow"])
-        d_refit = np.linalg.norm(f.positions_stage2["r_wrist"]
-                                 - f.positions_stage2["r_elbow"])
+        # Rows of the (18, 3) position arrays are keypoints in KEYPOINTS order.
+        naive = state.step(f.positions_stage1.ravel()).reshape(-1, 3)
+        d_naive = np.linalg.norm(naive[wrist] - naive[elbow])
+        d_refit = np.linalg.norm(f.positions_stage2[wrist]
+                                 - f.positions_stage2[elbow])
         worst_naive = max(worst_naive, abs(d_naive - forearm))
         worst_refit = max(worst_refit, abs(d_refit - forearm))
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import skeleton as sk
+from .labels import KEYPOINTS
 from .tracker import VirtualMarkerSet
 
 # Levenberg-Marquardt damping: starts at LAMBDA0, is multiplied by LAMBDA_UP
@@ -61,21 +62,18 @@ class IkResult:
     no_evidence: bool = False
 
 
-def _marker_labels(model, markers: VirtualMarkerSet):
-    return [lb for lb in markers.positions if lb in model.keypoint_map]
+def _observed(markers: VirtualMarkerSet):
+    """The labels, positions and weights of the markers with weight > 0."""
+    rows = np.flatnonzero(markers.weights > 0.0)
+    return ([KEYPOINTS[i] for i in rows], markers.positions[rows],
+            markers.weights[rows])
 
 
 def objective(model, q, markers: VirtualMarkerSet) -> float:
     """The weighted squared marker-fit error at a pose (mm^2)."""
-    fk = sk.forward_kinematics(model, q)
-    total = 0.0
-    for label in _marker_labels(model, markers):
-        w = markers.weights.get(label, 0.0)
-        if w == 0.0:
-            continue
-        e = np.asarray(markers.positions[label], dtype=float) - fk[label]
-        total += 0.5 * w * float(e @ e)
-    return total
+    labels, observed, weights = _observed(markers)
+    e = observed - sk.keypoint_positions(model, q, labels)
+    return 0.5 * float(weights @ np.sum(e * e, axis=1))
 
 
 def solve(model, q_init, markers: VirtualMarkerSet,
@@ -90,12 +88,10 @@ def solve(model, q_init, markers: VirtualMarkerSet,
     if not anchor >= 0.0:
         raise ValueError("anchor must be >= 0")
     q_warm = q = sk.check_pose(model, q_init).copy()
-    labels = [lb for lb in _marker_labels(model, markers)
-              if markers.weights.get(lb, 0.0) > 0.0]
+    labels, observed, weights = _observed(markers)
     if not labels:
         return IkResult(q=q, residual=0.0, converged=False, no_evidence=True)
-    observed = np.array([markers.positions[lb] for lb in labels], dtype=float)
-    sqrt_w = np.sqrt([markers.weights[lb] for lb in labels])[:, None]
+    sqrt_w = np.sqrt(weights)[:, None]
 
     def residual(positions):
         return (sqrt_w * (observed - positions)).ravel()

@@ -144,20 +144,23 @@ def _overlay(default, tree, path):
 
 @dataclass
 class FrameRecord:
+    """One tracked frame; row i of its keypoint arrays is ``KEYPOINTS[i]``:
+    the stage positions (18, 3) mm, FK of the stage poses, the lattice
+    scores ``weights`` (18,) and their per-camera shares (18, n_c)."""
+
     index: int
     time_s: float
     pose_stage1: np.ndarray
     pose_stage2: np.ndarray
-    positions_stage1: dict
-    positions_stage2: dict
-    weights: dict
+    positions_stage1: np.ndarray
+    positions_stage2: np.ndarray
+    weights: np.ndarray
+    per_camera: np.ndarray
     rotations: dict                  # camera_id -> planned angle, deg
-    low_confidence: tuple = ()
-    per_camera: dict = field(default_factory=dict)   # label -> (n_c,) samples
-    lattice_offsets: dict = field(default_factory=dict)  # label -> (a, b, c)
+    lattice_offsets: dict            # label -> chosen (a, b, c), ints
 
     def total_score(self):
-        return float(sum(self.weights.values()))
+        return float(sum(self.weights))
 
 
 @dataclass
@@ -166,8 +169,9 @@ class MotionSequence:
     sample_rate_hz: float
 
     def positions(self, stage="stage2"):
+        """One label -> (3,) dict per frame, of ``stage`` 1 or 2."""
         key = "positions_" + stage
-        return [getattr(f, key) for f in self.frames]
+        return [dict(zip(KEYPOINTS, getattr(f, key))) for f in self.frames]
 
     def frame_indices(self):
         return [f.index for f in self.frames]
@@ -204,6 +208,14 @@ def _triangulated_keypoints(provider, rig, frame_index):
 def _joint_keypoint_labels(model):
     return [lb for lb in KEYPOINTS
             if not isinstance(model.keypoint_map[lb], tuple)]
+
+
+def _check_keypoints(model):
+    """SkeletonError naming every keypoint the model places nowhere."""
+    missing = [lb for lb in KEYPOINTS if lb not in model.keypoint_map]
+    if missing:
+        raise sk.SkeletonError("skeleton lacks keypoints: "
+                               + ", ".join(missing))
 
 
 # The joints that the hip, trunk and head rules of _identify_lengths name.
@@ -244,9 +256,11 @@ def _identify_lengths(model, tri_frames):
 
 
 def _fit_pose_to_points(model, points, q_init):
-    labels = [lb for lb in _joint_keypoint_labels(model) if lb in points]
-    markers = VirtualMarkerSet(positions={lb: points[lb] for lb in labels},
-                               weights={lb: 1.0 for lb in labels})
+    """IK fit to triangulated joint keypoints (face keypoints weigh 0)."""
+    joints = _joint_keypoint_labels(model)
+    markers = VirtualMarkerSet(
+        positions=np.stack([points[lb] for lb in KEYPOINTS]),
+        weights=np.array([float(lb in joints) for lb in KEYPOINTS]))
     return ik_mod.solve(model, q_init, markers)
 
 
@@ -268,12 +282,14 @@ def initialize(provider, rig: CameraRig, skeleton_template, config: PipelineConf
     Scans frames from 0 for a run of ``min_agreement_frames`` consecutive
     frames in which every keypoint triangulates with residual below the
     threshold.  Returns (model, pose0, positions0, first_track_frame).  A
-    template without all of ``TRUNK_JOINTS`` raises SkeletonError first.
+    template without all of ``TRUNK_JOINTS``, or one that places no
+    position for a keypoint, raises SkeletonError first.
     """
     missing = [j for j in TRUNK_JOINTS if j not in skeleton_template.joint_index]
     if missing:
         raise sk.SkeletonError("skeleton template lacks joints that "
                                "initialization needs: " + ", ".join(missing))
+    _check_keypoints(skeleton_template)
     settings = config.init
     run = []          # list of (frame_index, points dict)
     worst = {}
@@ -315,15 +331,11 @@ def initialize(provider, rig: CameraRig, skeleton_template, config: PipelineConf
     for points in tri_frames:
         q = _fit_pose_to_points(model, points, q).q
         pos, rot, _, _ = sk._frames(model, q)
-        idx = model.joint_index
         for lb in face_labels:
-            if lb not in points:
-                continue
-            jname = model.keypoint_map[lb][0]
-            ji = idx[jname]
+            ji = model.joint_index[model.keypoint_map[lb][0]]
             offsets[lb].append(rot[ji].T @ (points[lb] - pos[ji]))
     med_offsets = {lb: np.median(np.stack(v), axis=0)
-                   for lb, v in offsets.items() if v}
+                   for lb, v in offsets.items()}
     model = sk.with_keypoint_offsets(model, med_offsets)
 
     last_frame, last_points = run[-1]
@@ -341,13 +353,15 @@ def track(provider, rig: CameraRig, model, pose0, config: PipelineConfig,
 
     Each frame: plan per-camera rotations from the previous frame's output,
     lattice-search every keypoint, solve weighted IK (stage 1), then filter
-    and re-solve (stage 2).  Deterministic for identical inputs.
+    and re-solve (stage 2).  Deterministic for identical inputs.  A model
+    that places no position for a keypoint raises SkeletonError first.
     """
+    _check_keypoints(model)
     cfg = config.lattice
     fps = config.filter.sample_rate_hz
     traj_filter = smooth_mod.TrajectoryFilter(config.filter)
     pose_prev = sk.check_pose(model, pose0).copy()
-    positions_prev = sk.forward_kinematics(model, pose_prev)
+    positions_prev = sk.keypoint_positions(model, pose_prev, KEYPOINTS)
     frames = []
     for frame_index in frame_range:
         if cfg.rotation_enabled:
@@ -359,29 +373,26 @@ def track(provider, rig: CameraRig, model, pose0, config: PipelineConfig,
                 positions_prev, provider, rig, cfg, frame_index, rotations)
         except pcm_mod.FrameMissing as exc:
             raise pcm_mod.FrameMissing(f"frame {frame_index}: {exc}") from exc
-        weights = markers.weights
-        chosen = {lb: tuple(int(round(v)) for v in
-                            (markers.positions[lb] - positions_prev[lb]) / cfg.s)
-                  for lb in KEYPOINTS}
-        low_conf = tuple(lb for lb in KEYPOINTS
-                         if weights[lb] < LOW_CONFIDENCE_FRACTION * rig.n_c)
-        if low_conf:
-            log.debug("frame %s: low-confidence keypoints %s",
-                      frame_index, low_conf)
+        low = markers.weights < LOW_CONFIDENCE_FRACTION * rig.n_c
+        if low.any():
+            log.debug("frame %s: low-confidence keypoints %s", frame_index,
+                      tuple(lb for lb, flag in zip(KEYPOINTS, low) if flag))
         result1 = ik_mod.solve(model, pose_prev, markers, anchor=ik_mod.ANCHOR)
         q1 = result1.q
         if result1.no_evidence:
             log.info("frame %s: no PCM evidence, holding previous pose",
                      frame_index)
-        positions1 = sk.forward_kinematics(model, q1)
-        q2, _ = smooth_mod.smooth_and_refit(model, q1, traj_filter)
-        positions2 = sk.forward_kinematics(model, q2)
+        positions1 = sk.keypoint_positions(model, q1, KEYPOINTS)
+        q2, _ = smooth_mod.smooth_and_refit(model, q1, positions1, traj_filter)
+        positions2 = sk.keypoint_positions(model, q2, KEYPOINTS)
         frames.append(FrameRecord(
             index=frame_index, time_s=frame_index / fps,
             pose_stage1=q1, pose_stage2=q2,
             positions_stage1=positions1, positions_stage2=positions2,
-            weights=weights, rotations=rotations, low_confidence=low_conf,
-            per_camera=markers.per_camera, lattice_offsets=chosen))
+            weights=markers.weights, per_camera=markers.per_camera,
+            rotations=rotations,
+            lattice_offsets=dict(zip(KEYPOINTS,
+                                     map(tuple, markers.offsets.tolist())))))
         pose_prev = q2
         positions_prev = (positions2 if config.lattice_center == "stage2"
                           else positions1)
@@ -394,16 +405,13 @@ def track(provider, rig: CameraRig, model, pose0, config: PipelineConfig,
 def _refit_offline(model, frames, spec):
     """Replace stage-2 output with a zero-phase (forward-backward) variant."""
     coeffs = smooth_mod.design_biquad(spec)
-    traj = np.stack([
-        np.concatenate([f.positions_stage1[lb] for lb in KEYPOINTS])
-        for f in frames])
+    traj = np.stack([f.positions_stage1.ravel() for f in frames])
     smoothed = smooth_mod.filtfilt(coeffs, traj)
     q_prev = frames[0].pose_stage1
     for f, row in zip(frames, smoothed):
-        q_prev = smooth_mod.refit(
-            model, q_prev, dict(zip(KEYPOINTS, row.reshape(-1, 3))))
+        q_prev = smooth_mod.refit(model, q_prev, row.reshape(-1, 3))
         f.pose_stage2 = q_prev
-        f.positions_stage2 = sk.forward_kinematics(model, q_prev)
+        f.positions_stage2 = sk.keypoint_positions(model, q_prev, KEYPOINTS)
 
 
 # ---------------------------------------------------------------------------
@@ -417,12 +425,11 @@ def write_positions_csv(seq: MotionSequence, path):
         for f in seq.frames:
             for stage, positions in (("stage1", f.positions_stage1),
                                      ("stage2", f.positions_stage2)):
-                for label in KEYPOINTS:
-                    p = positions[label]
+                for label, p, w in zip(KEYPOINTS, positions, f.weights):
                     writer.writerow([f.index, repr(f.time_s), label,
                                      repr(float(p[0])), repr(float(p[1])),
-                                     repr(float(p[2])),
-                                     repr(float(f.weights[label])), stage])
+                                     repr(float(p[2])), repr(float(w)),
+                                     stage])
 
 
 def read_positions_csv(path, stage="stage2"):
@@ -471,18 +478,19 @@ def write_run_metadata(path, config: PipelineConfig, model, extra=None):
 
 
 def write_diagnostics_csv(seq: MotionSequence, rig: CameraRig, path):
-    """Per-frame, per-joint tracking diagnostics: chosen lattice offset,
-    marker weight and per-camera confidence samples."""
+    """Per-frame, per-keypoint tracking diagnostics: chosen lattice offset,
+    marker weight, low-confidence flag (weight below
+    ``LOW_CONFIDENCE_FRACTION`` times the camera count; IK still uses the
+    marker) and per-camera confidence samples."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         cam_cols = [f"sample_cam{c.id}" for c in rig.cameras]
         writer.writerow(["frame", "label", "a", "b", "c", "weight",
                          "low_confidence"] + cam_cols)
+        floor = LOW_CONFIDENCE_FRACTION * rig.n_c
         for f in seq.frames:
-            for label in KEYPOINTS:
-                off = f.lattice_offsets.get(label, ("", "", ""))
-                cams = f.per_camera.get(label, np.zeros(rig.n_c))
-                writer.writerow([f.index, label, off[0], off[1], off[2],
-                                 repr(float(f.weights[label])),
-                                 int(label in f.low_confidence)]
+            for label, w, cams in zip(KEYPOINTS, f.weights, f.per_camera):
+                a, b, c = f.lattice_offsets[label]
+                writer.writerow([f.index, label, a, b, c, repr(float(w)),
+                                 int(w < floor)]
                                 + [repr(float(v)) for v in cams])

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ik as ik_mod
-from . import skeleton as sk
 from .labels import KEYPOINTS
 from .tracker import VirtualMarkerSet
 
@@ -110,34 +109,29 @@ class TrajectoryFilter:
     """One biquad bank over all keypoint coordinates (18 x 3 channels)."""
 
     def __init__(self, spec: FilterSpec):
-        self.spec = spec
-        self.coeffs = design_biquad(spec)
-        self.state = FilterState(self.coeffs, 3 * len(KEYPOINTS))
+        self.state = FilterState(design_biquad(spec), 3 * len(KEYPOINTS))
 
-    def step_positions(self, positions: dict) -> dict:
-        flat = np.concatenate([np.asarray(positions[lb], dtype=float)
-                               for lb in KEYPOINTS])
-        out = self.state.step(flat)
-        return {lb: out[3 * i:3 * i + 3] for i, lb in enumerate(KEYPOINTS)}
+    def step_positions(self, positions):
+        """The filtered (18, 3) keypoint positions of the next frame."""
+        return self.state.step(np.ravel(positions)).reshape(-1, 3)
 
 
-def smooth_and_refit(model, q_stage1, traj_filter: TrajectoryFilter):
-    """Second-pass pose: filter the stage-1 keypoint positions, then re-solve
-    IK against them with uniform weights.
+def smooth_and_refit(model, q_stage1, positions_stage1,
+                     traj_filter: TrajectoryFilter):
+    """Second-pass pose: filter the stage-1 keypoint positions (18, 3), the
+    FK of ``q_stage1``, then re-solve IK against them with uniform weights.
 
-    Returns (q_stage2, smoothed positions dict).  FK of the result preserves
-    link lengths structurally, which is the point of re-solving instead of
-    keeping the filtered positions.
+    Returns (q_stage2, smoothed (18, 3) positions).  FK of the result
+    preserves link lengths structurally, which is the point of re-solving
+    instead of keeping the filtered positions.
     """
-    fk = sk.forward_kinematics(model, q_stage1)
-    smoothed = traj_filter.step_positions(fk)
+    smoothed = traj_filter.step_positions(positions_stage1)
     return refit(model, q_stage1, smoothed), smoothed
 
 
-def refit(model, q_init, positions: dict):
-    """Stage-2 pose: IK anchored at ``q_init`` against ``positions``
-    (label -> (3,)) for every keypoint, all weighted 1."""
-    markers = VirtualMarkerSet(
-        positions={lb: positions[lb] for lb in KEYPOINTS},
-        weights={lb: 1.0 for lb in KEYPOINTS})
+def refit(model, q_init, positions):
+    """Stage-2 pose: IK anchored at ``q_init`` against the (18, 3)
+    ``positions`` of every keypoint, all weighted 1."""
+    markers = VirtualMarkerSet(positions=positions,
+                               weights=np.ones(len(KEYPOINTS)))
     return ik_mod.solve(model, q_init, markers, anchor=ik_mod.ANCHOR).q

@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,11 +47,16 @@ class LatticeConfig:
 
 @dataclass
 class VirtualMarkerSet:
-    """Per-keypoint predicted 3D positions with confidence weights."""
+    """One frame's virtual markers, row i for ``KEYPOINTS[i]``: ``positions``
+    (18, 3) mm and ``weights`` (18,), where 0 means no evidence (IK leaves
+    that marker out).  A lattice search also fills ``per_camera`` (18, n_c),
+    each camera's sample at the chosen point, and ``offsets`` (18, 3), the
+    chosen integer lattice offsets (a, b, c)."""
 
-    positions: dict                     # label -> (3,) mm
-    weights: dict                       # label -> float >= 0
-    per_camera: dict = field(default_factory=dict)  # label -> (n_c,) samples
+    positions: np.ndarray
+    weights: np.ndarray
+    per_camera: np.ndarray = None
+    offsets: np.ndarray = None
 
 
 @functools.lru_cache(maxsize=None)
@@ -124,28 +129,23 @@ def lattice_search(prev_positions, provider, rig: CameraRig,
                    cfg: LatticeConfig, frame_index, rotations=None):
     """Best lattice point around the previous position of every keypoint.
 
-    Searches each label of ``prev_positions`` (in ``KEYPOINTS`` order) with
-    one ``score_points`` call and returns a VirtualMarkerSet: the chosen
-    point, its score (the IK weight) and its per-camera samples (n_c,).
-    Candidates are visited center-outward so a strict argmax realizes the
-    documented tie-break (smallest Chebyshev distance, then lexicographic
-    offset).
+    ``prev_positions`` is (18, 3), row i for ``KEYPOINTS[i]``; all rows are
+    searched with one ``score_points`` call.  Returns a VirtualMarkerSet of
+    the chosen points, their scores (the IK weights), per-camera samples
+    and lattice offsets.  Candidates are visited center-outward so a strict
+    argmax realizes the documented tie-break (smallest Chebyshev distance,
+    then lexicographic offset).
     """
-    labels = [lb for lb in KEYPOINTS if lb in prev_positions]
-    centers = np.stack([np.asarray(prev_positions[lb], dtype=float)
-                        for lb in labels])
     offsets = lattice_offsets(cfg.k)
-    candidates = centers[:, None, :] + cfg.s * offsets.astype(float)
-    scores, per_camera = score_points(candidates, labels, provider, rig,
+    candidates = prev_positions[:, None, :] + cfg.s * offsets.astype(float)
+    scores, per_camera = score_points(candidates, KEYPOINTS, provider, rig,
                                       frame_index, cfg, rotations)
-    rows = np.arange(len(labels))
+    rows = np.arange(len(KEYPOINTS))
     best = np.argmax(scores, axis=1)   # first max in tie-break order
-    chosen, weights = candidates[rows, best], scores[rows, best]
-    cams = per_camera[:, rows, best]
-    return VirtualMarkerSet(
-        positions={lb: chosen[i] for i, lb in enumerate(labels)},
-        weights={lb: float(weights[i]) for i, lb in enumerate(labels)},
-        per_camera={lb: cams[:, i] for i, lb in enumerate(labels)})
+    return VirtualMarkerSet(positions=candidates[rows, best],
+                            weights=scores[rows, best],
+                            per_camera=per_camera[:, rows, best].T,
+                            offsets=offsets[best])
 
 
 def trunk_tilt(neck_px, midhip_px) -> float:
@@ -168,14 +168,14 @@ def trunk_tilt(neck_px, midhip_px) -> float:
 
 def plan_rotations(positions, rig: CameraRig) -> dict:
     """Per-camera image rotation (degrees, 1-degree quantized) for the next
-    frame, from the current model's neck and hip-midpoint positions.
+    frame, from the neck and hip-midpoint rows of the (18, 3) ``positions``.
 
     Cameras with |tilt| below ``TILT_THRESHOLD_DEG``, or where the trunk
     does not project in front of the camera, get 0.
     """
-    neck = np.asarray(positions["neck"], dtype=float)
-    midhip = 0.5 * (np.asarray(positions["r_hip"], dtype=float)
-                    + np.asarray(positions["l_hip"], dtype=float))
+    neck = positions[KEYPOINT_INDEX["neck"]]
+    midhip = 0.5 * (positions[KEYPOINT_INDEX["r_hip"]]
+                    + positions[KEYPOINT_INDEX["l_hip"]])
     plan = {}
     for camera in rig.cameras:
         px, in_front = project_points(camera, np.stack([neck, midhip]))

@@ -4,6 +4,7 @@ import numpy as np
 
 from mocapfuse import pcm
 from mocapfuse.labels import KEYPOINT_INDEX, KEYPOINTS
+from mocapfuse.tracker import VirtualMarkerSet
 
 
 def gaussian_grid(h, w, cx, cy, sigma):
@@ -41,3 +42,18 @@ class DictProvider(pcm.PcmProvider):
                 raise pcm.FrameMissing(str(key))
             raise pcm.RotationUnavailable(str(key))
         return self.frames[key]
+
+
+def keypoint_rows(by_label):
+    """(18, 3) positions, row i for ``KEYPOINTS[i]``, from a label -> (3,)
+    dict such as an FK result; keypoints left out sit at the origin."""
+    return np.array([by_label.get(label, np.zeros(3)) for label in KEYPOINTS],
+                    dtype=float)
+
+
+def marker_set(positions, weights):
+    """A VirtualMarkerSet from label dicts; keypoints left out weigh 0."""
+    w = np.zeros(len(KEYPOINTS))
+    for label, v in weights.items():
+        w[KEYPOINT_INDEX[label]] = v
+    return VirtualMarkerSet(positions=keypoint_rows(positions), weights=w)

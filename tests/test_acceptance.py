@@ -12,18 +12,18 @@ import numpy.testing as npt
 import pytest
 
 from conftest import small_scene
-from helpers import DictProvider, frame_with_channel, gaussian_grid
+from helpers import DictProvider, frame_with_channel, gaussian_grid, marker_set
 from mocapfuse import cli, ik, metrics, pcm, pipeline, skeleton as sk, smooth, synth, tracker
 from mocapfuse.calib import (CameraRig, look_at_camera, pixel_to_ray,
                              project_points)
-from mocapfuse.labels import KEYPOINTS
-from mocapfuse.tracker import LatticeConfig, VirtualMarkerSet
+from mocapfuse.labels import KEYPOINT_INDEX, KEYPOINTS
+from mocapfuse.tracker import LatticeConfig
 
 from test_ik import planar_analytic, planar_two_link, tight_settings, wrap
 
 
 def run_mpjpe(seq, gt_by_index, group=metrics.TOTAL, stage="stage2"):
-    pred = [getattr(f, "positions_" + stage) for f in seq.frames]
+    pred = seq.positions(stage)
     gt = [gt_by_index[f.index] for f in seq.frames]
     return metrics.mpjpe(pred, gt, group), pred, gt
 
@@ -142,12 +142,15 @@ def test_acceptance_3_link_length_invariance_and_contrast(
         lengths = model.link_lengths()
         worst = 0.0
         for f in seq.frames:
+            # Joints that carry a keypoint are read from the output rows,
+            # the others from FK of the output pose.
+            points = sk.forward_kinematics(model, f.pose_stage2)
+            points.update(zip(KEYPOINTS, f.positions_stage2))
             for joint in model.joints:
                 if joint.parent < 0:
                     continue
                 parent = model.joints[joint.parent].name
-                d = np.linalg.norm(f.positions_stage2[joint.name]
-                                   - f.positions_stage2[parent])
+                d = np.linalg.norm(points[joint.name] - points[parent])
                 worst = max(worst, abs(d - lengths[joint.name])
                             / lengths[joint.name])
         assert worst <= 1e-9
@@ -167,10 +170,9 @@ def test_acceptance_3_link_length_invariance_and_contrast(
     forearm = model.link_lengths()["r_wrist"]
     naive_worst = 0.0
     for f in seq.frames:
-        vec = np.concatenate([f.positions_stage1[lb] for lb in KEYPOINTS])
-        out = state.step(vec)
-        naive = {lb: out[3 * i:3 * i + 3] for i, lb in enumerate(KEYPOINTS)}
-        d = np.linalg.norm(naive["r_wrist"] - naive["r_elbow"])
+        naive = state.step(f.positions_stage1.ravel()).reshape(-1, 3)
+        d = np.linalg.norm(naive[KEYPOINT_INDEX["r_wrist"]]
+                           - naive[KEYPOINT_INDEX["r_elbow"]])
         naive_worst = max(naive_worst, abs(d - forearm))
     assert naive_worst > 1.0
     print(f"acceptance 3 PASS: worst relative link deviation {worst:.2e}; "
@@ -186,8 +188,8 @@ def test_acceptance_4_ik_correctness(rng):
         r = rng.uniform(120.0, 520.0)
         phi = rng.uniform(-math.pi, math.pi)
         target = np.array([r * math.cos(phi), r * math.sin(phi), 0.0])
-        markers = VirtualMarkerSet(positions={"tip": target},
-                                   weights={"tip": 1.0})
+        markers = marker_set(positions={"r_wrist": target},
+                             weights={"r_wrist": 1.0})
         result = ik.solve(model, rng.normal(0, 0.2, 2), markers,
                           tight_settings())
         best = min(
@@ -204,14 +206,15 @@ def test_acceptance_4_ik_correctness(rng):
         q = rng.normal(0, 0.4, human.total_dof)
         labels = ("neck", "r_wrist", "l_wrist", "r_ankle", "l_ankle", "nose")
         fk = sk.forward_kinematics(human, q)
-        markers = VirtualMarkerSet(
+        markers = marker_set(
             positions={lb: fk[lb] + rng.normal(0, 30.0, 3) for lb in labels},
             weights={lb: rng.uniform(0.2, 2.0) for lb in labels})
         pos, jac = sk.fk_and_jacobians(human, q, list(labels))
         grad = np.zeros(human.total_dof)
         for i, lb in enumerate(labels):
-            grad -= markers.weights[lb] * (jac[i].T
-                                           @ (markers.positions[lb] - pos[i]))
+            row = KEYPOINT_INDEX[lb]
+            grad -= markers.weights[row] * (jac[i].T
+                                            @ (markers.positions[row] - pos[i]))
         fd = np.zeros(human.total_dof)
         for i in range(human.total_dof):
             qp, qm = q.copy(), q.copy()
@@ -232,12 +235,12 @@ def test_acceptance_4_ik_correctness(rng):
             target = np.array([r * math.cos(phi), r * math.sin(phi), 0.0])
             q_init = rng.normal(0, 0.1, 2)
             a = ik.solve(model, q_init,
-                         VirtualMarkerSet(positions={"tip": target},
-                                          weights={"tip": 1.0}),
+                         marker_set(positions={"r_wrist": target},
+                                    weights={"r_wrist": 1.0}),
                          tight_settings())
             b = ik.solve(model, q_init,
-                         VirtualMarkerSet(positions={"tip": target},
-                                          weights={"tip": c}),
+                         marker_set(positions={"r_wrist": target},
+                                    weights={"r_wrist": c}),
                          tight_settings())
             worst_rescale = max(worst_rescale, np.abs(a.q - b.q).max())
     assert worst_rescale <= 1e-8
@@ -308,12 +311,16 @@ def test_acceptance_5_lattice_search_oracle(rng):
                 camera_id=camera.id)
         provider = DictProvider(frames)
         cfg = LatticeConfig(s=s, k=k)
-        markers = tracker.lattice_search({label: center}, provider, rig, cfg,
-                                         0)
-        p, score = markers.positions[label], markers.weights[label]
+        # Every keypoint is searched around the center; only ``label``'s
+        # channel holds evidence.
+        markers = tracker.lattice_search(np.tile(center, (len(KEYPOINTS), 1)),
+                                         provider, rig, cfg, 0)
+        row = KEYPOINT_INDEX[label]
+        p, score = markers.positions[row], markers.weights[row]
         o_score, o_off, o_p = exhaustive_lattice_oracle(center, label,
                                                         provider, rig, s, k)
         npt.assert_allclose(p, o_p, atol=1e-9)
+        assert tuple(markers.offsets[row]) == o_off
         assert score == pytest.approx(o_score, abs=1e-12)
         if case_index % 10 == 0:
             npt.assert_allclose(p, center, atol=0.0)

@@ -524,6 +524,46 @@ class TestRuntimeErrors:
             "initialization needs: waist"]
         assert not (tmp_path / "out").exists()
 
+    def write_without_keypoint(self, source, path, label):
+        tree = json.loads(source.read_text())
+        del tree["keypoints"][label]
+        path.write_text(json.dumps(tree))
+
+    def test_template_without_keypoint_exits_one(self, dataset, tmp_path,
+                                                 capsys):
+        """init --skeleton with a template that places no l_ear exits 1
+        with one line naming it, before it reads a PCM frame."""
+        root, data = dataset
+        path = tmp_path / "skeleton.json"
+        sk.save_skeleton(sk.human_skeleton(), tmp_path / "full.json")
+        self.write_without_keypoint(tmp_path / "full.json", path, "l_ear")
+        rc = cli.main(["init", "--calib", str(data / "calib.json"),
+                       "--pcm-dir", str(data / "pcm"),
+                       "--skeleton", str(path),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: SkeletonError: skeleton lacks keypoints: l_ear"]
+        assert not (tmp_path / "out").exists()
+
+    def test_track_with_skeleton_without_keypoint_exits_one(
+            self, dataset, init_run, tmp_path, capsys):
+        """track --skeleton with a file that places no l_knee exits 1 with
+        one line naming it, instead of tracking without that marker."""
+        root, data = dataset
+        path = tmp_path / "skeleton.json"
+        self.write_without_keypoint(init_run / "skeleton.json", path,
+                                    "l_knee")
+        rc = cli.main(["track", "--calib", str(data / "calib.json"),
+                       "--pcm-dir", str(data / "pcm"),
+                       "--skeleton", str(path),
+                       "--init-state", str(init_run / "init_state.json"),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: SkeletonError: skeleton lacks keypoints: l_knee"]
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_log_level_is_usage_error(self, tmp_path, capsys,
                                               monkeypatch):
         monkeypatch.setenv("MOCAPFUSE_LOG", "verbose")

@@ -5,7 +5,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from helpers import marker_set
 from mocapfuse import ik, skeleton as sk
+from mocapfuse.labels import KEYPOINT_INDEX
 from mocapfuse.tracker import VirtualMarkerSet
 
 
@@ -15,7 +17,7 @@ def planar_two_link(l1=300.0, l2=250.0):
         sk.Joint("mid", 0, (1, 0, 0), l1, ("rz",)),
         sk.Joint("tip", 1, (1, 0, 0), l2, ()),
     )
-    return sk.SkeletonModel(joints=joints, keypoint_map={"tip": "tip"})
+    return sk.SkeletonModel(joints=joints, keypoint_map={"r_wrist": "tip"})
 
 
 def planar_analytic(target, l1=300.0, l2=250.0):
@@ -57,15 +59,15 @@ class TestObjective:
         model = sk.human_skeleton()
         q = rng.normal(0, 0.3, model.total_dof)
         fk = sk.forward_kinematics(model, q)
-        markers = VirtualMarkerSet(positions={lb: fk[lb] for lb in ("neck", "r_wrist")},
-                                   weights={"neck": 1.0, "r_wrist": 2.0})
+        markers = marker_set(positions={lb: fk[lb] for lb in ("neck", "r_wrist")},
+                             weights={"neck": 1.0, "r_wrist": 2.0})
         assert ik.objective(model, q, markers) == 0.0
 
     def test_single_offset_marker_arithmetic(self):
         model = sk.human_skeleton()
         q = np.zeros(model.total_dof)
         fk = sk.forward_kinematics(model, q)
-        markers = VirtualMarkerSet(
+        markers = marker_set(
             positions={"r_wrist": fk["r_wrist"] + np.array([10.0, 0.0, 0.0])},
             weights={"r_wrist": 2.0})
         assert ik.objective(model, q, markers) == pytest.approx(100.0)
@@ -74,11 +76,10 @@ class TestObjective:
         model = sk.human_skeleton()
         q = rng.normal(0, 0.2, model.total_dof)
         fk = sk.forward_kinematics(model, np.zeros(model.total_dof))
-        markers = VirtualMarkerSet(positions={lb: fk[lb] for lb in ("neck", "nose")},
-                                   weights={"neck": 1.0, "nose": 0.5})
+        markers = marker_set(positions={lb: fk[lb] for lb in ("neck", "nose")},
+                             weights={"neck": 1.0, "nose": 0.5})
         scaled = VirtualMarkerSet(positions=markers.positions,
-                                  weights={k: 3.0 * v
-                                           for k, v in markers.weights.items()})
+                                  weights=3.0 * markers.weights)
         a = ik.objective(model, q, markers)
         b = ik.objective(model, q, scaled)
         assert b == pytest.approx(3.0 * a, rel=1e-12)
@@ -89,7 +90,7 @@ class TestSolve:
         model = sk.human_skeleton()
         q0 = rng.normal(0, 0.2, model.total_dof)
         fk = sk.forward_kinematics(model, q0)
-        markers = VirtualMarkerSet(
+        markers = marker_set(
             positions={lb: fk[lb] for lb in ("neck", "r_wrist", "l_ankle")},
             weights={"neck": 1.0, "r_wrist": 0.5, "l_ankle": 2.0})
         result = ik.solve(model, q0, markers)
@@ -103,8 +104,8 @@ class TestSolve:
             r = rng.uniform(120.0, 520.0)
             phi = rng.uniform(-math.pi, math.pi)
             target = np.array([r * math.cos(phi), r * math.sin(phi), 0.0])
-            markers = VirtualMarkerSet(positions={"tip": target},
-                                       weights={"tip": 1.0})
+            markers = marker_set(positions={"r_wrist": target},
+                                 weights={"r_wrist": 1.0})
             q_init = rng.normal(0, 0.2, 2)
             result = ik.solve(model, q_init, markers, tight_settings())
             best = min(
@@ -117,7 +118,7 @@ class TestSolve:
         fk = sk.forward_kinematics(model, np.zeros(model.total_dof))
         target = fk["r_wrist"] + np.array([40.0, 10.0, -20.0])
         for junk in (fk["l_wrist"], fk["l_wrist"] + 500.0):
-            markers = VirtualMarkerSet(
+            markers = marker_set(
                 positions={"r_wrist": target, "l_wrist": junk},
                 weights={"r_wrist": 1.0, "l_wrist": 0.0})
             result = ik.solve(model, np.zeros(model.total_dof), markers)
@@ -128,8 +129,8 @@ class TestSolve:
     def test_all_zero_weights_flag_no_evidence(self):
         model = sk.human_skeleton()
         q0 = np.full(model.total_dof, 0.1)
-        markers = VirtualMarkerSet(positions={"neck": np.zeros(3)},
-                                   weights={"neck": 0.0})
+        markers = marker_set(positions={"neck": np.zeros(3)},
+                             weights={"neck": 0.0})
         result = ik.solve(model, q0, markers)
         assert result.no_evidence and not result.converged
         npt.assert_array_equal(result.q, q0)
@@ -139,7 +140,7 @@ class TestSolve:
         q_true = rng.normal(0, 0.4, model.total_dof)
         fk = sk.forward_kinematics(model, q_true)
         labels = ("neck", "r_wrist", "l_wrist", "r_ankle", "l_ankle", "nose")
-        markers = VirtualMarkerSet(
+        markers = marker_set(
             positions={lb: fk[lb] for lb in labels},
             weights={lb: 1.0 for lb in labels})
         objs = [ik.objective(model, np.zeros(model.total_dof), markers)]
@@ -158,12 +159,12 @@ class TestSolve:
                 target = np.array([r * math.cos(phi), r * math.sin(phi), 0.0])
                 q_init = rng.normal(0, 0.1, 2)
                 a = ik.solve(model, q_init,
-                             VirtualMarkerSet(positions={"tip": target},
-                                              weights={"tip": 1.0}),
+                             marker_set(positions={"r_wrist": target},
+                                        weights={"r_wrist": 1.0}),
                              tight_settings(), anchor=anchor)
                 b = ik.solve(model, q_init,
-                             VirtualMarkerSet(positions={"tip": target},
-                                              weights={"tip": c}),
+                             marker_set(positions={"r_wrist": target},
+                                        weights={"r_wrist": c}),
                              tight_settings(), anchor=anchor)
                 npt.assert_allclose(a.q, b.q, atol=1e-8)
 
@@ -173,8 +174,8 @@ class TestSolve:
         q_true[model.dofs_of("pelvis")[:3]] = [50.0, -30.0, 1000.0]
         fk = sk.forward_kinematics(model, q_true)
         labels = [lb for lb in fk if lb in model.keypoint_map]
-        markers = VirtualMarkerSet(positions={lb: fk[lb] for lb in labels},
-                                   weights={lb: 1.0 for lb in labels})
+        markers = marker_set(positions={lb: fk[lb] for lb in labels},
+                             weights={lb: 1.0 for lb in labels})
         q_init = q_true + rng.normal(0, 0.05, model.total_dof)
         result = ik.solve(model, q_init, markers, tight_settings())
         out = sk.forward_kinematics(model, result.q)
@@ -183,7 +184,7 @@ class TestSolve:
 
     def test_non_finite_marker_rejected(self):
         model = sk.human_skeleton()
-        markers = VirtualMarkerSet(
+        markers = marker_set(
             positions={"neck": np.array([np.nan, 0.0, 0.0])},
             weights={"neck": 1.0})
         with pytest.raises(FloatingPointError):
@@ -198,14 +199,15 @@ class TestGradient:
             q = rng.normal(0, 0.4, model.total_dof)
             labels = ("neck", "r_wrist", "l_ankle", "nose")
             fk = sk.forward_kinematics(model, q)
-            markers = VirtualMarkerSet(
+            markers = marker_set(
                 positions={lb: fk[lb] + rng.normal(0, 30.0, 3) for lb in labels},
                 weights={lb: rng.uniform(0.2, 2.0) for lb in labels})
             pos, jac = sk.fk_and_jacobians(model, q, list(labels))
             grad = np.zeros(model.total_dof)
             for i, lb in enumerate(labels):
-                e = markers.positions[lb] - pos[i]
-                grad -= markers.weights[lb] * (jac[i].T @ e)
+                row = KEYPOINT_INDEX[lb]
+                e = markers.positions[row] - pos[i]
+                grad -= markers.weights[row] * (jac[i].T @ e)
             fd = np.zeros(model.total_dof)
             for i in range(model.total_dof):
                 qp, qm = q.copy(), q.copy()
@@ -219,6 +221,7 @@ class TestGradient:
 
 class TestAnchoredSolve:
     LABELS = ("neck", "r_wrist", "l_wrist", "r_ankle", "l_ankle", "nose")
+    ROWS = [KEYPOINT_INDEX[lb] for lb in LABELS]
 
     def weak_fit(self, rng):
         """Six markers on a 34-dof body: several dofs are barely observed.
@@ -226,7 +229,7 @@ class TestAnchoredSolve:
         model = sk.human_skeleton()
         q_true = rng.normal(0, 0.4, model.total_dof)
         fk = sk.forward_kinematics(model, q_true)
-        markers = VirtualMarkerSet(
+        markers = marker_set(
             positions={lb: fk[lb] + rng.normal(0, 5.0, 3)
                        for lb in self.LABELS},
             weights={lb: rng.uniform(0.5, 2.0) for lb in self.LABELS})
@@ -237,7 +240,7 @@ class TestAnchoredSolve:
         start, in the scaled coordinates q / scale."""
         scale = np.where(model.dof_rotational, 1.0, ik.TRANSLATION_SCALE)
         _, jac = sk.fk_and_jacobians(model, q_warm, list(self.LABELS))
-        w = np.array([markers.weights[lb] for lb in self.LABELS])
+        w = markers.weights[self.ROWS]
         trace_h = float(np.sum(w[:, None, None] * (jac * scale) ** 2))
         return ik.ANCHOR * trace_h / model.total_dof, scale
 
@@ -267,8 +270,8 @@ class TestAnchoredSolve:
             model, markers, q_true = self.weak_fit(rng)
             q_warm = q_true + rng.normal(0, 0.05, model.total_dof)
             rho, scale = self.anchor_weight(model, q_warm, markers)
-            observed = np.array([markers.positions[lb] for lb in self.LABELS])
-            w = np.array([markers.weights[lb] for lb in self.LABELS])
+            observed = markers.positions[self.ROWS]
+            w = markers.weights[self.ROWS]
 
             def gradient(q):
                 """Of the anchored objective, in scaled coordinates."""
@@ -295,8 +298,8 @@ class TestAnchoredSolve:
 
     def test_negative_anchor_rejected(self):
         model = planar_two_link()
-        markers = VirtualMarkerSet(positions={"tip": np.array([400.0, 0, 0])},
-                                   weights={"tip": 1.0})
+        markers = marker_set(positions={"r_wrist": np.array([400.0, 0, 0])},
+                             weights={"r_wrist": 1.0})
         for anchor in (-1e-3, math.nan):
             with pytest.raises(ValueError):
                 ik.solve(model, np.zeros(2), markers, anchor=anchor)

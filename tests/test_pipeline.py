@@ -1,5 +1,8 @@
+import csv
 import dataclasses
+import gc
 import json
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -122,6 +125,11 @@ def still_track(still_provider, still_rig, still_init):
                         range(first, first + 40))
 
 
+def without_keypoints(model, *labels):
+    return sk.SkeletonModel(joints=model.joints, keypoint_map={
+        lb: ref for lb, ref in model.keypoint_map.items() if lb not in labels})
+
+
 class TestInitialize:
     def test_link_lengths_near_ground_truth(self, still_spec, still_init):
         model, pose0, positions0, first = still_init
@@ -167,40 +175,52 @@ class TestInitialize:
             initialize(provider, still_rig, template, PipelineConfig())
         assert provider.calls == []
 
+    def test_template_without_keypoint_fails_before_reading(
+            self, still_spec, still_rig):
+        template = without_keypoints(sk.human_skeleton(), "l_ear", "nose")
+        provider = CountingProvider(
+            synth.SyntheticProvider(still_spec, still_rig))
+        with pytest.raises(sk.SkeletonError,
+                           match="lacks keypoints: nose, l_ear$"):
+            initialize(provider, still_rig, template, PipelineConfig())
+        assert provider.calls == []
+
 
 class TestTrack:
     def test_positions_near_ground_truth_no_drift(self, still_spec, still_track):
         model, seq = still_track
         gt = synth.ground_truth_positions(still_spec, 0)
         for frame in seq.frames[5:]:
-            for lb in KEYPOINTS:
-                assert np.linalg.norm(frame.positions_stage2[lb] - gt[lb]) < 12.0
+            for i, lb in enumerate(KEYPOINTS):
+                assert np.linalg.norm(frame.positions_stage2[i] - gt[lb]) < 12.0
         late, mid = seq.frames[-1], seq.frames[len(seq.frames) // 2]
-        for lb in KEYPOINTS:
-            npt.assert_allclose(late.positions_stage2[lb],
-                                mid.positions_stage2[lb], atol=1e-6)
+        for i in range(len(KEYPOINTS)):
+            npt.assert_allclose(late.positions_stage2[i],
+                                mid.positions_stage2[i], atol=1e-6)
 
     def test_fk_consistency_both_stages(self, still_track):
         model, seq = still_track
         for frame in seq.frames[::7]:
             fk1 = sk.forward_kinematics(model, frame.pose_stage1)
             fk2 = sk.forward_kinematics(model, frame.pose_stage2)
-            for lb in KEYPOINTS:
-                npt.assert_allclose(frame.positions_stage1[lb], fk1[lb],
+            for i, lb in enumerate(KEYPOINTS):
+                npt.assert_allclose(frame.positions_stage1[i], fk1[lb],
                                     atol=1e-9)
-                npt.assert_allclose(frame.positions_stage2[lb], fk2[lb],
+                npt.assert_allclose(frame.positions_stage2[i], fk2[lb],
                                     atol=1e-9)
 
     def test_frame_record_metadata(self, still_track, still_rig):
         model, seq = still_track
         frame = seq.frames[0]
-        assert set(frame.weights) == set(KEYPOINTS)
+        assert frame.weights.shape == (len(KEYPOINTS),)
         assert set(frame.rotations) == {c.id for c in still_rig.cameras}
-        assert all(len(v) == still_rig.n_c for v in frame.per_camera.values())
+        assert frame.per_camera.shape == (len(KEYPOINTS), still_rig.n_c)
+        assert list(frame.lattice_offsets) == list(KEYPOINTS)
         for off in frame.lattice_offsets.values():
             assert all(isinstance(v, int) for v in off)
 
-    def test_evidence_loss_freezes_pose(self, still_spec, still_rig, still_init):
+    def test_evidence_loss_freezes_pose(self, still_spec, still_rig, still_init,
+                                        tmp_path):
         model, pose0, _, first = still_init
         provider = synth.SyntheticProvider(still_spec, still_rig, n_frames=200)
         cutoff = first + 10
@@ -209,12 +229,30 @@ class TestTrack:
         seq = track(masked, still_rig, model, pose0, PipelineConfig(),
                     range(first, cutoff + 15))
         dark = [f for f in seq.frames if f.index >= cutoff]
+        path = tmp_path / "diagnostics.csv"
+        pipeline.write_diagnostics_csv(seq, still_rig, path)
+        with open(path, newline="") as fh:
+            flagged = {(int(row["frame"]), row["label"])
+                       for row in csv.DictReader(fh)
+                       if row["low_confidence"] == "1"}
         for f in dark:
             assert f.total_score() == 0.0
-            assert set(f.low_confidence) == set(KEYPOINTS)
+            assert {lb for i, lb in flagged if i == f.index} == set(KEYPOINTS)
         # Stage-1 holds the warm start once evidence is gone.
         for a, b in zip(dark[5:], dark[6:]):
             npt.assert_allclose(a.pose_stage1, b.pose_stage1, atol=1e-6)
+
+    def test_model_without_keypoint_fails_before_reading(
+            self, still_spec, still_rig, still_init):
+        """A model that places no l_knee is refused, not tracked without
+        that marker."""
+        model, pose0, _, first = still_init
+        provider = CountingProvider(
+            synth.SyntheticProvider(still_spec, still_rig))
+        with pytest.raises(sk.SkeletonError, match="lacks keypoints: l_knee$"):
+            track(provider, still_rig, without_keypoints(model, "l_knee"),
+                  pose0, PipelineConfig(), range(first, first + 3))
+        assert provider.calls == []
 
     def test_missing_frame_names_the_frame(self, still_spec, still_rig,
                                            still_init):
@@ -235,8 +273,8 @@ class TestTrack:
                     range(first, first + 15))
         for frame in seq.frames:
             fk = sk.forward_kinematics(model, frame.pose_stage2)
-            for lb in KEYPOINTS:
-                npt.assert_allclose(frame.positions_stage2[lb], fk[lb],
+            for i, lb in enumerate(KEYPOINTS):
+                npt.assert_allclose(frame.positions_stage2[i], fk[lb],
                                     atol=1e-9)
 
     def test_monotone_evidence_under_camera_subsets(self, still_spec,
@@ -270,6 +308,61 @@ class TestTrack:
             assert all(tilted) == rotation
             assert [provider.calls.count(f) for f in frames] == \
                 [rig.n_c + t for t in tilted]
+
+    def test_two_fk_passes_outside_ik_per_frame(self, still_provider,
+                                                still_rig, still_init,
+                                                monkeypatch):
+        """Outside IK (and the synthetic renderer), a causal frame computes
+        the keypoints of its stage-1 and its stage-2 pose once each; one
+        more pass places the warm start's keypoints before the first
+        frame."""
+        model, pose0, _, first = still_init
+        frames_fn = sk._frames
+        inside, outside = [0], [0]
+
+        def counted_frames(*args, **kwargs):
+            outside[0] += not inside[0]
+            return frames_fn(*args, **kwargs)
+
+        def uncounted(fn):
+            def wrapper(*args, **kwargs):
+                inside[0] += 1
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    inside[0] -= 1
+            return wrapper
+
+        monkeypatch.setattr(sk, "_frames", counted_frames)
+        monkeypatch.setattr(ik, "solve", uncounted(ik.solve))
+        provider = CountingProvider(still_provider)
+        provider.get = uncounted(provider.get)
+        n = 6
+        seq = track(provider, still_rig, model, pose0, PipelineConfig(),
+                    range(first, first + n))
+        assert len(seq.frames) == n
+        assert outside[0] == 1 + 2 * n
+
+    def test_retained_memory_per_frame(self):
+        """A tracked frame's record holds arrays: a 60-frame track of the
+        small walk keeps under 8 KiB per frame alive."""
+        spec = small_scene(motion=synth.walk_like())
+        rig = synth.build_rig(spec)
+        model = synth.build_model(spec)
+        provider = synth.SyntheticProvider(spec, rig)
+        pose0 = synth.ground_truth_pose(spec, 9)
+        track(provider, rig, model, pose0, PipelineConfig(), range(10, 12))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            seq = track(provider, rig, model, pose0, PipelineConfig(),
+                        range(10, 70))
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(seq.frames) == 60
+        assert retained / len(seq.frames) < 8 * 1024
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -399,12 +492,12 @@ class TestOutputs:
         indices, frames = pipeline.read_positions_csv(path, stage="stage2")
         assert indices == seq.frame_indices()
         for rec, back in zip(seq.frames, frames):
-            for lb in KEYPOINTS:
-                npt.assert_array_equal(back[lb], rec.positions_stage2[lb])
+            for i, lb in enumerate(KEYPOINTS):
+                npt.assert_array_equal(back[lb], rec.positions_stage2[i])
         indices1, frames1 = pipeline.read_positions_csv(path, stage="stage1")
         for rec, back in zip(seq.frames, frames1):
-            for lb in KEYPOINTS:
-                npt.assert_array_equal(back[lb], rec.positions_stage1[lb])
+            for i, lb in enumerate(KEYPOINTS):
+                npt.assert_array_equal(back[lb], rec.positions_stage1[i])
 
     def test_pose_csv_layout(self, still_track, tmp_path):
         model, seq = still_track

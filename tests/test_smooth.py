@@ -6,7 +6,7 @@ import pytest
 
 from mocapfuse import skeleton as sk, smooth
 from mocapfuse.pipeline import PipelineConfig
-from mocapfuse.labels import KEYPOINTS
+from mocapfuse.labels import KEYPOINT_INDEX, KEYPOINTS
 
 
 def spec_5_60(**kw):
@@ -158,6 +158,11 @@ class TestSmoothAndRefit:
     def make_filter(self):
         return smooth.TrajectoryFilter(spec_5_60())
 
+    def smooth_and_refit(self, model, q, traj):
+        """Stage 2 of the pose ``q``, fed its FK as the stage-1 positions."""
+        return smooth.smooth_and_refit(
+            model, q, sk.keypoint_positions(model, q, KEYPOINTS), traj)
+
     def test_stationary_pose_is_fixed_point(self, rng):
         model = sk.human_skeleton()
         q = rng.normal(0, 0.2, model.total_dof)
@@ -165,7 +170,7 @@ class TestSmoothAndRefit:
         traj = self.make_filter()
         q_prev = q
         for _ in range(5):
-            q_prev, _ = smooth.smooth_and_refit(model, q_prev, traj)
+            q_prev, _ = self.smooth_and_refit(model, q_prev, traj)
         fk_in = sk.forward_kinematics(model, q)
         fk_out = sk.forward_kinematics(model, q_prev)
         for lb in KEYPOINTS:
@@ -175,10 +180,10 @@ class TestSmoothAndRefit:
         model = sk.human_skeleton()
         q = rng.normal(0, 0.2, model.total_dof)
         traj = self.make_filter()
-        q2, smoothed = smooth.smooth_and_refit(model, q, traj)
+        q2, smoothed = self.smooth_and_refit(model, q, traj)
         fk = sk.forward_kinematics(model, q)
-        for lb in KEYPOINTS:
-            npt.assert_allclose(smoothed[lb], fk[lb], atol=1e-12)
+        for i, lb in enumerate(KEYPOINTS):
+            npt.assert_allclose(smoothed[i], fk[lb], atol=1e-12)
 
     def test_link_lengths_invariant_under_motion(self, rng):
         model = sk.human_skeleton()
@@ -190,7 +195,7 @@ class TestSmoothAndRefit:
             q = q.copy()
             q[elbow] = 0.8 * math.sin(0.4 * frame)   # swing the right elbow
             q[root_rx] = 0.2 * math.sin(0.25 * frame)
-            q2, smoothed = smooth.smooth_and_refit(model, q, traj)
+            q2, smoothed = self.smooth_and_refit(model, q, traj)
             fk = sk.forward_kinematics(model, q2)
             for joint in model.joints:
                 if joint.parent < 0:
@@ -209,7 +214,8 @@ class TestSmoothAndRefit:
         for frame in range(60):
             q = np.zeros(model.total_dof)
             q[model.dofs_of("r_elbow")] = 1.2 * math.sin(0.5 * frame)
-            _, smoothed = smooth.smooth_and_refit(model, q, traj)
-            d = np.linalg.norm(smoothed["r_wrist"] - smoothed["r_elbow"])
+            _, smoothed = self.smooth_and_refit(model, q, traj)
+            d = np.linalg.norm(smoothed[KEYPOINT_INDEX["r_wrist"]]
+                               - smoothed[KEYPOINT_INDEX["r_elbow"]])
             worst = max(worst, abs(d - forearm))
         assert worst > 1.0

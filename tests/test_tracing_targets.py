@@ -36,7 +36,7 @@ def test_lattice_calls_go_through_the_module(tracing):
                  for i in range(2))
     provider = DictProvider({(c.id, 0, 0): make_frame(camera_id=c.id)
                              for c in cams})
-    prev = {lb: np.zeros(3) for lb in KEYPOINTS}
+    prev = np.zeros((len(KEYPOINTS), 3))
     tracer = tracing.Tracer()
     with tracer.installed(tracing.LAYERS):
         tracker.lattice_search(prev, provider, CameraRig(cameras=cams),

@@ -5,7 +5,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import DictProvider, frame_with_channel, gaussian_grid, make_frame
+from helpers import (DictProvider, frame_with_channel, gaussian_grid,
+                     keypoint_rows, make_frame)
 from mocapfuse import pcm, skeleton as sk, synth, tracker
 from mocapfuse.calib import Camera, CameraRig, project_points, rotate_pixel
 from mocapfuse.labels import KEYPOINT_INDEX, KEYPOINTS, LOWER_BODY
@@ -92,78 +93,87 @@ class TestLatticeSearch:
     def test_zero_evidence_returns_center(self):
         rig = axial_rig()
         cfg = LatticeConfig(s=10.0, k=1)
-        prev = {"neck": np.array([3.0, -4.0, 5.0])}
+        prev = keypoint_rows({"neck": np.array([3.0, -4.0, 5.0])})
         markers = lattice_search(prev, zero_provider(rig), rig, cfg, 0)
-        npt.assert_array_equal(markers.positions["neck"], prev["neck"])
-        assert markers.weights["neck"] == 0.0
-        npt.assert_array_equal(markers.per_camera["neck"], np.zeros(4))
+        neck = KEYPOINT_INDEX["neck"]
+        npt.assert_array_equal(markers.positions[neck], prev[neck])
+        assert markers.weights[neck] == 0.0
+        npt.assert_array_equal(markers.per_camera[neck], np.zeros(4))
 
     def test_tracks_one_lattice_step(self):
         rig = orthogonal_rig()
         cfg = LatticeConfig(s=10.0, k=3)
-        prev = {"r_wrist": np.array([0.0, 0.0, 0.0])}
-        true = prev["r_wrist"] + np.array([10.0, 0.0, 0.0])
+        wrist = KEYPOINT_INDEX["r_wrist"]
+        prev = keypoint_rows({"r_wrist": np.array([0.0, 0.0, 0.0])})
+        true = prev[wrist] + np.array([10.0, 0.0, 0.0])
         provider = render_point(rig, true, "r_wrist")
         markers = lattice_search(prev, provider, rig, cfg, 0)
-        npt.assert_allclose(markers.positions["r_wrist"], true)
-        assert markers.weights["r_wrist"] > 1.9
+        npt.assert_allclose(markers.positions[wrist], true)
+        assert markers.weights[wrist] > 1.9
 
     def test_out_of_frame_camera_contributes_zero(self):
         rig = orthogonal_rig()
         cfg = LatticeConfig(s=10.0, k=2)
-        prev = {"neck": np.array([0.0, 0.0, 0.0])}
+        neck = KEYPOINT_INDEX["neck"]
+        prev = keypoint_rows({"neck": np.array([0.0, 0.0, 0.0])})
         # Peak at prev in camera 0; camera 1's channel peaks far off-grid.
-        frames = dict(render_point(rig, prev["neck"], "neck").frames)
+        frames = dict(render_point(rig, prev[neck], "neck").frames)
         far = frame_with_channel("neck", np.zeros((48, 64)), camera_id=1)
         frames[(1, 0, 0)] = far
         markers = lattice_search(prev, DictProvider(frames), rig, cfg, 0)
-        npt.assert_array_equal(markers.positions["neck"], prev["neck"])
-        cams = markers.per_camera["neck"]
+        npt.assert_array_equal(markers.positions[neck], prev[neck])
+        cams = markers.per_camera[neck]
         assert cams[1] == 0.0 and cams[0] > 0.99
 
     def test_result_is_on_the_lattice(self, rng):
         rig = orthogonal_rig()
         cfg = LatticeConfig(s=7.5, k=2)
+        knee = KEYPOINT_INDEX["l_knee"]
         for _ in range(20):
             grids = {(cam.id, 0, 0): frame_with_channel(
                 "l_knee", rng.uniform(0, 1, (48, 64)), camera_id=cam.id)
                 for cam in rig.cameras}
             provider = DictProvider(grids)
-            prev = {"l_knee": rng.uniform(-40, 40, 3)}
+            prev = keypoint_rows({"l_knee": rng.uniform(-40, 40, 3)})
             markers = lattice_search(prev, provider, rig, cfg, 0)
-            score = markers.weights["l_knee"]
-            steps = (markers.positions["l_knee"] - prev["l_knee"]) / cfg.s
+            score = markers.weights[knee]
+            steps = (markers.positions[knee] - prev[knee]) / cfg.s
             npt.assert_allclose(steps, np.round(steps), atol=1e-9)
             assert np.all(np.abs(np.round(steps)) <= cfg.k)
+            npt.assert_array_equal(markers.offsets[knee], np.round(steps))
             # The maximum can never undercut the center's own score.
-            center_score, _ = score_points(prev["l_knee"][None, None],
+            center_score, _ = score_points(prev[knee][None, None],
                                            ["l_knee"], provider, rig, 0, cfg)
             assert score >= center_score[0, 0] - 1e-12
 
     def test_all_keypoints_match_one_label_searches(self, rng):
-        """Searching every keypoint in one call gives, for each, what a
-        search of that keypoint alone gives, bit for bit."""
+        """Searching every keypoint in one call gives, for each, what
+        scoring that keypoint's lattice alone gives, bit for bit."""
         rig = orthogonal_rig()
         cfg = LatticeConfig(s=7.5, k=2)
         provider = DictProvider({(cam.id, 0, 0): make_frame(
             channels=rng.uniform(0, 1, (18, 48, 64)).astype(np.float32),
             camera_id=cam.id) for cam in rig.cameras})
-        prev = {lb: rng.uniform(-40, 40, 3) for lb in KEYPOINTS}
+        prev = rng.uniform(-40, 40, (len(KEYPOINTS), 3))
         markers = lattice_search(prev, provider, rig, cfg, 0)
-        assert list(markers.positions) == list(KEYPOINTS)
-        for lb in KEYPOINTS:
-            alone = lattice_search({lb: prev[lb]}, provider, rig, cfg, 0)
-            npt.assert_array_equal(markers.positions[lb], alone.positions[lb])
-            assert markers.weights[lb] == alone.weights[lb]
-            npt.assert_array_equal(markers.per_camera[lb],
-                                   alone.per_camera[lb])
+        assert markers.positions.shape == (len(KEYPOINTS), 3)
+        offsets = lattice_offsets(cfg.k)
+        for i, lb in enumerate(KEYPOINTS):
+            candidates = prev[i] + cfg.s * offsets.astype(float)
+            scores, per_camera = score_points(candidates[None], [lb],
+                                              provider, rig, 0, cfg)
+            best = int(np.argmax(scores[0]))
+            npt.assert_array_equal(markers.positions[i], candidates[best])
+            assert markers.weights[i] == scores[0, best]
+            npt.assert_array_equal(markers.per_camera[i],
+                                   per_camera[:, 0, best])
+            npt.assert_array_equal(markers.offsets[i], offsets[best])
 
     def test_missing_rotation_zero_frame_is_an_error(self):
         rig = axial_rig(2)
         cfg = LatticeConfig()
         with pytest.raises(pcm.FrameMissing):
-            lattice_search({"neck": np.zeros(3)}, DictProvider({}), rig,
-                           cfg, 0)
+            lattice_search(keypoint_rows({}), DictProvider({}), rig, cfg, 0)
 
 
 class TestPcmWeight:
@@ -329,7 +339,7 @@ class TestTrunkTilt:
 
 class TestPlanRotations:
     def upright_positions(self, spec):
-        return synth.ground_truth_positions(spec, 0)
+        return keypoint_rows(synth.ground_truth_positions(spec, 0))
 
     def pitched_positions(self, spec, pitch):
         """Keypoints with the root 1 m up and pitched by ``pitch`` rad."""
@@ -338,7 +348,7 @@ class TestPlanRotations:
         q = np.zeros(model.total_dof)
         q[root_z] = 1000.0
         q[root_rx] = pitch
-        return sk.forward_kinematics(model, q)
+        return sk.keypoint_positions(model, q, KEYPOINTS)
 
     def test_upright_pose_plans_zero(self, still_spec, still_rig):
         plan = plan_rotations(self.upright_positions(still_spec), still_rig)
@@ -370,9 +380,9 @@ class TestPlanRotations:
         cam = Camera(id=0, width=64, height=48, fx=50.0, fy=50.0, cx=32.0,
                      cy=24.0, rotation=R, translation=(0.0, 0.0, 3000.0))
         rig = CameraRig(cameras=(cam,))
-        positions = {"neck": np.array([0.0, 0.0, 1500.0]),
-                     "r_hip": np.array([0.0, 0.0, 1000.0]),
-                     "l_hip": np.array([0.0, 0.0, 1000.0])}
+        positions = keypoint_rows({"neck": np.array([0.0, 0.0, 1500.0]),
+                                   "r_hip": np.array([0.0, 0.0, 1000.0]),
+                                   "l_hip": np.array([0.0, 0.0, 1000.0])})
         plan = plan_rotations(positions, rig)
         assert plan == {0: 0.0}
 
