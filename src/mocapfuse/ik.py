@@ -84,6 +84,8 @@ def solve(model, q_init, markers: VirtualMarkerSet,
     the module docstring); ``residual`` is always the marker-fit objective.
     The accepted-step objective sequence is non-increasing; with all weights
     zero the warm start is returned untouched with ``no_evidence`` set.
+    Each pose tried gets one FK pass, which also gives its Jacobian: an
+    accepted trial's positions and Jacobian serve the next iteration.
     """
     if not anchor >= 0.0:
         raise ValueError("anchor must be >= 0")
@@ -100,8 +102,9 @@ def solve(model, q_init, markers: VirtualMarkerSet,
     lam = LAMBDA0
     # The marker fit equals 0.5 * |r|^2 for the sqrt-weighted residual stack;
     # obj adds the anchor term, which is 0 at the warm start.
-    r0 = residual(sk.keypoint_positions(model, q, labels))
-    fit = obj = 0.5 * float(r0 @ r0)
+    positions, jac = sk.fk_and_jacobians(model, q, labels)
+    r = residual(positions)
+    fit = obj = 0.5 * float(r @ r)
     rho = 0.0
     converged = False
     eye = np.eye(model.total_dof)
@@ -109,8 +112,6 @@ def solve(model, q_init, markers: VirtualMarkerSet,
         if fit <= settings.residual_tol:
             converged = True
             break
-        positions, jac = sk.fk_and_jacobians(model, q, labels)
-        r = residual(positions)
         J = (sqrt_w[:, :, None] * jac).reshape(r.size, model.total_dof)
         if not (np.all(np.isfinite(r)) and np.all(np.isfinite(J))):
             raise FloatingPointError("non-finite IK residual or jacobian")
@@ -133,7 +134,8 @@ def solve(model, q_init, markers: VirtualMarkerSet,
                 lam *= LAMBDA_UP
                 continue
             q_new = q + scale * delta_u
-            r_new = residual(sk.keypoint_positions(model, q_new, labels))
+            positions, jac_new = sk.fk_and_jacobians(model, q_new, labels)
+            r_new = residual(positions)
             fit_new = obj_new = 0.5 * float(r_new @ r_new)
             if rho:
                 d = (q_new - q_warm) / scale
@@ -143,7 +145,7 @@ def solve(model, q_init, markers: VirtualMarkerSet,
                 if step < settings.step_tol or (
                         rho and obj - obj_new <= RELATIVE_DECREASE_TOL * obj):
                     converged = True
-                q, fit, obj = q_new, fit_new, obj_new
+                q, fit, obj, r, jac = q_new, fit_new, obj_new, r_new, jac_new
                 lam = max(lam / LAMBDA_DOWN, 1e-12)
                 accepted = True
                 break

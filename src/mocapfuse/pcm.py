@@ -21,6 +21,9 @@ from .labels import KEYPOINT_INDEX, KEYPOINTS
 MAGIC = b"PCMF"
 VERSION = 1
 _HEADER = struct.Struct("<4sHHIIfIIIf")
+# The float32 values +0.0 ... 1.0 are exactly the bit patterns 0 ... this one;
+# negatives, -0.0, values above 1, inf and NaN all have larger patterns.
+_ONE_BITS = np.float32(1.0).view(np.uint32)
 
 
 class PcmError(ValueError):
@@ -28,7 +31,8 @@ class PcmError(ValueError):
 
 
 class PcmFormatError(PcmError):
-    """Bad magic, wrong version, truncated payload or out-of-range values."""
+    """Bad magic, wrong version, truncated payload, or values outside [0, 1]
+    or NaN."""
 
 
 class FrameMissing(PcmError):
@@ -41,6 +45,8 @@ class RotationUnavailable(PcmError):
 
 @dataclass(frozen=True)
 class HeatmapFrame:
+    """One camera's 18 channels for one frame.  Values outside [0, 1] and NaN
+    raise PcmError (one pass over the bits; min and max only if it fails)."""
     camera_id: int
     frame_index: int
     rotation_deg: float
@@ -60,9 +66,11 @@ class HeatmapFrame:
         if ch.shape != (len(KEYPOINTS), self.height, self.width):
             raise PcmError(f"channels must be (18, {self.height}, {self.width}), "
                            f"got {ch.shape}")
-        lo, hi = float(ch.min(initial=0.0)), float(ch.max(initial=0.0))
-        if lo < 0.0 or hi > 1.0:
-            raise PcmError(f"channel values outside [0, 1]: min={lo}, max={hi}")
+        if ch.view(np.uint32).max() > _ONE_BITS:
+            lo, hi = float(ch.min()), float(ch.max())
+            if not (lo >= 0.0 and hi <= 1.0):
+                raise PcmError(f"channel values outside [0, 1] or NaN: "
+                               f"min={lo}, max={hi}")
 
 
 def sample_many(frame: HeatmapFrame, label: str, pixels, valid=None):

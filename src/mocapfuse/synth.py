@@ -21,7 +21,7 @@ import numpy as np
 from . import pcm as pcm_mod
 from . import skeleton as sk
 from .calib import CameraRig, look_at_camera, project_points, rotate_pixel, save_rig
-from .labels import KEYPOINTS, KEYPOINT_INDEX, LOWER_BODY
+from .labels import KEYPOINTS, LOWER_BODY
 from .tracker import trunk_tilt
 
 
@@ -153,6 +153,12 @@ def ground_truth_positions(spec: SceneSpec, frame_index, model=None) -> dict:
                                  ground_truth_pose(spec, frame_index, model))
 
 
+def ground_truth_keypoints(spec: SceneSpec, frame_index, model=None):
+    """(18, 3) world keypoint positions at one frame, row i ``KEYPOINTS[i]``."""
+    gt = ground_truth_positions(spec, frame_index, model)
+    return np.stack([gt[label] for label in KEYPOINTS])
+
+
 def _channel_rng(spec, camera_id, frame_index, rotation_key, channel):
     # Independent, order-insensitive stream per rendered channel; a negative
     # angle draws the stream of the same angle in [0, 360).
@@ -179,10 +185,11 @@ def _splat(grid, center_hm, amplitude, sigma_hm):
 
 
 def render_frame(spec: SceneSpec, camera, frame_index, rotation_deg=0.0,
-                 model=None) -> pcm_mod.HeatmapFrame:
-    """Render one camera's heatmap frame, optionally on the rotated image."""
-    model = model or build_model(spec)
-    gt = ground_truth_positions(spec, frame_index, model)
+                 model=None, truth=None) -> pcm_mod.HeatmapFrame:
+    """Render one camera's heatmap frame, optionally on the rotated image,
+    from the frame's ``ground_truth_keypoints`` (``truth``, when given)."""
+    if truth is None:
+        truth = ground_truth_keypoints(spec, frame_index, model)
     w = int(round(spec.image_width * spec.heatmap_scale))
     h = int(round(spec.image_height * spec.heatmap_scale))
     sigma_hm = spec.sigma_px * spec.heatmap_scale
@@ -192,6 +199,7 @@ def render_frame(spec: SceneSpec, camera, frame_index, rotation_deg=0.0,
     # Trunk tilt of the ground truth in this camera, for the bias model.
     tilt = None
     if spec.tilt_bias.enabled:
+        gt = dict(zip(KEYPOINTS, truth))
         px, in_front = project_points(
             camera, np.stack([gt["neck"], 0.5 * (gt["r_hip"] + gt["l_hip"])]))
         if in_front[0] and in_front[1]:
@@ -202,12 +210,12 @@ def render_frame(spec: SceneSpec, camera, frame_index, rotation_deg=0.0,
 
     channels = np.zeros((len(KEYPOINTS), h, w), dtype=np.float32)
     noise = spec.noise
-    for label in KEYPOINTS:
-        ch = KEYPOINT_INDEX[label]
-        px, in_front = project_points(camera, gt[label])
-        if not in_front:
+    pixels, in_front = project_points(camera, truth)
+    rotated = rotate_pixel(pixels, rotation_deg, center)
+    for ch, label in enumerate(KEYPOINTS):
+        if not in_front[ch]:
             continue
-        p = rotate_pixel(px, rotation_deg, center)
+        p = rotated[ch]
         amplitude = 1.0
         if tilt is not None and label in LOWER_BODY:
             # Tilt as seen in the rendered (possibly rotated) image.
@@ -241,22 +249,27 @@ def render_frame(spec: SceneSpec, camera, frame_index, rotation_deg=0.0,
 
 class SyntheticProvider(pcm_mod.PcmProvider):
     """Renders heatmap frames on demand; any rotation angle is available.
-    No frame is kept: tracking asks for each (camera, frame, rotation) once."""
+    No heatmap is kept, only the last frame's keypoints: one FK per frame."""
 
     def __init__(self, spec: SceneSpec, rig: CameraRig = None, n_frames=None):
         self.spec = spec
         self.rig = rig or build_rig(spec)
         self.model = build_model(spec)
         self.n_frames = n_frames
+        self._truth = (None, None)     # (frame index, its keypoints)
 
     def get(self, camera_id, frame_index, rotation_deg=0.0):
         if self.n_frames is not None and not (0 <= frame_index < self.n_frames):
             raise pcm_mod.FrameMissing(
                 f"synthetic scene has {self.n_frames} frames, "
                 f"requested {frame_index}")
+        if self._truth[0] != frame_index:
+            self._truth = (frame_index, ground_truth_keypoints(
+                self.spec, frame_index, self.model))
         return render_frame(
             self.spec, self.rig.camera(camera_id), frame_index,
-            float(pcm_mod.quantize_rotation(rotation_deg)), self.model)
+            float(pcm_mod.quantize_rotation(rotation_deg)), self.model,
+            self._truth[1])
 
 
 # ---------------------------------------------------------------------------
@@ -390,9 +403,11 @@ def generate(spec: SceneSpec, n_frames, out_dir):
     gt_frames = []
     pcm_root = os.path.join(out_dir, "pcm")
     for frame_index in range(n_frames):
-        gt_frames.append(ground_truth_positions(spec, frame_index, model))
+        gt = ground_truth_positions(spec, frame_index, model)
+        gt_frames.append(gt)
+        truth = np.stack([gt[label] for label in KEYPOINTS])
         for camera in rig.cameras:
-            frame = render_frame(spec, camera, frame_index, 0.0, model)
+            frame = render_frame(spec, camera, frame_index, 0.0, model, truth)
             path = pcm_mod.frame_path(pcm_root, camera.id, frame_index)
             os.makedirs(os.path.dirname(path), exist_ok=True)
             pcm_mod.write_pcm(frame, path)

@@ -6,7 +6,7 @@ import numpy.testing as npt
 import pytest
 
 from helpers import marker_set
-from mocapfuse import ik, skeleton as sk
+from mocapfuse import ik, skeleton as sk, synth
 from mocapfuse.labels import KEYPOINT_INDEX
 from mocapfuse.tracker import VirtualMarkerSet
 
@@ -303,3 +303,41 @@ class TestAnchoredSolve:
         for anchor in (-1e-3, math.nan):
             with pytest.raises(ValueError):
                 ik.solve(model, np.zeros(2), markers, anchor=anchor)
+
+
+class TestOneFkPassPerPose:
+    def test_no_pose_is_computed_twice(self, rng, monkeypatch):
+        """Every pose a solve tries gets one FK pass, which also gives its
+        Jacobian: an accepted trial's pass serves the next iteration."""
+        spec = synth.SceneSpec(motion=synth.walk_like())
+        model = synth.build_model(spec)
+        q_prev = synth.ground_truth_pose(spec, 39, model)
+        truth = synth.ground_truth_keypoints(spec, 40, model)
+        markers = VirtualMarkerSet(
+            positions=truth + rng.normal(0.0, 10.0, truth.shape),
+            weights=rng.uniform(0.5, 1.0, len(truth)))
+        frames_fn, fk_and_jacobians = sk._frames, sk.fk_and_jacobians
+        in_jacobian = [False]
+        calls = []
+
+        def recorded_frames(model, q):
+            calls.append((np.array(q, dtype=float), in_jacobian[0]))
+            return frames_fn(model, q)
+
+        def flagged(*args, **kwargs):
+            in_jacobian[0] = True
+            try:
+                return fk_and_jacobians(*args, **kwargs)
+            finally:
+                in_jacobian[0] = False
+
+        monkeypatch.setattr(sk, "_frames", recorded_frames)
+        monkeypatch.setattr(sk, "fk_and_jacobians", flagged)
+        for anchor in (0.0, ik.ANCHOR):
+            calls.clear()
+            result = ik.solve(model, q_prev, markers, anchor=anchor)
+            assert result.iterations > 2
+            assert all(from_jacobian for _, from_jacobian in calls)
+            poses = [q for q, _ in calls]
+            for i, j in itertools.combinations(range(len(poses)), 2):
+                assert not np.array_equal(poses[i], poses[j]), (anchor, i, j)

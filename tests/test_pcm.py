@@ -17,6 +17,41 @@ class TestHeatmapFrame:
         with pytest.raises(pcm.PcmError):
             make_frame(channels=channels, h=8, w=8)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
+    def test_nan_inf_and_negative_rejected(self, bad):
+        channels = np.zeros((18, 8, 8), dtype=np.float32)
+        channels[3, 2, 5] = bad
+        with pytest.raises(pcm.PcmError, match=r"outside \[0, 1\].*min="):
+            make_frame(channels=channels, h=8, w=8)
+
+    def test_negative_zero_and_one_accepted(self, rng):
+        channels = rng.uniform(0.0, 1.0, (18, 8, 8)).astype(np.float32)
+        channels[5] = -0.0
+        channels[0, 0, 0] = 1.0
+        frame = make_frame(channels=channels, h=8, w=8)
+        assert np.signbit(frame.channels[5]).all()
+
+    def test_bit_check_agrees_with_the_value_range(self, rng):
+        """Random float32 bit patterns, and the edges of [0, 1], are
+        accepted exactly when 0 <= value <= 1."""
+        values = np.concatenate([
+            rng.integers(0, 2**32, 4000, dtype=np.uint64).astype(np.uint32)
+            .view(np.float32),
+            np.float32([0.0, -0.0, 1.0, np.nextafter(np.float32(1), 2),
+                        np.nextafter(np.float32(0), -1), np.inf, -np.inf,
+                        np.nan, -np.nan, 1e-45, 0.5])])
+        for value in values:
+            channels = np.zeros((18, 1, 1), dtype=np.float32)
+            channels[7, 0, 0] = value
+            with np.errstate(invalid="ignore"):
+                inside = bool(0.0 <= value <= 1.0)
+            try:
+                make_frame(channels=channels, h=1, w=1)
+                accepted = True
+            except pcm.PcmError:
+                accepted = False
+            assert accepted == inside, value
+
     def test_channel_count_enforced(self):
         with pytest.raises(pcm.PcmError):
             pcm.HeatmapFrame(camera_id=0, frame_index=0, rotation_deg=0.0,
@@ -160,6 +195,18 @@ class TestFileFormat:
         raw = bytearray(path.read_bytes())
         header = struct.Struct("<4sHHIIfIIIf")
         raw[header.size:header.size + 4] = struct.pack("<f", 1.5)
+        path.write_bytes(raw)
+        with pytest.raises(pcm.PcmFormatError, match=r"\[0, 1\]") as exc:
+            pcm.read_pcm(path)
+        assert str(exc.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
+    def test_nan_inf_and_negative_in_file(self, tmp_path, rng, bad):
+        path = tmp_path / "frame.pcm"
+        pcm.write_pcm(self.random_frame(rng), path)
+        raw = bytearray(path.read_bytes())
+        offset = struct.Struct("<4sHHIIfIIIf").size + 4 * 1000
+        raw[offset:offset + 4] = struct.pack("<f", bad)
         path.write_bytes(raw)
         with pytest.raises(pcm.PcmFormatError, match=r"\[0, 1\]") as exc:
             pcm.read_pcm(path)

@@ -212,6 +212,26 @@ class TestProvider:
         # matrices of -30 and 330 degrees differ, in their last bits.
         npt.assert_allclose(a.channels, b.channels, atol=1e-6)
 
+    def test_truth_memo_follows_the_frame(self, still_rig):
+        """The provider's one-frame keypoint memo never serves another
+        frame: each render equals a fresh one that computes its own truth."""
+        spec = small_scene(
+            motion=synth.handstand_like(period_s=4.0),
+            noise=synth.NoiseModel(jitter_px=1.0, amplitude_std=0.2,
+                                   false_peak_rate=0.5),
+            tilt_bias=synth.TiltBias(enabled=True, jitter_px=6.0))
+        provider = synth.SyntheticProvider(spec, still_rig, n_frames=200)
+        f = 130
+        for frame_index, cam, rotation in [(f, 0, 0.0), (f + 1, 2, 37.0),
+                                           (f, 1, -120.0), (f, 1, 0.0)]:
+            got = provider.get(cam, frame_index, rotation)
+            fresh = synth.render_frame(spec, still_rig.camera(cam),
+                                       frame_index, rotation, provider.model)
+            npt.assert_array_equal(got.channels, fresh.channels)
+        # The two frames render differently, so a stale memo would show.
+        other = synth.render_frame(spec, still_rig.camera(1), f + 1, 0.0)
+        assert not np.array_equal(got.channels, other.channels)
+
     def test_provider_keeps_no_frames(self, still_spec, still_rig):
         provider = synth.SyntheticProvider(still_spec, still_rig, n_frames=5)
         frame = provider.get(0, 0)
@@ -274,6 +294,21 @@ class TestGenerate:
         npt.assert_array_equal(frame.channels, fresh.channels)
         assert frame.scale == fresh.scale
         assert frame.undistorted
+
+    def test_every_file_matches_a_fresh_render(self, tmp_path):
+        """Each frame's files render from that frame's truth (the subject
+        moves from frame 0 on)."""
+        spec = small_scene(motion=synth.walk_like(hold_frames=0),
+                           camera_count=2, image_width=160, image_height=120,
+                           focal_px=150.0, sigma_px=3.0,
+                           noise=synth.NoiseModel(jitter_px=0.5))
+        _, rig = synth.generate(spec, 3, tmp_path)
+        for camera in rig.cameras:
+            for frame_index in range(3):
+                back = pcm.read_pcm(pcm.frame_path(
+                    os.path.join(tmp_path, "pcm"), camera.id, frame_index))
+                fresh = synth.render_frame(spec, camera, frame_index)
+                npt.assert_array_equal(back.channels, fresh.channels)
 
     def test_scene_json_reloads(self, dataset):
         spec, out, gt_frames, rig = dataset
