@@ -122,6 +122,13 @@ def cmd_track(args):
         os.path.dirname(args.skeleton), "init_state.json")
     with open(init_state, "r", encoding="utf-8") as fh:
         state = json.load(fh)
+    if not isinstance(state, dict):
+        raise ValueError(f"{init_state}: must be a JSON object, not a "
+                         f"{type(state).__name__}")
+    for key, kind in (("first_track_frame", int), ("pose0", list)):
+        if not isinstance(state.get(key), kind):
+            raise ValueError(f"{init_state}: {key!r} is missing or not of "
+                             f"type {kind.__name__}")
     first = state["first_track_frame"] if args.start_frame is None \
         else args.start_frame
     last = args.end_frame

@@ -16,7 +16,11 @@ Each model carries a dof/target table built once (see ``SkeletonModel``),
 and every entry point makes one FK pass: ``forward_kinematics`` returns a
 dict of every joint and keypoint, ``keypoint_positions`` an ``(n, 3)`` array
 of the requested targets in order, and ``fk_and_jacobians`` that array plus
-the ``(n, 3, total_dof)`` jacobians.
+the ``(n, 3, total_dof)`` jacobians.  The pass (``_frames``) walks the chain
+on Python floats: rotations are row-major 9-tuples composed by an unrolled
+3x3 product, and exp joints, their left Jacobians and single-axis joints
+share one Rodrigues formula.  Only its results become numpy arrays, because
+a few dozen 3x3 products cost less in plain arithmetic than in numpy calls.
 """
 
 from __future__ import annotations
@@ -29,82 +33,64 @@ import numpy as np
 
 from .labels import KEYPOINTS
 
-_AXES = {
-    "tx": np.array([1.0, 0.0, 0.0]),
-    "ty": np.array([0.0, 1.0, 0.0]),
-    "tz": np.array([0.0, 0.0, 1.0]),
-    "rx": np.array([1.0, 0.0, 0.0]),
-    "ry": np.array([0.0, 1.0, 0.0]),
-    "rz": np.array([0.0, 0.0, 1.0]),
-}
-
 _DOF_WIDTH = {"tx": 1, "ty": 1, "tz": 1, "rx": 1, "ry": 1, "rz": 1, "exp": 3}
+
+_UNIT = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
 
 class SkeletonError(ValueError):
     pass
 
 
-def _rodrigues_family(w, a, b):
-    # I + a*[w]x + b*[w]x^2 without intermediate allocations
-    x, y, z = w
+def _rodrigues(x, y, z, a, b):
+    """I + a*[w]x + b*[w]x^2 as a row-major 9-tuple."""
     xx, yy, zz = x * x, y * y, z * z
     xy, xz, yz = x * y, x * z, y * z
-    out = np.empty((3, 3))
-    out[0, 0] = 1.0 - b * (yy + zz)
-    out[0, 1] = -a * z + b * xy
-    out[0, 2] = a * y + b * xz
-    out[1, 0] = a * z + b * xy
-    out[1, 1] = 1.0 - b * (xx + zz)
-    out[1, 2] = -a * x + b * yz
-    out[2, 0] = -a * y + b * xz
-    out[2, 1] = a * x + b * yz
-    out[2, 2] = 1.0 - b * (xx + yy)
-    return out
+    return (1.0 - b * (yy + zz), -a * z + b * xy, a * y + b * xz,
+            a * z + b * xy, 1.0 - b * (xx + zz), -a * x + b * yz,
+            -a * y + b * xz, a * x + b * yz, 1.0 - b * (xx + yy))
+
+
+def _so3_coefficients(t2):
+    """Rodrigues coefficients (a, b) of exp and (a, b) of the left Jacobian
+    for a rotation vector of squared norm t2; series below 1e-10 and 1e-6."""
+    theta = math.sqrt(t2)
+    if theta < 1e-10:
+        return 1.0, 0.5, 0.5, 1.0 / 6.0
+    s, c = math.sin(theta), math.cos(theta)
+    if theta < 1e-6:
+        return s / theta, (1.0 - c) / t2, 0.5, 1.0 / 6.0
+    return (s / theta, (1.0 - c) / t2,
+            (1.0 - c) / t2, (theta - s) / (t2 * theta))
+
+
+def _mul(A, B):
+    """Product of two row-major 3x3 9-tuples."""
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = A
+    b0, b1, b2, b3, b4, b5, b6, b7, b8 = B
+    return (a0 * b0 + a1 * b3 + a2 * b6, a0 * b1 + a1 * b4 + a2 * b7,
+            a0 * b2 + a1 * b5 + a2 * b8, a3 * b0 + a4 * b3 + a5 * b6,
+            a3 * b1 + a4 * b4 + a5 * b7, a3 * b2 + a4 * b5 + a5 * b8,
+            a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7,
+            a6 * b2 + a7 * b5 + a8 * b8)
+
+
+def _so3(w):
+    """exp(w) and its left Jacobian as 3x3 arrays."""
+    x, y, z = (float(v) for v in w)
+    ea, eb, ja, jb = _so3_coefficients(x * x + y * y + z * z)
+    return (np.array(_rodrigues(x, y, z, ea, eb)).reshape(3, 3),
+            np.array(_rodrigues(x, y, z, ja, jb)).reshape(3, 3))
 
 
 def exp_so3(w):
     """Rodrigues' rotation from an axis-angle 3-vector."""
-    t2 = float(w[0] * w[0] + w[1] * w[1] + w[2] * w[2])
-    theta = math.sqrt(t2)
-    if theta < 1e-10:
-        return _rodrigues_family(w, 1.0, 0.5)
-    return _rodrigues_family(w, math.sin(theta) / theta,
-                             (1.0 - math.cos(theta)) / t2)
+    return _so3(w)[0]
 
 
 def left_jacobian_so3(w):
     """Left Jacobian of SO(3): d/dw of the exponential map's action."""
-    t2 = float(w[0] * w[0] + w[1] * w[1] + w[2] * w[2])
-    theta = math.sqrt(t2)
-    if theta < 1e-6:
-        return _rodrigues_family(w, 0.5, 1.0 / 6.0)
-    return _rodrigues_family(w, (1.0 - math.cos(theta)) / t2,
-                             (theta - math.sin(theta)) / (t2 * theta))
-
-
-def _axis_rotation(token, angle):
-    c, s = math.cos(angle), math.sin(angle)
-    out = np.zeros((3, 3))
-    if token == "rx":
-        out[0, 0] = 1.0
-        out[1, 1] = c
-        out[1, 2] = -s
-        out[2, 1] = s
-        out[2, 2] = c
-    elif token == "ry":
-        out[1, 1] = 1.0
-        out[0, 0] = c
-        out[0, 2] = s
-        out[2, 0] = -s
-        out[2, 2] = c
-    else:
-        out[2, 2] = 1.0
-        out[0, 0] = c
-        out[0, 1] = -s
-        out[1, 0] = s
-        out[1, 1] = c
-    return out
+    return _so3(w)[1]
 
 
 @dataclass(frozen=True)
@@ -122,6 +108,11 @@ class Joint:
         for tok in self.dofs:
             if tok not in _DOF_WIDTH:
                 raise SkeletonError(f"joint {self.name}: unknown dof token {tok!r}")
+        d = self.direction
+        if self.parent >= 0 and not (d.shape == (3,) and np.all(np.isfinite(d))
+                                     and abs(np.linalg.norm(d) - 1.0) <= 1e-9):
+            raise SkeletonError(f"joint {self.name}: direction must be a unit "
+                                f"3-vector, got {d.tolist()}")
 
 
 @dataclass(frozen=True)
@@ -188,7 +179,9 @@ class SkeletonModel:
                 ("target_joint", target_joint),
                 ("target_offset", np.array([np.asarray(off, dtype=float)
                                             for _, off in refs])),
-                ("target_mask", ancestry[target_joint][:, dof_joint])):
+                ("target_mask", ancestry[target_joint][:, dof_joint]),
+                ("link_offset", tuple(tuple((j.direction * j.length).tolist())
+                                      for j in self.joints))):
             object.__setattr__(self, attr, value)
 
     def dofs_of(self, joint_name):
@@ -242,39 +235,49 @@ def _frames(model: SkeletonModel, q):
     """One FK pass: world position and rotation of every joint, and each
     dof's world motion axis and origin, aligned with q.
 
-    An exp joint's three axes are the columns of R_pre Jl(w), all about the
+    Rotations are row-major 9-tuples (see the module docstring).  An
+    exp joint's three axes are the columns of R_pre Jl(w), all about the
     joint origin.  A translational dof's origin is not used.
     """
-    q = check_pose(model, q)
-    n = len(model.joints)
-    pos = np.zeros((n, 3))
-    rot = np.zeros((n, 3, 3))
-    axes = np.zeros((model.total_dof, 3))
-    origins = np.zeros((model.total_dof, 3))
+    qs = check_pose(model, q).tolist()
+    pos, rot, axes, origins = [], [], [], []
     qi = 0
-    for ji, joint in enumerate(model.joints):
+    for joint, (ox, oy, oz) in zip(model.joints, model.link_offset):
         if joint.parent < 0:
-            p = np.zeros(3)
-            R = np.eye(3)
+            p = (0.0, 0.0, 0.0)
+            R = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
         else:
-            p = pos[joint.parent] + rot[joint.parent] @ (joint.direction * joint.length)
             R = rot[joint.parent]
+            px, py, pz = pos[joint.parent]
+            p = (px + R[0] * ox + R[1] * oy + R[2] * oz,
+                 py + R[3] * ox + R[4] * oy + R[5] * oz,
+                 pz + R[6] * ox + R[7] * oy + R[8] * oz)
         for tok in joint.dofs:
-            origins[qi:qi + _DOF_WIDTH[tok]] = p
             if tok == "exp":
-                w = q[qi:qi + 3]
-                axes[qi:qi + 3] = (R @ left_jacobian_so3(w)).T
-                R = R @ exp_so3(w)
+                x, y, z = qs[qi:qi + 3]
+                ea, eb, ja, jb = _so3_coefficients(x * x + y * y + z * z)
+                RJ = _mul(R, _rodrigues(x, y, z, ja, jb))
+                axes += (RJ[0::3], RJ[1::3], RJ[2::3])
+                origins += (p, p, p)
+                R = _mul(R, _rodrigues(x, y, z, ea, eb))
+                qi += 3
+                continue
+            k = "xyz".index(tok[1])
+            axis = (R[k], R[3 + k], R[6 + k])
+            axes.append(axis)
+            origins.append(p)
+            t = qs[qi]
+            if tok[0] == "t":
+                p = (p[0] + t * axis[0], p[1] + t * axis[1],
+                     p[2] + t * axis[2])
             else:
-                axes[qi] = R @ _AXES[tok]
-                if tok[0] == "t":
-                    p = p + q[qi] * axes[qi]
-                else:
-                    R = R @ _axis_rotation(tok, q[qi])
-            qi += _DOF_WIDTH[tok]
-        pos[ji] = p
-        rot[ji] = R
-    return pos, rot, axes, origins
+                R = _mul(R, _rodrigues(*_UNIT[k], math.sin(t),
+                                       1.0 - math.cos(t)))
+            qi += 1
+        pos.append(p)
+        rot.append(R)
+    return (np.array(pos), np.array(rot).reshape(-1, 3, 3),
+            np.array(axes).reshape(-1, 3), np.array(origins).reshape(-1, 3))
 
 
 def _rows(model, targets):
@@ -315,10 +318,16 @@ def fk_and_jacobians(model: SkeletonModel, q, targets):
     pos, rot, axes, origins = _frames(model, q)
     rows = _rows(model, targets)
     p = _target_positions(model, pos, rot, rows)
-    cols = np.where(model.dof_rotational[:, None],
-                    np.cross(axes, p[:, None, :] - origins), axes)
-    J = cols * model.target_mask[rows][:, :, None]
-    return p, J.transpose(0, 2, 1)
+    a = axes.T
+    d = p.T[:, :, None] - origins.T[:, None, :]
+    J = np.empty((3,) + d.shape[1:])     # (xyz, target, dof): axis x d
+    J[0] = a[1] * d[2] - a[2] * d[1]
+    J[1] = a[2] * d[0] - a[0] * d[2]
+    J[2] = a[0] * d[1] - a[1] * d[0]
+    translational = ~model.dof_rotational
+    J[:, :, translational] = a[:, None, translational]
+    J *= model.target_mask[rows]
+    return p, J.transpose(1, 0, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -446,6 +446,28 @@ class TestRuntimeErrors:
         assert "[12, 12)" in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("payload, key", [
+        ([], "JSON object"),
+        ({"first_track_frame": 12}, "'pose0'"),
+        ({"first_track_frame": "12", "pose0": [0.0]}, "'first_track_frame'"),
+    ], ids=["list", "no_pose0", "string_frame"])
+    def test_malformed_init_state_names_the_file(self, dataset, init_run,
+                                                 tmp_path, capsys,
+                                                 payload, key):
+        root, data = dataset
+        state = tmp_path / "init_state.json"
+        state.write_text(json.dumps(payload))
+        out = tmp_path / "track"
+        rc = cli.main(["track", "--calib", str(data / "calib.json"),
+                       "--pcm-dir", str(data / "pcm"),
+                       "--skeleton", str(init_run / "skeleton.json"),
+                       "--init-state", str(state), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ValueError")
+        assert str(state) in err[0] and key in err[0]
+        assert not out.exists()
+
     def test_eval_of_zero_frames_exits_one(self, dataset, tmp_path, capsys):
         root, data = dataset
         pred = tmp_path / "positions.csv"

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from mocapfuse import skeleton as sk
 from mocapfuse.labels import KEYPOINTS
+from test_cli import older_layout
 from test_ik import planar_two_link
 
 
@@ -230,6 +232,183 @@ def saved_and_loaded(tmp_path):
     return sk.load_skeleton(path)
 
 
+# ---------------------------------------------------------------------------
+# Reference kinematics: the per-joint numpy loop that the scalar kernel in
+# ``skeleton._frames`` replaced, kept here as its oracle.
+
+# Fixed before the kernel was written: the kernel composes the same
+# products in another order, so the two agree to float64 rounding only.
+POSITION_TOL_MM = 1e-9
+UNIT_TOL = 1e-12
+
+_REF_AXES = {t: np.eye(3)[k] for k, t in enumerate("xyz")}
+
+
+def ref_axis_rotation(axis, angle):
+    c, s = math.cos(angle), math.sin(angle)
+    out = np.zeros((3, 3))
+    if axis == "x":
+        out[0, 0] = 1.0
+        out[1, 1], out[1, 2], out[2, 1], out[2, 2] = c, -s, s, c
+    elif axis == "y":
+        out[1, 1] = 1.0
+        out[0, 0], out[0, 2], out[2, 0], out[2, 2] = c, s, -s, c
+    else:
+        out[2, 2] = 1.0
+        out[0, 0], out[0, 1], out[1, 0], out[1, 1] = c, -s, s, c
+    return out
+
+
+def ref_rodrigues(w, a, b):
+    # I + a*[w]x + b*[w]x^2, entry by entry
+    x, y, z = w
+    xx, yy, zz = x * x, y * y, z * z
+    xy, xz, yz = x * y, x * z, y * z
+    return np.array([[1.0 - b * (yy + zz), -a * z + b * xy, a * y + b * xz],
+                     [a * z + b * xy, 1.0 - b * (xx + zz), -a * x + b * yz],
+                     [-a * y + b * xz, a * x + b * yz, 1.0 - b * (xx + yy)]])
+
+
+def ref_exp(w):
+    t2 = float(w[0] * w[0] + w[1] * w[1] + w[2] * w[2])
+    theta = math.sqrt(t2)
+    if theta < 1e-10:
+        return ref_rodrigues(w, 1.0, 0.5)
+    return ref_rodrigues(w, math.sin(theta) / theta,
+                         (1.0 - math.cos(theta)) / t2)
+
+
+def ref_left_jacobian(w):
+    t2 = float(w[0] * w[0] + w[1] * w[1] + w[2] * w[2])
+    theta = math.sqrt(t2)
+    if theta < 1e-6:
+        return ref_rodrigues(w, 0.5, 1.0 / 6.0)
+    return ref_rodrigues(w, (1.0 - math.cos(theta)) / t2,
+                         (theta - math.sin(theta)) / (t2 * theta))
+
+
+def ref_frames(model, q):
+    """pos (J, 3), rot (J, 3, 3), axes (D, 3), origins (D, 3)."""
+    q = np.asarray(q, dtype=float)
+    n = len(model.joints)
+    pos, rot = np.zeros((n, 3)), np.zeros((n, 3, 3))
+    axes = np.zeros((model.total_dof, 3))
+    origins = np.zeros((model.total_dof, 3))
+    qi = 0
+    for ji, joint in enumerate(model.joints):
+        if joint.parent < 0:
+            p, R = np.zeros(3), np.eye(3)
+        else:
+            R = rot[joint.parent]
+            p = pos[joint.parent] + R @ (joint.direction * joint.length)
+        for tok in joint.dofs:
+            if tok == "exp":
+                w = q[qi:qi + 3]
+                origins[qi:qi + 3] = p
+                axes[qi:qi + 3] = (R @ ref_left_jacobian(w)).T
+                R = R @ ref_exp(w)
+                qi += 3
+                continue
+            origins[qi] = p
+            axes[qi] = R @ _REF_AXES[tok[1]]
+            if tok[0] == "t":
+                p = p + q[qi] * axes[qi]
+            else:
+                R = R @ ref_axis_rotation(tok[1], q[qi])
+            qi += 1
+        pos[ji], rot[ji] = p, R
+    return pos, rot, axes, origins
+
+
+def ref_fk_and_jacobians(model, q, targets):
+    pos, rot, axes, origins = ref_frames(model, q)
+    rows = [model.target_index[t] for t in targets]
+    tj = model.target_joint[rows]
+    p = pos[tj] + np.einsum("nij,nj->ni", rot[tj], model.target_offset[rows])
+    cols = np.where(model.dof_rotational[:, None],
+                    np.cross(axes, p[:, None, :] - origins), axes)
+    J = cols * model.target_mask[rows][:, :, None]
+    return p, J.transpose(0, 2, 1)
+
+
+def multi_token_template():
+    """Joints with several tokens in one joint (translations after
+    rotations included), a translation-only joint and a dof-less one."""
+    joints = (
+        sk.Joint("root", -1, (0, 0, 1), 0.0, ("tx", "ty", "tz", "exp")),
+        sk.Joint("a", 0, (0, 0, 1), 200.0, ("rz", "tx", "ry")),
+        sk.Joint("b", 1, (1, 0, 0), 150.0, ("ty", "exp")),
+        sk.Joint("c", 2, (0, 0.6, 0.8), 120.0, ()),
+        sk.Joint("d", 1, (0, 1, 0), 100.0, ("exp", "rx", "tz")),
+        sk.Joint("e", 4, (0, 0, -1), 90.0, ("tz",)),
+    )
+    return sk.SkeletonModel(joints=joints, keypoint_map={
+        "c": "c", "e": "e", "marker": ("b", np.array([10.0, 20.0, 30.0]))})
+
+
+def older_human():
+    model = sk.human_skeleton()
+    return older_layout(model, np.zeros(model.total_dof))[0]
+
+
+# |w| of every exp joint: random, then exactly zero, the series branches,
+# the branch edges and a half turn.
+_EXP_NORMS = (None, 0.0, 1e-12, 1e-10, 1e-8, 1e-6, 1e-3, math.pi - 1e-9,
+              math.pi)
+
+
+def exp_blocks(model):
+    """Pose slices of every exp joint's 3-vector."""
+    blocks, qi = [], 0
+    for joint in model.joints:
+        for tok in joint.dofs:
+            if tok == "exp":
+                blocks.append(slice(qi, qi + 3))
+            qi += 3 if tok == "exp" else 1
+    return blocks
+
+
+def oracle_poses(model, rng, count=200):
+    translational = ~model.dof_rotational
+    for trial in range(count):
+        q = rng.normal(0, 0.7, model.total_dof)
+        q[translational] = rng.uniform(-500, 500, translational.sum())
+        norm = _EXP_NORMS[trial % len(_EXP_NORMS)]
+        if norm is not None:
+            for block in exp_blocks(model):
+                w = rng.normal(size=3)
+                q[block] = norm * w / np.linalg.norm(w)
+        yield q
+
+
+ORACLE_MODELS = pytest.mark.parametrize("build", [
+    sk.human_skeleton, older_human, multi_token_template],
+    ids=["human_34", "older_40", "multi_token"])
+
+
+class TestAgainstReferenceLoop:
+    @ORACLE_MODELS
+    def test_frames_match_reference(self, build, rng):
+        model = build()
+        for q in oracle_poses(model, rng):
+            got, want = sk._frames(model, q), ref_frames(model, q)
+            for a, b, tol in zip(got, want, (POSITION_TOL_MM, UNIT_TOL,
+                                             UNIT_TOL, POSITION_TOL_MM)):
+                assert a.shape == b.shape
+                npt.assert_allclose(a, b, rtol=0, atol=tol)
+
+    @ORACLE_MODELS
+    def test_jacobians_match_reference(self, build, rng):
+        model = build()
+        targets = list(model.target_index)
+        for q in oracle_poses(model, rng):
+            pos, jac = sk.fk_and_jacobians(model, q, targets)
+            ref_pos, ref_jac = ref_fk_and_jacobians(model, q, targets)
+            npt.assert_allclose(pos, ref_pos, rtol=0, atol=POSITION_TOL_MM)
+            assert jac.shape == ref_jac.shape
+            npt.assert_allclose(jac, ref_jac, rtol=0, atol=POSITION_TOL_MM)
+
+
 class TestTargetTable:
     """One call over every joint and keypoint of models built every way."""
 
@@ -243,8 +422,9 @@ class TestTargetTable:
         saved_and_loaded,
         lambda tmp: planar_two_link(),
         lambda tmp: planar_with_marker(),
+        lambda tmp: multi_token_template(),
     ], ids=["link_lengths", "keypoint_offsets", "save_load", "planar",
-            "planar_marker"])
+            "planar_marker", "multi_token"])
     def test_all_targets_match_finite_differences(self, build, tmp_path, rng):
         model = build(tmp_path)
         targets = [j.name for j in model.joints] + list(model.keypoint_map)
@@ -320,6 +500,15 @@ class TestTopologyInvariants:
                 sk.Joint("a", 0, (0, 0, 1), 1.0, ()),
             ), keypoint_map={})
 
+    @pytest.mark.parametrize("direction", [
+        (0, 0, -2), (0, 0, 0), (0, np.nan, 1), (0, 0, 1 + 1e-6), (1, 0)])
+    def test_non_unit_direction_rejected(self, direction):
+        with pytest.raises(sk.SkeletonError, match="joint knee: direction"):
+            sk.Joint("knee", 0, direction, 420.0, ("rx",))
+
+    def test_root_direction_is_not_a_link(self):
+        sk.Joint("root", -1, (0, 0, 0), 0.0, ("tx", "ty", "tz", "exp"))
+
     def test_keypoint_map_unknown_joint(self):
         with pytest.raises(sk.SkeletonError):
             sk.SkeletonModel(joints=(sk.Joint("a", -1, (0, 0, 1), 0.0, ()),),
@@ -337,3 +526,29 @@ class TestSkeletonIO:
         for label in a:
             npt.assert_array_equal(a[label], b[label])
         assert loaded.total_dof == model.total_dof
+
+    @pytest.mark.parametrize("build", [
+        sk.human_skeleton, lambda: sk.scaled_human_skeleton(0.8)],
+        ids=["human", "scaled_0.8"])
+    def test_round_trip_keeps_the_model(self, build, tmp_path):
+        model = build()
+        path = tmp_path / "skeleton.json"
+        sk.save_skeleton(model, path)
+        loaded = sk.load_skeleton(path)
+        for a, b in zip(model.joints, loaded.joints):
+            npt.assert_array_equal(a.direction, b.direction)
+            assert a.length == b.length
+
+    def test_non_unit_direction_in_file_names_file_and_joint(self, tmp_path):
+        """A doubled direction would put the knee twice its declared length
+        from the hip."""
+        path = tmp_path / "skeleton.json"
+        sk.save_skeleton(sk.human_skeleton(), path)
+        payload = json.loads(path.read_text())
+        for entry in payload["joints"]:
+            if entry["name"] == "r_knee":
+                entry["direction"] = [0.0, 0.0, -2.0]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(sk.SkeletonError) as err:
+            sk.load_skeleton(path)
+        assert str(err.value).startswith(f"{path}: joint r_knee: direction")
