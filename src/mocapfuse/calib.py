@@ -153,16 +153,16 @@ def undistort_normalized(camera: Camera, xd, yd, iterations=8):
     return x, y
 
 
-def pixel_to_ray(camera: Camera, pixel):
-    """Back-project a pixel to a world ray ``(origin, unit direction)``."""
-    px = np.asarray(pixel, dtype=float)
-    x = (px[0] - camera.cx) / camera.fx
-    y = (px[1] - camera.cy) / camera.fy
+def pixel_to_ray(camera: Camera, pixels):
+    """Back-project pixels (..., 2) to world rays ``(origin, directions)``:
+    the camera center and (..., 3) unit directions."""
+    px = np.asarray(pixels, dtype=float)
+    x = (px[..., 0] - camera.cx) / camera.fx
+    y = (px[..., 1] - camera.cy) / camera.fy
     if camera.has_distortion:
         x, y = undistort_normalized(camera, x, y)
-    d_cam = np.array([x, y, 1.0])
-    d = camera.rotation.T @ d_cam
-    return camera.center, d / np.linalg.norm(d)
+    d = np.stack([x, y, np.ones_like(x)], axis=-1) @ camera.rotation
+    return camera.center, d / np.linalg.norm(d, axis=-1, keepdims=True)
 
 
 def rotate_pixel(pixel, angle_deg, center):

@@ -9,6 +9,7 @@ grid, or behind the camera, contributes confidence 0.
 
 from __future__ import annotations
 
+import math
 import mmap
 import os
 import struct
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .labels import KEYPOINT_INDEX, KEYPOINTS
+from .labels import KEYPOINTS
 
 MAGIC = b"PCMF"
 VERSION = 1
@@ -73,18 +74,13 @@ class HeatmapFrame:
                                f"min={lo}, max={hi}")
 
 
-def sample_many(frame: HeatmapFrame, label: str, pixels, valid=None):
-    """Bilinear samples of one channel at image-space pixels (N,2).
+def sample_channels(frame: HeatmapFrame, chan, pixels, valid=None):
+    """Bilinear samples at image-space pixels (N,2) of channel ``chan``
+    (one index, or one per pixel).
 
     ``valid`` optionally masks out entries (e.g. behind-camera projections);
     masked and out-of-grid samples return 0.
     """
-    return sample_channels(frame, KEYPOINT_INDEX[label], pixels, valid)
-
-
-def sample_channels(frame: HeatmapFrame, chan, pixels, valid=None):
-    """Bilinear samples at image-space pixels (N,2) of channel ``chan``
-    (one index, or one per pixel), with ``sample_many``'s masking."""
     px = np.atleast_2d(np.asarray(pixels, dtype=float)) * frame.scale
     _, h, w = frame.channels.shape
     x, y = px[:, 0], px[:, 1]
@@ -106,31 +102,25 @@ def sample_channels(frame: HeatmapFrame, chan, pixels, valid=None):
     return np.where(inside, v, 0.0)
 
 
-def sample(frame: HeatmapFrame, label: str, pixel) -> float:
-    """Bilinear sample at one image-space pixel; 0 outside the grid."""
-    pixel = np.asarray(pixel, dtype=float)
-    if not np.all(np.isfinite(pixel)):
-        raise PcmError("non-finite pixel passed to sample")
-    return float(sample_many(frame, label, pixel[None, :])[0])
+def centroids(frame: HeatmapFrame, floor: float = 0.3):
+    """Value-weighted mean position of every channel in image coordinates:
+    (18, 2), row i for ``KEYPOINTS[i]``.
 
-
-def centroid(frame: HeatmapFrame, label: str, floor: float = 0.3):
-    """Value-weighted mean position of one channel in image coordinates.
-
-    Cells below ``floor`` are ignored; returns None if nothing qualifies.
+    Cells below ``floor`` (at or below 0 when ``floor`` is 0) are ignored; a
+    channel with no other cell gives a NaN row.  One scan over the frame.
     """
     if not (0.0 <= floor < 1.0):
         raise PcmError(f"floor must be in [0, 1), got {floor}")
-    grid = frame.channels[KEYPOINT_INDEX[label]]
-    mask = grid >= floor if floor > 0 else grid > 0
-    if not mask.any():
-        return None
-    ys, xs = np.nonzero(mask)
-    w = grid[ys, xs].astype(float)
-    total = w.sum()
-    cx = float((xs * w).sum() / total)
-    cy = float((ys * w).sum() / total)
-    return np.array([cx, cy]) / frame.scale
+    n, h, w = frame.channels.shape
+    flat = frame.channels.reshape(-1)
+    cells = np.flatnonzero(flat >= floor if floor > 0 else flat > 0)
+    weights = flat[cells].astype(float)
+    chan, cell = np.divmod(cells, h * w)
+    ys, xs = np.divmod(cell, w)
+    total = np.bincount(chan, weights, n)
+    sums = np.stack([np.bincount(chan, v * weights, n) for v in (xs, ys)], 1)
+    with np.errstate(invalid="ignore"):       # 0 / 0 for an empty channel
+        return sums / total[:, None] / frame.scale
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +209,13 @@ class DirectoryProvider(PcmProvider):
                 f"no PCM for camera {camera_id} frame {frame_index} "
                 f"at rotation {quantize_rotation(rotation_deg)} deg")
         frame = read_pcm(path)
-        if frame.camera_id != camera_id or frame.frame_index != frame_index:
+        rot = frame.rotation_deg
+        if (frame.camera_id != camera_id or frame.frame_index != frame_index
+                or not math.isfinite(rot)
+                or quantize_rotation(rot) != quantize_rotation(rotation_deg)):
             raise PcmFormatError(
                 f"{path}: header (cam {frame.camera_id}, frame "
-                f"{frame.frame_index}) does not match its location")
+                f"{frame.frame_index}, rotation {rot} deg) does not match "
+                f"its location")
         return frame
 

@@ -23,14 +23,10 @@ from . import skeleton as sk
 from . import smooth as smooth_mod
 from . import tracker as tracker_mod
 from .calib import CameraRig, pixel_to_ray
-from .labels import KEYPOINTS
+from .labels import KEYPOINT_INDEX, KEYPOINTS
 from .tracker import LatticeConfig, VirtualMarkerSet
 
 log = logging.getLogger("mocapfuse.pipeline")
-
-
-class DegenerateGeometry(ValueError):
-    pass
 
 
 class InitializationError(RuntimeError):
@@ -40,35 +36,33 @@ class InitializationError(RuntimeError):
 # ---------------------------------------------------------------------------
 # Triangulation
 
-def triangulate(pixels: dict, rig: CameraRig):
-    """Least-squares 3D point from per-camera pixels {camera_id: (2,)}.
+def triangulate(pixels, rig: CameraRig):
+    """Least-squares 3D points from per-camera pixels (n_c, K, 2), row c for
+    ``rig.cameras[c]``, NaN where a camera has no pixel for a point.
 
-    Minimizes the summed squared distances to the back-projected rays.
-    Returns (point mm, rms ray distance).  Fewer than two rays, or
-    near-parallel rays, raise DegenerateGeometry.
+    Each point minimizes its summed squared distances to its back-projected
+    rays.  Returns (points (K, 3) mm, rms ray distances (K,)).  A point seen
+    by fewer than two cameras, or by near-parallel rays, is NaN in both.
     """
-    if len(pixels) < 2:
-        raise DegenerateGeometry(
-            f"triangulation needs >= 2 cameras, got {len(pixels)}")
-    A = np.zeros((3, 3))
-    b = np.zeros(3)
-    rays = []
-    for cam_id, px in pixels.items():
-        origin, d = pixel_to_ray(rig.camera(cam_id), px)
-        P = np.eye(3) - np.outer(d, d)
-        A += P
-        b += P @ origin
-        rays.append((origin, d))
-    w, _ = np.linalg.eigh(A)
-    if w[0] <= 0 or w[-1] / w[0] > 1e8:
-        raise DegenerateGeometry("near-parallel rays: triangulation ill-conditioned")
-    point = np.linalg.solve(A, b)
-    sq = 0.0
-    for origin, d in rays:
-        v = point - origin
-        perp = v - (v @ d) * d
-        sq += float(perp @ perp)
-    return point, float(np.sqrt(sq / len(rays)))
+    px = np.asarray(pixels, dtype=float)
+    seen = ~np.isnan(px).any(axis=-1)                            # (n_c, K)
+    origins = np.stack([c.center for c in rig.cameras])
+    d = np.stack([pixel_to_ray(c, p)[1] for c, p in zip(rig.cameras, px)])
+    d = np.where(seen[..., None], d, 0.0)
+    P = (np.eye(3) - d[..., :, None] * d[..., None, :]) * seen[..., None, None]
+    A = P.sum(axis=0)                                            # (K, 3, 3)
+    b = (P @ origins[:, None, :, None]).sum(axis=0)              # (K, 3, 1)
+    n_seen = seen.sum(axis=0)
+    w = np.linalg.eigvalsh(A)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # Fewer than two rays, or near-parallel ones: ill-conditioned.
+        ok = (n_seen >= 2) & (w[:, 0] > 0) & (w[:, -1] / w[:, 0] <= 1e8)
+    points = np.full((px.shape[1], 3), np.nan)
+    points[ok] = np.linalg.solve(A[ok], b[ok])[..., 0]
+    v = points - origins[:, None, :]
+    perp = v - (v * d).sum(axis=-1, keepdims=True) * d
+    sq = ((perp * perp).sum(axis=-1) * seen).sum(axis=0)  # NaN at NaN points
+    return points, np.sqrt(sq / np.maximum(n_seen, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -181,33 +175,11 @@ class MotionSequence:
 # Initialization
 
 def _triangulated_keypoints(provider, rig, frame_index):
-    """Triangulate every keypoint's centroid for one frame.
-
-    Returns (points {label: (3,)}, residuals {label: mm}, missing labels).
-    """
-    frames = {}
-    for camera in rig.cameras:
-        frames[camera.id] = provider.get(camera.id, frame_index, 0.0)
-    points, residuals, missing = {}, {}, []
-    for label in KEYPOINTS:
-        pixels = {}
-        for camera in rig.cameras:
-            c = pcm_mod.centroid(frames[camera.id], label, CENTROID_FLOOR)
-            if c is not None:
-                pixels[camera.id] = c
-        try:
-            p, r = triangulate(pixels, rig)
-        except DegenerateGeometry:
-            missing.append(label)
-            continue
-        points[label] = p
-        residuals[label] = r
-    return points, residuals, missing
-
-
-def _joint_keypoint_labels(model):
-    return [lb for lb in KEYPOINTS
-            if not isinstance(model.keypoint_map[lb], tuple)]
+    """Triangulated centroids of one frame, (18, 3) points and (18,) residuals
+    (NaN where ``triangulate`` finds none); each camera-frame is read once."""
+    return triangulate([pcm_mod.centroids(provider.get(c.id, frame_index, 0.0),
+                                          CENTROID_FLOOR)
+                        for c in rig.cameras], rig)
 
 
 def _check_keypoints(model):
@@ -220,32 +192,31 @@ def _check_keypoints(model):
 
 # The joints that the hip, trunk and head rules of _identify_lengths name.
 TRUNK_JOINTS = ("r_hip", "l_hip", "waist", "chest", "neck", "head")
+R_HIP, L_HIP, NECK = (KEYPOINT_INDEX[lb] for lb in ("r_hip", "l_hip", "neck"))
 
 
-def _identify_lengths(model, tri_frames):
-    """Map median inter-keypoint distances onto the skeleton's links.
+def _identify_lengths(model, tri, on_joint):
+    """Map median inter-keypoint distances of the run ``tri`` (F, 18, 3)
+    onto the skeleton's links (``on_joint``: the keypoints a joint carries).
 
     Directly observable links (a joint and its parent both carry a
     keypoint) take the median distance between their end keypoints; the
     trunk column (pelvis->waist->chest->neck) splits the
     hip-midpoint-to-neck distance by the template's proportions.
     """
-    def med(fn):
-        return float(np.median([fn(tf) for tf in tri_frames]))
+    def med(v):
+        return float(np.median(np.linalg.norm(v, axis=-1)))
 
-    on_joint = {model.keypoint_map[lb]: lb
-                for lb in _joint_keypoint_labels(model)}
+    row = {model.keypoint_map[KEYPOINTS[i]]: i for i in np.flatnonzero(on_joint)}
     lengths = {}
     for j in model.joints[1:]:     # the root, listed first, has no link
-        a, b = on_joint.get(model.joints[j.parent].name), on_joint.get(j.name)
-        if a and b:
-            lengths[j.name] = med(lambda tf, a=a, b=b:
-                                  np.linalg.norm(tf[a] - tf[b]))
-    half_hip = med(lambda tf: 0.5 * np.linalg.norm(tf["r_hip"] - tf["l_hip"]))
+        a, b = row.get(model.joints[j.parent].name), row.get(j.name)
+        if a is not None and b is not None:
+            lengths[j.name] = med(tri[:, a] - tri[:, b])
+    half_hip = 0.5 * med(tri[:, R_HIP] - tri[:, L_HIP])
     lengths["r_hip"] = half_hip
     lengths["l_hip"] = half_hip
-    trunk = med(lambda tf: np.linalg.norm(
-        tf["neck"] - 0.5 * (tf["r_hip"] + tf["l_hip"])))
+    trunk = med(tri[:, NECK] - 0.5 * (tri[:, R_HIP] + tri[:, L_HIP]))
     template = {j.name: j.length for j in model.joints}
     t_sum = template["waist"] + template["chest"] + template["neck"]
     for link in ("waist", "chest", "neck"):
@@ -255,23 +226,14 @@ def _identify_lengths(model, tri_frames):
     return lengths
 
 
-def _fit_pose_to_points(model, points, q_init):
-    """IK fit to triangulated joint keypoints (face keypoints weigh 0)."""
-    joints = _joint_keypoint_labels(model)
-    markers = VirtualMarkerSet(
-        positions=np.stack([points[lb] for lb in KEYPOINTS]),
-        weights=np.array([float(lb in joints) for lb in KEYPOINTS]))
-    return ik_mod.solve(model, q_init, markers)
-
-
 def _seed_pose(model, points):
-    """Cheap pose seed: root translation at the hip midpoint, root yaw from
-    the hip axis, everything else zero."""
+    """Cheap pose seed from (18, 3) points: root translation at the hip
+    midpoint, root yaw from the hip axis, everything else zero."""
     q = np.zeros(model.total_dof)
     root = np.array(model.dofs_of(model.joints[0].name))
     rotational = model.dof_rotational[root]
-    q[root[~rotational]] = 0.5 * (points["r_hip"] + points["l_hip"])
-    hip_axis = points["r_hip"] - points["l_hip"]
+    q[root[~rotational]] = 0.5 * (points[R_HIP] + points[L_HIP])
+    hip_axis = points[R_HIP] - points[L_HIP]
     q[root[rotational]] = [0.0, 0.0, np.arctan2(hip_axis[1], hip_axis[0])]
     return q
 
@@ -281,9 +243,10 @@ def initialize(provider, rig: CameraRig, skeleton_template, config: PipelineConf
 
     Scans frames from 0 for a run of ``min_agreement_frames`` consecutive
     frames in which every keypoint triangulates with residual below the
-    threshold.  Returns (model, pose0, positions0, first_track_frame).  A
-    template without all of ``TRUNK_JOINTS``, or one that places no
-    position for a keypoint, raises SkeletonError first.
+    threshold.  Returns (model, pose0, positions0, first_track_frame), where
+    positions0 is the (18, 3) keypoint rows of pose0.  A template without
+    all of ``TRUNK_JOINTS``, or one that places no position for a keypoint,
+    raises SkeletonError first.
     """
     missing = [j for j in TRUNK_JOINTS if j not in skeleton_template.joint_index]
     if missing:
@@ -291,57 +254,61 @@ def initialize(provider, rig: CameraRig, skeleton_template, config: PipelineConf
                                "initialization needs: " + ", ".join(missing))
     _check_keypoints(skeleton_template)
     settings = config.init
-    run = []          # list of (frame_index, points dict)
-    worst = {}
+    needed = settings.min_agreement_frames
+    run = []                                   # (18, 3) points per frame
+    worst = np.zeros(len(KEYPOINTS), dtype=int)
+    ended = None                               # the first missing frame
     for frame_index in range(MAX_SEARCH_FRAMES):
         try:
-            points, residuals, missing = _triangulated_keypoints(
-                provider, rig, frame_index)
+            points, residuals = _triangulated_keypoints(provider, rig,
+                                                        frame_index)
         except pcm_mod.FrameMissing:
+            ended = frame_index
             break
-        bad = list(missing)
-        for label, r in residuals.items():
-            if r >= settings.agreement_residual_mm:
-                bad.append(label)
-        if bad:
-            for label in bad:
-                worst[label] = worst.get(label, 0) + 1
+        bad = ~(residuals < settings.agreement_residual_mm)   # NaN is bad
+        if bad.any():
+            worst += bad
             run = []
             continue
-        run.append((frame_index, points))
-        if len(run) >= settings.min_agreement_frames:
+        run.append(points)
+        if len(run) >= needed:
             break
-    if len(run) < settings.min_agreement_frames:
-        ranking = sorted(worst.items(), key=lambda kv: -kv[1])
-        raise InitializationError(
-            "no 3D agreement run found; worst keypoints: "
-            + (", ".join(f"{lb} ({n} frames)" for lb, n in ranking[:5])
-               or "none triangulated"))
+    if len(run) < needed:
+        ranked = ", ".join(f"{KEYPOINTS[i]} ({worst[i]} frames)" for i in
+                           np.argsort(-worst, kind="stable")[:5] if worst[i])
+        reasons = [f"worst keypoints: {ranked}"] if ranked else []
+        if ended is not None:
+            reasons.insert(0, f"frame {ended} is missing, with {len(run)} "
+                              f"of the {needed} agreeing frames needed")
+        raise InitializationError("no 3D agreement run found; " + (
+            "; ".join(reasons) or "worst keypoints: none triangulated"))
 
-    tri_frames = [points for _, points in run]
-    model = sk.with_link_lengths(skeleton_template,
-                                 _identify_lengths(skeleton_template, tri_frames))
+    tri = np.stack(run)
+    on_joint = np.array([not isinstance(skeleton_template.keypoint_map[lb],
+                                        tuple) for lb in KEYPOINTS])
+    model = sk.with_link_lengths(
+        skeleton_template, _identify_lengths(skeleton_template, tri, on_joint))
 
-    # Fit a pose per agreement frame (warm-started along the run), collect the
-    # face-point offsets in the head frame, take their medians.
-    q = _seed_pose(model, tri_frames[0])
-    face_labels = [lb for lb in KEYPOINTS
-                   if isinstance(model.keypoint_map[lb], tuple)]
-    offsets = {lb: [] for lb in face_labels}
-    for points in tri_frames:
-        q = _fit_pose_to_points(model, points, q).q
+    # Fit a pose per agreement frame (warm-started along the run) to the
+    # joint keypoints, collect the face-point offsets in their segment's
+    # frame, take their medians.
+    weights = on_joint.astype(float)          # face keypoints weigh 0
+    face = np.flatnonzero(~on_joint)
+    segment = [model.joint_index[model.keypoint_map[KEYPOINTS[i]][0]]
+               for i in face]
+    q = _seed_pose(model, tri[0])
+    offsets = []
+    for points in tri:
+        q = ik_mod.solve(model, q, VirtualMarkerSet(points, weights)).q
         pos, rot, _, _ = sk._frames(model, q)
-        for lb in face_labels:
-            ji = model.joint_index[model.keypoint_map[lb][0]]
-            offsets[lb].append(rot[ji].T @ (points[lb] - pos[ji]))
-    med_offsets = {lb: np.median(np.stack(v), axis=0)
-                   for lb, v in offsets.items()}
-    model = sk.with_keypoint_offsets(model, med_offsets)
+        offsets.append([rot[j].T @ (points[i] - pos[j])
+                        for i, j in zip(face, segment)])
+    model = sk.with_keypoint_offsets(model, dict(zip(
+        (KEYPOINTS[i] for i in face), np.median(offsets, axis=0))))
 
-    last_frame, last_points = run[-1]
-    pose0 = _fit_pose_to_points(model, last_points, q).q
-    positions0 = sk.forward_kinematics(model, pose0)
-    return model, pose0, positions0, last_frame + 1
+    pose0 = ik_mod.solve(model, q, VirtualMarkerSet(tri[-1], weights)).q
+    positions0 = sk.keypoint_positions(model, pose0, KEYPOINTS)
+    return model, pose0, positions0, frame_index + 1
 
 
 # ---------------------------------------------------------------------------

@@ -274,7 +274,8 @@ def exhaustive_lattice_oracle(center, label, provider, rig, s, k):
             frame = provider.get(camera.id, 0, 0.0)
             px, in_front = project_points(camera, p)
             if in_front:
-                score += pcm.sample(frame, label, px)
+                score += pcm.sample_channels(frame, KEYPOINT_INDEX[label],
+                                            px)[0]
         if best is None or score > best[0]:
             best = (score, off, p)
     return best
@@ -342,7 +343,9 @@ def test_acceptance_6_triangulation_and_length_identification(walk_run, rng):
                 pixels[camera.id] = px + rng.normal(0.0, 0.5, 2)
         if len(pixels) < 2:
             continue
-        est, _ = pipeline.triangulate(pixels, rig)
+        rows = np.array([[pixels.get(c.id, (np.nan, np.nan))]
+                         for c in rig.cameras])              # (n_c, 1, 2)
+        est = pipeline.triangulate(rows, rig)[0][0]
         A = np.zeros((3, 3))
         b = np.zeros(3)
         for cam_id, px in pixels.items():

@@ -597,6 +597,24 @@ class TestRuntimeErrors:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert "MOCAPFUSE_LOG" in err[0] and "'verbose'" in err[0]
 
+    def test_init_past_the_last_frame_names_it(self, tmp_path, capsys):
+        """init on a 6-frame walk, whose every frame agrees, exits 1 with one
+        line naming the missing frame 6, not the keypoints."""
+        data = tmp_path / "data"
+        assert cli.main(["synth", "--preset", "walk", "--frames", "6",
+                         "--out", str(data)]) == 0
+        capsys.readouterr()
+        rc = cli.main(["init", "--calib", str(data / "calib.json"),
+                       "--pcm-dir", str(data / "pcm"),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: InitializationError: no 3D agreement "
+                                 "run found; frame 6 is missing")
+        assert "keypoints" not in err[0]
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_spec_preset_exits_one(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"motion": {"preset": "custom"}}))

@@ -1,13 +1,15 @@
+import os
 import struct
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from conftest import small_scene
 from helpers import DictProvider, frame_with_channel, gaussian_grid, make_frame
-from mocapfuse import pcm, tracker
+from mocapfuse import pcm, synth, tracker
 from mocapfuse.calib import Camera, CameraRig, project_points, rotate_pixel
-from mocapfuse.labels import KEYPOINTS
+from mocapfuse.labels import KEYPOINT_INDEX, KEYPOINTS
 
 
 class TestHeatmapFrame:
@@ -63,83 +65,117 @@ class TestHeatmapFrame:
             make_frame(scale=0.0)
 
 
+def sample(frame, label, pixel):
+    """One bilinear sample of ``label``'s channel at an image-space pixel."""
+    return float(pcm.sample_channels(frame, KEYPOINT_INDEX[label], pixel)[0])
+
+
 class TestSample:
     def test_constant_channel(self):
         frame = frame_with_channel("neck", np.full((48, 64), 0.7, np.float32))
-        assert pcm.sample(frame, "neck", (10.3, 20.7)) == pytest.approx(0.7)
+        assert sample(frame, "neck", (10.3, 20.7)) == pytest.approx(0.7)
 
     def test_peak_at_grid_point(self):
         frame = frame_with_channel("nose", gaussian_grid(48, 64, 30, 20, 5.0))
-        assert pcm.sample(frame, "nose", (30, 20)) == pytest.approx(1.0)
+        assert sample(frame, "nose", (30, 20)) == pytest.approx(1.0)
 
     def test_half_pixel_is_mean_of_straddled_values(self):
         grid = gaussian_grid(48, 64, 30, 20, 5.0).astype(np.float32)
         frame = frame_with_channel("nose", grid)
         expected = 0.5 * (grid[20, 30] + grid[20, 31])
-        assert pcm.sample(frame, "nose", (30.5, 20)) == pytest.approx(expected)
+        assert sample(frame, "nose", (30.5, 20)) == pytest.approx(expected)
 
     def test_out_of_bounds_is_zero(self):
         frame = frame_with_channel("nose", np.ones((48, 64), np.float32))
-        assert pcm.sample(frame, "nose", (-5, 10)) == 0.0
-        assert pcm.sample(frame, "nose", (62.5, 46.5)) > 0.0
-        assert pcm.sample(frame, "nose", (63.2, 10)) == 0.0
+        assert sample(frame, "nose", (-5, 10)) == 0.0
+        assert sample(frame, "nose", (62.5, 46.5)) > 0.0
+        assert sample(frame, "nose", (63.2, 10)) == 0.0
 
     def test_scale_maps_image_to_heatmap(self):
         grid = gaussian_grid(24, 32, 16, 12, 3.0)
         frame = frame_with_channel("neck", grid, scale=0.5)
         # Image pixel (32, 24) lands on heatmap cell (16, 12).
-        assert pcm.sample(frame, "neck", (32, 24)) == pytest.approx(1.0)
+        assert sample(frame, "neck", (32, 24)) == pytest.approx(1.0)
 
     def test_valid_mask_forces_zero(self):
         frame = frame_with_channel("neck", np.ones((48, 64), np.float32))
-        vals = pcm.sample_many(frame, "neck", [(10, 10), (10, 10)],
-                               valid=[True, False])
+        vals = pcm.sample_channels(frame, KEYPOINT_INDEX["neck"],
+                                   [(10, 10), (10, 10)], valid=[True, False])
         npt.assert_array_equal(vals, [1.0, 0.0])
-
-    def test_non_finite_pixel_rejected(self):
-        frame = make_frame()
-        with pytest.raises(pcm.PcmError):
-            pcm.sample(frame, "nose", (np.nan, 1.0))
 
     def test_continuity_across_cells(self, rng):
         grid = rng.uniform(0, 1, (48, 64)).astype(np.float32)
         frame = frame_with_channel("r_knee", grid)
         for _ in range(200):
             p = rng.uniform([0, 0], [62, 46])
-            a = pcm.sample(frame, "r_knee", p)
-            b = pcm.sample(frame, "r_knee", p + [1e-6, 0])
-            c = pcm.sample(frame, "r_knee", p + [0, 1e-6])
+            a = sample(frame, "r_knee", p)
+            b = sample(frame, "r_knee", p + [1e-6, 0])
+            c = sample(frame, "r_knee", p + [0, 1e-6])
             assert abs(a - b) <= 1e-5 and abs(a - c) <= 1e-5
 
     def test_values_stay_in_unit_interval(self, rng):
         grid = rng.uniform(0, 1, (48, 64)).astype(np.float32)
         frame = frame_with_channel("r_knee", grid)
         pts = rng.uniform([-10, -10], [80, 60], (500, 2))
-        vals = pcm.sample_many(frame, "r_knee", pts)
+        vals = pcm.sample_channels(frame, KEYPOINT_INDEX["r_knee"], pts)
         assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
+
+
+def centroid_oracle(frame, label, floor):
+    """One channel's centroid, computed on its own (the per-label code that
+    ``pcm.centroids`` replaced): None if no cell qualifies."""
+    grid = frame.channels[KEYPOINT_INDEX[label]]
+    mask = grid >= floor if floor > 0 else grid > 0
+    if not mask.any():
+        return None
+    ys, xs = np.nonzero(mask)
+    w = grid[ys, xs].astype(float)
+    total = w.sum()
+    cx = float((xs * w).sum() / total)
+    cy = float((ys * w).sum() / total)
+    return np.array([cx, cy]) / frame.scale
+
+
+def centroid(frame, label, floor):
+    return pcm.centroids(frame, floor)[KEYPOINT_INDEX[label]]
 
 
 class TestCentroid:
     def test_symmetric_gaussian(self):
         frame = frame_with_channel("nose", gaussian_grid(48, 64, 30.0, 20.0, 4.0))
-        c = pcm.centroid(frame, "nose", 0.1)
+        c = centroid(frame, "nose", 0.1)
         assert np.linalg.norm(c - [30, 20]) < 0.5
 
-    def test_all_zero_returns_none(self):
-        assert pcm.centroid(make_frame(), "nose", 0.1) is None
+    def test_all_zero_returns_nan_row(self):
+        c = pcm.centroids(make_frame(), 0.1)
+        assert c.shape == (len(KEYPOINTS), 2) and np.isnan(c).all()
+
+    def test_empty_channel_is_a_nan_row(self):
+        frame = frame_with_channel("neck", gaussian_grid(48, 64, 30, 20, 4.0))
+        c = pcm.centroids(frame, 0.3)
+        row = KEYPOINT_INDEX["neck"]
+        assert np.isfinite(c[row]).all()
+        assert np.isnan(np.delete(c, row, axis=0)).all()
+
+    def test_cell_at_the_floor_counts(self):
+        grid = np.zeros((48, 64), np.float32)
+        grid[7, 11] = np.float32(0.3)
+        grid[7, 12] = np.nextafter(np.float32(0.3), np.float32(0))
+        frame = frame_with_channel("l_ankle", grid)
+        npt.assert_array_equal(centroid(frame, "l_ankle", 0.3), [11.0, 7.0])
 
     def test_two_equal_peaks_midpoint(self):
         grid = np.zeros((48, 64), np.float32)
         grid[20, 10] = 1.0
         grid[20, 30] = 1.0
         frame = frame_with_channel("neck", grid)
-        npt.assert_allclose(pcm.centroid(frame, "neck", 0.5), [20, 20])
+        npt.assert_allclose(centroid(frame, "neck", 0.5), [20, 20])
 
     def test_translation_equivariance(self):
-        base = pcm.centroid(
+        base = centroid(
             frame_with_channel("nose", gaussian_grid(48, 64, 20.0, 20.0, 3.0)),
             "nose", 0.1)
-        shifted = pcm.centroid(
+        shifted = centroid(
             frame_with_channel("nose", gaussian_grid(48, 64, 27.0, 15.0, 3.0)),
             "nose", 0.1)
         npt.assert_allclose(shifted - base, [7.0, -5.0], atol=0.5)
@@ -147,12 +183,49 @@ class TestCentroid:
     def test_scale_converts_to_image_coords(self):
         frame = frame_with_channel("nose", gaussian_grid(24, 32, 16.0, 12.0, 3.0),
                                    scale=0.5)
-        c = pcm.centroid(frame, "nose", 0.1)
+        c = centroid(frame, "nose", 0.1)
         assert np.linalg.norm(c - [32, 24]) < 1.0
 
     def test_floor_validation(self):
         with pytest.raises(pcm.PcmError):
-            pcm.centroid(make_frame(), "nose", 1.0)
+            pcm.centroids(make_frame(), 1.0)
+
+    @pytest.mark.parametrize("scale", [0.25, 0.5, 1.0])
+    def test_bit_identical_to_per_channel_centroids(self, scale):
+        """Rendered frames (noise with false peaks, a tilt-biased inversion
+        and a cartwheel; rotations 0, 90 and -37 degrees) give, at every
+        floor, each channel's centroid to the last bit."""
+        scenes = [
+            small_scene(motion=synth.walk_like(), heatmap_scale=scale,
+                        noise=synth.NoiseModel(jitter_px=2.0,
+                                               amplitude_std=0.2,
+                                               false_peak_rate=0.5)),
+            small_scene(motion=synth.handstand_like(period_s=4.0),
+                        heatmap_scale=scale,
+                        tilt_bias=synth.TiltBias(enabled=True,
+                                                 jitter_px=10.0)),
+            small_scene(motion=synth.cartwheel_like(period_s=4.0),
+                        heatmap_scale=scale),
+        ]
+        compared = 0
+        for spec in scenes:
+            rig = synth.build_rig(spec)
+            for frame_index in (0, 120):
+                for camera in rig.cameras[:2]:
+                    for rotation in (0.0, 90.0, -37.0):
+                        frame = synth.render_frame(spec, camera, frame_index,
+                                                   rotation)
+                        for floor in (0.1, 0.3, 0.5):
+                            rows = pcm.centroids(frame, floor)
+                            for i, label in enumerate(KEYPOINTS):
+                                oracle = centroid_oracle(frame, label, floor)
+                                if oracle is None:
+                                    assert np.isnan(rows[i]).all()
+                                else:
+                                    assert rows[i].tobytes() == \
+                                        oracle.tobytes(), (label, floor)
+                                    compared += 1
+        assert compared > 1000
 
 
 class TestFileFormat:
@@ -277,6 +350,29 @@ class TestDirectoryProvider:
             pcm.DirectoryProvider(tmp_path).get(0, 0, 0.0)
 
 
+    def test_header_rotation_mismatch(self, tmp_path):
+        """A rotation-0 frame stored under rot90/ is refused, not sampled
+        as if it were rotated; so is a header angle that is not finite."""
+        for header, stored in ((0.0, 90.0), (90.0, 0.0), (np.nan, 0.0),
+                               (np.inf, 0.0)):
+            frame = make_frame(rotation=header, camera_id=0, frame_index=3)
+            path = pcm.frame_path(tmp_path, 0, 3, stored)
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            pcm.write_pcm(frame, path)
+            with pytest.raises(pcm.PcmFormatError, match="does not match") \
+                    as exc:
+                pcm.DirectoryProvider(tmp_path).get(0, 3, stored)
+            assert str(exc.value).startswith(f"{path}: ")
+
+    def test_header_rotation_in_the_same_bin(self, tmp_path):
+        frame = make_frame(rotation=-37.2, camera_id=0, frame_index=3)
+        path = pcm.frame_path(tmp_path, 0, 3, -37.0)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        pcm.write_pcm(frame, path)
+        back = pcm.DirectoryProvider(tmp_path).get(0, 3, -36.6)
+        assert pcm.quantize_rotation(back.rotation_deg) == -37
+
+
 class TestQuantizeRotation:
     def test_rounding(self):
         assert pcm.quantize_rotation(36.7) == 37
@@ -308,7 +404,7 @@ class TestSampleRotated:
         points = np.column_stack([rng.uniform(-640, 620, 50),
                                   rng.uniform(-480, 460, 50), np.zeros(50)])
         px, _ = project_points(self.camera(), points)
-        expected = [pcm.sample(frame, "r_hip", p) for p in px]
+        expected = [sample(frame, "r_hip", p) for p in px]
         npt.assert_array_equal(self.score(provider, points, 0.0), expected)
 
     def test_peak_recovered_through_rotated_render(self):

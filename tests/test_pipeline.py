@@ -14,7 +14,6 @@ from mocapfuse.calib import (CameraRig, look_at_camera, pixel_to_ray,
                              project_points)
 from mocapfuse.labels import KEYPOINT_INDEX, KEYPOINTS
 from mocapfuse.pipeline import (
-    DegenerateGeometry,
     InitializationError,
     InitSettings,
     PipelineConfig,
@@ -68,47 +67,87 @@ def two_orthogonal_cameras():
     return CameraRig(cameras=(cam_a, cam_b))
 
 
+def rows(rig, pixels):
+    """(n_c, K, 2) pixels from one {camera_id: (2,)} dict per point, NaN
+    where a camera has no pixel."""
+    return np.array([[p.get(c.id, (np.nan, np.nan)) for p in pixels]
+                     for c in rig.cameras], dtype=float)
+
+
+def normal_equations_oracle(rig, pixels):
+    """Independent assembly and solve of sum (I - d d^T)(x - o) = 0."""
+    A = np.zeros((3, 3))
+    b = np.zeros(3)
+    for cam_id, px in pixels.items():
+        o, d = pixel_to_ray(rig.camera(cam_id), px)
+        P = np.eye(3) - np.outer(d, d)
+        A += P
+        b += P @ o
+    return np.linalg.lstsq(A, b, rcond=None)[0]
+
+
 class TestTriangulate:
     def test_exact_intersection(self):
         rig = two_orthogonal_cameras()
-        p = np.array([120.0, -230.0, 1340.0])
-        pixels = {c.id: project_points(c, p)[0] for c in rig.cameras}
-        point, residual = triangulate(pixels, rig)
-        npt.assert_allclose(point, p, atol=1e-6)
-        assert residual < 1e-6
+        p = np.array([[120.0, -230.0, 1340.0], [-50.0, 310.0, 700.0]])
+        pixels = np.stack([project_points(c, p)[0] for c in rig.cameras])
+        points, residuals = triangulate(pixels, rig)
+        npt.assert_allclose(points, p, atol=1e-6)
+        assert points.shape == (2, 3) and residuals.shape == (2,)
+        assert np.all(residuals < 1e-6)
 
     def test_matches_independent_normal_equations(self, rng):
-        rig = two_orthogonal_cameras()
-        for _ in range(50):
-            p = rng.uniform(-600, 600, 3) + np.array([0, 0, 1000.0])
-            pixels = {c.id: project_points(c, p)[0] + rng.normal(0, 1.0, 2)
-                      for c in rig.cameras}
-            point, _ = triangulate(pixels, rig)
-            # Independent assembly of sum (I - d d^T)(x - o) = 0.
-            A = np.zeros((3, 3))
-            b = np.zeros(3)
-            for cam_id, px in pixels.items():
-                o, d = pixel_to_ray(rig.camera(cam_id), px)
-                P = np.eye(3) - np.outer(d, d)
-                A += P
-                b += P @ o
-            oracle = np.linalg.lstsq(A, b, rcond=None)[0]
+        """K points in one call, each camera missing some of them."""
+        rig = CameraRig(cameras=two_orthogonal_cameras().cameras + (
+            look_at_camera(2, (-3000.0, -3000.0, 2000.0), (0, 0, 1000),
+                           1024, 768, 700),
+            look_at_camera(3, (2500.0, -3500.0, 500.0), (0, 0, 1000),
+                           1024, 768, 900)))
+        truth = rng.uniform(-600, 600, (60, 3)) + np.array([0, 0, 1000.0])
+        pixels = []
+        for p in truth:
+            seen = rng.permutation(rig.n_c)[:rng.integers(2, rig.n_c + 1)]
+            pixels.append({rig.cameras[i].id: project_points(rig.cameras[i], p)[0]
+                           + rng.normal(0, 1.0, 2) for i in seen})
+        points, residuals = triangulate(rows(rig, pixels), rig)
+        for point, residual, px in zip(points, residuals, pixels):
+            oracle = normal_equations_oracle(rig, px)
             npt.assert_allclose(point, oracle, atol=1e-9)
+            rays = [pixel_to_ray(rig.camera(i), q) for i, q in px.items()]
+            perp = [np.linalg.norm(np.cross(oracle - o, d)) for o, d in rays]
+            assert residual == pytest.approx(np.sqrt(np.mean(np.square(perp))),
+                                             rel=1e-9, abs=1e-12)
 
     def test_single_camera_rejected(self):
+        """A point only one camera sees is NaN; the others of the call are
+        not affected."""
         rig = two_orthogonal_cameras()
-        with pytest.raises(DegenerateGeometry):
-            triangulate({0: np.array([512.0, 384.0])}, rig)
+        p = np.array([120.0, -230.0, 1340.0])
+        px = {c.id: project_points(c, p)[0] for c in rig.cameras}
+        points, residuals = triangulate(
+            rows(rig, [{0: px[0]}, px, {}, {1: px[1]}]), rig)
+        assert np.isnan(points[[0, 2, 3]]).all()
+        assert np.isnan(residuals[[0, 2, 3]]).all()
+        npt.assert_allclose(points[1], p, atol=1e-6)
+        assert residuals[1] < 1e-6
 
     def test_parallel_rays_rejected(self):
+        """Near-parallel rays give NaN for their point only."""
         cam_a = look_at_camera(0, (4000.0, 0.0, 1000.0), (0, 0, 1000),
                                1024, 768, 800)
         cam_b = look_at_camera(1, (4001.0, 0.0, 1000.0), (0, 0, 1000),
                                1024, 768, 800)
-        rig = CameraRig(cameras=(cam_a, cam_b))
-        pixels = {0: np.array([512.0, 384.0]), 1: np.array([512.0, 384.0])}
-        with pytest.raises(DegenerateGeometry):
-            triangulate(pixels, rig)
+        cam_c = look_at_camera(2, (0.0, 4000.0, 1000.0), (0, 0, 1000),
+                               1024, 768, 800)
+        rig = CameraRig(cameras=(cam_a, cam_b, cam_c))
+        p = np.array([100.0, 200.0, 1100.0])
+        center = np.array([512.0, 384.0])
+        points, residuals = triangulate(rows(rig, [
+            {0: center, 1: center},
+            {0: project_points(cam_a, p)[0], 2: project_points(cam_c, p)[0]},
+        ]), rig)
+        assert np.isnan(points[0]).all() and np.isnan(residuals[0])
+        npt.assert_allclose(points[1], p, atol=1e-6)
 
 
 @pytest.fixture(scope="module")
@@ -143,8 +182,11 @@ class TestInitialize:
     def test_initial_positions_near_ground_truth(self, still_spec, still_init):
         model, pose0, positions0, first = still_init
         gt = synth.ground_truth_positions(still_spec, first - 1)
-        for lb in KEYPOINTS:
-            assert np.linalg.norm(positions0[lb] - gt[lb]) < 15.0
+        assert positions0.shape == (len(KEYPOINTS), 3)
+        npt.assert_array_equal(
+            positions0, sk.keypoint_positions(model, pose0, KEYPOINTS))
+        for p, lb in zip(positions0, KEYPOINTS):
+            assert np.linalg.norm(p - gt[lb]) < 15.0
 
     def test_first_track_frame_follows_agreement_run(self, still_init):
         _, _, _, first = still_init
@@ -157,6 +199,27 @@ class TestInitialize:
             lambda cam, frame, label: label == "r_wrist" and cam != 0)
         with pytest.raises(InitializationError, match="r_wrist"):
             initialize(masked, still_rig, sk.human_skeleton(), PipelineConfig())
+
+    def test_frames_running_out_names_the_missing_frame(self):
+        """A 6-frame walk agrees in every frame it has: the error names the
+        missing frame and the run length needed, not the keypoints."""
+        spec = small_scene(motion=synth.walk_like())
+        rig = synth.build_rig(spec)
+        provider = synth.SyntheticProvider(spec, rig, n_frames=6)
+        with pytest.raises(InitializationError) as exc:
+            initialize(provider, rig, sk.human_skeleton(), PipelineConfig())
+        assert str(exc.value) == (
+            "no 3D agreement run found; frame 6 is missing, with 6 of the "
+            f"{InitSettings().min_agreement_frames} agreeing frames needed")
+
+    def test_one_fetch_per_camera_per_searched_frame(self, still_provider,
+                                                     still_rig, still_init):
+        provider = CountingProvider(still_provider)
+        *_, first = initialize(provider, still_rig, sk.human_skeleton(),
+                               PipelineConfig())
+        assert first == still_init[3]
+        assert provider.calls == [f for f in range(first)
+                                  for _ in still_rig.cameras]
 
     def test_impossible_agreement_threshold(self, still_provider, still_rig):
         config = PipelineConfig(init=InitSettings(agreement_residual_mm=1e-12))

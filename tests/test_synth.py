@@ -99,10 +99,10 @@ class TestRenderFrame:
         gt = synth.ground_truth_positions(still_spec, 0)
         for camera in still_rig.cameras:
             frame = synth.render_frame(still_spec, camera, 0)
-            for label in KEYPOINTS:
+            rows = pcm.centroids(frame, 0.3)
+            for label, c in zip(KEYPOINTS, rows):
                 px, in_front = project_points(camera, gt[label])
                 assert in_front
-                c = pcm.centroid(frame, label, 0.3)
                 assert np.linalg.norm(c - px) < 0.5
 
     def test_deterministic(self, still_rig):

@@ -262,8 +262,8 @@ class TestRotatedSampling:
 
 def test_batched_samples_equal_sample_many(rng, caplog):
     """Every label's per-camera samples from one score_points call equal
-    pcm.sample_many at the same (rotated) pixels exactly, with one camera's
-    rotated frame missing."""
+    one pcm.sample_channels call per label at the same (rotated) pixels
+    exactly, with one camera's rotated frame missing."""
     rig = axial_rig(3)
     plan = {0: 90.0, 1: 180.0, 2: 45.0}        # camera 2 has no 45-degree frame
     frames = {}
@@ -290,7 +290,8 @@ def test_batched_samples_equal_sample_many(rng, caplog):
                 px = rotate_pixel(px, rot, cam.image_center)
             npt.assert_array_equal(
                 per_camera[ci, li],
-                pcm.sample_many(frame, label, px, valid=in_front))
+                pcm.sample_channels(frame, KEYPOINT_INDEX[label], px,
+                                    valid=in_front))
     npt.assert_array_equal(scores, per_camera.sum(axis=0))
 
 
