@@ -32,8 +32,9 @@ class PcmError(ValueError):
 
 
 class PcmFormatError(PcmError):
-    """Bad magic, wrong version, truncated payload, or values outside [0, 1]
-    or NaN."""
+    """Bad magic, wrong version, truncated payload or a header that does not
+    match its location; or a value outside [0, 1] or NaN in a cell that is
+    read (the message names camera, frame and rotation)."""
 
 
 class FrameMissing(PcmError):
@@ -46,8 +47,13 @@ class RotationUnavailable(PcmError):
 
 @dataclass(frozen=True)
 class HeatmapFrame:
-    """One camera's 18 channels for one frame.  Values outside [0, 1] and NaN
-    raise PcmError (one pass over the bits; min and max only if it fails)."""
+    """One camera's 18 channels for one frame.
+
+    Construction checks the dimensions, the scale and the channel shape, not
+    the values: ``sample_channels`` and ``centroids`` check every cell they
+    read and raise PcmFormatError for a value outside [0, 1] or NaN, so the
+    cost does not grow with the frame.
+    """
     camera_id: int
     frame_index: int
     rotation_deg: float
@@ -58,7 +64,7 @@ class HeatmapFrame:
     undistorted: bool = False
 
     def __post_init__(self):
-        ch = np.asarray(self.channels, dtype=np.float32)
+        ch = np.ascontiguousarray(self.channels, dtype=np.float32)
         object.__setattr__(self, "channels", ch)
         if self.width <= 0 or self.height <= 0:
             raise PcmError("heatmap dimensions must be > 0")
@@ -67,11 +73,19 @@ class HeatmapFrame:
         if ch.shape != (len(KEYPOINTS), self.height, self.width):
             raise PcmError(f"channels must be (18, {self.height}, {self.width}), "
                            f"got {ch.shape}")
-        if ch.view(np.uint32).max() > _ONE_BITS:
-            lo, hi = float(ch.min()), float(ch.max())
-            if not (lo >= 0.0 and hi <= 1.0):
-                raise PcmError(f"channel values outside [0, 1] or NaN: "
-                               f"min={lo}, max={hi}")
+
+
+def _check_values(frame: HeatmapFrame, values):
+    """Refuse float32 ``values`` read from ``frame`` that lie outside [0, 1]
+    or are NaN: their bit patterns are compared first, and min and max are
+    taken only if that fails, so -0.0 is accepted."""
+    if values.size and values.view(np.uint32).max() > _ONE_BITS:
+        lo, hi = float(values.min()), float(values.max())
+        if not (lo >= 0.0 and hi <= 1.0):
+            raise PcmFormatError(
+                f"camera {frame.camera_id} frame {frame.frame_index} rotation "
+                f"{frame.rotation_deg} deg: channel values outside [0, 1] or "
+                f"NaN: min={lo}, max={hi}")
 
 
 def sample_channels(frame: HeatmapFrame, chan, pixels, valid=None):
@@ -79,7 +93,10 @@ def sample_channels(frame: HeatmapFrame, chan, pixels, valid=None):
     (one index, or one per pixel).
 
     ``valid`` optionally masks out entries (e.g. behind-camera projections);
-    masked and out-of-grid samples return 0.
+    masked and out-of-grid samples return 0.  The four corner cells of every
+    sample, clamped to the grid, are gathered in one ``take`` and checked,
+    masked and out-of-grid samples included: a corner outside [0, 1] or NaN
+    raises PcmFormatError.
     """
     px = np.atleast_2d(np.asarray(pixels, dtype=float)) * frame.scale
     _, h, w = frame.channels.shape
@@ -93,12 +110,15 @@ def sample_channels(frame: HeatmapFrame, chan, pixels, valid=None):
     y0 = np.minimum(ys.astype(int), h - 2) if h > 1 else np.zeros_like(ys, dtype=int)
     fx = xs - x0
     fy = ys - y0
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    ch = frame.channels
-    v = ((1 - fx) * (1 - fy) * ch[chan, y0, x0]
-         + fx * (1 - fy) * ch[chan, y0, x1]
-         + (1 - fx) * fy * ch[chan, y1, x0] + fx * fy * ch[chan, y1, x1])
+    dx = 1 if w > 1 else 0
+    dy = w if h > 1 else 0
+    first = (np.asarray(chan) * h + y0) * w + x0
+    corners = frame.channels.reshape(-1).take(
+        first + np.array([[0], [dx], [dy], [dx + dy]]))
+    _check_values(frame, corners)
+    c00, c01, c10, c11 = corners
+    v = ((1 - fx) * (1 - fy) * c00 + fx * (1 - fy) * c01
+         + (1 - fx) * fy * c10 + fx * fy * c11)
     return np.where(inside, v, 0.0)
 
 
@@ -107,14 +127,22 @@ def centroids(frame: HeatmapFrame, floor: float = 0.3):
     (18, 2), row i for ``KEYPOINTS[i]``.
 
     Cells below ``floor`` (at or below 0 when ``floor`` is 0) are ignored; a
-    channel with no other cell gives a NaN row.  One scan over the frame.
+    channel with no other cell gives a NaN row.  One scan over the frame
+    selects cells by their float32 bit patterns, which sort like the values
+    from +0.0 to 1.0; every value outside [0, 1] and NaN has a larger
+    pattern, so it is selected and refused with PcmFormatError.  A -0.0 is
+    accepted; it adds nothing to the sums.
     """
     if not (0.0 <= floor < 1.0):
         raise PcmError(f"floor must be in [0, 1), got {floor}")
     n, h, w = frame.channels.shape
     flat = frame.channels.reshape(-1)
-    cells = np.flatnonzero(flat >= floor if floor > 0 else flat > 0)
-    weights = flat[cells].astype(float)
+    bits = flat.view(np.uint32)
+    cells = np.flatnonzero(bits >= np.float32(floor).view(np.uint32)
+                           if floor > 0 else bits > 0)
+    values = flat[cells]
+    _check_values(frame, values)
+    weights = values.astype(float)
     chan, cell = np.divmod(cells, h * w)
     ys, xs = np.divmod(cell, w)
     total = np.bincount(chan, weights, n)
@@ -137,10 +165,12 @@ def write_pcm(frame: HeatmapFrame, path):
 
 
 def read_pcm(path) -> HeatmapFrame:
-    """Map a .pcm file read-only and check it.
+    """Map a .pcm file read-only and check its header and size.
 
     The frame's channels are a read-only view of the mapping, which is
-    released with its last reference.
+    released with its last reference.  No page of the payload is touched
+    here: the values are checked where they are read (``sample_channels``,
+    ``centroids``).
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -167,7 +197,7 @@ def read_pcm(path) -> HeatmapFrame:
                             rotation_deg=rot, width=width, height=height,
                             scale=scale, channels=values,
                             undistorted=bool(flags & 1))
-    except PcmError as exc:   # dimensions, scale or value range
+    except PcmError as exc:   # dimensions or scale
         raise PcmFormatError(f"{path}: {exc}") from exc
 
 

@@ -83,6 +83,11 @@ class InitSettings:
             raise ValueError("agreement residual must be > 0")
         if self.min_agreement_frames < 1:
             raise ValueError("min_agreement_frames must be >= 1")
+        if self.min_agreement_frames > MAX_SEARCH_FRAMES:
+            raise ValueError(
+                f"min_agreement_frames must be <= {MAX_SEARCH_FRAMES}, the "
+                f"frames initialization searches (MAX_SEARCH_FRAMES), got "
+                f"{self.min_agreement_frames}")
 
 
 @dataclass(frozen=True)
@@ -133,7 +138,12 @@ def _overlay(default, tree, path):
             raise ValueError(f"config key {dotted!r} must be "
                              f"{type(current).__name__}, got {value!r}")
         changes[key] = value
-    return dataclasses.replace(default, **changes)
+    try:
+        return dataclasses.replace(default, **changes)
+    except ValueError as exc:
+        if not path:
+            raise
+        raise ValueError(f"config {path.rstrip('.')}: {exc}") from exc
 
 
 @dataclass
@@ -390,13 +400,13 @@ def write_positions_csv(seq: MotionSequence, path):
         writer.writerow(["frame", "time_s", "label", "x_mm", "y_mm", "z_mm",
                          "weight", "stage"])
         for f in seq.frames:
-            for stage, positions in (("stage1", f.positions_stage1),
-                                     ("stage2", f.positions_stage2)):
-                for label, p, w in zip(KEYPOINTS, positions, f.weights):
-                    writer.writerow([f.index, repr(f.time_s), label,
-                                     repr(float(p[0])), repr(float(p[1])),
-                                     repr(float(p[2])), repr(float(w)),
-                                     stage])
+            weights = f.weights.tolist()
+            writer.writerows(
+                [f.index, f.time_s, label, x, y, z, w, stage]
+                for stage, positions in (("stage1", f.positions_stage1),
+                                         ("stage2", f.positions_stage2))
+                for label, (x, y, z), w in zip(KEYPOINTS, positions.tolist(),
+                                               weights))
 
 
 def read_positions_csv(path, stage="stage2"):
@@ -426,9 +436,8 @@ def write_pose_csv(seq: MotionSequence, path):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["frame", "time_s"] + [f"q{i}" for i in range(ndof)])
-        for f in seq.frames:
-            writer.writerow([f.index, repr(f.time_s)]
-                            + [repr(float(v)) for v in f.pose_stage2])
+        writer.writerows([f.index, f.time_s] + f.pose_stage2.tolist()
+                         for f in seq.frames)
 
 
 def write_run_metadata(path, config: PipelineConfig, model, extra=None):
@@ -456,8 +465,8 @@ def write_diagnostics_csv(seq: MotionSequence, rig: CameraRig, path):
                          "low_confidence"] + cam_cols)
         floor = LOW_CONFIDENCE_FRACTION * rig.n_c
         for f in seq.frames:
-            for label, w, cams in zip(KEYPOINTS, f.weights, f.per_camera):
-                a, b, c = f.lattice_offsets[label]
-                writer.writerow([f.index, label, a, b, c, repr(float(w)),
-                                 int(w < floor)]
-                                + [repr(float(v)) for v in cams])
+            writer.writerows(
+                [f.index, label, *f.lattice_offsets[label], w, int(w < floor)]
+                + cams
+                for label, w, cams in zip(KEYPOINTS, f.weights.tolist(),
+                                          f.per_camera.tolist()))

@@ -99,7 +99,9 @@ def score_points(points, labels, provider, rig: CameraRig, frame_index,
     most once for the ``LOWER_BODY`` rows; all L*N points are projected
     together and sampled in one gather per frame.  Returns (scores (L, N),
     per_camera (n_c, L, N)).  A missing rotation-0 frame propagates as an
-    error.
+    error, and so does a sampled cell outside [0, 1] or NaN
+    (PcmFormatError naming the camera, frame and rotation it was read
+    from).
     """
     points = np.asarray(points, dtype=float)
     n_labels, n = points.shape[:2]

@@ -1,5 +1,6 @@
 import builtins
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,7 +12,8 @@ import pytest
 import mocapfuse
 from conftest import small_scene
 from mocapfuse import cli, metrics, pcm, pipeline, skeleton as sk, synth
-from mocapfuse.calib import load_rig
+from mocapfuse.calib import load_rig, project_points
+from mocapfuse.labels import KEYPOINT_INDEX
 
 
 @pytest.fixture(scope="module")
@@ -429,6 +431,43 @@ class TestRuntimeErrors:
         assert len(err) == 1 and err[0].startswith("error: FrameMissing")
         cam0 = load_rig(str(data / "calib.json")).cameras[0].id
         assert err[0].endswith(pcm.frame_path(str(empty), cam0, first))
+        assert not out.exists()
+
+    def test_nan_in_a_sampled_window_exits_one(self, dataset, init_run,
+                                               tmp_path, capsys):
+        """A NaN under the neck's initial projection, in a file of the first
+        tracked frame, is refused where it is read: one error line naming
+        camera, frame and rotation, and no output directory."""
+        root, data = dataset
+        rig = load_rig(str(data / "calib.json"))
+        model = sk.load_skeleton(init_run / "skeleton.json")
+        state = json.loads((init_run / "init_state.json").read_text())
+        first, camera = state["first_track_frame"], rig.cameras[2]
+        pcm_dir = str(tmp_path / "pcm")
+        for c in rig.cameras:
+            for f in (first, first + 1):
+                path = pcm.frame_path(pcm_dir, c.id, f)
+                os.makedirs(os.path.dirname(path), exist_ok=True)
+                os.symlink(pcm.frame_path(str(data / "pcm"), c.id, f), path)
+        path = pcm.frame_path(pcm_dir, camera.id, first)
+        frame = pcm.read_pcm(path)
+        neck = sk.keypoint_positions(model, np.array(state["pose0"]), ["neck"])
+        px, _ = project_points(camera, neck)
+        x, y = np.floor(px[0] * frame.scale).astype(int)
+        channels = frame.channels.copy()
+        channels[KEYPOINT_INDEX["neck"], y, x] = np.nan
+        os.remove(path)
+        pcm.write_pcm(dataclasses.replace(frame, channels=channels), path)
+        out = tmp_path / "track"
+        rc = cli.main(["track", "--calib", str(data / "calib.json"),
+                       "--pcm-dir", pcm_dir,
+                       "--skeleton", str(init_run / "skeleton.json"),
+                       "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            f"error: PcmFormatError: camera {camera.id} frame {first} "
+            f"rotation 0.0 deg: channel values outside [0, 1] or NaN")
         assert not out.exists()
 
     def test_track_empty_frame_range_exits_one(self, dataset, init_run,

@@ -12,19 +12,40 @@ from mocapfuse.calib import Camera, CameraRig, project_points, rotate_pixel
 from mocapfuse.labels import KEYPOINT_INDEX, KEYPOINTS
 
 
+def refused(call):
+    """True if ``call()`` refuses the values it reads with PcmFormatError."""
+    try:
+        call()
+    except pcm.PcmFormatError:
+        return True
+    return False
+
+
 class TestHeatmapFrame:
+    """A frame is built without looking at its values; the cells that
+    ``sample_channels`` and ``centroids`` read are checked there."""
+
     def test_value_range_enforced(self):
         channels = np.zeros((18, 8, 8), dtype=np.float32)
         channels[0, 0, 0] = 1.5
-        with pytest.raises(pcm.PcmError):
-            make_frame(channels=channels, h=8, w=8)
+        frame = make_frame(channels=channels, h=8, w=8)
+        with pytest.raises(pcm.PcmFormatError, match=r"outside \[0, 1\]"):
+            pcm.sample_channels(frame, 0, (0.0, 0.0))
+        with pytest.raises(pcm.PcmFormatError, match=r"outside \[0, 1\]"):
+            pcm.centroids(frame, 0.3)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
     def test_nan_inf_and_negative_rejected(self, bad):
         channels = np.zeros((18, 8, 8), dtype=np.float32)
         channels[3, 2, 5] = bad
-        with pytest.raises(pcm.PcmError, match=r"outside \[0, 1\].*min="):
-            make_frame(channels=channels, h=8, w=8)
+        frame = make_frame(channels=channels, h=8, w=8, camera_id=4,
+                           frame_index=9, rotation=-37.0)
+        where = r"camera 4 frame 9 rotation -37.0 deg: .*outside \[0, 1\].*min="
+        with pytest.raises(pcm.PcmFormatError, match=where):
+            pcm.sample_channels(frame, 3, (5.0, 2.0))
+        for floor in (0.0, 0.3):
+            with pytest.raises(pcm.PcmFormatError, match=where):
+                pcm.centroids(frame, floor)
 
     def test_negative_zero_and_one_accepted(self, rng):
         channels = rng.uniform(0.0, 1.0, (18, 8, 8)).astype(np.float32)
@@ -32,10 +53,14 @@ class TestHeatmapFrame:
         channels[0, 0, 0] = 1.0
         frame = make_frame(channels=channels, h=8, w=8)
         assert np.signbit(frame.channels[5]).all()
+        assert pcm.sample_channels(frame, 5, (3.5, 2.5))[0] == 0.0
+        assert pcm.sample_channels(frame, 0, (0.0, 0.0))[0] == 1.0
+        assert np.isnan(pcm.centroids(frame, 0.0)[5]).all()
 
     def test_bit_check_agrees_with_the_value_range(self, rng):
         """Random float32 bit patterns, and the edges of [0, 1], are
-        accepted exactly when 0 <= value <= 1."""
+        accepted by ``sample_channels`` and ``centroids`` exactly when
+        0 <= value <= 1."""
         values = np.concatenate([
             rng.integers(0, 2**32, 4000, dtype=np.uint64).astype(np.uint32)
             .view(np.float32),
@@ -45,14 +70,14 @@ class TestHeatmapFrame:
         for value in values:
             channels = np.zeros((18, 1, 1), dtype=np.float32)
             channels[7, 0, 0] = value
+            frame = make_frame(channels=channels, h=1, w=1)
             with np.errstate(invalid="ignore"):
                 inside = bool(0.0 <= value <= 1.0)
-            try:
-                make_frame(channels=channels, h=1, w=1)
-                accepted = True
-            except pcm.PcmError:
-                accepted = False
-            assert accepted == inside, value
+            assert refused(lambda: pcm.sample_channels(frame, 7, (0, 0))) \
+                == (not inside), value
+            for floor in (0.0, 0.3):
+                assert refused(lambda: pcm.centroids(frame, floor)) \
+                    == (not inside), (value, floor)
 
     def test_channel_count_enforced(self):
         with pytest.raises(pcm.PcmError):
@@ -119,6 +144,101 @@ class TestSample:
         pts = rng.uniform([-10, -10], [80, 60], (500, 2))
         vals = pcm.sample_channels(frame, KEYPOINT_INDEX["r_knee"], pts)
         assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5, 1.5])
+    def test_bad_corner_refused_even_where_the_sample_is_zero(self, bad):
+        """Every gathered corner is checked: an in-grid sample, a masked
+        one and an out-of-grid one clamped onto the bad cell all refuse."""
+        grid = np.full((48, 64), 0.5, np.float32)
+        grid[0, 0] = grid[20, 30] = bad
+        frame = frame_with_channel("neck", grid, camera_id=2, frame_index=8)
+        chan = KEYPOINT_INDEX["neck"]
+        for pixel, valid in (((30.5, 20.5), None), ((30.0, 20.0), [False]),
+                             ((-5.0, -5.0), None)):
+            with pytest.raises(pcm.PcmFormatError,
+                               match=r"camera 2 frame 8 rotation 0.0 deg"):
+                pcm.sample_channels(frame, chan, pixel, valid=valid)
+        # Cells that no sample reads are not looked at.
+        npt.assert_array_equal(
+            pcm.sample_channels(frame, chan, [(10.5, 10.5), (60.0, 40.0)]),
+            [0.5, 0.5])
+        assert pcm.sample_channels(frame, KEYPOINT_INDEX["nose"],
+                                   (30.0, 20.0))[0] == 0.0
+
+    def test_negative_zero_corners_accepted(self, rng):
+        grid = rng.uniform(0, 1, (48, 64)).astype(np.float32)
+        grid[::3, ::2] = -0.0
+        frame = frame_with_channel("r_knee", grid)
+        pts = rng.uniform([-10, -10], [80, 60], (500, 2))
+        chan = KEYPOINT_INDEX["r_knee"]
+        assert pcm.sample_channels(frame, chan, pts).tobytes() == \
+            sample_oracle(frame, chan, pts).tobytes()
+
+    @pytest.mark.parametrize("scale", [0.25, 0.5, 1.0])
+    def test_bit_identical_to_four_gathers(self, scale, rng):
+        """Rendered frames at rotations 0, 90 and -37 degrees, sampled at
+        random, edge, out-of-grid and masked pixels of random channels,
+        give the four-gather sampler's values to the last bit."""
+        spec = small_scene(motion=synth.handstand_like(period_s=4.0),
+                           heatmap_scale=scale,
+                           tilt_bias=synth.TiltBias(enabled=True,
+                                                    jitter_px=10.0),
+                           noise=synth.NoiseModel(jitter_px=2.0,
+                                                  amplitude_std=0.2,
+                                                  false_peak_rate=0.5))
+        camera = synth.build_rig(spec).cameras[1]
+        for rotation in (0.0, 90.0, -37.0):
+            frame = synth.render_frame(spec, camera, 120, rotation)
+            self.assert_matches_oracle(frame, rng)
+
+    @pytest.mark.parametrize("h, w", [(1, 7), (7, 1), (1, 1)])
+    def test_single_row_and_column_grids(self, h, w, rng):
+        channels = rng.uniform(0, 1, (18, h, w)).astype(np.float32)
+        frame = make_frame(channels=channels, h=h, w=w, scale=0.5)
+        self.assert_matches_oracle(frame, rng)
+
+    @staticmethod
+    def assert_matches_oracle(frame, rng):
+        w, h = frame.width, frame.height
+        xs = np.concatenate([rng.uniform(-3, w + 2, 2000), [
+            0.0, -1e-9, 0.5, w - 1.0, w - 1.0 - 1e-9, w - 1.0 + 1e-9,
+            w - 1.5, float(w)]])
+        ys = np.concatenate([rng.uniform(-3, h + 2, 2000), [
+            0.0, h - 1.0, -1e-9, h - 1.0 - 1e-9, h - 1.0 + 1e-9, h - 0.5,
+            0.25, float(h)]])
+        cells = np.stack([xs, ys], 1)
+        edges = np.stack(np.meshgrid(xs[-8:], ys[-8:]), -1).reshape(-1, 2)
+        pixels = np.concatenate([cells, edges]) / frame.scale
+        chan = rng.integers(0, len(KEYPOINTS), len(pixels))
+        valid = rng.random(len(pixels)) < 0.8
+        for c, v in ((chan, valid), (chan, None), (5, valid)):
+            got = pcm.sample_channels(frame, c, pixels, valid=v)
+            assert got.tobytes() == \
+                sample_oracle(frame, c, pixels, valid=v).tobytes()
+
+
+def sample_oracle(frame, chan, pixels, valid=None):
+    """The bilinear sampler that ``pcm.sample_channels`` replaced: four
+    fancy-index gathers of clamped corners, no value check."""
+    px = np.atleast_2d(np.asarray(pixels, dtype=float)) * frame.scale
+    _, h, w = frame.channels.shape
+    x, y = px[:, 0], px[:, 1]
+    inside = (x >= 0.0) & (x <= w - 1.0) & (y >= 0.0) & (y <= h - 1.0)
+    if valid is not None:
+        inside = inside & np.asarray(valid, dtype=bool)
+    xs = np.clip(x, 0.0, w - 1.0)
+    ys = np.clip(y, 0.0, h - 1.0)
+    x0 = np.minimum(xs.astype(int), w - 2) if w > 1 else np.zeros_like(xs, dtype=int)
+    y0 = np.minimum(ys.astype(int), h - 2) if h > 1 else np.zeros_like(ys, dtype=int)
+    fx = xs - x0
+    fy = ys - y0
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    ch = frame.channels
+    v = ((1 - fx) * (1 - fy) * ch[chan, y0, x0]
+         + fx * (1 - fy) * ch[chan, y0, x1]
+         + (1 - fx) * fy * ch[chan, y1, x0] + fx * fy * ch[chan, y1, x1])
+    return np.where(inside, v, 0.0)
 
 
 def centroid_oracle(frame, label, floor):
@@ -189,6 +309,49 @@ class TestCentroid:
     def test_floor_validation(self):
         with pytest.raises(pcm.PcmError):
             pcm.centroids(make_frame(), 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.nan, np.inf, -np.inf,
+                                     -0.5, 1.5])
+    def test_bad_value_anywhere_refused(self, bad):
+        """Every bad value's bit pattern lies above every floor's, so the
+        one scan selects it, whichever channel and cell it is in."""
+        frame = frame_with_channel("nose", gaussian_grid(48, 64, 30, 20, 4.0),
+                                   camera_id=1, frame_index=6, rotation=90.0)
+        channels = frame.channels.copy()
+        channels[KEYPOINT_INDEX["l_ankle"], 47, 63] = bad
+        frame = make_frame(channels=channels, camera_id=1, frame_index=6,
+                           rotation=90.0)
+        for floor in (0.0, 0.1, 0.3, 0.999):
+            with pytest.raises(pcm.PcmFormatError,
+                               match=r"camera 1 frame 6 rotation 90.0 deg"):
+                pcm.centroids(frame, floor)
+
+    def test_negative_zero_left_out(self, rng):
+        """-0.0 cells, scattered and filling a whole channel, change no
+        centroid: the rows equal those of the same frame with +0.0 there,
+        and above 0 the per-channel code's, to the last bit."""
+        channels = np.zeros((18, 48, 64), np.float32)
+        for i in range(18):
+            channels[i] = gaussian_grid(48, 64, 10 + 2 * i, 30 - i, 4.0)
+        positive = make_frame(channels=channels.copy())
+        channels[:, ::2, 1::3] = -0.0
+        channels[KEYPOINT_INDEX["neck"]] = -0.0
+        frame = make_frame(channels=channels)
+        for floor in (0.0, 0.1, 0.3):
+            rows = pcm.centroids(frame, floor)
+            assert np.isnan(rows[KEYPOINT_INDEX["neck"]]).all()
+            if floor == 0.0:
+                # Sums of weights down to 1e-45 are not exact in float64,
+                # so the summation order of the per-channel code matters.
+                expected = pcm.centroids(make_frame(
+                    channels=np.where(np.signbit(channels), np.float32(0),
+                                      positive.channels)), floor)
+                assert rows.tobytes() == expected.tobytes()
+                continue
+            for i, label in enumerate(KEYPOINTS):
+                oracle = centroid_oracle(frame, label, floor)
+                if oracle is not None:
+                    assert rows[i].tobytes() == oracle.tobytes(), label
 
     @pytest.mark.parametrize("scale", [0.25, 0.5, 1.0])
     def test_bit_identical_to_per_channel_centroids(self, scale):
@@ -262,28 +425,41 @@ class TestFileFormat:
         with pytest.raises(pcm.PcmFormatError, match="truncated"):
             pcm.read_pcm(path)
 
-    def test_out_of_range_value_in_file(self, tmp_path, rng):
-        path = tmp_path / "frame.pcm"
+    def write_with_cell(self, tmp_path, rng, index, value):
+        """A random frame stored where a DirectoryProvider finds it, with
+        flat cell ``index`` of its payload set to ``value``."""
+        path = pcm.frame_path(tmp_path, 3, 17, 90.0)
+        os.makedirs(os.path.dirname(path))
         pcm.write_pcm(self.random_frame(rng), path)
-        raw = bytearray(path.read_bytes())
-        header = struct.Struct("<4sHHIIfIIIf")
-        raw[header.size:header.size + 4] = struct.pack("<f", 1.5)
-        path.write_bytes(raw)
-        with pytest.raises(pcm.PcmFormatError, match=r"\[0, 1\]") as exc:
-            pcm.read_pcm(path)
-        assert str(exc.value).startswith(f"{path}: ")
+        raw = bytearray(open(path, "rb").read())
+        offset = struct.Struct("<4sHHIIfIIIf").size + 4 * index
+        raw[offset:offset + 4] = struct.pack("<f", value)
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        return path
+
+    def assert_refused_where_read(self, tmp_path, path, chan, cell):
+        """Reading the file takes no value pass; sampling the bad ``cell``
+        (heatmap x, y) of channel ``chan``, or taking the centroids, is
+        refused with an error naming camera, frame and rotation."""
+        pcm.read_pcm(path)
+        frame = pcm.DirectoryProvider(tmp_path).get(3, 17, 90.0)
+        pixel = np.asarray(cell, dtype=float) / frame.scale
+        where = r"camera 3 frame 17 rotation 90.0 deg: .*outside \[0, 1\]"
+        with pytest.raises(pcm.PcmFormatError, match=where):
+            pcm.sample_channels(frame, chan, pixel)
+        with pytest.raises(pcm.PcmFormatError, match=where):
+            pcm.centroids(frame, 0.3)
+
+    def test_out_of_range_value_in_file(self, tmp_path, rng):
+        path = self.write_with_cell(tmp_path, rng, 0, 1.5)
+        self.assert_refused_where_read(tmp_path, path, 0, (0, 0))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
     def test_nan_inf_and_negative_in_file(self, tmp_path, rng, bad):
-        path = tmp_path / "frame.pcm"
-        pcm.write_pcm(self.random_frame(rng), path)
-        raw = bytearray(path.read_bytes())
-        offset = struct.Struct("<4sHHIIfIIIf").size + 4 * 1000
-        raw[offset:offset + 4] = struct.pack("<f", bad)
-        path.write_bytes(raw)
-        with pytest.raises(pcm.PcmFormatError, match=r"\[0, 1\]") as exc:
-            pcm.read_pcm(path)
-        assert str(exc.value).startswith(f"{path}: ")
+        path = self.write_with_cell(tmp_path, rng, 1000, bad)
+        # Cell 1000 of (18, 24, 32) is channel 1, row 7, column 8.
+        self.assert_refused_where_read(tmp_path, path, 1, (8, 7))
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "frame.pcm"

@@ -49,6 +49,25 @@ class MaskingProvider(pcm.PcmProvider):
             undistorted=frame.undistorted)
 
 
+class PoisonProvider(pcm.PcmProvider):
+    """Wraps a provider, writing ``value`` into one (channel, row, column)
+    ``cell`` of one camera-frame."""
+
+    def __init__(self, inner, camera_id, frame_index, cell, value=np.nan):
+        self.inner = inner
+        self.target = (camera_id, frame_index)
+        self.cell = cell
+        self.value = value
+
+    def get(self, camera_id, frame_index, rotation_deg=0.0):
+        frame = self.inner.get(camera_id, frame_index, rotation_deg)
+        if (camera_id, frame_index) != self.target:
+            return frame
+        channels = frame.channels.copy()
+        channels[self.cell] = self.value
+        return dataclasses.replace(frame, channels=channels)
+
+
 class CountingProvider(pcm.PcmProvider):
     """Wraps a provider, recording the frame index of every get."""
 
@@ -325,6 +344,39 @@ class TestTrack:
             track(provider, still_rig, model, pose0, PipelineConfig(),
                   range(55, 65))
 
+    def test_nan_in_a_sampled_window_names_camera_frame_and_rotation(
+            self, still_spec, still_rig, still_init):
+        """The neck's lattice window in the first tracked frame is centered
+        on its initial position, so the cell under that projection is read."""
+        model, pose0, positions0, first = still_init
+        camera = still_rig.cameras[1]
+        row = KEYPOINT_INDEX["neck"]
+        px, _ = project_points(camera, positions0[[row]])
+        x, y = np.floor(px[0] * still_spec.heatmap_scale).astype(int)
+        provider = PoisonProvider(
+            synth.SyntheticProvider(still_spec, still_rig, n_frames=200),
+            camera.id, first, (row, y, x))
+        with pytest.raises(pcm.PcmFormatError,
+                           match=rf"^camera {camera.id} frame {first} "
+                                 rf"rotation 0.0 deg: .*min=nan"):
+            track(provider, still_rig, model, pose0, PipelineConfig(),
+                  range(first, first + 3))
+
+    def test_nan_in_an_unread_cell_tracks(self, still_provider, still_rig,
+                                          still_init, still_track):
+        """Values are checked where they are read: a NaN in a cell that no
+        lattice window reads (and in a frame that initialization does not
+        read) leaves the output as it was."""
+        model, pose0, _, first = still_init
+        provider = PoisonProvider(still_provider, still_rig.cameras[1].id,
+                                  first + 1, (KEYPOINT_INDEX["neck"], 0, 0))
+        seq = track(provider, still_rig, model, pose0, PipelineConfig(),
+                    range(first, first + 3))
+        for got, clean in zip(seq.frames, still_track[1].frames[:3]):
+            assert got.positions_stage2.tobytes() == \
+                clean.positions_stage2.tobytes()
+            assert got.weights.tobytes() == clean.weights.tobytes()
+
     def test_offline_mode_is_fk_consistent(self, still_spec, still_rig,
                                            still_init):
         model, pose0, _, first = still_init
@@ -432,6 +484,17 @@ class TestTrack:
             PipelineConfig(lattice_center="stage3")
         with pytest.raises(ValueError):
             InitSettings(agreement_residual_mm=0.0)
+
+    def test_agreement_run_longer_than_the_search_refused(self):
+        """A run of more than MAX_SEARCH_FRAMES frames can never be found,
+        so the setting is refused with the cap named, not searched for."""
+        assert InitSettings(min_agreement_frames=pipeline.MAX_SEARCH_FRAMES)
+        with pytest.raises(ValueError, match=r"<= 120, .*MAX_SEARCH_FRAMES"):
+            InitSettings(min_agreement_frames=pipeline.MAX_SEARCH_FRAMES + 1)
+        with pytest.raises(ValueError, match=r"^config init: "
+                                             r"min_agreement_frames must be "
+                                             r"<= 120.*got 121$"):
+            PipelineConfig.from_dict({"init": {"min_agreement_frames": 121}})
 
 
 def handstand_config():
