@@ -45,7 +45,7 @@ def main():
         gt = [synth.ground_truth_positions(spec, i, gt_model)
               for i in seq.frame_indices()]
         err = metrics.mpjpe(seq.positions(), gt, metrics.LOWER_BODY)
-        score = float(np.mean([f.total_score() for f in seq.frames]))
+        score = float(np.mean([f.weights.sum() for f in seq.frames]))
         results[rotation] = (seq, err, score)
         label = "on " if rotation else "off"
         print(f"rotation {label}: LowerBody MPJPE {err:6.2f} mm, "

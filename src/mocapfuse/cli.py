@@ -190,8 +190,10 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="JSON config file, or a run.json "
                                         "(track's flags override it)")
-        p.add_argument("--calib", help="camera calibration JSON")
-        p.add_argument("--pcm-dir", help="PCM directory (cam*/rot*/frame*.pcm)")
+        p.add_argument("--calib", required=True,
+                       help="camera calibration JSON")
+        p.add_argument("--pcm-dir", required=True,
+                       help="PCM directory (cam*/rot*/frame*.pcm)")
         p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
@@ -208,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--skeleton", help="skeleton template JSON (default: "
                                       "built-in human model)")
-    p.set_defaults(func=cmd_init, required_paths=["calib", "pcm_dir"])
+    p.set_defaults(func=cmd_init)
 
     p = sub.add_parser("track", help="run the tracking pipeline")
     common(p)
@@ -219,12 +221,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="tilt-driven rotated sampling")
     p.add_argument("--filter-mode", choices=["causal", "offline"],
                    help="smoothing mode")
-    p.add_argument("--skeleton", help="initialized skeleton JSON")
+    p.add_argument("--skeleton", required=True,
+                   help="initialized skeleton JSON")
     p.add_argument("--init-state", help="init_state.json from the init step")
     p.add_argument("--start-frame", type=int)
     p.add_argument("--end-frame", type=int)
-    p.set_defaults(func=cmd_track,
-                   required_paths=["calib", "pcm_dir", "skeleton"])
+    p.set_defaults(func=cmd_track)
 
     p = sub.add_parser("eval", help="score a tracked run against ground truth")
     p.add_argument("--pred", required=True, help="positions.csv from track")
@@ -241,12 +243,7 @@ def main(argv=None) -> int:
               f"DEBUG, INFO, WARNING, ERROR or CRITICAL)", file=sys.stderr)
         return 2
     logging.basicConfig(level=level)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    for name in getattr(args, "required_paths", []):
-        if getattr(args, name, None) is None:
-            parser.error(f"the --{name.replace('_', '-')} flag is required "
-                         f"for '{args.command}'")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except Exception as exc:  # surface module errors with exit code 1

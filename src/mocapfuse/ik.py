@@ -69,13 +69,6 @@ def _observed(markers: VirtualMarkerSet):
             markers.weights[rows])
 
 
-def objective(model, q, markers: VirtualMarkerSet) -> float:
-    """The weighted squared marker-fit error at a pose (mm^2)."""
-    labels, observed, weights = _observed(markers)
-    e = observed - sk.keypoint_positions(model, q, labels)
-    return 0.5 * float(weights @ np.sum(e * e, axis=1))
-
-
 def solve(model, q_init, markers: VirtualMarkerSet,
           settings: IkSettings = IkSettings(), *, anchor=0.0) -> IkResult:
     """Fit the pose to the weighted markers, warm-started at ``q_init``.

@@ -3,8 +3,11 @@
 A heatmap frame holds one camera's 18 per-keypoint confidence grids for one
 video frame, possibly computed on a rotated copy of the input image
 (``rotation_deg``) and possibly at reduced resolution (``scale``:
-heatmap_px = image_px * scale).  Sampling is bilinear; anything outside the
-grid, or behind the camera, contributes confidence 0.
+heatmap_px = image_px * scale), in the calibrated camera image, lens
+distortion included (where ``calib.project_points`` puts a point).
+Sampling is bilinear; anything outside the grid, or behind the camera,
+contributes confidence 0.  The 16-bit flags slot of a ``.pcm`` file's
+header is reserved: written 0 and ignored on read.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import math
 import mmap
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,10 +52,11 @@ class RotationUnavailable(PcmError):
 class HeatmapFrame:
     """One camera's 18 channels for one frame.
 
-    Construction checks the dimensions, the scale and the channel shape, not
-    the values: ``sample_channels`` and ``centroids`` check every cell they
-    read and raise PcmFormatError for a value outside [0, 1] or NaN, so the
-    cost does not grow with the frame.
+    Pixels are image pixels, distortion included, times ``scale``.
+    Construction checks the dimensions, the scale and the channel shape,
+    not the values: ``sample_channels`` and ``centroids`` check every cell
+    they read and raise PcmFormatError for a value outside [0, 1] or NaN,
+    so the cost does not grow with the frame.
     """
     camera_id: int
     frame_index: int
@@ -61,7 +65,6 @@ class HeatmapFrame:
     height: int
     scale: float
     channels: np.ndarray          # (18, height, width), values in [0, 1]
-    undistorted: bool = False
 
     def __post_init__(self):
         ch = np.ascontiguousarray(self.channels, dtype=np.float32)
@@ -155,8 +158,7 @@ def centroids(frame: HeatmapFrame, floor: float = 0.3):
 # Binary file format
 
 def write_pcm(frame: HeatmapFrame, path):
-    flags = 1 if frame.undistorted else 0
-    header = _HEADER.pack(MAGIC, VERSION, flags, frame.camera_id,
+    header = _HEADER.pack(MAGIC, VERSION, 0, frame.camera_id,
                           frame.frame_index, frame.rotation_deg,
                           frame.width, frame.height, len(KEYPOINTS), frame.scale)
     with open(path, "wb") as fh:
@@ -177,8 +179,8 @@ def read_pcm(path) -> HeatmapFrame:
         if size < _HEADER.size:
             raise PcmFormatError(f"{path}: truncated header")
         mapped = mmap.mmap(fh.fileno(), size, access=mmap.ACCESS_READ)
-    magic, version, flags, cam_id, frame_index, rot, width, height, nch, scale = \
-        _HEADER.unpack_from(mapped)
+    magic, version, _flags, cam_id, frame_index, rot, width, height, nch, \
+        scale = _HEADER.unpack_from(mapped)
     if magic != MAGIC:
         raise PcmFormatError(f"{path}: bad magic {magic!r}")
     if version != VERSION:
@@ -195,8 +197,7 @@ def read_pcm(path) -> HeatmapFrame:
     try:
         return HeatmapFrame(camera_id=cam_id, frame_index=frame_index,
                             rotation_deg=rot, width=width, height=height,
-                            scale=scale, channels=values,
-                            undistorted=bool(flags & 1))
+                            scale=scale, channels=values)
     except PcmError as exc:   # dimensions or scale
         raise PcmFormatError(f"{path}: {exc}") from exc
 

@@ -163,9 +163,6 @@ class FrameRecord:
     rotations: dict                  # camera_id -> planned angle, deg
     lattice_offsets: dict            # label -> chosen (a, b, c), ints
 
-    def total_score(self):
-        return float(sum(self.weights))
-
 
 @dataclass
 class MotionSequence:
@@ -341,6 +338,7 @@ def track(provider, rig: CameraRig, model, pose0, config: PipelineConfig,
     positions_prev = sk.keypoint_positions(model, pose_prev, KEYPOINTS)
     frames = []
     for frame_index in frame_range:
+        # The plan is the tracker's only rotation switch: all zero when off.
         if cfg.rotation_enabled:
             rotations = tracker_mod.plan_rotations(positions_prev, rig)
         else:

@@ -85,24 +85,6 @@ def _mul(A, B):
             a6 * b2 + a7 * b5 + a8 * b8)
 
 
-def _so3(w):
-    """exp(w) and its left Jacobian as 3x3 arrays."""
-    x, y, z = (float(v) for v in w)
-    ea, eb, ja, jb = _so3_coefficients(x * x + y * y + z * z)
-    return (np.array(_rodrigues(x, y, z, ea, eb)).reshape(3, 3),
-            np.array(_rodrigues(x, y, z, ja, jb)).reshape(3, 3))
-
-
-def exp_so3(w):
-    """Rodrigues' rotation from an axis-angle 3-vector."""
-    return _so3(w)[0]
-
-
-def left_jacobian_so3(w):
-    """Left Jacobian of SO(3): d/dw of the exponential map's action."""
-    return _so3(w)[1]
-
-
 @dataclass(frozen=True)
 class Joint:
     name: str
@@ -347,7 +329,7 @@ def fk_and_jacobians(model: SkeletonModel, q, targets):
 # Lengths are template defaults in mm; real subjects get theirs identified
 # from triangulated keypoint centroids at initialization.
 _HUMAN_SPEC = [
-    # name, parent, direction, length, dofs
+    # name, parent, direction (a unit axis), length, dofs
     ("pelvis", None, (0, 0, 1), 0.0, ("tx", "ty", "tz", "exp")),
     ("waist", "pelvis", (0, 0, 1), 150.0, ("exp",)),
     ("chest", "waist", (0, 0, 1), 180.0, ("exp",)),
@@ -383,11 +365,7 @@ def human_skeleton() -> SkeletonModel:
     joints = []
     for name, parent, direction, length, dofs in _HUMAN_SPEC:
         pidx = -1 if parent is None else name_to_idx[parent]
-        d = np.asarray(direction, dtype=float)
-        norm = np.linalg.norm(d)
-        if norm > 0:
-            d = d / norm
-        joints.append(Joint(name, pidx, d, length, dofs))
+        joints.append(Joint(name, pidx, direction, length, dofs))
         name_to_idx[name] = len(joints) - 1
     kmap = {}
     for label in KEYPOINTS:

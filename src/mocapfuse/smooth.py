@@ -47,14 +47,6 @@ def design_biquad(spec: FilterSpec):
     return np.array([b0, b1, b2, a1, a2])
 
 
-def biquad_response(coeffs, freq_hz, sample_rate_hz):
-    """Complex transfer-function value H(e^{jw}) of a biquad."""
-    b0, b1, b2, a1, a2 = coeffs
-    z = np.exp(-1j * 2.0 * np.pi * np.asarray(freq_hz, dtype=float)
-               / sample_rate_hz)
-    return (b0 + b1 * z + b2 * z ** 2) / (1.0 + a1 * z + a2 * z ** 2)
-
-
 class FilterState:
     """Delay registers for a bank of scalar channels filtered in lockstep.
 

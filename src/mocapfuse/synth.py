@@ -11,6 +11,7 @@ rotated, image) to emulate a detector trained mostly on upright people.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -144,19 +145,20 @@ def ground_truth_pose(spec: SceneSpec, frame_index, model=None):
     return q
 
 
-def ground_truth_positions(spec: SceneSpec, frame_index, model=None) -> dict:
-    """World positions of all keypoints at one frame (the eval oracle)."""
+def ground_truth_keypoints(spec: SceneSpec, frame_index, model=None):
+    """(18, 3) world keypoint positions at one frame, row i ``KEYPOINTS[i]``
+    (the eval oracle)."""
     if frame_index < 0:
         raise ValueError(f"frame index {frame_index} out of range")
     model = model or build_model(spec)
-    return sk.forward_kinematics(model,
-                                 ground_truth_pose(spec, frame_index, model))
+    return sk.keypoint_positions(
+        model, ground_truth_pose(spec, frame_index, model), KEYPOINTS)
 
 
-def ground_truth_keypoints(spec: SceneSpec, frame_index, model=None):
-    """(18, 3) world keypoint positions at one frame, row i ``KEYPOINTS[i]``."""
-    gt = ground_truth_positions(spec, frame_index, model)
-    return np.stack([gt[label] for label in KEYPOINTS])
+def ground_truth_positions(spec: SceneSpec, frame_index, model=None) -> dict:
+    """World positions of all keypoints at one frame, label -> (3,)."""
+    return dict(zip(KEYPOINTS,
+                    ground_truth_keypoints(spec, frame_index, model)))
 
 
 def _channel_rng(spec, camera_id, frame_index, rotation_key, channel):
@@ -187,14 +189,17 @@ def _splat(grid, center_hm, amplitude, sigma_hm):
 def render_frame(spec: SceneSpec, camera, frame_index, rotation_deg=0.0,
                  model=None, truth=None) -> pcm_mod.HeatmapFrame:
     """Render one camera's heatmap frame, optionally on the rotated image,
-    from the frame's ``ground_truth_keypoints`` (``truth``, when given)."""
+    from the frame's ``ground_truth_keypoints`` (``truth``, when given).
+    The pixels, the tilt bias and ``rotation_deg`` all use the angle's
+    1-degree bin (``pcm.quantize_rotation``), as a stored frame would."""
+    rot_key = pcm_mod.quantize_rotation(rotation_deg)
+    rotation_deg = float(rot_key)
     if truth is None:
         truth = ground_truth_keypoints(spec, frame_index, model)
     w = int(round(spec.image_width * spec.heatmap_scale))
     h = int(round(spec.image_height * spec.heatmap_scale))
     sigma_hm = spec.sigma_px * spec.heatmap_scale
     center = camera.image_center
-    rot_key = pcm_mod.quantize_rotation(rotation_deg)
 
     # Trunk tilt of the ground truth in this camera, for the bias model.
     tilt = None
@@ -243,8 +248,8 @@ def render_frame(spec: SceneSpec, camera, frame_index, rotation_deg=0.0,
                 _splat(channels[ch], fp, rng.uniform(0.3, 0.8), sigma_hm)
     return pcm_mod.HeatmapFrame(
         camera_id=camera.id, frame_index=frame_index,
-        rotation_deg=float(rot_key), width=w, height=h,
-        scale=spec.heatmap_scale, channels=channels, undistorted=True)
+        rotation_deg=rotation_deg, width=w, height=h,
+        scale=spec.heatmap_scale, channels=channels)
 
 
 class SyntheticProvider(pcm_mod.PcmProvider):
@@ -266,10 +271,8 @@ class SyntheticProvider(pcm_mod.PcmProvider):
         if self._truth[0] != frame_index:
             self._truth = (frame_index, ground_truth_keypoints(
                 self.spec, frame_index, self.model))
-        return render_frame(
-            self.spec, self.rig.camera(camera_id), frame_index,
-            float(pcm_mod.quantize_rotation(rotation_deg)), self.model,
-            self._truth[1])
+        return render_frame(self.spec, self.rig.camera(camera_id), frame_index,
+                            rotation_deg, self.model, self._truth[1])
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +394,7 @@ def generate(spec: SceneSpec, n_frames, out_dir):
     """Write a complete synthetic dataset: calibration, rotation-0 PCM files
     and ground-truth motion, in the formats the pipeline consumes.
 
-    Returns (ground truth positions per frame, rig).
+    Returns (ground truth keypoints (n_frames, 18, 3), rig).
     """
     os.makedirs(out_dir, exist_ok=True)
     rig = build_rig(spec)
@@ -400,37 +403,31 @@ def generate(spec: SceneSpec, n_frames, out_dir):
     with open(os.path.join(out_dir, "scene.json"), "w", encoding="utf-8") as fh:
         json.dump(spec_to_json(spec), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    gt_frames = []
+    truth = np.empty((n_frames, len(KEYPOINTS), 3))
     pcm_root = os.path.join(out_dir, "pcm")
     for frame_index in range(n_frames):
-        gt = ground_truth_positions(spec, frame_index, model)
-        gt_frames.append(gt)
-        truth = np.stack([gt[label] for label in KEYPOINTS])
+        truth[frame_index] = ground_truth_keypoints(spec, frame_index, model)
         for camera in rig.cameras:
-            frame = render_frame(spec, camera, frame_index, 0.0, model, truth)
+            frame = render_frame(spec, camera, frame_index, 0.0, model,
+                                 truth[frame_index])
             path = pcm_mod.frame_path(pcm_root, camera.id, frame_index)
             os.makedirs(os.path.dirname(path), exist_ok=True)
             pcm_mod.write_pcm(frame, path)
-    _write_ground_truth_csv(spec, gt_frames,
+    _write_ground_truth_csv(spec, truth,
                             os.path.join(out_dir, "ground_truth.csv"))
-    return gt_frames, rig
+    return truth, rig
 
 
-def _write_ground_truth_csv(spec, gt_frames, path):
-    import csv
+def _write_ground_truth_csv(spec, truth, path):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["frame", "time_s", "label", "x_mm", "y_mm", "z_mm"])
-        for i, positions in enumerate(gt_frames):
-            for label in KEYPOINTS:
-                p = positions[label]
-                writer.writerow([i, repr(i / spec.fps), label,
-                                 repr(float(p[0])), repr(float(p[1])),
-                                 repr(float(p[2]))])
+        for i, rows in enumerate(truth.tolist()):
+            writer.writerows([i, i / spec.fps, label, x, y, z]
+                             for label, (x, y, z) in zip(KEYPOINTS, rows))
 
 
 def read_ground_truth_csv(path):
-    import csv
     per_frame = {}
     with open(path, "r", newline="", encoding="utf-8") as fh:
         for row in csv.DictReader(fh):

@@ -71,15 +71,11 @@ def lattice_offsets(k: int):
     return arr
 
 
-def _rotated_frame(provider, camera, frame_index, rotations,
-                   cfg: LatticeConfig):
+def _rotated_frame(provider, camera, frame_index, angle):
     """The frame a tilted camera's lower-body rows are sampled from, or None
-    when they use rotation 0.  A missing rotated frame falls back to
-    rotation 0 with a logged diagnostic."""
-    if not cfg.rotation_enabled or rotations is None:
-        return None
-    angle = float(rotations.get(camera.id, 0.0))
-    if angle == 0.0:
+    when its planned ``angle`` bins to rotation 0.  A missing rotated frame
+    falls back to rotation 0 with a logged diagnostic."""
+    if pcm_mod.quantize_rotation(angle) == 0:
         return None
     try:
         return provider.get(camera.id, frame_index, angle)
@@ -91,13 +87,15 @@ def _rotated_frame(provider, camera, frame_index, rotations,
 
 
 def score_points(points, labels, provider, rig: CameraRig, frame_index,
-                 cfg: LatticeConfig, rotations=None):
+                 rotations):
     """Per-camera PCM samples at the projections of world points.
 
     ``points`` is (L, N, 3): N points for each of the L keypoint ``labels``.
-    Each camera fetches its rotation-0 frame once, and its rotated frame at
-    most once for the ``LOWER_BODY`` rows; all L*N points are projected
-    together and sampled in one gather per frame.  Returns (scores (L, N),
+    ``rotations`` maps every camera id to its planned angle (0: rotation 0),
+    as ``plan_rotations`` gives it; it is the only rotation switch.  Each
+    camera fetches its rotation-0 frame once, and its rotated frame at most
+    once for the ``LOWER_BODY`` rows; all L*N points are projected together
+    and sampled in one gather per frame.  Returns (scores (L, N),
     per_camera (n_c, L, N)).  A missing rotation-0 frame propagates as an
     error, and so does a sampled cell outside [0, 1] or NaN
     (PcmFormatError naming the camera, frame and rotation it was read
@@ -111,16 +109,15 @@ def score_points(points, labels, provider, rig: CameraRig, frame_index,
     per_camera = np.zeros((rig.n_c, n_labels * n))
     for ci, camera in enumerate(rig.cameras):
         frame = provider.get(camera.id, frame_index, 0.0)
-        rotated = _rotated_frame(provider, camera, frame_index, rotations, cfg)
+        rotated = _rotated_frame(provider, camera, frame_index,
+                                 rotations[camera.id])
         px, in_front = project_points(camera, flat)
         rows = ~lower if rotated is not None else slice(None)
         per_camera[ci, rows] = pcm_mod.sample_channels(
             frame, chan[rows], px[rows], valid=in_front[rows])
         if rotated is not None:
-            px_rot = px[lower]
-            if rotated.rotation_deg != 0.0:
-                px_rot = rotate_pixel(px_rot, rotated.rotation_deg,
-                                      camera.image_center)
+            px_rot = rotate_pixel(px[lower], rotated.rotation_deg,
+                                  camera.image_center)
             per_camera[ci, lower] = pcm_mod.sample_channels(
                 rotated, chan[lower], px_rot, valid=in_front[lower])
     per_camera = per_camera.reshape(rig.n_c, n_labels, n)
@@ -128,20 +125,21 @@ def score_points(points, labels, provider, rig: CameraRig, frame_index,
 
 
 def lattice_search(prev_positions, provider, rig: CameraRig,
-                   cfg: LatticeConfig, frame_index, rotations=None):
+                   cfg: LatticeConfig, frame_index, rotations):
     """Best lattice point around the previous position of every keypoint.
 
     ``prev_positions`` is (18, 3), row i for ``KEYPOINTS[i]``; all rows are
-    searched with one ``score_points`` call.  Returns a VirtualMarkerSet of
-    the chosen points, their scores (the IK weights), per-camera samples
-    and lattice offsets.  Candidates are visited center-outward so a strict
-    argmax realizes the documented tie-break (smallest Chebyshev distance,
-    then lexicographic offset).
+    searched with one ``score_points`` call under the per-camera
+    ``rotations`` plan.  Returns a VirtualMarkerSet of the chosen points,
+    their scores (the IK weights), per-camera samples and lattice offsets.
+    Candidates are visited center-outward so a strict argmax realizes the
+    documented tie-break (smallest Chebyshev distance, then lexicographic
+    offset).
     """
     offsets = lattice_offsets(cfg.k)
     candidates = prev_positions[:, None, :] + cfg.s * offsets.astype(float)
     scores, per_camera = score_points(candidates, KEYPOINTS, provider, rig,
-                                      frame_index, cfg, rotations)
+                                      frame_index, rotations)
     rows = np.arange(len(KEYPOINTS))
     best = np.argmax(scores, axis=1)   # first max in tie-break order
     return VirtualMarkerSet(positions=candidates[rows, best],

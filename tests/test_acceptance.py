@@ -12,7 +12,8 @@ import numpy.testing as npt
 import pytest
 
 from conftest import small_scene
-from helpers import DictProvider, frame_with_channel, gaussian_grid, marker_set
+from helpers import (DictProvider, biquad_response, frame_with_channel,
+                     gaussian_grid, marker_set, no_rotation, objective)
 from mocapfuse import cli, ik, metrics, pcm, pipeline, skeleton as sk, smooth, synth, tracker
 from mocapfuse.calib import (CameraRig, look_at_camera, pixel_to_ray,
                              project_points)
@@ -128,7 +129,7 @@ def test_acceptance_2_rotation_benefit_on_inverted_motion(handstand_runs):
     tilted = [f for f in runs[True].frames
               if any(a != 0.0 for a in f.rotations.values())]
     assert len(tilted) > 50
-    wins = sum(f.total_score() > off_by_index[f.index].total_score()
+    wins = sum(sum(f.weights) > sum(off_by_index[f.index].weights)
                for f in tilted)
     assert wins / len(tilted) >= 0.9
     print(f"acceptance 2 PASS: LowerBody MPJPE {err_on:.2f} mm on vs "
@@ -220,8 +221,8 @@ def test_acceptance_4_ik_correctness(rng):
             qp, qm = q.copy(), q.copy()
             qp[i] += eps
             qm[i] -= eps
-            fd[i] = (ik.objective(human, qp, markers)
-                     - ik.objective(human, qm, markers)) / (2 * eps)
+            fd[i] = (objective(human, qp, markers)
+                     - objective(human, qm, markers)) / (2 * eps)
         rel = np.abs(grad - fd).max() / max(1.0, np.abs(fd).max())
         worst_grad = max(worst_grad, rel)
     assert worst_grad <= 1e-5
@@ -315,7 +316,8 @@ def test_acceptance_5_lattice_search_oracle(rng):
         # Every keypoint is searched around the center; only ``label``'s
         # channel holds evidence.
         markers = tracker.lattice_search(np.tile(center, (len(KEYPOINTS), 1)),
-                                         provider, rig, cfg, 0)
+                                         provider, rig, cfg, 0,
+                                         no_rotation(rig))
         row = KEYPOINT_INDEX[label]
         p, score = markers.positions[row], markers.weights[row]
         o_score, o_off, o_p = exhaustive_lattice_oracle(center, label,
@@ -390,8 +392,7 @@ def test_acceptance_7_filter_properties():
         y2, y1 = y1, y
     assert worst_imp <= 1e-12
 
-    atten_db = 20.0 * math.log10(abs(smooth.biquad_response(coeffs, 15.0,
-                                                            60.0)))
+    atten_db = 20.0 * math.log10(abs(biquad_response(coeffs, 15.0, 60.0)))
     assert atten_db <= -18.0
     print(f"acceptance 7 PASS: DC gain error {worst_dc:.2e}, impulse oracle "
           f"error {worst_imp:.2e}, 15 Hz attenuation {-atten_db:.1f} dB")

@@ -355,6 +355,13 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert "--calib" in capsys.readouterr().err
 
+    def test_track_without_skeleton_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["track", "--calib", "c.json", "--pcm-dir", "x",
+                      "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--skeleton" in capsys.readouterr().err
+
     def test_init_without_pcm_dir_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["init", "--calib", "c.json", "--out", str(tmp_path)])

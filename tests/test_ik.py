@@ -5,7 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import marker_set
+from helpers import marker_set, objective
 from mocapfuse import ik, skeleton as sk, synth
 from mocapfuse.labels import KEYPOINT_INDEX
 from mocapfuse.tracker import VirtualMarkerSet
@@ -61,7 +61,7 @@ class TestObjective:
         fk = sk.forward_kinematics(model, q)
         markers = marker_set(positions={lb: fk[lb] for lb in ("neck", "r_wrist")},
                              weights={"neck": 1.0, "r_wrist": 2.0})
-        assert ik.objective(model, q, markers) == 0.0
+        assert objective(model, q, markers) == 0.0
 
     def test_single_offset_marker_arithmetic(self):
         model = sk.human_skeleton()
@@ -70,7 +70,7 @@ class TestObjective:
         markers = marker_set(
             positions={"r_wrist": fk["r_wrist"] + np.array([10.0, 0.0, 0.0])},
             weights={"r_wrist": 2.0})
-        assert ik.objective(model, q, markers) == pytest.approx(100.0)
+        assert objective(model, q, markers) == pytest.approx(100.0)
 
     def test_uniform_weight_scaling_scales_objective(self, rng):
         model = sk.human_skeleton()
@@ -80,8 +80,8 @@ class TestObjective:
                              weights={"neck": 1.0, "nose": 0.5})
         scaled = VirtualMarkerSet(positions=markers.positions,
                                   weights=3.0 * markers.weights)
-        a = ik.objective(model, q, markers)
-        b = ik.objective(model, q, scaled)
+        a = objective(model, q, markers)
+        b = objective(model, q, scaled)
         assert b == pytest.approx(3.0 * a, rel=1e-12)
 
 
@@ -143,7 +143,7 @@ class TestSolve:
         markers = marker_set(
             positions={lb: fk[lb] for lb in labels},
             weights={lb: 1.0 for lb in labels})
-        objs = [ik.objective(model, np.zeros(model.total_dof), markers)]
+        objs = [objective(model, np.zeros(model.total_dof), markers)]
         for n in range(1, ik.IkSettings().max_iterations + 1):
             objs.append(ik.solve(model, np.zeros(model.total_dof), markers,
                                  ik.IkSettings(max_iterations=n)).residual)
@@ -213,8 +213,8 @@ class TestGradient:
                 qp, qm = q.copy(), q.copy()
                 qp[i] += eps
                 qm[i] -= eps
-                fd[i] = (ik.objective(model, qp, markers)
-                         - ik.objective(model, qm, markers)) / (2 * eps)
+                fd[i] = (objective(model, qp, markers)
+                         - objective(model, qm, markers)) / (2 * eps)
             scale = max(1.0, np.abs(fd).max())
             assert np.abs(grad - fd).max() / scale <= 1e-5
 
@@ -250,7 +250,7 @@ class TestAnchoredSolve:
 
         def total(q):
             d = (q - q_warm) / scale
-            return ik.objective(model, q, markers) + 0.5 * rho * float(d @ d)
+            return objective(model, q, markers) + 0.5 * rho * float(d @ d)
         return total
 
     def test_anchored_objective_never_increases(self, rng):
@@ -291,7 +291,7 @@ class TestAnchoredSolve:
         q0 = np.zeros(model.total_dof)
         result = ik.solve(model, q0, markers, anchor=ik.ANCHOR)
         assert result.residual == pytest.approx(
-            ik.objective(model, result.q, markers), rel=1e-12)
+            objective(model, result.q, markers), rel=1e-12)
         # The anchor holds the pose back: it is not the unanchored fit.
         free = ik.solve(model, q0, markers)
         assert np.abs(result.q - free.q).max() > 1e-6

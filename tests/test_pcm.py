@@ -395,17 +395,20 @@ class TestFileFormat:
     def random_frame(self, rng):
         channels = rng.uniform(0, 1, (18, 24, 32)).astype(np.float32)
         return make_frame(channels=channels, h=24, w=32, scale=0.25,
-                          rotation=90.0, camera_id=3, frame_index=17,
-                          undistorted=True)
+                          rotation=90.0, camera_id=3, frame_index=17)
 
     def test_round_trip(self, tmp_path, rng):
         frame = self.random_frame(rng)
         path = tmp_path / "frame.pcm"
         pcm.write_pcm(frame, path)
+        raw = bytearray(path.read_bytes())
+        assert raw[6:8] == b"\x00\x00"          # reserved flags, written 0
+        # Files whose flags read 1 (older writers) load the same frame.
+        raw[6:8] = (1).to_bytes(2, "little")
+        path.write_bytes(raw)
         back = pcm.read_pcm(path)
         assert back.camera_id == 3 and back.frame_index == 17
         assert back.rotation_deg == 90.0 and back.scale == 0.25
-        assert back.undistorted is True
         npt.assert_array_equal(back.channels, frame.channels)
 
     def test_bad_magic(self, tmp_path, rng):
@@ -560,8 +563,6 @@ class TestSampleRotated:
     """Lower-body samples through a rotated heatmap: the projected pixel is
     mapped into the rotated image frame first (tracker.score_points)."""
 
-    cfg = tracker.LatticeConfig(rotation_enabled=True)
-
     def camera(self):
         return Camera(id=0, width=64, height=48, fx=50.0, fy=50.0,
                       cx=32.0, cy=24.0, translation=(0.0, 0.0, 1000.0))
@@ -570,7 +571,7 @@ class TestSampleRotated:
         rig = CameraRig(cameras=(self.camera(),))
         points = np.asarray(points, dtype=float).reshape(1, -1, 3)
         scores, _ = tracker.score_points(points, ["r_hip"], provider, rig, 0,
-                                         self.cfg, rotations={0: rotation_deg})
+                                         {0: rotation_deg})
         return scores[0]
 
     def test_rotation_zero_equals_plain_sample(self, rng):

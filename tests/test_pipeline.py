@@ -9,6 +9,7 @@ import numpy.testing as npt
 import pytest
 
 from conftest import small_scene
+from helpers import no_rotation
 from mocapfuse import ik, pcm, pipeline, skeleton as sk, synth
 from mocapfuse.calib import (CameraRig, look_at_camera, pixel_to_ray,
                              project_points)
@@ -45,8 +46,7 @@ class MaskingProvider(pcm.PcmProvider):
         return pcm.HeatmapFrame(
             camera_id=frame.camera_id, frame_index=frame.frame_index,
             rotation_deg=frame.rotation_deg, width=frame.width,
-            height=frame.height, scale=frame.scale, channels=channels,
-            undistorted=frame.undistorted)
+            height=frame.height, scale=frame.scale, channels=channels)
 
 
 class PoisonProvider(pcm.PcmProvider):
@@ -318,7 +318,7 @@ class TestTrack:
                        for row in csv.DictReader(fh)
                        if row["low_confidence"] == "1"}
         for f in dark:
-            assert f.total_score() == 0.0
+            assert not f.weights.any()
             assert {lb for i, lb in flagged if i == f.index} == set(KEYPOINTS)
         # Stage-1 holds the warm start once evidence is gone.
         for a, b in zip(dark[5:], dark[6:]):
@@ -397,12 +397,12 @@ class TestTrack:
         from mocapfuse.tracker import score_points
         provider = synth.SyntheticProvider(still_spec, still_rig, n_frames=10)
         subset = CameraRig(cameras=still_rig.cameras[:3])
-        cfg = LatticeConfig()
+        plan = no_rotation(still_rig)
         gt = synth.ground_truth_positions(still_spec, 0)
         labels = ("neck", "r_ankle", "nose")
         pts = np.stack([gt[lb] + rng.normal(0, 30, (10, 3)) for lb in labels])
-        full, _ = score_points(pts, labels, provider, still_rig, 0, cfg)
-        part, _ = score_points(pts, labels, provider, subset, 0, cfg)
+        full, _ = score_points(pts, labels, provider, still_rig, 0, plan)
+        part, _ = score_points(pts, labels, provider, subset, 0, plan)
         assert np.all(part <= full + 1e-12)
 
     def test_one_fetch_per_camera_per_frame(self):

@@ -6,6 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from helpers import exp_so3, left_jacobian_so3
 from mocapfuse import skeleton as sk
 from mocapfuse.labels import KEYPOINTS
 from test_cli import older_layout
@@ -27,16 +28,16 @@ def skew(v):
 
 class TestRotationHelpers:
     def test_exp_so3_quarter_turn_about_z(self):
-        R = sk.exp_so3(np.array([0.0, 0.0, math.pi / 2]))
+        R = exp_so3(np.array([0.0, 0.0, math.pi / 2]))
         npt.assert_allclose(R @ [1, 0, 0], [0, 1, 0], atol=1e-12)
 
     def test_exp_so3_small_angle_series(self):
         w = np.array([1e-12, -2e-12, 1e-12])
-        npt.assert_allclose(sk.exp_so3(w), np.eye(3) + skew(w), atol=1e-15)
+        npt.assert_allclose(exp_so3(w), np.eye(3) + skew(w), atol=1e-15)
 
     def test_exp_so3_orthonormal(self, rng):
         for _ in range(50):
-            R = sk.exp_so3(rng.normal(0, 2, 3))
+            R = exp_so3(rng.normal(0, 2, 3))
             npt.assert_allclose(R @ R.T, np.eye(3), atol=1e-12)
             assert np.linalg.det(R) > 0
 
@@ -44,14 +45,14 @@ class TestRotationHelpers:
         eps = 1e-7
         for _ in range(20):
             w = rng.normal(0, 1.5, 3)
-            J = sk.left_jacobian_so3(w)
+            J = left_jacobian_so3(w)
             # d(exp(w) v)/dw = -skew(exp(w) v) J_l(w) for any v; compare on axes
             for k in range(3):
                 dw = np.zeros(3)
                 dw[k] = eps
                 for v in np.eye(3):
-                    num = (sk.exp_so3(w + dw) @ v - sk.exp_so3(w - dw) @ v) / (2 * eps)
-                    ana = -skew(sk.exp_so3(w) @ v) @ J[:, k]
+                    num = (exp_so3(w + dw) @ v - exp_so3(w - dw) @ v) / (2 * eps)
+                    ana = -skew(exp_so3(w) @ v) @ J[:, k]
                     npt.assert_allclose(num, ana, atol=1e-6)
 
     def test_coefficients_accurate_to_rounding(self):

@@ -129,6 +129,19 @@ class TestRenderFrame:
         expected = rotate_pixel(px, 37.0, camera.image_center)
         assert np.linalg.norm(peak_image_coords(frame, "neck") - expected) <= 1.0
 
+    def test_renders_at_the_angle_bin_it_labels(self, still_rig):
+        """A frame labelled with a 1-degree bin is rendered at that bin: the
+        pixels and the tilt bias, not only ``rotation_deg``."""
+        camera = still_rig.cameras[0]
+        walk = small_scene(motion=synth.walk_like())
+        for spec, frame_index, angle, binned in (
+                (walk, 0, 12.3, 12.0), (walk, 40, -7.6, -8.0),
+                (inversion_spec(), INVERSION_FRAME, 179.6, 180.0)):
+            a = synth.render_frame(spec, camera, frame_index, angle)
+            b = synth.render_frame(spec, camera, frame_index, binned)
+            assert a.rotation_deg == b.rotation_deg == binned
+            npt.assert_array_equal(a.channels, b.channels)
+
 
 class TestTiltBias:
     def test_multiplier_shape(self):
@@ -272,13 +285,13 @@ def dataset(tmp_path_factory):
                        camera_count=3, image_width=160, image_height=120,
                        focal_px=150.0, sigma_px=3.0)
     out = tmp_path_factory.mktemp("dataset")
-    gt_frames, rig = synth.generate(spec, 3, out)
-    return spec, out, gt_frames, rig
+    truth, rig = synth.generate(spec, 3, out)
+    return spec, out, truth, rig
 
 
 class TestGenerate:
     def test_file_tree(self, dataset):
-        spec, out, gt_frames, rig = dataset
+        spec, out, truth, rig = dataset
         for name in ("calib.json", "scene.json", "ground_truth.csv"):
             assert os.path.exists(os.path.join(out, name))
         for cam in range(3):
@@ -287,13 +300,12 @@ class TestGenerate:
                     out, "pcm", f"cam{cam}", "rot0", f"frame{frame}.pcm"))
 
     def test_files_match_fresh_renders(self, dataset):
-        spec, out, gt_frames, rig = dataset
+        spec, out, truth, rig = dataset
         provider = pcm.DirectoryProvider(os.path.join(out, "pcm"))
         frame = provider.get(1, 2)
         fresh = synth.render_frame(spec, rig.camera(1), 2)
         npt.assert_array_equal(frame.channels, fresh.channels)
         assert frame.scale == fresh.scale
-        assert frame.undistorted
 
     def test_every_file_matches_a_fresh_render(self, tmp_path):
         """Each frame's files render from that frame's truth (the subject
@@ -311,16 +323,19 @@ class TestGenerate:
                 npt.assert_array_equal(back.channels, fresh.channels)
 
     def test_scene_json_reloads(self, dataset):
-        spec, out, gt_frames, rig = dataset
+        spec, out, truth, rig = dataset
         with open(os.path.join(out, "scene.json")) as fh:
             back = synth.spec_from_json(json.load(fh))
         assert back == spec
 
     def test_ground_truth_round_trip(self, dataset):
-        spec, out, gt_frames, rig = dataset
+        spec, out, truth, rig = dataset
         indices, frames = synth.read_ground_truth_csv(
             os.path.join(out, "ground_truth.csv"))
         assert indices == [0, 1, 2]
-        for written, back in zip(gt_frames, frames):
-            for label in KEYPOINTS:
-                npt.assert_array_equal(back[label], written[label])
+        assert truth.shape == (3, len(KEYPOINTS), 3)
+        for i, (written, back) in enumerate(zip(truth, frames)):
+            npt.assert_array_equal(
+                written, synth.ground_truth_keypoints(spec, i))
+            for label, row in zip(KEYPOINTS, written):
+                npt.assert_array_equal(back[label], row)

@@ -6,7 +6,7 @@ import numpy.testing as npt
 import pytest
 
 from helpers import (DictProvider, frame_with_channel, gaussian_grid,
-                     keypoint_rows, make_frame)
+                     keypoint_rows, make_frame, no_rotation)
 from mocapfuse import pcm, skeleton as sk, synth, tracker
 from mocapfuse.calib import Camera, CameraRig, project_points, rotate_pixel
 from mocapfuse.labels import KEYPOINT_INDEX, KEYPOINTS, LOWER_BODY
@@ -94,7 +94,8 @@ class TestLatticeSearch:
         rig = axial_rig()
         cfg = LatticeConfig(s=10.0, k=1)
         prev = keypoint_rows({"neck": np.array([3.0, -4.0, 5.0])})
-        markers = lattice_search(prev, zero_provider(rig), rig, cfg, 0)
+        markers = lattice_search(prev, zero_provider(rig), rig, cfg, 0,
+                                 no_rotation(rig))
         neck = KEYPOINT_INDEX["neck"]
         npt.assert_array_equal(markers.positions[neck], prev[neck])
         assert markers.weights[neck] == 0.0
@@ -107,7 +108,7 @@ class TestLatticeSearch:
         prev = keypoint_rows({"r_wrist": np.array([0.0, 0.0, 0.0])})
         true = prev[wrist] + np.array([10.0, 0.0, 0.0])
         provider = render_point(rig, true, "r_wrist")
-        markers = lattice_search(prev, provider, rig, cfg, 0)
+        markers = lattice_search(prev, provider, rig, cfg, 0, no_rotation(rig))
         npt.assert_allclose(markers.positions[wrist], true)
         assert markers.weights[wrist] > 1.9
 
@@ -120,7 +121,8 @@ class TestLatticeSearch:
         frames = dict(render_point(rig, prev[neck], "neck").frames)
         far = frame_with_channel("neck", np.zeros((48, 64)), camera_id=1)
         frames[(1, 0, 0)] = far
-        markers = lattice_search(prev, DictProvider(frames), rig, cfg, 0)
+        markers = lattice_search(prev, DictProvider(frames), rig, cfg, 0,
+                                 no_rotation(rig))
         npt.assert_array_equal(markers.positions[neck], prev[neck])
         cams = markers.per_camera[neck]
         assert cams[1] == 0.0 and cams[0] > 0.99
@@ -135,7 +137,8 @@ class TestLatticeSearch:
                 for cam in rig.cameras}
             provider = DictProvider(grids)
             prev = keypoint_rows({"l_knee": rng.uniform(-40, 40, 3)})
-            markers = lattice_search(prev, provider, rig, cfg, 0)
+            markers = lattice_search(prev, provider, rig, cfg, 0,
+                                     no_rotation(rig))
             score = markers.weights[knee]
             steps = (markers.positions[knee] - prev[knee]) / cfg.s
             npt.assert_allclose(steps, np.round(steps), atol=1e-9)
@@ -143,7 +146,8 @@ class TestLatticeSearch:
             npt.assert_array_equal(markers.offsets[knee], np.round(steps))
             # The maximum can never undercut the center's own score.
             center_score, _ = score_points(prev[knee][None, None],
-                                           ["l_knee"], provider, rig, 0, cfg)
+                                           ["l_knee"], provider, rig, 0,
+                                           no_rotation(rig))
             assert score >= center_score[0, 0] - 1e-12
 
     def test_all_keypoints_match_one_label_searches(self, rng):
@@ -155,13 +159,14 @@ class TestLatticeSearch:
             channels=rng.uniform(0, 1, (18, 48, 64)).astype(np.float32),
             camera_id=cam.id) for cam in rig.cameras})
         prev = rng.uniform(-40, 40, (len(KEYPOINTS), 3))
-        markers = lattice_search(prev, provider, rig, cfg, 0)
+        markers = lattice_search(prev, provider, rig, cfg, 0, no_rotation(rig))
         assert markers.positions.shape == (len(KEYPOINTS), 3)
         offsets = lattice_offsets(cfg.k)
         for i, lb in enumerate(KEYPOINTS):
             candidates = prev[i] + cfg.s * offsets.astype(float)
             scores, per_camera = score_points(candidates[None], [lb],
-                                              provider, rig, 0, cfg)
+                                              provider, rig, 0,
+                                              no_rotation(rig))
             best = int(np.argmax(scores[0]))
             npt.assert_array_equal(markers.positions[i], candidates[best])
             assert markers.weights[i] == scores[0, best]
@@ -173,7 +178,8 @@ class TestLatticeSearch:
         rig = axial_rig(2)
         cfg = LatticeConfig()
         with pytest.raises(pcm.FrameMissing):
-            lattice_search(keypoint_rows({}), DictProvider({}), rig, cfg, 0)
+            lattice_search(keypoint_rows({}), DictProvider({}), rig, cfg, 0,
+                           no_rotation(rig))
 
 
 class TestPcmWeight:
@@ -182,21 +188,21 @@ class TestPcmWeight:
     def test_all_zero_channels(self):
         rig = axial_rig()
         w, cams = score_points(ORIGIN, ["r_hip"], zero_provider(rig), rig,
-                               0, LatticeConfig())
+                               0, no_rotation(rig))
         assert w[0, 0] == 0.0
 
     def test_unit_peaks_in_all_cameras(self):
         rig = axial_rig(4)
         provider = render_point(rig, (0.0, 0.0, 0.0), "r_hip")
         w, cams = score_points(ORIGIN, ["r_hip"], provider, rig, 0,
-                               LatticeConfig())
+                               no_rotation(rig))
         assert w[0, 0] == pytest.approx(4.0, abs=1e-6)
 
     def test_point_behind_one_camera(self):
         rig = axial_rig(4, behind=(2,))
         provider = render_point(rig, (0.0, 0.0, 0.0), "r_hip")
         w, cams = score_points(ORIGIN, ["r_hip"], provider, rig, 0,
-                               LatticeConfig())
+                               no_rotation(rig))
         assert w[0, 0] == pytest.approx(3.0, abs=1e-6)
         assert cams[2, 0, 0] == 0.0
 
@@ -206,7 +212,7 @@ class TestPcmWeight:
             "neck", rng.uniform(0, 1, (48, 64)), camera_id=cam.id)
             for cam in rig.cameras}
         w, _ = score_points(rng.uniform(-20, 20, (1, 1, 3)), ["neck"],
-                            DictProvider(grids), rig, 0, LatticeConfig())
+                            DictProvider(grids), rig, 0, no_rotation(rig))
         assert 0.0 <= w[0, 0] <= rig.n_c
 
 
@@ -228,34 +234,31 @@ class TestRotatedSampling:
 
     def test_lower_body_uses_assigned_rotation(self):
         rig, point, provider = self.make_rotated_scene()
-        cfg = LatticeConfig(rotation_enabled=True)
         scores, _ = score_points(point[None, None], ["r_hip"], provider, rig,
-                                 0, cfg, rotations={0: 90.0})
+                                 0, {0: 90.0})
         assert scores[0, 0] == pytest.approx(1.0, abs=1e-6)
 
     def test_non_lower_body_labels_stay_unrotated(self):
         rig, point, provider = self.make_rotated_scene()
-        cfg = LatticeConfig(rotation_enabled=True)
         # neck is not a LowerBody label: rotation-0 frame (all zero) is used.
         scores, _ = score_points(point[None, None], ["neck"], provider, rig,
-                                 0, cfg, rotations={0: 90.0})
+                                 0, {0: 90.0})
         assert scores[0, 0] == 0.0
 
-    def test_rotation_disabled_ignores_plan(self):
+    def test_angle_binned_to_zero_samples_rotation_zero(self):
         rig, point, provider = self.make_rotated_scene()
-        cfg = LatticeConfig(rotation_enabled=False)
-        scores, _ = score_points(point[None, None], ["r_hip"], provider, rig,
-                                 0, cfg, rotations={0: 90.0})
-        assert scores[0, 0] == 0.0
+        for angle in (0.0, 0.4, -0.4):
+            scores, _ = score_points(point[None, None], ["r_hip"], provider,
+                                     rig, 0, {0: angle})
+            assert scores[0, 0] == 0.0
 
     def test_missing_rotated_frame_falls_back(self, caplog):
         rig = axial_rig(1)
         point = np.zeros(3)
         provider = render_point(rig, point, "r_hip")  # rotation 0 only
-        cfg = LatticeConfig(rotation_enabled=True)
         with caplog.at_level(logging.INFO, logger="mocapfuse.tracker"):
             scores, _ = score_points(point[None, None], ["r_hip"], provider,
-                                     rig, 0, cfg, rotations={0: 45.0})
+                                     rig, 0, {0: 45.0})
         assert scores[0, 0] == pytest.approx(1.0, abs=1e-6)
         assert any("falling back" in r.message for r in caplog.records)
 
@@ -275,10 +278,9 @@ def test_batched_samples_equal_sample_many(rng, caplog):
     del frames[(2, 0, 45)]
     provider = DictProvider(frames)
     points = rng.uniform(-40, 40, (len(KEYPOINTS), 25, 3))
-    cfg = LatticeConfig(rotation_enabled=True)
     with caplog.at_level(logging.INFO, logger="mocapfuse.tracker"):
         scores, per_camera = score_points(points, KEYPOINTS, provider, rig, 0,
-                                          cfg, rotations=plan)
+                                          plan)
     fallbacks = [r for r in caplog.records if "falling back" in r.message]
     assert len(fallbacks) == 1                 # once per camera, not per label
     for ci, cam in enumerate(rig.cameras):
