@@ -91,11 +91,11 @@ def _check_values(frame: HeatmapFrame, values):
                 f"NaN: min={lo}, max={hi}")
 
 
-def sample_channels(frame: HeatmapFrame, chan, pixels, valid=None):
+def sample_channels(frame: HeatmapFrame, chan, pixels, valid):
     """Bilinear samples at image-space pixels (N,2) of channel ``chan``
     (one index, or one per pixel).
 
-    ``valid`` optionally masks out entries (e.g. behind-camera projections);
+    ``valid`` (N,) masks out entries (e.g. behind-camera projections);
     masked and out-of-grid samples return 0.  The four corner cells of every
     sample, clamped to the grid, are gathered in one ``take`` and checked,
     masked and out-of-grid samples included: a corner outside [0, 1] or NaN
@@ -104,9 +104,8 @@ def sample_channels(frame: HeatmapFrame, chan, pixels, valid=None):
     px = np.atleast_2d(np.asarray(pixels, dtype=float)) * frame.scale
     _, h, w = frame.channels.shape
     x, y = px[:, 0], px[:, 1]
-    inside = (x >= 0.0) & (x <= w - 1.0) & (y >= 0.0) & (y <= h - 1.0)
-    if valid is not None:
-        inside = inside & np.asarray(valid, dtype=bool)
+    inside = ((x >= 0.0) & (x <= w - 1.0) & (y >= 0.0) & (y <= h - 1.0)
+              & np.asarray(valid, dtype=bool))
     xs = np.clip(x, 0.0, w - 1.0)
     ys = np.clip(y, 0.0, h - 1.0)
     x0 = np.minimum(xs.astype(int), w - 2) if w > 1 else np.zeros_like(xs, dtype=int)
@@ -125,7 +124,7 @@ def sample_channels(frame: HeatmapFrame, chan, pixels, valid=None):
     return np.where(inside, v, 0.0)
 
 
-def centroids(frame: HeatmapFrame, floor: float = 0.3):
+def centroids(frame: HeatmapFrame, floor: float):
     """Value-weighted mean position of every channel in image coordinates:
     (18, 2), row i for ``KEYPOINTS[i]``.
 

@@ -14,7 +14,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import mmap
 import os
+import weakref
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -169,29 +171,96 @@ def _channel_rng(spec, camera_id, frame_index, rotation_key, channel):
 
 
 def _splat(grid, center_hm, amplitude, sigma_hm):
-    """Add a Gaussian bump to a heatmap grid (windowed at 5 sigma) and clamp
-    the touched window to [0, 1]."""
+    """Add a Gaussian bump to a heatmap grid (windowed at 5 sigma), clamp
+    the touched window to [0, 1] and return that window (a view of
+    ``grid``, empty when the bump misses the grid)."""
     h, w = grid.shape
     cx, cy = center_hm
     r = 5.0 * sigma_hm
     x0, x1 = max(0, int(cx - r)), min(w, int(cx + r) + 2)
     y0, y1 = max(0, int(cy - r)), min(h, int(cy + r) + 2)
+    window = grid[y0:y1, x0:x1]
     if x0 >= x1 or y0 >= y1:
-        return
+        return window
     xs = np.arange(x0, x1) - cx
     ys = np.arange(y0, y1) - cy
     d2 = ys[:, None] ** 2 + xs[None, :] ** 2
-    window = grid[y0:y1, x0:x1]
     window += amplitude * np.exp(-d2 / (2.0 * sigma_hm * sigma_hm))
     np.clip(window, 0.0, 1.0, out=window)
+    return window
+
+
+# Buffers a FrameBuffers keeps.  While the tracker renders a camera's frames
+# it still holds the previous camera's two, so three are in use; one spare.
+_POOL_CAP = 4
+
+
+class _Buffer:
+    """One anonymous mapping of (18, h, w) float32 cells: only the pages a
+    render writes or reads become resident.  ``grid`` is the renderer's
+    writable view, ``touched`` the windows written since the last clear and
+    ``handed`` a weak reference to the read-only channels last handed out."""
+
+    def __init__(self, shape):
+        self.grid = np.ndarray(shape, np.float32,
+                               buffer=mmap.mmap(-1, 4 * math.prod(shape)))
+        self.touched = []
+        self.handed = None
+
+    def free(self, shape):
+        return (self.grid.shape == shape
+                and (self.handed is None or self.handed() is None))
+
+    def clear(self):
+        for window in self.touched:
+            window[...] = 0.0
+        self.touched.clear()
+
+    def hand_out(self):
+        """The buffer's cells as a new read-only array.  Its base is the
+        mapping, so it stays alive as long as any numpy view of it does."""
+        channels = np.ndarray(self.grid.shape, np.float32,
+                              buffer=self.grid.base)
+        channels.flags.writeable = False
+        self.handed = weakref.ref(channels)
+        return channels
+
+
+class FrameBuffers:
+    """A small pool of reusable frame buffers for ``render_frame``.
+
+    A buffer is reused only when the channels last handed out from it, and
+    with them every view of them (``frame.channels[3]`` too), are gone;
+    then only the windows its last render wrote are cleared.  At most
+    ``_POOL_CAP`` buffers are kept; past that a render gets a mapping of its
+    own, released with its frame."""
+
+    def __init__(self):
+        self._buffers = []
+
+    def take(self, shape):
+        """A buffer of ``shape`` whose cells are all +0.0."""
+        for buf in self._buffers:
+            if buf.free(shape):
+                buf.clear()
+                return buf
+        buf = _Buffer(shape)
+        if len(self._buffers) < _POOL_CAP:
+            self._buffers.append(buf)
+        return buf
 
 
 def render_frame(spec: SceneSpec, camera, frame_index, rotation_deg=0.0,
-                 model=None, truth=None) -> pcm_mod.HeatmapFrame:
+                 model=None, truth=None, buffers=None) -> pcm_mod.HeatmapFrame:
     """Render one camera's heatmap frame, optionally on the rotated image,
     from the frame's ``ground_truth_keypoints`` (``truth``, when given).
     The pixels, the tilt bias and ``rotation_deg`` all use the angle's
-    1-degree bin (``pcm.quantize_rotation``), as a stored frame would."""
+    1-degree bin (``pcm.quantize_rotation``), as a stored frame would.
+
+    The channels are rendered into a buffer of ``buffers`` (a
+    ``FrameBuffers``; None: a pool of one use) and handed out read-only, so
+    a write raises ValueError.  The buffer is not written again while the
+    frame's channels or any view of them is alive."""
     rot_key = pcm_mod.quantize_rotation(rotation_deg)
     rotation_deg = float(rot_key)
     if truth is None:
@@ -213,7 +282,9 @@ def render_frame(spec: SceneSpec, camera, frame_index, rotation_deg=0.0,
             except ValueError:
                 tilt = None
 
-    channels = np.zeros((len(KEYPOINTS), h, w), dtype=np.float32)
+    if buffers is None:
+        buffers = FrameBuffers()
+    buf = buffers.take((len(KEYPOINTS), h, w))
     noise = spec.noise
     pixels, in_front = project_points(camera, truth)
     rotated = rotate_pixel(pixels, rotation_deg, center)
@@ -240,21 +311,26 @@ def render_frame(spec: SceneSpec, camera, frame_index, rotation_deg=0.0,
             p = p + rng.normal(0.0, noise.jitter_px, 2)
         if rng is not None and noise.amplitude_std:
             amplitude *= max(0.0, 1.0 + rng.normal(0.0, noise.amplitude_std))
-        _splat(channels[ch], np.asarray(p) * spec.heatmap_scale, amplitude,
-               sigma_hm)
+        buf.touched.append(_splat(buf.grid[ch],
+                                  np.asarray(p) * spec.heatmap_scale,
+                                  amplitude, sigma_hm))
         if rng is not None and noise.false_peak_rate:
             if rng.random() < noise.false_peak_rate:
                 fp = rng.uniform([0, 0], [w - 1, h - 1])
-                _splat(channels[ch], fp, rng.uniform(0.3, 0.8), sigma_hm)
+                buf.touched.append(_splat(buf.grid[ch], fp,
+                                          rng.uniform(0.3, 0.8), sigma_hm))
     return pcm_mod.HeatmapFrame(
         camera_id=camera.id, frame_index=frame_index,
         rotation_deg=rotation_deg, width=w, height=h,
-        scale=spec.heatmap_scale, channels=channels)
+        scale=spec.heatmap_scale, channels=buf.hand_out())
 
 
 class SyntheticProvider(pcm_mod.PcmProvider):
     """Renders heatmap frames on demand; any rotation angle is available.
-    No heatmap is kept, only the last frame's keypoints: one FK per frame."""
+    No heatmap is kept, only the last frame's keypoints (one FK per frame)
+    and a ``FrameBuffers`` pool: a frame's buffer is reused only once the
+    frame's channels and every view of them are gone.  The channels are
+    read-only, as ``DirectoryProvider``'s mapped frames are."""
 
     def __init__(self, spec: SceneSpec, rig: CameraRig = None, n_frames=None):
         self.spec = spec
@@ -262,17 +338,20 @@ class SyntheticProvider(pcm_mod.PcmProvider):
         self.model = build_model(spec)
         self.n_frames = n_frames
         self._truth = (None, None)     # (frame index, its keypoints)
+        self._buffers = FrameBuffers()
 
     def get(self, camera_id, frame_index, rotation_deg=0.0):
-        if self.n_frames is not None and not (0 <= frame_index < self.n_frames):
+        if frame_index < 0 or (self.n_frames is not None
+                               and frame_index >= self.n_frames):
             raise pcm_mod.FrameMissing(
-                f"synthetic scene has {self.n_frames} frames, "
-                f"requested {frame_index}")
+                f"synthetic frame {frame_index} out of range "
+                f"(n_frames={self.n_frames})")
         if self._truth[0] != frame_index:
             self._truth = (frame_index, ground_truth_keypoints(
                 self.spec, frame_index, self.model))
         return render_frame(self.spec, self.rig.camera(camera_id), frame_index,
-                            rotation_deg, self.model, self._truth[1])
+                            rotation_deg, self.model, self._truth[1],
+                            self._buffers)
 
 
 # ---------------------------------------------------------------------------
@@ -405,11 +484,12 @@ def generate(spec: SceneSpec, n_frames, out_dir):
         fh.write("\n")
     truth = np.empty((n_frames, len(KEYPOINTS), 3))
     pcm_root = os.path.join(out_dir, "pcm")
+    buffers = FrameBuffers()
     for frame_index in range(n_frames):
         truth[frame_index] = ground_truth_keypoints(spec, frame_index, model)
         for camera in rig.cameras:
             frame = render_frame(spec, camera, frame_index, 0.0, model,
-                                 truth[frame_index])
+                                 truth[frame_index], buffers)
             path = pcm_mod.frame_path(pcm_root, camera.id, frame_index)
             os.makedirs(os.path.dirname(path), exist_ok=True)
             pcm_mod.write_pcm(frame, path)

@@ -276,7 +276,7 @@ def exhaustive_lattice_oracle(center, label, provider, rig, s, k):
             px, in_front = project_points(camera, p)
             if in_front:
                 score += pcm.sample_channels(frame, KEYPOINT_INDEX[label],
-                                            px)[0]
+                                            px, [True])[0]
         if best is None or score > best[0]:
             best = (score, off, p)
     return best

@@ -10,6 +10,7 @@ from helpers import DictProvider, frame_with_channel, gaussian_grid, make_frame
 from mocapfuse import pcm, synth, tracker
 from mocapfuse.calib import Camera, CameraRig, project_points, rotate_pixel
 from mocapfuse.labels import KEYPOINT_INDEX, KEYPOINTS
+from mocapfuse.pipeline import CENTROID_FLOOR
 
 
 def refused(call):
@@ -30,9 +31,9 @@ class TestHeatmapFrame:
         channels[0, 0, 0] = 1.5
         frame = make_frame(channels=channels, h=8, w=8)
         with pytest.raises(pcm.PcmFormatError, match=r"outside \[0, 1\]"):
-            pcm.sample_channels(frame, 0, (0.0, 0.0))
+            pcm.sample_channels(frame, 0, (0.0, 0.0), [True])
         with pytest.raises(pcm.PcmFormatError, match=r"outside \[0, 1\]"):
-            pcm.centroids(frame, 0.3)
+            pcm.centroids(frame, CENTROID_FLOOR)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
     def test_nan_inf_and_negative_rejected(self, bad):
@@ -42,8 +43,8 @@ class TestHeatmapFrame:
                            frame_index=9, rotation=-37.0)
         where = r"camera 4 frame 9 rotation -37.0 deg: .*outside \[0, 1\].*min="
         with pytest.raises(pcm.PcmFormatError, match=where):
-            pcm.sample_channels(frame, 3, (5.0, 2.0))
-        for floor in (0.0, 0.3):
+            pcm.sample_channels(frame, 3, (5.0, 2.0), [True])
+        for floor in (0.0, CENTROID_FLOOR):
             with pytest.raises(pcm.PcmFormatError, match=where):
                 pcm.centroids(frame, floor)
 
@@ -53,8 +54,8 @@ class TestHeatmapFrame:
         channels[0, 0, 0] = 1.0
         frame = make_frame(channels=channels, h=8, w=8)
         assert np.signbit(frame.channels[5]).all()
-        assert pcm.sample_channels(frame, 5, (3.5, 2.5))[0] == 0.0
-        assert pcm.sample_channels(frame, 0, (0.0, 0.0))[0] == 1.0
+        assert pcm.sample_channels(frame, 5, (3.5, 2.5), [True])[0] == 0.0
+        assert pcm.sample_channels(frame, 0, (0.0, 0.0), [True])[0] == 1.0
         assert np.isnan(pcm.centroids(frame, 0.0)[5]).all()
 
     def test_bit_check_agrees_with_the_value_range(self, rng):
@@ -73,9 +74,10 @@ class TestHeatmapFrame:
             frame = make_frame(channels=channels, h=1, w=1)
             with np.errstate(invalid="ignore"):
                 inside = bool(0.0 <= value <= 1.0)
-            assert refused(lambda: pcm.sample_channels(frame, 7, (0, 0))) \
+            assert refused(
+                lambda: pcm.sample_channels(frame, 7, (0, 0), [True])) \
                 == (not inside), value
-            for floor in (0.0, 0.3):
+            for floor in (0.0, CENTROID_FLOOR):
                 assert refused(lambda: pcm.centroids(frame, floor)) \
                     == (not inside), (value, floor)
 
@@ -92,7 +94,8 @@ class TestHeatmapFrame:
 
 def sample(frame, label, pixel):
     """One bilinear sample of ``label``'s channel at an image-space pixel."""
-    return float(pcm.sample_channels(frame, KEYPOINT_INDEX[label], pixel)[0])
+    return float(pcm.sample_channels(frame, KEYPOINT_INDEX[label], pixel,
+                                     [True])[0])
 
 
 class TestSample:
@@ -142,7 +145,8 @@ class TestSample:
         grid = rng.uniform(0, 1, (48, 64)).astype(np.float32)
         frame = frame_with_channel("r_knee", grid)
         pts = rng.uniform([-10, -10], [80, 60], (500, 2))
-        vals = pcm.sample_channels(frame, KEYPOINT_INDEX["r_knee"], pts)
+        vals = pcm.sample_channels(frame, KEYPOINT_INDEX["r_knee"], pts,
+                                   np.ones(len(pts), bool))
         assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5, 1.5])
@@ -153,17 +157,18 @@ class TestSample:
         grid[0, 0] = grid[20, 30] = bad
         frame = frame_with_channel("neck", grid, camera_id=2, frame_index=8)
         chan = KEYPOINT_INDEX["neck"]
-        for pixel, valid in (((30.5, 20.5), None), ((30.0, 20.0), [False]),
-                             ((-5.0, -5.0), None)):
+        for pixel, valid in (((30.5, 20.5), [True]), ((30.0, 20.0), [False]),
+                             ((-5.0, -5.0), [True])):
             with pytest.raises(pcm.PcmFormatError,
                                match=r"camera 2 frame 8 rotation 0.0 deg"):
                 pcm.sample_channels(frame, chan, pixel, valid=valid)
         # Cells that no sample reads are not looked at.
         npt.assert_array_equal(
-            pcm.sample_channels(frame, chan, [(10.5, 10.5), (60.0, 40.0)]),
+            pcm.sample_channels(frame, chan, [(10.5, 10.5), (60.0, 40.0)],
+                                [True, True]),
             [0.5, 0.5])
         assert pcm.sample_channels(frame, KEYPOINT_INDEX["nose"],
-                                   (30.0, 20.0))[0] == 0.0
+                                   (30.0, 20.0), [True])[0] == 0.0
 
     def test_negative_zero_corners_accepted(self, rng):
         grid = rng.uniform(0, 1, (48, 64)).astype(np.float32)
@@ -171,8 +176,9 @@ class TestSample:
         frame = frame_with_channel("r_knee", grid)
         pts = rng.uniform([-10, -10], [80, 60], (500, 2))
         chan = KEYPOINT_INDEX["r_knee"]
-        assert pcm.sample_channels(frame, chan, pts).tobytes() == \
-            sample_oracle(frame, chan, pts).tobytes()
+        valid = np.ones(len(pts), bool)
+        assert pcm.sample_channels(frame, chan, pts, valid).tobytes() == \
+            sample_oracle(frame, chan, pts, valid).tobytes()
 
     @pytest.mark.parametrize("scale", [0.25, 0.5, 1.0])
     def test_bit_identical_to_four_gathers(self, scale, rng):
@@ -211,7 +217,7 @@ class TestSample:
         pixels = np.concatenate([cells, edges]) / frame.scale
         chan = rng.integers(0, len(KEYPOINTS), len(pixels))
         valid = rng.random(len(pixels)) < 0.8
-        for c, v in ((chan, valid), (chan, None), (5, valid)):
+        for c, v in ((chan, valid), (chan, np.ones_like(valid)), (5, valid)):
             got = pcm.sample_channels(frame, c, pixels, valid=v)
             assert got.tobytes() == \
                 sample_oracle(frame, c, pixels, valid=v).tobytes()
@@ -272,7 +278,7 @@ class TestCentroid:
 
     def test_empty_channel_is_a_nan_row(self):
         frame = frame_with_channel("neck", gaussian_grid(48, 64, 30, 20, 4.0))
-        c = pcm.centroids(frame, 0.3)
+        c = pcm.centroids(frame, CENTROID_FLOOR)
         row = KEYPOINT_INDEX["neck"]
         assert np.isfinite(c[row]).all()
         assert np.isnan(np.delete(c, row, axis=0)).all()
@@ -450,9 +456,9 @@ class TestFileFormat:
         pixel = np.asarray(cell, dtype=float) / frame.scale
         where = r"camera 3 frame 17 rotation 90.0 deg: .*outside \[0, 1\]"
         with pytest.raises(pcm.PcmFormatError, match=where):
-            pcm.sample_channels(frame, chan, pixel)
+            pcm.sample_channels(frame, chan, pixel, [True])
         with pytest.raises(pcm.PcmFormatError, match=where):
-            pcm.centroids(frame, 0.3)
+            pcm.centroids(frame, CENTROID_FLOOR)
 
     def test_out_of_range_value_in_file(self, tmp_path, rng):
         path = self.write_with_cell(tmp_path, rng, 0, 1.5)

@@ -12,6 +12,7 @@ from conftest import small_scene
 from mocapfuse import pcm, skeleton as sk, synth
 from mocapfuse.calib import project_points, rotate_pixel
 from mocapfuse.labels import KEYPOINT_INDEX, KEYPOINTS, LOWER_BODY
+from mocapfuse.pipeline import CENTROID_FLOOR
 
 
 def peak_image_coords(frame, label):
@@ -99,7 +100,7 @@ class TestRenderFrame:
         gt = synth.ground_truth_positions(still_spec, 0)
         for camera in still_rig.cameras:
             frame = synth.render_frame(still_spec, camera, 0)
-            rows = pcm.centroids(frame, 0.3)
+            rows = pcm.centroids(frame, CENTROID_FLOOR)
             for label, c in zip(KEYPOINTS, rows):
                 px, in_front = project_points(camera, gt[label])
                 assert in_front
@@ -252,6 +253,62 @@ class TestProvider:
         del frame
         gc.collect()
         assert ref() is None
+
+    def test_negative_frame_is_missing(self, still_spec, still_rig):
+        for n_frames in (None, 5):
+            provider = synth.SyntheticProvider(still_spec, still_rig,
+                                               n_frames=n_frames)
+            with pytest.raises(pcm.FrameMissing, match="-1"):
+                provider.get(0, -1)
+
+    def test_held_frames_and_views_are_never_overwritten(self, still_rig):
+        """Frames, and bare views of their channels, held across more renders
+        than the pool keeps buffers, still equal copies taken when they were
+        handed out."""
+        spec = small_scene(
+            motion=synth.walk_like(hold_frames=0),
+            noise=synth.NoiseModel(jitter_px=1.0, amplitude_std=0.2,
+                                   false_peak_rate=0.5))
+        provider = synth.SyntheticProvider(spec, still_rig)
+        held = []
+        for i in range(3 * synth._POOL_CAP):
+            frame = provider.get(i % 4, i, 30.0 * (i % 3))
+            kept = (frame, frame.channels[3], frame.channels.reshape(-1))[i % 3]
+            held.append((kept, np.array(getattr(kept, "channels", kept))))
+            del frame, kept
+        # Renders made while all of those are held.
+        for i in range(2 * synth._POOL_CAP):
+            provider.get(i % 4, 40 + i)
+        for kept, copy in held:
+            npt.assert_array_equal(getattr(kept, "channels", kept), copy)
+
+    def test_channels_are_read_only(self, dataset):
+        spec, out, _, rig = dataset
+        for provider in (synth.SyntheticProvider(spec, rig),
+                         pcm.DirectoryProvider(os.path.join(out, "pcm"))):
+            frame = provider.get(1, 0)
+            with pytest.raises(ValueError):
+                frame.channels[0, 0, 0] = 0.5
+            with pytest.raises(ValueError):
+                frame.channels.reshape(-1)[:] = 0.0
+        with pytest.raises(ValueError):
+            synth.render_frame(spec, rig.cameras[0], 0).channels[2] += 0.1
+
+    def test_dropped_frames_reuse_the_pool(self, still_rig):
+        """A loop that drops each frame renders into at most the pool's
+        buffers, and each render equals a fresh one."""
+        spec = small_scene(motion=synth.walk_like(hold_frames=0),
+                           noise=synth.NoiseModel(false_peak_rate=0.5))
+        provider = synth.SyntheticProvider(spec, still_rig)
+        addresses = set()
+        for i in range(30):
+            channels = provider.get(i % 4, i, 45.0 * (i % 2)).channels
+            addresses.add(channels.__array_interface__["data"][0])
+            fresh = synth.render_frame(spec, still_rig.camera(i % 4), i,
+                                       45.0 * (i % 2))
+            npt.assert_array_equal(channels, fresh.channels)
+            del channels
+        assert len(addresses) <= synth._POOL_CAP
 
 
 class TestSceneJson:
