@@ -12,11 +12,21 @@ observe stay at the warm start instead of drifting along a flat valley.  It
 also stops once an accepted step lowers that objective by at most
 ``RELATIVE_DECREASE_TOL`` of its value.  Tracking (stage 1 and the stage-2
 refit) passes ``ANCHOR``; every other solve is unanchored.
+
+``solve`` returns an ``IkResult`` that carries the FK pass made at its final
+pose: the positions and Jacobians of every keypoint the model maps.  A solve
+warm-started from such a result of the same model object starts from that
+pass, so a chain of solves (the two tracking stages of every frame,
+initialization's run of fits) passes each pose it tries through FK once.
+Each LM step weights the Jacobian by sqrt(W) and the dof scaling in one
+product, checks H and g for non-finite values and damps H's diagonal in
+place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,99 +56,134 @@ class IkSettings:
     residual_tol: float = 1e-4      # mm^2, objective value
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        n = self.max_iterations
+        if not (isinstance(n, int) and not isinstance(n, bool) and n >= 1):
+            raise ValueError(f"max_iterations must be an int >= 1, got {n!r}")
         for name in ("step_tol", "residual_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class IkResult:
+    """A solve's final pose and the FK pass made at it: ``positions``
+    (n, 3) and ``jacobians`` (n, 3, D) of ``model.keypoints``, in order.
+    The arrays are read-only, so a later solve of the same ``model`` can
+    start from this pass instead of repeating it."""
+
     q: np.ndarray
     residual: float        # final marker-fit objective (no anchor), mm^2
     converged: bool
+    positions: np.ndarray
+    jacobians: np.ndarray = field(repr=False)
+    model: sk.SkeletonModel = field(repr=False)
     iterations: int = 0
     no_evidence: bool = False
 
-
-def _observed(markers: VirtualMarkerSet):
-    """The labels, positions and weights of the markers with weight > 0."""
-    rows = np.flatnonzero(markers.weights > 0.0)
-    return ([KEYPOINTS[i] for i in rows], markers.positions[rows],
-            markers.weights[rows])
+    def __post_init__(self):
+        for array in (self.q, self.positions, self.jacobians):
+            array.flags.writeable = False
 
 
 def solve(model, q_init, markers: VirtualMarkerSet,
           settings: IkSettings = IkSettings(), *, anchor=0.0) -> IkResult:
     """Fit the pose to the weighted markers, warm-started at ``q_init``.
 
-    With ``anchor`` > 0 the objective also holds the pose to ``q_init`` (see
-    the module docstring); ``residual`` is always the marker-fit objective.
-    The accepted-step objective sequence is non-increasing; with all weights
-    zero the warm start is returned untouched with ``no_evidence`` set.
-    Each pose tried gets one FK pass, which also gives its Jacobian: an
-    accepted trial's positions and Jacobian serve the next iteration.
+    ``q_init`` is a pose or an earlier ``IkResult``; one of the same
+    ``model`` object starts the solve from its final FK pass, any other is
+    read for its ``q``.  With ``anchor`` > 0 the objective also holds the
+    pose to ``q_init`` (see the module docstring); ``residual`` is always
+    the marker-fit objective.  The accepted-step objective sequence is
+    non-increasing; with all weights zero the warm start is returned
+    untouched with ``no_evidence`` set.  Each pose tried gets one FK pass
+    over every keypoint the model maps, which also gives its Jacobian: the
+    residual uses the rows with weight > 0, and an accepted trial's pass
+    serves the next iteration and the result.  A marker with weight > 0 on
+    a keypoint the model does not map raises SkeletonError.
     """
     if not anchor >= 0.0:
         raise ValueError("anchor must be >= 0")
-    q_warm = q = sk.check_pose(model, q_init).copy()
-    labels, observed, weights = _observed(markers)
-    if not labels:
-        return IkResult(q=q, residual=0.0, converged=False, no_evidence=True)
-    sqrt_w = np.sqrt(weights)[:, None]
+    if isinstance(q_init, IkResult) and q_init.model is model:
+        q, positions, jac = q_init.q, q_init.positions, q_init.jacobians
+    else:
+        q = sk.check_pose(model, getattr(q_init, "q", q_init)).copy()
+        positions, jac = sk.fk_and_jacobians(model, q)
+    q_warm = q
+    weights = markers.weights[model.keypoint_rows]
+    rows = np.flatnonzero(weights > 0.0)
+    if rows.size < np.count_nonzero(markers.weights > 0.0):
+        unmapped = [lb for lb, w in zip(KEYPOINTS, markers.weights)
+                    if w > 0.0 and lb not in model.keypoints]
+        raise sk.SkeletonError("markers with weight > 0 on keypoints the "
+                               "model does not map: " + ", ".join(unmapped))
+    if not rows.size:
+        return IkResult(q=q, residual=0.0, converged=False, no_evidence=True,
+                        positions=positions, jacobians=jac, model=model)
+    # A basic slice is a view: with every row observed nothing is copied.
+    sel = slice(None) if rows.size == len(weights) else rows
+    observed = markers.positions[model.keypoint_rows[rows]]
+    sqrt_w = np.sqrt(weights[rows])[:, None]
+    scale = np.where(model.dof_rotational, 1.0, TRANSLATION_SCALE)
+    # sqrt(W) and the dof scaling in one factor of the (n, 3, D) Jacobian.
+    jac_scale = sqrt_w[:, :, None] * scale
+    n_dof = model.total_dof
 
     def residual(positions):
-        return (sqrt_w * (observed - positions)).ravel()
+        return (sqrt_w * (observed - positions[sel])).ravel()
 
-    scale = np.where(model.dof_rotational, 1.0, TRANSLATION_SCALE)
     lam = LAMBDA0
     # The marker fit equals 0.5 * |r|^2 for the sqrt-weighted residual stack;
     # obj adds the anchor term, which is 0 at the warm start.
-    positions, jac = sk.fk_and_jacobians(model, q, labels)
     r = residual(positions)
     fit = obj = 0.5 * float(r @ r)
     rho = 0.0
     converged = False
-    eye = np.eye(model.total_dof)
     for iterations in range(1, settings.max_iterations + 1):
         if fit <= settings.residual_tol:
             converged = True
             break
-        J = (sqrt_w[:, :, None] * jac).reshape(r.size, model.total_dof)
-        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(J))):
-            raise FloatingPointError("non-finite IK residual or jacobian")
-        Js = J * scale[None, :]
+        Js = (jac[sel] * jac_scale).reshape(r.size, n_dof)
         H = Js.T @ Js
         g = Js.T @ r
+        # A non-finite Jacobian entry makes its column's diagonal entry of H,
+        # a sum of squares, non-finite; a non-finite residual makes g so.
+        trace = float(np.trace(H))
+        if not (math.isfinite(trace) and np.isfinite(g).all()):
+            raise FloatingPointError("non-finite IK residual or jacobian")
+        diagonal = H.ravel()[::n_dof + 1]     # a view: H's diagonal in place
         if anchor:
             if iterations == 1:
-                rho = anchor * float(np.trace(H)) / H.shape[0]
-            H = H + rho * eye
-            g = g - rho * (q - q_warm) / scale
+                rho = anchor * trace / n_dof
+            diagonal += rho
+            g -= rho * (q - q_warm) / scale
+            trace = float(np.trace(H))
         # Damping proportional to the mean curvature makes the iterates
         # invariant to a uniform rescaling of all marker weights.
-        mu = max(float(np.trace(H)) / H.shape[0], 1e-30)
+        mu = max(trace / n_dof, 1e-30)
+        undamped = diagonal.copy()
         accepted = False
         while lam <= 1e12:
+            np.add(undamped, lam * mu, out=diagonal)
             try:
-                delta_u = np.linalg.solve(H + lam * mu * eye, g)
+                delta_u = np.linalg.solve(H, g)
             except np.linalg.LinAlgError:
                 lam *= LAMBDA_UP
                 continue
             q_new = q + scale * delta_u
-            positions, jac_new = sk.fk_and_jacobians(model, q_new, labels)
-            r_new = residual(positions)
+            positions_new, jac_new = sk.fk_and_jacobians(model, q_new)
+            r_new = residual(positions_new)
             fit_new = obj_new = 0.5 * float(r_new @ r_new)
             if rho:
                 d = (q_new - q_warm) / scale
                 obj_new = fit_new + 0.5 * rho * float(d @ d)
-            if np.isfinite(obj_new) and obj_new < obj:
-                step = float(np.linalg.norm(delta_u))
+            if math.isfinite(obj_new) and obj_new < obj:
+                step = math.sqrt(delta_u @ delta_u)
                 if step < settings.step_tol or (
                         rho and obj - obj_new <= RELATIVE_DECREASE_TOL * obj):
                     converged = True
-                q, fit, obj, r, jac = q_new, fit_new, obj_new, r_new, jac_new
+                q, fit, obj, r = q_new, fit_new, obj_new, r_new
+                positions, jac = positions_new, jac_new
                 lam = max(lam / LAMBDA_DOWN, 1e-12)
                 accepted = True
                 break
@@ -150,4 +195,5 @@ def solve(model, q_init, markers: VirtualMarkerSet,
     else:
         converged = fit <= settings.residual_tol
     return IkResult(q=q, residual=fit, converged=converged,
-                    iterations=iterations)
+                    iterations=iterations, positions=positions,
+                    jacobians=jac, model=model)

@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,10 +80,14 @@ class InitSettings:
     min_agreement_frames: int = 10
 
     def __post_init__(self):
-        if self.agreement_residual_mm <= 0:
-            raise ValueError("agreement residual must be > 0")
-        if self.min_agreement_frames < 1:
-            raise ValueError("min_agreement_frames must be >= 1")
+        residual, needed = self.agreement_residual_mm, self.min_agreement_frames
+        if not (math.isfinite(residual) and residual > 0):
+            raise ValueError(f"agreement_residual_mm must be finite and > 0, "
+                             f"got {residual}")
+        if not (isinstance(needed, int) and not isinstance(needed, bool)
+                and needed >= 1):
+            raise ValueError(f"min_agreement_frames must be an int >= 1, "
+                             f"got {needed!r}")
         if self.min_agreement_frames > MAX_SEARCH_FRAMES:
             raise ValueError(
                 f"min_agreement_frames must be <= {MAX_SEARCH_FRAMES}, the "
@@ -303,19 +308,19 @@ def initialize(provider, rig: CameraRig, skeleton_template, config: PipelineConf
     face = np.flatnonzero(~on_joint)
     segment = [model.joint_index[model.keypoint_map[KEYPOINTS[i]][0]]
                for i in face]
-    q = _seed_pose(model, tri[0])
+    fit = _seed_pose(model, tri[0])
     offsets = []
     for points in tri:
-        q = ik_mod.solve(model, q, VirtualMarkerSet(points, weights)).q
-        pos, rot, _, _ = sk._frames(model, q)
+        fit = ik_mod.solve(model, fit, VirtualMarkerSet(points, weights))
+        pos, rot, _, _ = sk._frames(model, fit.q)
         offsets.append([rot[j].T @ (points[i] - pos[j])
                         for i, j in zip(face, segment)])
     model = sk.with_keypoint_offsets(model, dict(zip(
         (KEYPOINTS[i] for i in face), np.median(offsets, axis=0))))
 
-    pose0 = ik_mod.solve(model, q, VirtualMarkerSet(tri[-1], weights)).q
-    positions0 = sk.keypoint_positions(model, pose0, KEYPOINTS)
-    return model, pose0, positions0, frame_index + 1
+    # A new model object: this solve makes its own first FK pass.
+    fit = ik_mod.solve(model, fit, VirtualMarkerSet(tri[-1], weights))
+    return model, fit.q, fit.positions, frame_index + 1
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +339,10 @@ def track(provider, rig: CameraRig, model, pose0, config: PipelineConfig,
     cfg = config.lattice
     fps = config.filter.sample_rate_hz
     traj_filter = smooth_mod.TrajectoryFilter(config.filter)
-    pose_prev = sk.check_pose(model, pose0).copy()
-    positions_prev = sk.keypoint_positions(model, pose_prev, KEYPOINTS)
+    # The previous frame's stage-2 result starts stage 1, whose result starts
+    # stage 2: each pose tried gets one FK pass in the whole track.
+    prev = pose0
+    positions_prev = sk.keypoint_positions(model, pose0)
     frames = []
     for frame_index in frame_range:
         # The plan is the tracker's only rotation switch: all zero when off.
@@ -352,25 +359,24 @@ def track(provider, rig: CameraRig, model, pose0, config: PipelineConfig,
         if low.any():
             log.debug("frame %s: low-confidence keypoints %s", frame_index,
                       tuple(lb for lb, flag in zip(KEYPOINTS, low) if flag))
-        result1 = ik_mod.solve(model, pose_prev, markers, anchor=ik_mod.ANCHOR)
-        q1 = result1.q
+        result1 = ik_mod.solve(model, prev, markers, anchor=ik_mod.ANCHOR)
         if result1.no_evidence:
             log.info("frame %s: no PCM evidence, holding previous pose",
                      frame_index)
-        positions1 = sk.keypoint_positions(model, q1, KEYPOINTS)
-        q2, _ = smooth_mod.smooth_and_refit(model, q1, positions1, traj_filter)
-        positions2 = sk.keypoint_positions(model, q2, KEYPOINTS)
+        result2, _ = smooth_mod.smooth_and_refit(
+            model, result1, result1.positions, traj_filter)
         frames.append(FrameRecord(
             index=frame_index, time_s=frame_index / fps,
-            pose_stage1=q1, pose_stage2=q2,
-            positions_stage1=positions1, positions_stage2=positions2,
+            pose_stage1=result1.q, pose_stage2=result2.q,
+            positions_stage1=result1.positions,
+            positions_stage2=result2.positions,
             weights=markers.weights, per_camera=markers.per_camera,
             rotations=rotations,
             lattice_offsets=dict(zip(KEYPOINTS,
                                      map(tuple, markers.offsets.tolist())))))
-        pose_prev = q2
-        positions_prev = (positions2 if config.lattice_center == "stage2"
-                          else positions1)
+        prev = result2
+        positions_prev = (result2.positions if config.lattice_center == "stage2"
+                          else result1.positions)
 
     if config.filter.mode == "offline" and frames:
         _refit_offline(model, frames, config.filter)
@@ -378,15 +384,15 @@ def track(provider, rig: CameraRig, model, pose0, config: PipelineConfig,
 
 
 def _refit_offline(model, frames, spec):
-    """Replace stage-2 output with a zero-phase (forward-backward) variant."""
+    """Replace stage-2 output with a zero-phase (forward-backward) variant;
+    each refit starts from the previous one's result."""
     coeffs = smooth_mod.design_biquad(spec)
     traj = np.stack([f.positions_stage1.ravel() for f in frames])
     smoothed = smooth_mod.filtfilt(coeffs, traj)
-    q_prev = frames[0].pose_stage1
+    prev = frames[0].pose_stage1
     for f, row in zip(frames, smoothed):
-        q_prev = smooth_mod.refit(model, q_prev, row.reshape(-1, 3))
-        f.pose_stage2 = q_prev
-        f.positions_stage2 = sk.keypoint_positions(model, q_prev, KEYPOINTS)
+        prev = smooth_mod.refit(model, prev, row.reshape(-1, 3))
+        f.pose_stage2, f.positions_stage2 = prev.q, prev.positions
 
 
 # ---------------------------------------------------------------------------

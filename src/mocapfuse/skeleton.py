@@ -13,14 +13,17 @@ exponential-map 3-vector, then the remaining joints' rotational coordinates
 each coordinate to its joint and ``dofs_of`` gives a joint's coordinates.
 
 Each model carries a dof/target table built once (see ``SkeletonModel``),
-and every entry point makes one FK pass: ``forward_kinematics`` returns a
-dict of every joint and keypoint, ``keypoint_positions`` an ``(n, 3)`` array
-of the requested targets in order, and ``fk_and_jacobians`` that array plus
-the ``(n, 3, total_dof)`` jacobians.  The pass (``_frames``) walks the chain
-on Python floats: rotations are row-major 9-tuples composed by an unrolled
-3x3 product, and exp joints, their left Jacobians and single-axis joints
-share one Rodrigues formula.  Only its results become numpy arrays, because
-a few dozen 3x3 products cost less in plain arithmetic than in numpy calls.
+including the table of ``model.keypoints``, the keypoints it maps in
+``KEYPOINTS`` order, which the FK calls use by default.  Every entry point
+makes one FK pass: ``forward_kinematics`` returns a dict of every joint and
+keypoint, ``keypoint_positions`` an ``(n, 3)`` array of the requested
+targets in order, and ``fk_and_jacobians`` that array plus the
+C-contiguous ``(n, 3, total_dof)`` jacobians.  The pass (``_frames``) walks
+the chain on Python floats: rotations are row-major 9-tuples composed by an
+unrolled 3x3 product, and exp joints, their left Jacobians and single-axis
+joints share one Rodrigues formula.  Only its results become numpy arrays,
+all of them one array made from one flat sequence, because a few dozen 3x3
+products cost less in plain arithmetic than in numpy calls.
 """
 
 from __future__ import annotations
@@ -28,14 +31,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .labels import KEYPOINTS
+from .labels import KEYPOINT_INDEX, KEYPOINTS
 
 _DOF_WIDTH = {"tx": 1, "ty": 1, "tz": 1, "rx": 1, "ry": 1, "rz": 1, "exp": 3}
 
 _UNIT = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+_XYZXY = np.array([0, 1, 2, 0, 1])
 
 
 class SkeletonError(ValueError):
@@ -124,7 +129,9 @@ class SkeletonModel:
     ``dof_rotational`` (per dof).  A joint origin does not move with its
     own rotation while an attached point does; the rotational column
     ``axis x (p - origin)`` is zero for the former because p is the origin,
-    so the mask needs no rule for it.
+    so the mask needs no rule for it.  ``keypoints`` are the keypoint labels
+    the model maps, in ``KEYPOINTS`` order, ``keypoint_rows`` their rows in
+    ``KEYPOINTS`` and ``keypoint_targets`` their target table.
     """
 
     joints: tuple
@@ -173,8 +180,14 @@ class SkeletonModel:
                                             for _, off in refs])),
                 ("target_mask", ancestry[target_joint][:, dof_joint]),
                 ("link_offset", tuple(tuple((j.direction * j.length).tolist())
-                                      for j in self.joints))):
+                                      for j in self.joints)),
+                ("keypoints", tuple(lb for lb in KEYPOINTS
+                                    if lb in self.keypoint_map))):
             object.__setattr__(self, attr, value)
+        object.__setattr__(self, "keypoint_rows", np.array(
+            [KEYPOINT_INDEX[lb] for lb in self.keypoints], dtype=int))
+        object.__setattr__(self, "keypoint_targets",
+                           _target_table(self, self.keypoints))
 
     def dofs_of(self, joint_name):
         """Pose indices of a joint's coordinates, in order."""
@@ -229,7 +242,9 @@ def _frames(model: SkeletonModel, q):
 
     Rotations are row-major 9-tuples (see the module docstring).  An
     exp joint's three axes are the columns of R_pre Jl(w), all about the
-    joint origin.  A translational dof's origin is not used.
+    joint origin.  A translational dof's origin is not used.  The four
+    results are views of one array made from one flat sequence; axes and
+    origins are (D, 3) views of its x, y and z rows.
     """
     qs = check_pose(model, q).tolist()
     pos, rot, axes, origins = [], [], [], []
@@ -268,58 +283,70 @@ def _frames(model: SkeletonModel, q):
             qi += 1
         pos.append(p)
         rot.append(R)
-    return (np.array(pos), np.array(rot).reshape(-1, 3, 3),
-            np.array(axes).reshape(-1, 3), np.array(origins).reshape(-1, 3))
+    n, d = 3 * len(pos), 3 * len(axes)
+    flat = np.fromiter(chain(chain.from_iterable(pos), chain.from_iterable(rot),
+                             *zip(*axes), *zip(*origins)), float, 4 * n + 2 * d)
+    return (flat[:n].reshape(-1, 3), flat[n:4 * n].reshape(-1, 3, 3),
+            flat[4 * n:4 * n + d].reshape(3, -1).T,
+            flat[4 * n + d:].reshape(3, -1).T)
 
 
-def _rows(model, targets):
+def _target_table(model, targets):
+    """(segment joint (n,), local offset (n, 3, 1), dof mask (n, 1, D)) of
+    the targets (joint names or keypoint labels), in order; the prebuilt
+    table of ``model.keypoints`` for None."""
+    if targets is None:
+        return model.keypoint_targets
     try:
-        return [model.target_index[t] for t in targets]
+        rows = [model.target_index[t] for t in targets]
     except KeyError as exc:
         raise SkeletonError(f"unknown target: {exc.args[0]}") from None
+    return (model.target_joint[rows], model.target_offset[rows][:, :, None],
+            model.target_mask[rows][:, None, :])
 
 
-def _target_positions(model, pos, rot, rows):
-    tj = model.target_joint[rows]
-    return pos[tj] + (rot[tj] @ model.target_offset[rows][:, :, None])[:, :, 0]
+def _target_positions(pos, rot, table):
+    joint, offset, _ = table
+    return pos[joint] + (rot[joint] @ offset)[:, :, 0]
 
 
 def forward_kinematics(model: SkeletonModel, q) -> dict:
     """World positions (mm) of every joint and every mapped keypoint."""
     pos, rot, _, _ = _frames(model, q)
-    rows = list(model.target_index.values())
-    return dict(zip(model.target_index,
-                    _target_positions(model, pos, rot, rows)))
+    table = _target_table(model, model.target_index)
+    return dict(zip(model.target_index, _target_positions(pos, rot, table)))
 
 
-def keypoint_positions(model: SkeletonModel, q, targets):
+def keypoint_positions(model: SkeletonModel, q, targets=None):
     """(n, 3) world positions of the targets (joint names or keypoint
-    labels), in order, from one FK pass."""
+    labels), in order, from one FK pass; by default ``model.keypoints``."""
     pos, rot, _, _ = _frames(model, q)
-    return _target_positions(model, pos, rot, _rows(model, targets))
+    table = _target_table(model, targets)
+    return _target_positions(pos, rot, table)
 
 
-def fk_and_jacobians(model: SkeletonModel, q, targets):
+def fk_and_jacobians(model: SkeletonModel, q, targets=None):
     """(n, 3) positions and (n, 3, total_dof) jacobians d(position)/dq of the
-    targets (joint names or keypoint labels) from one FK pass.
+    targets (joint names or keypoint labels; by default ``model.keypoints``,
+    whose table is built once per model) from one FK pass.
 
     A rotational column is ``axis x (p - origin)``, a translational one the
-    axis; columns of dofs that do not move the target are zero.  An unknown
-    target raises SkeletonError.
+    axis; columns of dofs that do not move the target are zero.  Both arrays
+    are C-contiguous and own their data.  An unknown target raises
+    SkeletonError.
     """
     pos, rot, axes, origins = _frames(model, q)
-    rows = _rows(model, targets)
-    p = _target_positions(model, pos, rot, rows)
-    a = axes.T
-    d = p.T[:, :, None] - origins.T[:, None, :]
-    J = np.empty((3,) + d.shape[1:])     # (xyz, target, dof): axis x d
-    J[0] = a[1] * d[2] - a[2] * d[1]
-    J[1] = a[2] * d[0] - a[0] * d[2]
-    J[2] = a[0] * d[1] - a[1] * d[0]
-    translational = ~model.dof_rotational
-    J[:, :, translational] = a[:, None, translational]
-    J *= model.target_mask[rows]
-    return p, J.transpose(1, 0, 2)
+    table = _target_table(model, targets)
+    p = _target_positions(pos, rot, table)
+    # Rows x, y, z, x, y, so that a[1:4] * d[2:5] - a[2:5] * d[1:4] is
+    # axis x d, component by component.
+    a = axes.T.take(_XYZXY, axis=0)
+    d = p.take(_XYZXY, axis=1)[:, :, None] - origins.T.take(_XYZXY, axis=0)
+    J = a[1:4] * d[:, 2:5]
+    J -= a[2:5] * d[:, 1:4]
+    np.copyto(J, a[:3], where=~model.dof_rotational)
+    J *= table[2]
+    return p, J
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ Joint positions are low-pass filtered with a 2nd-order Butterworth biquad
 (bilinear transform, unit DC gain).  Filtering raw positions would change
 link lengths frame to frame, so the smoothed positions are used as
 uniform-weight virtual markers for a second IK solve, which projects them
-back onto the constant-link-length skeleton.
+back onto the constant-link-length skeleton.  That solve starts from the
+stage-1 ``ik.IkResult`` when it is given one, so the stage-1 pose's FK
+pass is not repeated.
 """
 
 from __future__ import annotations
@@ -28,6 +30,9 @@ class FilterSpec:
     def __post_init__(self):
         if self.mode not in ("causal", "offline"):
             raise ValueError(f"unknown filter mode {self.mode!r}")
+        if not math.isfinite(self.sample_rate_hz):
+            raise ValueError(f"sample_rate_hz must be finite, got "
+                             f"{self.sample_rate_hz}")
         if not (0.0 < self.cutoff_hz < self.sample_rate_hz / 2.0):
             raise ValueError(
                 f"cutoff {self.cutoff_hz} Hz must be in (0, Nyquist "
@@ -113,17 +118,20 @@ def smooth_and_refit(model, q_stage1, positions_stage1,
     """Second-pass pose: filter the stage-1 keypoint positions (18, 3), the
     FK of ``q_stage1``, then re-solve IK against them with uniform weights.
 
-    Returns (q_stage2, smoothed (18, 3) positions).  FK of the result
-    preserves link lengths structurally, which is the point of re-solving
-    instead of keeping the filtered positions.
+    ``q_stage1`` is the stage-1 pose or its ``ik.IkResult``, whose final FK
+    pass then starts the refit.  Returns (stage-2 ``ik.IkResult``, smoothed
+    (18, 3) positions).  FK of the result preserves link lengths
+    structurally, which is the point of re-solving instead of keeping the
+    filtered positions.
     """
     smoothed = traj_filter.step_positions(positions_stage1)
     return refit(model, q_stage1, smoothed), smoothed
 
 
 def refit(model, q_init, positions):
-    """Stage-2 pose: IK anchored at ``q_init`` against the (18, 3)
-    ``positions`` of every keypoint, all weighted 1."""
+    """Stage-2 ``ik.IkResult``: IK anchored at ``q_init`` (a pose or an
+    ``ik.IkResult``) against the (18, 3) ``positions`` of every keypoint,
+    all weighted 1."""
     markers = VirtualMarkerSet(positions=positions,
                                weights=np.ones(len(KEYPOINTS)))
-    return ik_mod.solve(model, q_init, markers, anchor=ik_mod.ANCHOR).q
+    return ik_mod.solve(model, q_init, markers, anchor=ik_mod.ANCHOR)

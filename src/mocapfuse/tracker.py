@@ -39,10 +39,13 @@ class LatticeConfig:
     rotation_enabled: bool = False
 
     def __post_init__(self):
-        if self.s <= 0:
-            raise ValueError("lattice spacing s must be > 0")
-        if self.k < 1:
-            raise ValueError("lattice half-extent k must be >= 1")
+        if not (math.isfinite(self.s) and self.s > 0):
+            raise ValueError(f"lattice spacing s must be finite and > 0, "
+                             f"got {self.s}")
+        if not (isinstance(self.k, int) and not isinstance(self.k, bool)
+                and self.k >= 1):
+            raise ValueError(f"lattice half-extent k must be an int >= 1, "
+                             f"got {self.k!r}")
 
 
 @dataclass

@@ -323,6 +323,21 @@ class TestFlags:
         assert err.startswith("error: ") and "lattice.spacing" in err
         assert not (tmp_path / "run").exists()
 
+    def test_nan_lattice_spacing_exits_one_before_reading(
+            self, dataset, init_run, tmp_path, capsys, monkeypatch):
+        """A NaN flag is refused as config, before any PCM file is read."""
+        reads = []
+        read_pcm = pcm.read_pcm
+        monkeypatch.setattr(pcm, "read_pcm",
+                            lambda path: reads.append(path) or read_pcm(path))
+        assert self.track(dataset, init_run, tmp_path / "run",
+                          "--lattice-s", "nan") == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: ValueError: config lattice: lattice spacing s must be "
+            "finite and > 0, got nan"]
+        assert reads == []
+        assert not (tmp_path / "run").exists()
+
     def test_older_run_json_with_ik_section_exits_one(self, dataset, init_run,
                                                       tmp_path, capsys):
         """A run.json written while the IK tolerances and the tilt threshold

@@ -5,9 +5,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import marker_set, objective
-from mocapfuse import ik, skeleton as sk, synth
-from mocapfuse.labels import KEYPOINT_INDEX
+from conftest import small_scene
+from helpers import DictProvider, marker_set, objective
+from mocapfuse import ik, pcm, pipeline, skeleton as sk, synth
+from mocapfuse.labels import KEYPOINT_INDEX, KEYPOINTS
 from mocapfuse.tracker import VirtualMarkerSet
 
 
@@ -52,6 +53,11 @@ class TestSettings:
             ik.IkSettings(step_tol=0.0)
         with pytest.raises(ValueError):
             ik.IkSettings(residual_tol=-1.0)
+        for bad in ({"step_tol": math.nan}, {"step_tol": math.inf},
+                    {"residual_tol": math.nan}, {"max_iterations": 50.0},
+                    {"max_iterations": True}):
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                ik.IkSettings(**bad)
 
 
 class TestObjective:
@@ -341,3 +347,155 @@ class TestOneFkPassPerPose:
             poses = [q for q, _ in calls]
             for i, j in itertools.combinations(range(len(poses)), 2):
                 assert not np.array_equal(poses[i], poses[j]), (anchor, i, j)
+
+    def test_track_passes_each_pose_once(self, monkeypatch):
+        """Across both stages of every frame of a track, each pose tried
+        gets one FK pass: a solve starts from the previous solve's final
+        pass, and the recorded keypoints come from the results.  Only
+        ``pose0`` may be passed twice: once for the first lattice center,
+        once to start the first solve."""
+        spec = small_scene(motion=synth.walk_like())
+        rig = synth.build_rig(spec)
+        model = synth.build_model(spec)
+        frames = range(30, 33)                   # past the held start
+        renderer = synth.SyntheticProvider(spec, rig)
+        provider = DictProvider({
+            (c.id, f, pcm.quantize_rotation(0.0)): renderer.get(c.id, f)
+            for c in rig.cameras for f in frames})
+        pose0 = synth.ground_truth_pose(spec, frames[0] - 1, model)
+        frames_fn, fk_and_jacobians = sk._frames, sk.fk_and_jacobians
+        keypoint_positions, solve = sk.keypoint_positions, ik.solve
+        poses, positions_calls, warm, trials = [], [], [], [0]
+
+        def recorded_frames(model, q):
+            poses.append(np.array(q, dtype=float))
+            return frames_fn(model, q)
+
+        def counted_fk_and_jacobians(model, q, *args, **kwargs):
+            trials[0] += not np.array_equal(q, warm[-1])
+            return fk_and_jacobians(model, q, *args, **kwargs)
+
+        def counted_keypoint_positions(*args, **kwargs):
+            positions_calls.append(len(poses))
+            return keypoint_positions(*args, **kwargs)
+
+        def solve_from(model, q_init, *args, **kwargs):
+            warm.append(np.asarray(getattr(q_init, "q", q_init)))
+            try:
+                return solve(model, q_init, *args, **kwargs)
+            finally:
+                warm.pop()
+
+        monkeypatch.setattr(sk, "_frames", recorded_frames)
+        monkeypatch.setattr(sk, "fk_and_jacobians", counted_fk_and_jacobians)
+        monkeypatch.setattr(sk, "keypoint_positions",
+                            counted_keypoint_positions)
+        monkeypatch.setattr(ik, "solve", solve_from)
+        seq = pipeline.track(provider, rig, model, pose0,
+                             pipeline.PipelineConfig(), frames)
+        assert len(seq.frames) == len(frames)
+        assert positions_calls == [0]
+        starts = sum(np.array_equal(q, pose0) for q in poses)
+        assert 1 <= starts <= 2
+        assert trials[0] > 2 * len(frames)
+        assert len(poses) == trials[0] + starts
+        for i, j in itertools.combinations(range(len(poses)), 2):
+            assert not np.array_equal(poses[i], poses[j]) or \
+                np.array_equal(poses[i], pose0), (i, j)
+
+
+class TestChainedSolves:
+    """A solve started from an earlier ``IkResult`` of the same model object
+    starts from that result's final FK pass; any other is read for its
+    pose."""
+
+    def walk_markers(self, rng, model, frame, zero_weights=0):
+        spec = synth.SceneSpec(motion=synth.walk_like())
+        truth = synth.ground_truth_keypoints(spec, frame, model)
+        weights = rng.uniform(0.5, 1.0, len(truth))
+        weights[rng.choice(len(truth), zero_weights, replace=False)] = 0.0
+        return VirtualMarkerSet(
+            positions=truth + rng.normal(0.0, 10.0, truth.shape),
+            weights=weights)
+
+    def assert_same_solve(self, a, b):
+        assert a.q.tobytes() == b.q.tobytes()
+        assert a.positions.tobytes() == b.positions.tobytes()
+        assert a.jacobians.tobytes() == b.jacobians.tobytes()
+        assert (a.residual, a.iterations, a.converged, a.no_evidence) == \
+            (b.residual, b.iterations, b.converged, b.no_evidence)
+
+    def test_human_result_start_equals_pose_start(self, rng):
+        model = synth.build_model(synth.SceneSpec(motion=synth.walk_like()))
+        q_prev = synth.ground_truth_pose(
+            synth.SceneSpec(motion=synth.walk_like()), 39, model)
+        for anchor, zeros in itertools.product((0.0, ik.ANCHOR), (0, 5)):
+            first = ik.solve(model, q_prev,
+                             self.walk_markers(rng, model, 40, zeros),
+                             anchor=anchor)
+            markers = self.walk_markers(rng, model, 41, zeros)
+            chained = ik.solve(model, first, markers, anchor=anchor)
+            assert chained.iterations > 1
+            self.assert_same_solve(
+                chained, ik.solve(model, first.q, markers, anchor=anchor))
+
+    def test_planar_result_start_equals_pose_start(self, rng):
+        model = planar_two_link()
+        assert model.keypoints == ("r_wrist",)
+        q = rng.normal(0, 0.2, 2)
+        for anchor in (0.0, ik.ANCHOR):
+            for _ in range(5):
+                phi = rng.uniform(-math.pi, math.pi)
+                markers = marker_set(
+                    positions={"r_wrist": 400.0 * np.array(
+                        [math.cos(phi), math.sin(phi), 0.0])},
+                    weights={"r_wrist": 1.0})
+                result = ik.solve(model, q, markers, anchor=anchor)
+                chained = ik.solve(model, result, markers, anchor=anchor)
+                self.assert_same_solve(
+                    chained, ik.solve(model, result.q, markers,
+                                      anchor=anchor))
+                q = result
+            assert result.positions.shape == (1, 3)
+        neck = marker_set(positions={"neck": np.zeros(3)},
+                          weights={"neck": 1.0})
+        with pytest.raises(sk.SkeletonError, match="does not map: neck$"):
+            ik.solve(model, q, neck)
+
+    def test_other_model_result_is_not_reused(self, rng):
+        model = sk.human_skeleton()
+        other = sk.scaled_human_skeleton(0.8)
+        markers = self.walk_markers(rng, model, 40)
+        result = ik.solve(other, np.zeros(other.total_dof), markers)
+        self.assert_same_solve(ik.solve(model, result, markers),
+                               ik.solve(model, result.q, markers))
+        nothing = VirtualMarkerSet(positions=markers.positions,
+                                   weights=np.zeros(len(KEYPOINTS)))
+        held = ik.solve(model, result, nothing)
+        assert held.no_evidence
+        assert held.positions.tobytes() == sk.keypoint_positions(
+            model, result.q, KEYPOINTS).tobytes()
+
+    def test_positions_are_the_fk_of_q(self, rng):
+        model = sk.human_skeleton()
+        markers = self.walk_markers(rng, model, 40, zero_weights=3)
+        start = rng.normal(0, 0.1, model.total_dof)
+        nothing = VirtualMarkerSet(positions=markers.positions,
+                                   weights=np.zeros(len(KEYPOINTS)))
+        for result in (ik.solve(model, start, markers),
+                       ik.solve(model, start, markers, anchor=ik.ANCHOR),
+                       ik.solve(model, start, nothing)):
+            assert result.positions.tobytes() == sk.keypoint_positions(
+                model, result.q, KEYPOINTS).tobytes()
+            _, jac = sk.fk_and_jacobians(model, result.q)
+            assert result.jacobians.tobytes() == jac.tobytes()
+
+    def test_result_is_read_only(self, rng):
+        model = sk.human_skeleton()
+        markers = self.walk_markers(rng, model, 40)
+        result = ik.solve(model, np.zeros(model.total_dof), markers)
+        for array in (result.q, result.positions, result.jacobians):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+        with pytest.raises(AttributeError):
+            result.q = np.zeros(model.total_dof)

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import gc
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -424,40 +425,6 @@ class TestTrack:
             assert [provider.calls.count(f) for f in frames] == \
                 [rig.n_c + t for t in tilted]
 
-    def test_two_fk_passes_outside_ik_per_frame(self, still_provider,
-                                                still_rig, still_init,
-                                                monkeypatch):
-        """Outside IK (and the synthetic renderer), a causal frame computes
-        the keypoints of its stage-1 and its stage-2 pose once each; one
-        more pass places the warm start's keypoints before the first
-        frame."""
-        model, pose0, _, first = still_init
-        frames_fn = sk._frames
-        inside, outside = [0], [0]
-
-        def counted_frames(*args, **kwargs):
-            outside[0] += not inside[0]
-            return frames_fn(*args, **kwargs)
-
-        def uncounted(fn):
-            def wrapper(*args, **kwargs):
-                inside[0] += 1
-                try:
-                    return fn(*args, **kwargs)
-                finally:
-                    inside[0] -= 1
-            return wrapper
-
-        monkeypatch.setattr(sk, "_frames", counted_frames)
-        monkeypatch.setattr(ik, "solve", uncounted(ik.solve))
-        provider = CountingProvider(still_provider)
-        provider.get = uncounted(provider.get)
-        n = 6
-        seq = track(provider, still_rig, model, pose0, PipelineConfig(),
-                    range(first, first + n))
-        assert len(seq.frames) == n
-        assert outside[0] == 1 + 2 * n
-
     def test_retained_memory_per_frame(self):
         """A tracked frame's record holds arrays: a 60-frame track of the
         small walk keeps under 8 KiB per frame alive."""
@@ -596,6 +563,30 @@ class TestConfigTree:
             "init.agreement_residual_mm", "init.min_agreement_frames",
             "lattice.k", "lattice.rotation_enabled", "lattice.s",
             "lattice_center"]
+
+    def test_non_finite_values_are_refused(self):
+        """NaN and +-Infinity, as a JSON config file may hold them, are
+        refused for every float setting, with the setting named."""
+        for section, key, named in (("lattice", "s", "spacing s"),
+                                    ("filter", "cutoff_hz", "cutoff"),
+                                    ("filter", "sample_rate_hz",
+                                     "sample_rate_hz"),
+                                    ("init", "agreement_residual_mm",
+                                     "agreement_residual_mm")):
+            for text in ("NaN", "Infinity", "-Infinity"):
+                tree = json.loads(f'{{"{section}": {{"{key}": {text}}}}}')
+                with pytest.raises(ValueError, match=f"^config {section}: "
+                                                     f".*{named}"):
+                    PipelineConfig.from_dict(tree)
+        for build in (lambda: LatticeConfig(s=math.nan),
+                      lambda: LatticeConfig(s=math.inf),
+                      lambda: LatticeConfig(k=3.0),
+                      lambda: InitSettings(agreement_residual_mm=math.nan),
+                      lambda: InitSettings(min_agreement_frames=10.0),
+                      lambda: FilterSpec(cutoff_hz=5.0,
+                                         sample_rate_hz=math.inf)):
+            with pytest.raises(ValueError):
+                build()
 
     def test_values_are_checked(self):
         for tree in ({"lattice": {"k": 0}},            # section validation

@@ -160,9 +160,11 @@ class TestSmoothAndRefit:
         return smooth.TrajectoryFilter(spec_5_60())
 
     def smooth_and_refit(self, model, q, traj):
-        """Stage 2 of the pose ``q``, fed its FK as the stage-1 positions."""
-        return smooth.smooth_and_refit(
+        """Stage 2 of the pose ``q``, fed its FK as the stage-1 positions:
+        the stage-2 pose and the smoothed positions."""
+        result, smoothed = smooth.smooth_and_refit(
             model, q, sk.keypoint_positions(model, q, KEYPOINTS), traj)
+        return result.q, smoothed
 
     def test_stationary_pose_is_fixed_point(self, rng):
         model = sk.human_skeleton()
