@@ -3,18 +3,19 @@
 A low-pass filter applied directly to 3D joint positions treats each joint
 independently, so during rotation the filtered joints drift apart or
 together — the skeleton's link lengths visibly breathe. The pipeline instead
-filters the keypoint trajectories and then re-solves the pose, so every
-output frame is a valid configuration of the rigid skeleton.
+filters the keypoint trajectories and then re-solves the pose
+(``smooth.smooth_and_refit``), so every output frame is a valid
+configuration of the rigid skeleton.
 
 This demo tracks an arm-swing motion with bent elbows and compares the
-forearm length of (a) the stage-2 output and (b) naive filtering of the raw
-stage-1 positions.
+forearm length of (a) the stage-2 output and (b) the stage-1 positions
+passed through the same ``smooth.TrajectoryFilter`` with no re-solve.
 """
 
 import numpy as np
 
 from mocapfuse import pipeline, skeleton as sk, smooth, synth
-from mocapfuse.labels import KEYPOINT_INDEX, KEYPOINTS
+from mocapfuse.labels import KEYPOINT_INDEX
 
 
 def main():
@@ -32,15 +33,15 @@ def main():
     seq = pipeline.track(provider, rig, model, pose0, config, range(first, 90))
 
     forearm = model.link_lengths()["r_wrist"]
-    coeffs = smooth.design_biquad(config.filter)
-    state = smooth.FilterState(coeffs, 3 * len(KEYPOINTS))
+    # The same filter as stage 2's, without the re-solve after it.
+    naive_filter = smooth.TrajectoryFilter(config.filter)
 
     worst_naive = 0.0
     worst_refit = 0.0
     wrist, elbow = KEYPOINT_INDEX["r_wrist"], KEYPOINT_INDEX["r_elbow"]
     for f in seq.frames:
         # Rows of the (18, 3) position arrays are keypoints in KEYPOINTS order.
-        naive = state.step(f.positions_stage1.ravel()).reshape(-1, 3)
+        naive = naive_filter.step_positions(f.positions_stage1)
         d_naive = np.linalg.norm(naive[wrist] - naive[elbow])
         d_refit = np.linalg.norm(f.positions_stage2[wrist]
                                  - f.positions_stage2[elbow])

@@ -35,8 +35,9 @@ class PcmError(ValueError):
 
 
 class PcmFormatError(PcmError):
-    """Bad magic, wrong version, truncated payload or a header that does not
-    match its location; or a value outside [0, 1] or NaN in a cell that is
+    """Bad magic, wrong version, truncated payload, an empty grid, a scale
+    that is not finite and > 0, or a header that does not match its
+    location; or a value outside [0, 1] or NaN in a cell that is
     read (the message names camera, frame and rotation)."""
 
 
@@ -53,29 +54,26 @@ class HeatmapFrame:
     """One camera's 18 channels for one frame.
 
     Pixels are image pixels, distortion included, times ``scale``.
-    Construction checks the dimensions, the scale and the channel shape,
-    not the values: ``sample_channels`` and ``centroids`` check every cell
-    they read and raise PcmFormatError for a value outside [0, 1] or NaN,
-    so the cost does not grow with the frame.
+    Construction checks the scale and the channel shape, not the values:
+    ``sample_channels`` and ``centroids`` check every cell they read and
+    raise PcmFormatError for a value outside [0, 1] or NaN, so the cost does
+    not grow with the frame.
     """
     camera_id: int
     frame_index: int
     rotation_deg: float
-    width: int
-    height: int
     scale: float
     channels: np.ndarray          # (18, height, width), values in [0, 1]
 
     def __post_init__(self):
         ch = np.ascontiguousarray(self.channels, dtype=np.float32)
         object.__setattr__(self, "channels", ch)
-        if self.width <= 0 or self.height <= 0:
-            raise PcmError("heatmap dimensions must be > 0")
-        if self.scale <= 0:
-            raise PcmError("heatmap scale must be > 0")
-        if ch.shape != (len(KEYPOINTS), self.height, self.width):
-            raise PcmError(f"channels must be (18, {self.height}, {self.width}), "
-                           f"got {ch.shape}")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise PcmError(f"heatmap scale must be finite and > 0, "
+                           f"got {self.scale}")
+        if ch.ndim != 3 or ch.shape[0] != len(KEYPOINTS) or 0 in ch.shape:
+            raise PcmError(f"channels must be (18, height, width) with "
+                           f"height, width > 0, got {ch.shape}")
 
 
 def _check_values(frame: HeatmapFrame, values):
@@ -157,9 +155,10 @@ def centroids(frame: HeatmapFrame, floor: float):
 # Binary file format
 
 def write_pcm(frame: HeatmapFrame, path):
+    _, height, width = frame.channels.shape
     header = _HEADER.pack(MAGIC, VERSION, 0, frame.camera_id,
                           frame.frame_index, frame.rotation_deg,
-                          frame.width, frame.height, len(KEYPOINTS), frame.scale)
+                          width, height, len(KEYPOINTS), frame.scale)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(frame.channels, dtype="<f4").tobytes())
@@ -195,8 +194,7 @@ def read_pcm(path) -> HeatmapFrame:
                            offset=_HEADER.size).reshape(nch, height, width)
     try:
         return HeatmapFrame(camera_id=cam_id, frame_index=frame_index,
-                            rotation_deg=rot, width=width, height=height,
-                            scale=scale, channels=values)
+                            rotation_deg=rot, scale=scale, channels=values)
     except PcmError as exc:   # dimensions or scale
         raise PcmFormatError(f"{path}: {exc}") from exc
 

@@ -3,8 +3,9 @@
 Initialization triangulates the per-camera confidence-map centroids over a
 run of frames until they agree in 3D, identifies the subject's link lengths
 from the triangulated keypoints and fits the initial pose.  Tracking then
-alternates lattice search, weighted IK and the smoothing re-solve, frame by
-frame.
+runs lattice search and weighted IK (stage 1) frame by frame; stage 2, the
+filter and the re-solve after it, is ``smooth.smooth_and_refit`` on each
+frame, or ``smooth.refit_offline`` over the whole run once stage 1 is done.
 """
 
 from __future__ import annotations
@@ -157,8 +158,7 @@ class FrameRecord:
     the stage positions (18, 3) mm, FK of the stage poses, the lattice
     scores ``weights`` (18,) and their per-camera shares (18, n_c)."""
 
-    index: int
-    time_s: float
+    index: int          # at index / MotionSequence.sample_rate_hz seconds
     pose_stage1: np.ndarray
     pose_stage2: np.ndarray
     positions_stage1: np.ndarray
@@ -337,7 +337,6 @@ def track(provider, rig: CameraRig, model, pose0, config: PipelineConfig,
     """
     _check_keypoints(model)
     cfg = config.lattice
-    fps = config.filter.sample_rate_hz
     traj_filter = smooth_mod.TrajectoryFilter(config.filter)
     # The previous frame's stage-2 result starts stage 1, whose result starts
     # stage 2: each pose tried gets one FK pass in the whole track.
@@ -363,11 +362,9 @@ def track(provider, rig: CameraRig, model, pose0, config: PipelineConfig,
         if result1.no_evidence:
             log.info("frame %s: no PCM evidence, holding previous pose",
                      frame_index)
-        result2, _ = smooth_mod.smooth_and_refit(
-            model, result1, result1.positions, traj_filter)
+        result2 = smooth_mod.smooth_and_refit(model, result1, traj_filter)
         frames.append(FrameRecord(
-            index=frame_index, time_s=frame_index / fps,
-            pose_stage1=result1.q, pose_stage2=result2.q,
+            index=frame_index, pose_stage1=result1.q, pose_stage2=result2.q,
             positions_stage1=result1.positions,
             positions_stage2=result2.positions,
             weights=markers.weights, per_camera=markers.per_camera,
@@ -379,26 +376,21 @@ def track(provider, rig: CameraRig, model, pose0, config: PipelineConfig,
                           else result1.positions)
 
     if config.filter.mode == "offline" and frames:
-        _refit_offline(model, frames, config.filter)
-    return MotionSequence(frames=frames, sample_rate_hz=fps)
-
-
-def _refit_offline(model, frames, spec):
-    """Replace stage-2 output with a zero-phase (forward-backward) variant;
-    each refit starts from the previous one's result."""
-    coeffs = smooth_mod.design_biquad(spec)
-    traj = np.stack([f.positions_stage1.ravel() for f in frames])
-    smoothed = smooth_mod.filtfilt(coeffs, traj)
-    prev = frames[0].pose_stage1
-    for f, row in zip(frames, smoothed):
-        prev = smooth_mod.refit(model, prev, row.reshape(-1, 3))
-        f.pose_stage2, f.positions_stage2 = prev.q, prev.positions
+        # The zero-phase stage 2 replaces the causal one.
+        stage2 = smooth_mod.refit_offline(
+            model, frames[0].pose_stage1,
+            np.stack([f.positions_stage1 for f in frames]), config.filter)
+        for f, result in zip(frames, stage2):
+            f.pose_stage2, f.positions_stage2 = result.q, result.positions
+    return MotionSequence(frames=frames,
+                          sample_rate_hz=config.filter.sample_rate_hz)
 
 
 # ---------------------------------------------------------------------------
 # Output files
 
 def write_positions_csv(seq: MotionSequence, path):
+    fps = seq.sample_rate_hz
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["frame", "time_s", "label", "x_mm", "y_mm", "z_mm",
@@ -406,7 +398,7 @@ def write_positions_csv(seq: MotionSequence, path):
         for f in seq.frames:
             weights = f.weights.tolist()
             writer.writerows(
-                [f.index, f.time_s, label, x, y, z, w, stage]
+                [f.index, f.index / fps, label, x, y, z, w, stage]
                 for stage, positions in (("stage1", f.positions_stage1),
                                          ("stage2", f.positions_stage2))
                 for label, (x, y, z), w in zip(KEYPOINTS, positions.tolist(),
@@ -437,10 +429,11 @@ def _read_positions_and_weights(path, stage):
 
 def write_pose_csv(seq: MotionSequence, path):
     ndof = len(seq.frames[0].pose_stage2) if seq.frames else 0
+    fps = seq.sample_rate_hz
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["frame", "time_s"] + [f"q{i}" for i in range(ndof)])
-        writer.writerows([f.index, f.time_s] + f.pose_stage2.tolist()
+        writer.writerows([f.index, f.index / fps] + f.pose_stage2.tolist()
                          for f in seq.frames)
 
 

@@ -1,12 +1,14 @@
-"""Temporal smoothing of joint trajectories and the second IK pass.
+"""Stage 2 of tracking: temporal smoothing of the keypoint trajectories
+and the second IK pass.
 
-Joint positions are low-pass filtered with a 2nd-order Butterworth biquad
-(bilinear transform, unit DC gain).  Filtering raw positions would change
-link lengths frame to frame, so the smoothed positions are used as
-uniform-weight virtual markers for a second IK solve, which projects them
-back onto the constant-link-length skeleton.  That solve starts from the
-stage-1 ``ik.IkResult`` when it is given one, so the stage-1 pose's FK
-pass is not repeated.
+The stage-1 keypoint rows are low-pass filtered with a 2nd-order
+Butterworth biquad (bilinear transform, unit DC gain), causally frame by
+frame (``smooth_and_refit``) or forward-backward over the whole run
+(``refit_offline``).  Filtering raw positions would change link lengths
+frame to frame, so the smoothed positions are used as uniform-weight
+virtual markers for a second IK solve, which projects them back onto the
+constant-link-length skeleton.  The causal solve starts from the stage-1
+``ik.IkResult``, so the stage-1 pose's FK pass is not repeated.
 """
 
 from __future__ import annotations
@@ -52,80 +54,73 @@ def design_biquad(spec: FilterSpec):
     return np.array([b0, b1, b2, a1, a2])
 
 
-class FilterState:
-    """Delay registers for a bank of scalar channels filtered in lockstep.
+class TrajectoryFilter:
+    """The Butterworth biquad of a ``FilterSpec`` with its delay registers,
+    one channel per coordinate of the (18, 3) keypoint rows of successive
+    frames.
 
-    The first sample primes the registers, so a constant input passes
-    through unchanged from the start (no transient toward zero).
+    The first rows prime the registers, so constant rows pass through
+    unchanged from the start (no transient toward zero).
     """
 
-    def __init__(self, coeffs, n_channels):
-        self.coeffs = np.asarray(coeffs, dtype=float)
-        self.n_channels = n_channels
-        self.x1 = np.zeros(n_channels)
-        self.x2 = np.zeros(n_channels)
-        self.y1 = np.zeros(n_channels)
-        self.y2 = np.zeros(n_channels)
-        self.primed = False
+    def __init__(self, spec: FilterSpec):
+        self.coeffs = design_biquad(spec)
+        self.x1 = self.x2 = self.y1 = self.y2 = None
 
-    def step(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n_channels,):
-            raise ValueError(f"expected {self.n_channels} channels, got {x.shape}")
+    def step_positions(self, positions):
+        """The filtered (18, 3) keypoint positions of the next frame.
+
+        Rows of another shape, or with a non-finite value, raise ValueError
+        and leave the registers untouched.
+        """
+        x = np.array(positions, dtype=float)
+        if x.shape != (len(KEYPOINTS), 3):
+            raise ValueError(f"expected ({len(KEYPOINTS)}, 3) keypoint rows, "
+                             f"got {x.shape}")
         if not np.all(np.isfinite(x)):
             raise ValueError("non-finite filter input")
-        if not self.primed:
-            self.x1 = x.copy()
-            self.x2 = x.copy()
-            self.y1 = x.copy()
-            self.y2 = x.copy()
-            self.primed = True
+        if self.y1 is None:
+            self.x1 = self.x2 = self.y1 = self.y2 = x
         b0, b1, b2, a1, a2 = self.coeffs
         y = b0 * x + b1 * self.x1 + b2 * self.x2 - a1 * self.y1 - a2 * self.y2
-        self.x2, self.x1 = self.x1, x.copy()
+        self.x2, self.x1 = self.x1, x
         self.y2, self.y1 = self.y1, y
         return y
 
 
-def filtfilt(coeffs, samples):
-    """Zero-phase forward-backward filtering of a (T, C) trajectory."""
-    x = np.asarray(samples, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-
-    def run(data):
-        state = FilterState(coeffs, data.shape[1])
-        return np.stack([state.step(row) for row in data])
-
-    forward = run(x)
-    backward = run(forward[::-1])[::-1]
-    return backward
+def filtfilt(spec: FilterSpec, rows):
+    """Zero-phase filtering of (T, 18, 3) keypoint rows: forward through one
+    ``TrajectoryFilter``, then backward through another."""
+    forward, backward = TrajectoryFilter(spec), TrajectoryFilter(spec)
+    ahead = [forward.step_positions(r) for r in rows]
+    return np.stack([backward.step_positions(r) for r in ahead[::-1]])[::-1]
 
 
-class TrajectoryFilter:
-    """One biquad bank over all keypoint coordinates (18 x 3 channels)."""
+def smooth_and_refit(model, stage1, traj_filter: TrajectoryFilter):
+    """Causal stage 2 of one frame: filter the stage-1 ``ik.IkResult``'s
+    (18, 3) keypoint positions through ``traj_filter``, then re-solve IK
+    against them with uniform weights, started from ``stage1``.
 
-    def __init__(self, spec: FilterSpec):
-        self.state = FilterState(design_biquad(spec), 3 * len(KEYPOINTS))
-
-    def step_positions(self, positions):
-        """The filtered (18, 3) keypoint positions of the next frame."""
-        return self.state.step(np.ravel(positions)).reshape(-1, 3)
-
-
-def smooth_and_refit(model, q_stage1, positions_stage1,
-                     traj_filter: TrajectoryFilter):
-    """Second-pass pose: filter the stage-1 keypoint positions (18, 3), the
-    FK of ``q_stage1``, then re-solve IK against them with uniform weights.
-
-    ``q_stage1`` is the stage-1 pose or its ``ik.IkResult``, whose final FK
-    pass then starts the refit.  Returns (stage-2 ``ik.IkResult``, smoothed
-    (18, 3) positions).  FK of the result preserves link lengths
-    structurally, which is the point of re-solving instead of keeping the
-    filtered positions.
+    Returns the stage-2 ``ik.IkResult``.  FK of its pose preserves link
+    lengths structurally, which is the point of re-solving instead of
+    keeping the filtered positions.
     """
-    smoothed = traj_filter.step_positions(positions_stage1)
-    return refit(model, q_stage1, smoothed), smoothed
+    return refit(model, stage1, traj_filter.step_positions(stage1.positions))
+
+
+def refit_offline(model, pose0, stage1_positions, spec: FilterSpec):
+    """Zero-phase stage 2 of a whole run: yields one ``ik.IkResult`` per row
+    of the (T, 18, 3) ``stage1_positions``, refit against its
+    forward-backward filtered rows.  The first refit starts from ``pose0``,
+    each later one from the previous result.
+
+    A generator, so that a caller keeps only the results it needs: each
+    holds its Jacobian.
+    """
+    prev = pose0
+    for row in filtfilt(spec, stage1_positions):
+        prev = refit(model, prev, row)
+        yield prev
 
 
 def refit(model, q_init, positions):

@@ -321,8 +321,8 @@ def render_frame(spec: SceneSpec, camera, frame_index, rotation_deg=0.0,
                                           rng.uniform(0.3, 0.8), sigma_hm))
     return pcm_mod.HeatmapFrame(
         camera_id=camera.id, frame_index=frame_index,
-        rotation_deg=rotation_deg, width=w, height=h,
-        scale=spec.heatmap_scale, channels=buf.hand_out())
+        rotation_deg=rotation_deg, scale=spec.heatmap_scale,
+        channels=buf.hand_out())
 
 
 class SyntheticProvider(pcm_mod.PcmProvider):

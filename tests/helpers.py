@@ -18,8 +18,8 @@ def make_frame(channels=None, h=48, w=64, scale=1.0, rotation=0.0,
     if channels is None:
         channels = np.zeros((len(KEYPOINTS), h, w), dtype=np.float32)
     return pcm.HeatmapFrame(camera_id=camera_id, frame_index=frame_index,
-                            rotation_deg=rotation, width=w, height=h,
-                            scale=scale, channels=channels)
+                            rotation_deg=rotation, scale=scale,
+                            channels=channels)
 
 
 def frame_with_channel(label, grid, **kw):

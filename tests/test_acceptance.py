@@ -166,12 +166,11 @@ def test_acceptance_3_link_length_invariance_and_contrast(
     # Contrast: filtering raw positions directly (no pose re-solve) visibly
     # stretches the forearm while the bent arm rotates.
     model, seq = bent_elbow_run["model"], bent_elbow_run["seq"]
-    coeffs = smooth.design_biquad(bent_elbow_run["config"].filter)
-    state = smooth.FilterState(coeffs, 3 * len(KEYPOINTS))
+    traj = smooth.TrajectoryFilter(bent_elbow_run["config"].filter)
     forearm = model.link_lengths()["r_wrist"]
     naive_worst = 0.0
     for f in seq.frames:
-        naive = state.step(f.positions_stage1.ravel()).reshape(-1, 3)
+        naive = traj.step_positions(f.positions_stage1)
         d = np.linalg.norm(naive[KEYPOINT_INDEX["r_wrist"]]
                            - naive[KEYPOINT_INDEX["r_elbow"]])
         naive_worst = max(naive_worst, abs(d - forearm))
@@ -380,14 +379,15 @@ def test_acceptance_7_filter_properties():
     coeffs = smooth.design_biquad(spec)
     x = np.zeros(200)
     x[0] = 1.0
-    state = smooth.FilterState(coeffs, 1)
-    out = np.array([state.step(np.array([v]))[0] for v in x])
+    traj = smooth.TrajectoryFilter(spec)
+    # An impulse in every coordinate of the (18, 3) keypoint rows.
+    out = [traj.step_positions(np.full((len(KEYPOINTS), 3), v)) for v in x]
     b0, b1, b2, a1, a2 = coeffs
     x1 = x2 = y1 = y2 = x[0]     # registers primed with the first sample
     worst_imp = 0.0
     for i, xi in enumerate(x):
         y = b0 * xi + b1 * x1 + b2 * x2 - a1 * y1 - a2 * y2
-        worst_imp = max(worst_imp, abs(out[i] - y))
+        worst_imp = max(worst_imp, np.abs(out[i] - y).max())
         x2, x1 = x1, xi
         y2, y1 = y1, y
     assert worst_imp <= 1e-12

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -420,6 +421,18 @@ class TestUsageErrors:
             assert flag in capsys.readouterr().err
 
 
+def link_two_frames(data, rig, first, tmp_path):
+    """A PCM directory of links to the dataset's files of frames ``first``
+    and ``first + 1``, every camera at rotation 0."""
+    pcm_dir = str(tmp_path / "pcm")
+    for c in rig.cameras:
+        for f in (first, first + 1):
+            path = pcm.frame_path(pcm_dir, c.id, f)
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            os.symlink(pcm.frame_path(str(data / "pcm"), c.id, f), path)
+    return pcm_dir
+
+
 class TestRuntimeErrors:
     def test_missing_input_file_exits_one(self, tmp_path, capsys):
         rc = cli.main(["eval", "--pred", str(tmp_path / "nope.csv"),
@@ -465,12 +478,7 @@ class TestRuntimeErrors:
         model = sk.load_skeleton(init_run / "skeleton.json")
         state = json.loads((init_run / "init_state.json").read_text())
         first, camera = state["first_track_frame"], rig.cameras[2]
-        pcm_dir = str(tmp_path / "pcm")
-        for c in rig.cameras:
-            for f in (first, first + 1):
-                path = pcm.frame_path(pcm_dir, c.id, f)
-                os.makedirs(os.path.dirname(path), exist_ok=True)
-                os.symlink(pcm.frame_path(str(data / "pcm"), c.id, f), path)
+        pcm_dir = link_two_frames(data, rig, first, tmp_path)
         path = pcm.frame_path(pcm_dir, camera.id, first)
         frame = pcm.read_pcm(path)
         neck = sk.keypoint_positions(model, np.array(state["pose0"]), ["neck"])
@@ -490,6 +498,34 @@ class TestRuntimeErrors:
         assert len(err) == 1 and err[0].startswith(
             f"error: PcmFormatError: camera {camera.id} frame {first} "
             f"rotation 0.0 deg: channel values outside [0, 1] or NaN")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scale", [np.nan, np.inf])
+    def test_non_finite_scale_exits_one(self, dataset, init_run, tmp_path,
+                                        capsys, scale):
+        """A .pcm file of the first tracked frame whose header scale (float32
+        at byte 32) is NaN or inf is refused with one error line naming it."""
+        root, data = dataset
+        rig = load_rig(str(data / "calib.json"))
+        first = json.loads(
+            (init_run / "init_state.json").read_text())["first_track_frame"]
+        pcm_dir = link_two_frames(data, rig, first, tmp_path)
+        path = pcm.frame_path(pcm_dir, rig.cameras[0].id, first)
+        with open(path, "rb") as fh:
+            raw = bytearray(fh.read())
+        raw[32:36] = struct.pack("<f", scale)
+        os.remove(path)
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        out = tmp_path / "track"
+        rc = cli.main(["track", "--calib", str(data / "calib.json"),
+                       "--pcm-dir", pcm_dir,
+                       "--skeleton", str(init_run / "skeleton.json"),
+                       "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            f"error: PcmFormatError: {path}: heatmap scale must be finite")
         assert not out.exists()
 
     def test_track_empty_frame_range_exits_one(self, dataset, init_run,

@@ -1,4 +1,5 @@
 import os
+import re
 import struct
 
 import numpy as np
@@ -82,14 +83,16 @@ class TestHeatmapFrame:
                     == (not inside), (value, floor)
 
     def test_channel_count_enforced(self):
-        with pytest.raises(pcm.PcmError):
-            pcm.HeatmapFrame(camera_id=0, frame_index=0, rotation_deg=0.0,
-                             width=8, height=8, scale=1.0,
-                             channels=np.zeros((17, 8, 8)))
+        # The frame's size is its channels' shape: (18, h, w), h and w > 0.
+        for shape in ((17, 8, 8), (18, 0, 8), (18, 8, 0), (18, 8),
+                      (18, 8, 8, 1)):
+            with pytest.raises(pcm.PcmError, match="channels must be"):
+                make_frame(channels=np.zeros(shape))
 
     def test_bad_scale(self):
-        with pytest.raises(pcm.PcmError):
-            make_frame(scale=0.0)
+        for scale in (0.0, -0.5, np.nan, np.inf):
+            with pytest.raises(pcm.PcmError, match="scale"):
+                make_frame(scale=scale)
 
 
 def sample(frame, label, pixel):
@@ -205,7 +208,7 @@ class TestSample:
 
     @staticmethod
     def assert_matches_oracle(frame, rng):
-        w, h = frame.width, frame.height
+        _, h, w = frame.channels.shape
         xs = np.concatenate([rng.uniform(-3, w + 2, 2000), [
             0.0, -1e-9, 0.5, w - 1.0, w - 1.0 - 1e-9, w - 1.0 + 1e-9,
             w - 1.5, float(w)]])
@@ -493,6 +496,22 @@ class TestFileFormat:
             back.channels[0, 0, 0] = 0.5
         header = struct.Struct("<4sHHIIfIIIf")
         assert back.channels.tobytes() == path.read_bytes()[header.size:]
+
+    @pytest.mark.parametrize("offset, field, value, message", [
+        (32, "<f", np.nan, "heatmap scale"), (32, "<f", np.inf, "heatmap scale"),
+        (24, "<I", 0, "channels")], ids=["nan_scale", "inf_scale", "no_rows"])
+    def test_bad_scale_or_empty_grid_in_header(self, tmp_path, rng, offset,
+                                               field, value, message):
+        # The header's scale (float32 at byte 32) must be finite and > 0,
+        # and its height (uint32 at byte 24) > 0.
+        path = tmp_path / "frame.pcm"
+        pcm.write_pcm(self.random_frame(rng), path)
+        raw = bytearray(path.read_bytes())
+        raw[offset:offset + 4] = struct.pack(field, value)
+        path.write_bytes(raw)
+        with pytest.raises(pcm.PcmFormatError,
+                           match=re.escape(f"{path}: {message}")):
+            pcm.read_pcm(path)
 
     def test_unsupported_version(self, tmp_path, rng):
         path = tmp_path / "frame.pcm"

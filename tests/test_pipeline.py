@@ -46,8 +46,8 @@ class MaskingProvider(pcm.PcmProvider):
             return frame
         return pcm.HeatmapFrame(
             camera_id=frame.camera_id, frame_index=frame.frame_index,
-            rotation_deg=frame.rotation_deg, width=frame.width,
-            height=frame.height, scale=frame.scale, channels=channels)
+            rotation_deg=frame.rotation_deg, scale=frame.scale,
+            channels=channels)
 
 
 class PoisonProvider(pcm.PcmProvider):
