@@ -113,27 +113,36 @@ def project_points(camera: Camera, points):
     Returns ``(pixels, in_front)`` where pixels is (N,2) and in_front a
     boolean (N,) mask; pixels of points at or behind the camera plane are
     undefined and must be treated as zero-confidence samples by callers.
+
+    The work runs on coordinate planes: ``points.T`` is transformed by one
+    ``R @ planes + t`` and the pixels are an (N,2) view of (2,N) x/y
+    planes, so ``pixels.T`` is contiguous.  Points given as a view of
+    (3,N) planes (``planes.T``) are read without a copy; any (N,3) array
+    gives the same bits.
     """
     pts = np.asarray(points, dtype=float)
     single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    if not np.all(np.isfinite(pts)):
+    planes = np.atleast_2d(pts).T
+    if not np.all(np.isfinite(planes)):
         raise ValueError("non-finite point passed to project")
-    cam_pts = pts @ camera.rotation.T + camera.translation
-    z = cam_pts[:, 2]
+    cam = camera.rotation @ planes
+    cam += camera.translation[:, None]
+    z = cam[2]
     in_front = z > 0.0
     # Guard the division; masked-out pixels are meaningless anyway.
-    z_safe = np.where(in_front, z, 1.0)
-    x = cam_pts[:, 0] / z_safe
-    y = cam_pts[:, 1] / z_safe
+    xy = cam[:2]
+    xy /= np.where(in_front, z, 1.0)
     if camera.has_distortion:
+        x, y = xy
         k1, k2, p1, p2, k3 = camera.dist
         r2 = x * x + y * y
         radial = 1.0 + r2 * (k1 + r2 * (k2 + r2 * k3))
         x_d = x * radial + 2.0 * p1 * x * y + p2 * (r2 + 2.0 * x * x)
         y_d = y * radial + p1 * (r2 + 2.0 * y * y) + 2.0 * p2 * x * y
-        x, y = x_d, y_d
-    px = np.stack([camera.fx * x + camera.cx, camera.fy * y + camera.cy], axis=1)
+        xy[0], xy[1] = x_d, y_d
+    xy *= [[camera.fx], [camera.fy]]
+    xy += [[camera.cx], [camera.cy]]
+    px = xy.T
     if single:
         return px[0], bool(in_front[0])
     return px, in_front
@@ -169,14 +178,15 @@ def rotate_pixel(pixel, angle_deg, center):
     """Map a pixel of the original image to its location in the image rotated
     by ``angle_deg`` CCW about ``center``: ``p' = R(angle) @ (p - center) + center``.
 
-    Accepts a single (2,) pixel or an (N,2) array.
+    Accepts a single (2,) pixel or an (N,2) array; the rotation runs on the
+    (2,N) planes ``pixel.T``, so a view of planes gives one back.
     """
     p = np.asarray(pixel, dtype=float)
     c = np.asarray(center, dtype=float)
     a = math.radians(angle_deg)
     ca, sa = math.cos(a), math.sin(a)
     R = np.array([[ca, -sa], [sa, ca]])
-    return (p - c) @ R.T + c
+    return (R @ (p - c).T).T + c
 
 
 def look_at_camera(cam_id, position, target, width, height, f_px, up=(0.0, 0.0, 1.0)):

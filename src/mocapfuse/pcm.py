@@ -15,7 +15,9 @@ from __future__ import annotations
 import math
 import mmap
 import os
+import stat
 import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +91,25 @@ def _check_values(frame: HeatmapFrame, values):
                 f"NaN: min={lo}, max={hi}")
 
 
+# Work arrays of ``sample_channels``, one set per thread, reused from call to
+# call.  At a lattice's size (about 6,000 samples per camera) fresh
+# temporaries this large are mapped and unmapped by the allocator on most
+# calls, and their page faults cost more than the arithmetic.  Nothing
+# returned is a view of them.
+_WORK = threading.local()
+
+
+def _work_array(name, shape, dtype):
+    """This thread's reused array ``name`` viewed as ``shape``; its values
+    are whatever the last call left."""
+    size = math.prod(shape)
+    flat = getattr(_WORK, name, None)
+    if flat is None or flat.size < size:
+        flat = np.empty(size, dtype)
+        setattr(_WORK, name, flat)
+    return flat[:size].reshape(shape)
+
+
 def sample_channels(frame: HeatmapFrame, chan, pixels, valid):
     """Bilinear samples at image-space pixels (N,2) of channel ``chan``
     (one index, or one per pixel).
@@ -98,28 +119,43 @@ def sample_channels(frame: HeatmapFrame, chan, pixels, valid):
     sample, clamped to the grid, are gathered in one ``take`` and checked,
     masked and out-of-grid samples included: a corner outside [0, 1] or NaN
     raises PcmFormatError.
+
+    The work runs on the (2, N) x/y planes ``pixels.T`` (contiguous when
+    ``pixels`` comes from ``calib.project_points``), x and y in one pass
+    against per-plane bounds, in work arrays reused from call to call.
     """
-    px = np.atleast_2d(np.asarray(pixels, dtype=float)) * frame.scale
     _, h, w = frame.channels.shape
-    x, y = px[:, 0], px[:, 1]
-    inside = ((x >= 0.0) & (x <= w - 1.0) & (y >= 0.0) & (y <= h - 1.0)
-              & np.asarray(valid, dtype=bool))
-    xs = np.clip(x, 0.0, w - 1.0)
-    ys = np.clip(y, 0.0, h - 1.0)
-    x0 = np.minimum(xs.astype(int), w - 2) if w > 1 else np.zeros_like(xs, dtype=int)
-    y0 = np.minimum(ys.astype(int), h - 2) if h > 1 else np.zeros_like(ys, dtype=int)
-    fx = xs - x0
-    fy = ys - y0
+    planes = np.atleast_2d(np.asarray(pixels, dtype=float)).T
+    n = planes.shape[1]
+    px = np.multiply(planes, frame.scale, out=_work_array("px", (2, n), float))
+    # frac ends as ((1 - fx, 1 - fy), (fx, fy)); until then frac[1] holds
+    # the clamped pixels.
+    frac = _work_array("frac", (2, 2, n), float)
+    clamped = np.clip(px, 0.0, [[w - 1.0], [h - 1.0]], out=frac[1])
+    on_grid = clamped == px                 # False for NaN, as x >= 0 is
+    inside = on_grid[0] & on_grid[1] & np.asarray(valid, dtype=bool)
+    corner = np.trunc(clamped, out=px)      # int() of the clamped pixels
+    np.minimum(corner, [[max(w - 2, 0)], [max(h - 2, 0)]], out=corner)
     dx = 1 if w > 1 else 0
     dy = w if h > 1 else 0
-    first = (np.asarray(chan) * h + y0) * w + x0
-    corners = frame.channels.reshape(-1).take(
-        first + np.array([[0], [dx], [dy], [dx + dy]]))
+    first = ((np.asarray(chan) * h + corner[1]) * w + corner[0]).astype(int)
+    cells = np.add(first, [[0], [dx], [dy], [dx + dy]],
+                   out=_work_array("cells", (4, n), int))
+    corners = frame.channels.reshape(-1).take(cells)
     _check_values(frame, corners)
-    c00, c01, c10, c11 = corners
-    v = ((1 - fx) * (1 - fy) * c00 + fx * (1 - fy) * c01
-         + (1 - fx) * fy * c10 + fx * fy * c11)
-    return np.where(inside, v, 0.0)
+    clamped -= corner
+    np.subtract(1.0, frac[1], out=frac[0])
+    # Row 2j + i weighs corner (x0 + i, y0 + j): (1 - fx or fx) times
+    # (1 - fy or fy), each factor computed once.
+    weights = _work_array("weights", (4, n), float)
+    np.multiply(frac[:, None, 1], frac[None, :, 0],
+                out=weights.reshape(2, 2, n))
+    weights *= corners
+    v = weights[0] + weights[1]
+    v += weights[2]
+    v += weights[3]
+    v[~inside] = 0.0
+    return v
 
 
 def centroids(frame: HeatmapFrame, floor: float):
@@ -170,13 +206,21 @@ def read_pcm(path) -> HeatmapFrame:
     The frame's channels are a read-only view of the mapping, which is
     released with its last reference.  No page of the payload is touched
     here: the values are checked where they are read (``sample_channels``,
-    ``centroids``).
+    ``centroids``).  The path is opened once, without blocking: a missing
+    path raises FileNotFoundError (NotADirectoryError when a parent is a
+    file), and a directory, FIFO or device is a PcmFormatError.
     """
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
+    fd = os.open(path, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0))
+    try:
+        st = os.fstat(fd)
+        if not stat.S_ISREG(st.st_mode):
+            raise PcmFormatError(f"{path}: not a regular file")
+        size = st.st_size
         if size < _HEADER.size:
             raise PcmFormatError(f"{path}: truncated header")
-        mapped = mmap.mmap(fh.fileno(), size, access=mmap.ACCESS_READ)
+        mapped = mmap.mmap(fd, size, access=mmap.ACCESS_READ)
+    finally:
+        os.close(fd)
     magic, version, _flags, cam_id, frame_index, rot, width, height, nch, \
         scale = _HEADER.unpack_from(mapped)
     if magic != MAGIC:
@@ -229,14 +273,16 @@ class DirectoryProvider(PcmProvider):
 
     def get(self, camera_id, frame_index, rotation_deg=0.0) -> HeatmapFrame:
         path = frame_path(self.root, camera_id, frame_index, rotation_deg)
-        if not os.path.exists(path):
+        try:
+            frame = read_pcm(path)
+        except (FileNotFoundError, NotADirectoryError):
             if quantize_rotation(rotation_deg) == 0:
                 raise FrameMissing(
-                    f"no PCM for camera {camera_id} frame {frame_index}")
+                    f"no PCM for camera {camera_id} frame {frame_index}"
+                ) from None
             raise RotationUnavailable(
                 f"no PCM for camera {camera_id} frame {frame_index} "
-                f"at rotation {quantize_rotation(rotation_deg)} deg")
-        frame = read_pcm(path)
+                f"at rotation {quantize_rotation(rotation_deg)} deg") from None
         rot = frame.rotation_deg
         if (frame.camera_id != camera_id or frame.frame_index != frame_index
                 or not math.isfinite(rot)

@@ -389,20 +389,23 @@ def track(provider, rig: CameraRig, model, pose0, config: PipelineConfig,
 # ---------------------------------------------------------------------------
 # Output files
 
+# The CSV writers format each field as ``csv.writer`` does (``repr`` of a
+# float, ``str`` of anything else, none of which needs quoting) and write its
+# "\r\n" rows, but format a value shared by several rows once.
+
 def write_positions_csv(seq: MotionSequence, path):
     fps = seq.sample_rate_hz
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["frame", "time_s", "label", "x_mm", "y_mm", "z_mm",
-                         "weight", "stage"])
+        fh.write("frame,time_s,label,x_mm,y_mm,z_mm,weight,stage\r\n")
         for f in seq.frames:
-            weights = f.weights.tolist()
-            writer.writerows(
-                [f.index, f.index / fps, label, x, y, z, w, stage]
+            head = f"{f.index},{f.index / fps!r},"
+            tails = [f",{w!r}," for w in f.weights.tolist()]
+            fh.writelines(
+                f"{head}{label},{x!r},{y!r},{z!r}{tail}{stage}\r\n"
                 for stage, positions in (("stage1", f.positions_stage1),
                                          ("stage2", f.positions_stage2))
-                for label, (x, y, z), w in zip(KEYPOINTS, positions.tolist(),
-                                               weights))
+                for label, (x, y, z), tail in zip(KEYPOINTS,
+                                                  positions.tolist(), tails))
 
 
 def read_positions_csv(path, stage="stage2"):
@@ -456,14 +459,16 @@ def write_diagnostics_csv(seq: MotionSequence, rig: CameraRig, path):
     ``LOW_CONFIDENCE_FRACTION`` times the camera count; IK still uses the
     marker) and per-camera confidence samples."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        cam_cols = [f"sample_cam{c.id}" for c in rig.cameras]
-        writer.writerow(["frame", "label", "a", "b", "c", "weight",
-                         "low_confidence"] + cam_cols)
+        fh.write(",".join(["frame", "label", "a", "b", "c", "weight",
+                           "low_confidence"]
+                          + [f"sample_cam{c.id}" for c in rig.cameras])
+                 + "\r\n")
         floor = LOW_CONFIDENCE_FRACTION * rig.n_c
         for f in seq.frames:
-            writer.writerows(
-                [f.index, label, *f.lattice_offsets[label], w, int(w < floor)]
-                + cams
-                for label, w, cams in zip(KEYPOINTS, f.weights.tolist(),
-                                          f.per_camera.tolist()))
+            head = f"{f.index},"
+            for label, w, cams in zip(KEYPOINTS, f.weights.tolist(),
+                                      f.per_camera.tolist()):
+                a, b, c = f.lattice_offsets[label]
+                fh.write(",".join([f"{head}{label},{a},{b},{c},{w!r},"
+                                   f"{int(w < floor)}", *map(repr, cams)])
+                         + "\r\n")

@@ -8,10 +8,14 @@ its IK weight.  When the trunk is strongly tilted in a camera image, the
 lower-body channels are sampled through heatmaps computed on a rotated copy
 of that image.
 
-One ``lattice_search`` call searches every keypoint of a frame: per camera
-it fetches the rotation-0 heatmap frame once (plus the rotated frame once
-for a tilted camera), projects all keypoints' candidates together and
-samples them in one gather, then picks each keypoint's best candidate.
+One ``lattice_search`` call searches every keypoint of a frame.  It lays
+the candidates of all keypoints out coordinate-major, as (3, 18 * n) x/y/z
+planes (n = (2k+1)^3), and keeps that layout to the samples: per camera it
+fetches the rotation-0 heatmap frame once (plus the rotated frame once for
+a tilted camera), projects every candidate with one ``R @ planes + t`` into
+(2, 18 * n) pixel planes, and samples them in one gather per frame.  Then it
+picks each keypoint's best candidate.  The layout changes no arithmetic:
+the results are the bits the same steps give on (N, 3) rows.
 """
 
 from __future__ import annotations
@@ -98,7 +102,9 @@ def score_points(points, labels, provider, rig: CameraRig, frame_index,
     as ``plan_rotations`` gives it; it is the only rotation switch.  Each
     camera fetches its rotation-0 frame once, and its rotated frame at most
     once for the ``LOWER_BODY`` rows; all L*N points are projected together
-    and sampled in one gather per frame.  Returns (scores (L, N),
+    and sampled in one gather per frame.  ``points`` may be a view of
+    (3, L, N) coordinate planes, as ``lattice_search`` passes them; they are
+    then projected without a copy.  Returns (scores (L, N),
     per_camera (n_c, L, N)).  A missing rotation-0 frame propagates as an
     error, and so does a sampled cell outside [0, 1] or NaN
     (PcmFormatError naming the camera, frame and rotation it was read
@@ -115,14 +121,19 @@ def score_points(points, labels, provider, rig: CameraRig, frame_index,
         rotated = _rotated_frame(provider, camera, frame_index,
                                  rotations[camera.id])
         px, in_front = project_points(camera, flat)
-        rows = ~lower if rotated is not None else slice(None)
-        per_camera[ci, rows] = pcm_mod.sample_channels(
-            frame, chan[rows], px[rows], valid=in_front[rows])
-        if rotated is not None:
-            px_rot = rotate_pixel(px[lower], rotated.rotation_deg,
-                                  camera.image_center)
-            per_camera[ci, lower] = pcm_mod.sample_channels(
-                rotated, chan[lower], px_rot, valid=in_front[lower])
+        if rotated is None:
+            per_camera[ci] = pcm_mod.sample_channels(frame, chan, px,
+                                                     valid=in_front)
+            continue
+        # Row selections are taken on the (2, L*N) planes px.T, so each
+        # sampler call gets contiguous x/y planes again.
+        upper = ~lower
+        per_camera[ci, upper] = pcm_mod.sample_channels(
+            frame, chan[upper], px.T[:, upper].T, valid=in_front[upper])
+        px_rot = rotate_pixel(px.T[:, lower].T, rotated.rotation_deg,
+                              camera.image_center)
+        per_camera[ci, lower] = pcm_mod.sample_channels(
+            rotated, chan[lower], px_rot, valid=in_front[lower])
     per_camera = per_camera.reshape(rig.n_c, n_labels, n)
     return per_camera.sum(axis=0), per_camera
 
@@ -133,14 +144,19 @@ def lattice_search(prev_positions, provider, rig: CameraRig,
 
     ``prev_positions`` is (18, 3), row i for ``KEYPOINTS[i]``; all rows are
     searched with one ``score_points`` call under the per-camera
-    ``rotations`` plan.  Returns a VirtualMarkerSet of the chosen points,
-    their scores (the IK weights), per-camera samples and lattice offsets.
+    ``rotations`` plan, on candidates ``prev + s * offset`` built as
+    (3, 18, n) coordinate planes and passed as an (18, n, 3) view.  Returns
+    a VirtualMarkerSet of the chosen points, their scores (the IK weights),
+    per-camera samples and lattice offsets.
     Candidates are visited center-outward so a strict argmax realizes the
     documented tie-break (smallest Chebyshev distance, then lexicographic
     offset).
     """
     offsets = lattice_offsets(cfg.k)
-    candidates = prev_positions[:, None, :] + cfg.s * offsets.astype(float)
+    planes = np.empty((3, len(KEYPOINTS), len(offsets)))
+    np.add(np.asarray(prev_positions, dtype=float).T[:, :, None],
+           cfg.s * offsets.T[:, None, :], out=planes)
+    candidates = planes.transpose(1, 2, 0)      # (18, n, 3) view
     scores, per_camera = score_points(candidates, KEYPOINTS, provider, rig,
                                       frame_index, rotations)
     rows = np.arange(len(KEYPOINTS))

@@ -1,10 +1,14 @@
 """Shared test utilities: synthetic heatmap construction, toy providers and
 reference formulas the package itself does not need."""
 
+import csv
+import math
+
 import numpy as np
 
-from mocapfuse import pcm, skeleton as sk
-from mocapfuse.labels import KEYPOINT_INDEX, KEYPOINTS
+from mocapfuse import pcm, skeleton as sk, tracker
+from mocapfuse.labels import KEYPOINT_INDEX, KEYPOINTS, LOWER_BODY
+from mocapfuse.pipeline import LOW_CONFIDENCE_FRACTION
 from mocapfuse.tracker import VirtualMarkerSet
 
 
@@ -98,3 +102,149 @@ def left_jacobian_so3(w):
     """Left Jacobian of SO(3), d/dw of the exponential map's action, from
     the chain's own coefficients and formula."""
     return _so3(w, jacobian=True)
+
+
+# ---------------------------------------------------------------------------
+# Row-major references: the lattice as it ran on (N, 3) and (N, 2) rows of
+# coordinates before the package moved to coordinate planes.  The planes
+# change the memory layout only, so the package must match these bit for
+# bit.
+
+def rowmajor_project_points(camera, points):
+    """``calib.project_points`` through ``points @ R.T + t``."""
+    pts = np.asarray(points, dtype=float)
+    single = pts.ndim == 1
+    pts = np.atleast_2d(pts)
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("non-finite point passed to project")
+    cam_pts = pts @ camera.rotation.T + camera.translation
+    z = cam_pts[:, 2]
+    in_front = z > 0.0
+    z_safe = np.where(in_front, z, 1.0)
+    x = cam_pts[:, 0] / z_safe
+    y = cam_pts[:, 1] / z_safe
+    if camera.has_distortion:
+        k1, k2, p1, p2, k3 = camera.dist
+        r2 = x * x + y * y
+        radial = 1.0 + r2 * (k1 + r2 * (k2 + r2 * k3))
+        x_d = x * radial + 2.0 * p1 * x * y + p2 * (r2 + 2.0 * x * x)
+        y_d = y * radial + p1 * (r2 + 2.0 * y * y) + 2.0 * p2 * x * y
+        x, y = x_d, y_d
+    px = np.stack([camera.fx * x + camera.cx, camera.fy * y + camera.cy],
+                  axis=1)
+    if single:
+        return px[0], bool(in_front[0])
+    return px, in_front
+
+
+def rowmajor_rotate_pixel(pixel, angle_deg, center):
+    """``calib.rotate_pixel`` through ``(p - c) @ R.T + c``."""
+    p = np.asarray(pixel, dtype=float)
+    c = np.asarray(center, dtype=float)
+    a = math.radians(angle_deg)
+    ca, sa = math.cos(a), math.sin(a)
+    R = np.array([[ca, -sa], [sa, ca]])
+    return (p - c) @ R.T + c
+
+
+def sample_oracle(frame, chan, pixels, valid=None):
+    """The bilinear sampler on the x and y columns of (N, 2) pixels, with
+    four fancy-index gathers of clamped corners and no value check."""
+    px = np.atleast_2d(np.asarray(pixels, dtype=float)) * frame.scale
+    _, h, w = frame.channels.shape
+    x, y = px[:, 0], px[:, 1]
+    inside = (x >= 0.0) & (x <= w - 1.0) & (y >= 0.0) & (y <= h - 1.0)
+    if valid is not None:
+        inside = inside & np.asarray(valid, dtype=bool)
+    xs = np.clip(x, 0.0, w - 1.0)
+    ys = np.clip(y, 0.0, h - 1.0)
+    x0 = (np.minimum(xs.astype(int), w - 2) if w > 1
+          else np.zeros_like(xs, dtype=int))
+    y0 = (np.minimum(ys.astype(int), h - 2) if h > 1
+          else np.zeros_like(ys, dtype=int))
+    fx = xs - x0
+    fy = ys - y0
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    ch = frame.channels
+    v = ((1 - fx) * (1 - fy) * ch[chan, y0, x0]
+         + fx * (1 - fy) * ch[chan, y0, x1]
+         + (1 - fx) * fy * ch[chan, y1, x0] + fx * fy * ch[chan, y1, x1])
+    return np.where(inside, v, 0.0)
+
+
+def rowmajor_score_points(points, labels, provider, rig, frame_index,
+                          rotations):
+    """``tracker.score_points`` on (L * N, 3) rows of points."""
+    points = np.asarray(points, dtype=float)
+    n_labels, n = points.shape[:2]
+    flat = points.reshape(-1, 3)
+    chan = np.repeat([KEYPOINT_INDEX[lb] for lb in labels], n)
+    lower = np.repeat([lb in LOWER_BODY for lb in labels], n)
+    per_camera = np.zeros((rig.n_c, n_labels * n))
+    for ci, camera in enumerate(rig.cameras):
+        frame = provider.get(camera.id, frame_index, 0.0)
+        rotated = tracker._rotated_frame(provider, camera, frame_index,
+                                         rotations[camera.id])
+        px, in_front = rowmajor_project_points(camera, flat)
+        rows = ~lower if rotated is not None else slice(None)
+        per_camera[ci, rows] = sample_oracle(
+            frame, chan[rows], px[rows], valid=in_front[rows])
+        if rotated is not None:
+            px_rot = rowmajor_rotate_pixel(px[lower], rotated.rotation_deg,
+                                           camera.image_center)
+            per_camera[ci, lower] = sample_oracle(
+                rotated, chan[lower], px_rot, valid=in_front[lower])
+    per_camera = per_camera.reshape(rig.n_c, n_labels, n)
+    return per_camera.sum(axis=0), per_camera
+
+
+def rowmajor_lattice_search(prev_positions, provider, rig, cfg, frame_index,
+                            rotations):
+    """``tracker.lattice_search`` on (18, n, 3) candidate rows."""
+    offsets = tracker.lattice_offsets(cfg.k)
+    candidates = prev_positions[:, None, :] + cfg.s * offsets.astype(float)
+    scores, per_camera = rowmajor_score_points(
+        candidates, KEYPOINTS, provider, rig, frame_index, rotations)
+    rows = np.arange(len(KEYPOINTS))
+    best = np.argmax(scores, axis=1)
+    return VirtualMarkerSet(positions=candidates[rows, best],
+                            weights=scores[rows, best],
+                            per_camera=per_camera[:, rows, best].T,
+                            offsets=offsets[best])
+
+
+# ---------------------------------------------------------------------------
+# csv.writer references for the tracking outputs
+
+def csv_writer_positions(seq, path):
+    """The positions CSV as ``csv.writer`` writes its rows."""
+    fps = seq.sample_rate_hz
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["frame", "time_s", "label", "x_mm", "y_mm", "z_mm",
+                         "weight", "stage"])
+        for f in seq.frames:
+            weights = f.weights.tolist()
+            writer.writerows(
+                [f.index, f.index / fps, label, x, y, z, w, stage]
+                for stage, positions in (("stage1", f.positions_stage1),
+                                         ("stage2", f.positions_stage2))
+                for label, (x, y, z), w in zip(KEYPOINTS, positions.tolist(),
+                                               weights))
+
+
+def csv_writer_diagnostics(seq, rig, path):
+    """The diagnostics CSV as ``csv.writer`` writes its rows."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["frame", "label", "a", "b", "c", "weight",
+                         "low_confidence"]
+                        + [f"sample_cam{c.id}" for c in rig.cameras])
+        floor = LOW_CONFIDENCE_FRACTION * rig.n_c
+        for f in seq.frames:
+            writer.writerows(
+                [f.index, label, *f.lattice_offsets[label], w, int(w < floor)]
+                + cams
+                for label, w, cams in zip(KEYPOINTS, f.weights.tolist(),
+                                          f.per_camera.tolist()))

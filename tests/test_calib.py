@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from helpers import rowmajor_project_points, rowmajor_rotate_pixel
 from mocapfuse.calib import (
     Camera,
     CameraRig,
@@ -73,6 +75,67 @@ class TestProject:
         p1, _ = project_points(distorted, (300.0, 200.0, 1000.0))
         assert np.linalg.norm(p0 - p1) > 1.0
 
+
+
+def random_camera(rng, distorted):
+    cam = look_at_camera(int(rng.integers(0, 9)),
+                         rng.uniform([-3000, -3000, 200], [3000, 3000, 2500]),
+                         rng.uniform([-300, -300, 700], [300, 300, 1300]),
+                         int(rng.integers(64, 1280)),
+                         int(rng.integers(48, 960)),
+                         rng.uniform(100.0, 1500.0))
+    if distorted:
+        cam = dataclasses.replace(cam, dist=rng.uniform(
+            [-0.4, -0.1, -0.01, -0.01, -0.05], [0.2, 0.1, 0.01, 0.01, 0.05]))
+    return cam
+
+
+class TestProjectPlanes:
+    """Projection on coordinate planes gives the row-major pixels and
+    in-front mask bit for bit, and keeps the (N, 3) -> (N, 2) contract."""
+
+    @pytest.mark.parametrize("distorted", [False, True])
+    def test_bits_equal_row_major(self, rng, distorted):
+        for n in (1, 2, 3, 17, 343, 6174):
+            cam = random_camera(rng, distorted)
+            pts = rng.normal([0.0, 0.0, 1000.0], 1500.0, (n, 3))
+            want_px, want_front = rowmajor_project_points(cam, pts)
+            planes = np.ascontiguousarray(pts.T)
+            for given in (pts, planes.T):
+                px, in_front = project_points(cam, given)
+                assert px.shape == (n, 2) and in_front.shape == (n,)
+                assert np.ascontiguousarray(px).tobytes() == want_px.tobytes()
+                assert in_front.tobytes() == want_front.tobytes()
+            assert project_points(cam, planes.T)[0].T.flags.c_contiguous
+
+    def test_rows_masks_and_single_points(self, rng):
+        cam = random_camera(rng, distorted=True)
+        pts = rng.normal([0.0, 0.0, 1000.0], 2500.0, (40, 3))
+        px, in_front = project_points(cam, pts)
+        want_px, want_front = rowmajor_project_points(cam, pts)
+        assert not in_front.all() and in_front.any()
+        npt.assert_array_equal(px[0], want_px[0])
+        npt.assert_array_equal(px[in_front], want_px[want_front])
+        npt.assert_array_equal(px[:, 1], want_px[:, 1])
+        for i in range(len(pts)):
+            p, f = project_points(cam, pts[i])
+            want_p, want_f = rowmajor_project_points(cam, pts[i])
+            assert p.shape == (2,) and type(f) is bool
+            assert p.tobytes() == want_p.tobytes() and f == want_f
+
+    def test_rotate_pixel_bits_equal_row_major(self, rng):
+        for n in (1, 2, 5, 1000):
+            pixels = rng.uniform(-500, 1500, (n, 2))
+            center = rng.uniform(0, 1000, 2)
+            for angle in (45.0, -45.0, 90.0, 137.0, 180.0, 0.0):
+                want = rowmajor_rotate_pixel(pixels, angle, center)
+                planes = np.ascontiguousarray(pixels.T)
+                for given in (pixels, planes.T):
+                    got = rotate_pixel(given, angle, center)
+                    assert np.ascontiguousarray(got).tobytes() == \
+                        want.tobytes()
+                assert rotate_pixel(pixels[0], angle, center).tobytes() == \
+                    rowmajor_rotate_pixel(pixels[0], angle, center).tobytes()
 
 class TestPixelToRay:
     def test_ray_passes_through_projected_point(self, rng):

@@ -528,6 +528,28 @@ class TestRuntimeErrors:
             f"error: PcmFormatError: {path}: heatmap scale must be finite")
         assert not out.exists()
 
+    def test_directory_at_a_frame_path_exits_one(self, dataset, init_run,
+                                                 tmp_path, capsys):
+        """A directory where camera 0's frame 5 belongs: the end-of-sequence
+        probe counts it, and tracking refuses it with one error line."""
+        root, data = dataset
+        rig = load_rig(str(data / "calib.json"))
+        pcm_dir = link_two_frames(data, rig, 4, tmp_path)
+        path = pcm.frame_path(pcm_dir, rig.cameras[0].id, 5)
+        os.remove(path)
+        os.mkdir(path)
+        assert isinstance(pcm.DirectoryProvider(pcm_dir).get(
+            rig.cameras[1].id, 5), pcm.HeatmapFrame)
+        out = tmp_path / "track"
+        rc = cli.main(["track", "--calib", str(data / "calib.json"),
+                       "--pcm-dir", pcm_dir,
+                       "--skeleton", str(init_run / "skeleton.json"),
+                       "--start-frame", "4", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: PcmFormatError: {path}: not a regular file"]
+        assert not out.exists()
+
     def test_track_empty_frame_range_exits_one(self, dataset, init_run,
                                                tmp_path, capsys):
         root, data = dataset

@@ -1,13 +1,17 @@
 import os
 import re
+import signal
 import struct
+import sys
+import threading
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from conftest import small_scene
-from helpers import DictProvider, frame_with_channel, gaussian_grid, make_frame
+from helpers import (DictProvider, frame_with_channel, gaussian_grid,
+                     make_frame, sample_oracle)
 from mocapfuse import pcm, synth, tracker
 from mocapfuse.calib import Camera, CameraRig, project_points, rotate_pixel
 from mocapfuse.labels import KEYPOINT_INDEX, KEYPOINTS
@@ -183,6 +187,42 @@ class TestSample:
         assert pcm.sample_channels(frame, chan, pts, valid).tobytes() == \
             sample_oracle(frame, chan, pts, valid).tobytes()
 
+    def test_threads_and_sizes_do_not_share_work_arrays(self, rng):
+        """The work arrays are reused per thread: five threads sampling
+        different frames at different sizes under a short switch interval
+        each get their own serial results."""
+        jobs = []
+        for i in range(5):
+            grid = rng.uniform(0, 1, (48, 64)).astype(np.float32)
+            frame = frame_with_channel("r_knee", grid, scale=0.5 + 0.1 * i)
+            pts = rng.uniform([-10, -10], [140, 110], (50 + 400 * i, 2))
+            valid = rng.random(len(pts)) < 0.9
+            jobs.append((frame, pts, valid,
+                         sample_oracle(frame, KEYPOINT_INDEX["r_knee"], pts,
+                                       valid)))
+        wrong = []
+
+        def work(frame, pts, valid, want):
+            for _ in range(200):
+                got = pcm.sample_channels(frame, KEYPOINT_INDEX["r_knee"],
+                                          pts, valid)
+                if got.tobytes() != want.tobytes():
+                    wrong.append(len(pts))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=job)
+                       for job in jobs]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
     @pytest.mark.parametrize("scale", [0.25, 0.5, 1.0])
     def test_bit_identical_to_four_gathers(self, scale, rng):
         """Rendered frames at rotations 0, 90 and -37 degrees, sampled at
@@ -224,30 +264,6 @@ class TestSample:
             got = pcm.sample_channels(frame, c, pixels, valid=v)
             assert got.tobytes() == \
                 sample_oracle(frame, c, pixels, valid=v).tobytes()
-
-
-def sample_oracle(frame, chan, pixels, valid=None):
-    """The bilinear sampler that ``pcm.sample_channels`` replaced: four
-    fancy-index gathers of clamped corners, no value check."""
-    px = np.atleast_2d(np.asarray(pixels, dtype=float)) * frame.scale
-    _, h, w = frame.channels.shape
-    x, y = px[:, 0], px[:, 1]
-    inside = (x >= 0.0) & (x <= w - 1.0) & (y >= 0.0) & (y <= h - 1.0)
-    if valid is not None:
-        inside = inside & np.asarray(valid, dtype=bool)
-    xs = np.clip(x, 0.0, w - 1.0)
-    ys = np.clip(y, 0.0, h - 1.0)
-    x0 = np.minimum(xs.astype(int), w - 2) if w > 1 else np.zeros_like(xs, dtype=int)
-    y0 = np.minimum(ys.astype(int), h - 2) if h > 1 else np.zeros_like(ys, dtype=int)
-    fx = xs - x0
-    fy = ys - y0
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    ch = frame.channels
-    v = ((1 - fx) * (1 - fy) * ch[chan, y0, x0]
-         + fx * (1 - fy) * ch[chan, y0, x1]
-         + (1 - fx) * fy * ch[chan, y1, x0] + fx * fy * ch[chan, y1, x1])
-    return np.where(inside, v, 0.0)
 
 
 def centroid_oracle(frame, label, floor):
@@ -544,6 +560,52 @@ class TestDirectoryProvider:
         provider = pcm.DirectoryProvider(tmp_path)
         with pytest.raises(pcm.RotationUnavailable):
             provider.get(0, 0, 37.0)
+
+    def test_directory_at_a_frame_path(self, tmp_path):
+        """Something that is not a regular file where a frame belongs is a
+        PcmFormatError naming the path, at rotation 0 and rotated alike."""
+        for rotation in (0.0, 90.0):
+            path = pcm.frame_path(tmp_path, 0, 5, rotation)
+            os.makedirs(path)
+            with pytest.raises(pcm.PcmFormatError,
+                               match="not a regular file") as exc:
+                pcm.DirectoryProvider(tmp_path).get(0, 5, rotation)
+            assert str(exc.value).startswith(f"{path}: ")
+
+    def test_fifo_at_a_frame_path_does_not_block(self, tmp_path):
+        path = pcm.frame_path(tmp_path, 0, 5)
+        os.makedirs(os.path.dirname(path))
+        os.mkfifo(path)
+
+        def blocked(signum, frame):
+            raise TimeoutError(f"opening the FIFO {path} blocked")
+
+        previous = signal.signal(signal.SIGALRM, blocked)
+        signal.alarm(5)
+        try:
+            with pytest.raises(pcm.PcmFormatError,
+                               match="not a regular file"):
+                pcm.DirectoryProvider(tmp_path).get(0, 5)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_file_where_a_directory_belongs_is_missing(self, tmp_path):
+        (tmp_path / "cam0").write_bytes(b"")
+        with pytest.raises(pcm.FrameMissing):
+            pcm.DirectoryProvider(tmp_path).get(0, 0, 0.0)
+        with pytest.raises(pcm.RotationUnavailable):
+            pcm.DirectoryProvider(tmp_path).get(0, 0, 45.0)
+
+    def test_file_gone_after_an_existence_check(self, tmp_path, monkeypatch):
+        """A frame that a check would still have found but that is gone
+        when it is opened is FrameMissing, not a raw FileNotFoundError:
+        the provider opens the path once and checks nothing before."""
+        monkeypatch.setattr(os.path, "exists", lambda path: True)
+        with pytest.raises(pcm.FrameMissing):
+            pcm.DirectoryProvider(tmp_path).get(0, 3)
+        with pytest.raises(pcm.RotationUnavailable):
+            pcm.DirectoryProvider(tmp_path).get(0, 3, 90.0)
 
     def test_header_location_mismatch(self, tmp_path):
         frame = make_frame(camera_id=9, frame_index=9)

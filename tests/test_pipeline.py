@@ -10,7 +10,7 @@ import numpy.testing as npt
 import pytest
 
 from conftest import small_scene
-from helpers import no_rotation
+from helpers import csv_writer_diagnostics, csv_writer_positions, no_rotation
 from mocapfuse import ik, pcm, pipeline, skeleton as sk, synth
 from mocapfuse.calib import (CameraRig, look_at_camera, pixel_to_ray,
                              project_points)
@@ -636,6 +636,26 @@ class TestOutputs:
         assert payload["frames"] == [0, 40]
         assert set(payload["link_lengths_mm"]) == {
             j.name for j in model.joints if j.parent >= 0}
+
+    @pytest.mark.parametrize("mode", ["causal", "offline"])
+    def test_csv_bytes_equal_csv_writer(self, tmp_path, mode):
+        """The positions and diagnostics files of a small walk are byte for
+        byte what ``csv.writer`` writes for their rows."""
+        spec = small_scene(motion=synth.walk_like())
+        rig = synth.build_rig(spec)
+        config = PipelineConfig(filter=FilterSpec(
+            cutoff_hz=6.0, sample_rate_hz=spec.fps, mode=mode))
+        seq = track(synth.SyntheticProvider(spec, rig), rig,
+                    synth.build_model(spec), synth.ground_truth_pose(spec, 9),
+                    config, range(10, 16))
+        for write, reference, args in (
+                (pipeline.write_positions_csv, csv_writer_positions, ()),
+                (pipeline.write_diagnostics_csv, csv_writer_diagnostics,
+                 (rig,))):
+            got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+            write(seq, *args, got)
+            reference(seq, *args, want)
+            assert got.read_bytes() == want.read_bytes()
 
     def test_diagnostics_csv(self, still_track, still_rig, tmp_path):
         model, seq = still_track

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 
@@ -6,9 +7,11 @@ import numpy.testing as npt
 import pytest
 
 from helpers import (DictProvider, frame_with_channel, gaussian_grid,
-                     keypoint_rows, make_frame, no_rotation)
+                     keypoint_rows, make_frame, no_rotation,
+                     rowmajor_lattice_search, rowmajor_score_points)
 from mocapfuse import pcm, skeleton as sk, synth, tracker
-from mocapfuse.calib import Camera, CameraRig, project_points, rotate_pixel
+from mocapfuse.calib import (Camera, CameraRig, look_at_camera, project_points,
+                             rotate_pixel)
 from mocapfuse.labels import KEYPOINT_INDEX, KEYPOINTS, LOWER_BODY
 from mocapfuse.tracker import (
     LatticeConfig,
@@ -296,6 +299,93 @@ def test_batched_samples_equal_sample_many(rng, caplog):
                                     valid=in_front))
     npt.assert_array_equal(scores, per_camera.sum(axis=0))
 
+
+def random_rig_scene(rng, n_cameras, frame_index=0):
+    """Cameras on a ring around the origin, every other one distorted and
+    one of them inside the subject's volume (so candidates fall behind it),
+    each with its own heatmap size and scale; a plan with tilted cameras at
+    angles from +-45 to 180 degrees, and random frames for every planned
+    rotation (cells in [0, 1], some -0.0 and exact 0 and 1)."""
+    cams, frames = [], {}
+    angles = [45.0, -45.0, 90.0, 137.0, 180.0, 0.0]
+    plan = {}
+    for i in range(n_cameras):
+        a = 2.0 * math.pi * i / n_cameras + rng.uniform(-0.3, 0.3)
+        r = 150.0 if i == 1 else rng.uniform(1500.0, 3000.0)
+        cam = look_at_camera(i, (r * math.cos(a), r * math.sin(a),
+                                 rng.uniform(800.0, 1600.0)),
+                             (0.0, 0.0, 1000.0), int(rng.integers(160, 320)),
+                             int(rng.integers(120, 240)),
+                             rng.uniform(150.0, 400.0))
+        if i % 2:
+            cam = dataclasses.replace(cam, dist=rng.uniform(
+                [-0.3, -0.05, -0.01, -0.01, -0.01],
+                [0.1, 0.05, 0.01, 0.01, 0.01]))
+        cams.append(cam)
+        plan[cam.id] = angles[i % len(angles)]
+        scale = float(rng.choice([0.25, 0.5, 1.0]))
+        h = max(1, int(cam.height * scale))
+        w = max(1, int(cam.width * scale))
+        for rot in {0.0, plan[cam.id]}:
+            channels = rng.uniform(0, 1, (len(KEYPOINTS), h, w))
+            channels[rng.random(channels.shape) < 0.05] = -0.0
+            channels[rng.random(channels.shape) < 0.05] = 1.0
+            frames[(cam.id, frame_index, int(rot))] = make_frame(
+                channels=channels.astype(np.float32), rotation=rot,
+                scale=scale, camera_id=cam.id, frame_index=frame_index)
+    return CameraRig(cameras=tuple(cams)), DictProvider(frames), plan
+
+
+def assert_same_bits(a, b):
+    assert np.asarray(a).shape == np.asarray(b).shape
+    assert np.ascontiguousarray(a).tobytes() == \
+        np.ascontiguousarray(b).tobytes()
+
+
+class TestRowMajorOracle:
+    """The lattice on coordinate planes equals the row-major lattice bit for
+    bit: positions, weights, per-camera samples and offsets."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_lattice_search(self, rng, k):
+        rig, provider, plan = random_rig_scene(rng, 5)
+        prev = rng.normal([0.0, 0.0, 1000.0], 500.0, (len(KEYPOINTS), 3))
+        cfg = LatticeConfig(s=float(rng.uniform(5.0, 40.0)), k=k)
+        for rotations in (no_rotation(rig), plan):
+            got = lattice_search(prev, provider, rig, cfg, 0, rotations)
+            want = rowmajor_lattice_search(prev, provider, rig, cfg, 0,
+                                           rotations)
+            for field in ("positions", "weights", "per_camera", "offsets"):
+                assert_same_bits(getattr(got, field), getattr(want, field))
+        # The plan tilts some cameras; some candidates are behind camera 1.
+        assert any(plan.values())
+        _, in_front = project_points(rig.cameras[1], prev)
+        assert not in_front.all()
+
+    def test_score_points_row_major_input(self, rng):
+        """Points given as C-ordered (L, N, 3) rows, not a view of planes."""
+        rig, provider, plan = random_rig_scene(rng, 3)
+        points = rng.normal([0.0, 0.0, 1000.0], 600.0, (len(KEYPOINTS), 7, 3))
+        for got, want in zip(
+                score_points(points, KEYPOINTS, provider, rig, 0, plan),
+                rowmajor_score_points(points, KEYPOINTS, provider, rig, 0,
+                                      plan)):
+            assert_same_bits(got, want)
+
+    def test_alternating_calls_equal_fresh_calls(self, rng):
+        """Interleaving lattice sizes, spacings and rigs gives each call the
+        result it has on its own."""
+        scenes = [random_rig_scene(rng, n) for n in (2, 4, 3)]
+        prev = rng.normal([0.0, 0.0, 1000.0], 400.0, (len(KEYPOINTS), 3))
+        cases = [(scene, LatticeConfig(s=s, k=k)) for scene, s, k in
+                 zip(scenes * 2, (7.5, 20.0, 12.0, 33.0, 9.0, 15.0),
+                     (3, 1, 2, 1, 3, 2))]
+        fresh = [rowmajor_lattice_search(prev, provider, rig, cfg, 0, plan)
+                 for (rig, provider, plan), cfg in cases]
+        for ((rig, provider, plan), cfg), want in zip(cases, fresh):
+            got = lattice_search(prev, provider, rig, cfg, 0, plan)
+            assert_same_bits(got.positions, want.positions)
+            assert_same_bits(got.per_camera, want.per_camera)
 
 class TestTrunkTilt:
     def test_upright_is_zero(self):
