@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -225,11 +224,12 @@ def save_rig(rig: CameraRig, path):
 
 def load_rig(path) -> CameraRig:
     """Load and validate a calibration file (see the JSON schema in save_rig)."""
-    if not os.path.exists(path):
-        raise MalformedCalibration(f"calibration file not found: {path}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
+    except OSError as exc:
+        raise MalformedCalibration(
+            f"cannot read calibration file {path}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise MalformedCalibration(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(payload, dict) or "cameras" not in payload:

@@ -115,10 +115,10 @@ def sample_channels(frame: HeatmapFrame, chan, pixels, valid):
     (one index, or one per pixel).
 
     ``valid`` (N,) masks out entries (e.g. behind-camera projections);
-    masked and out-of-grid samples return 0.  The four corner cells of every
-    sample, clamped to the grid, are gathered in one ``take`` and checked,
-    masked and out-of-grid samples included: a corner outside [0, 1] or NaN
-    raises PcmFormatError.
+    masked, out-of-grid and NaN pixels return 0.  The four corner cells of
+    every sample, clamped to the grid (a NaN coordinate to the last cell),
+    are gathered in one ``take`` and checked, masked and out-of-grid samples
+    included: a corner outside [0, 1] or NaN raises PcmFormatError.
 
     The work runs on the (2, N) x/y planes ``pixels.T`` (contiguous when
     ``pixels`` comes from ``calib.project_points``), x and y in one pass
@@ -135,7 +135,7 @@ def sample_channels(frame: HeatmapFrame, chan, pixels, valid):
     on_grid = clamped == px                 # False for NaN, as x >= 0 is
     inside = on_grid[0] & on_grid[1] & np.asarray(valid, dtype=bool)
     corner = np.trunc(clamped, out=px)      # int() of the clamped pixels
-    np.minimum(corner, [[max(w - 2, 0)], [max(h - 2, 0)]], out=corner)
+    np.fmin(corner, [[max(w - 2, 0)], [max(h - 2, 0)]], out=corner)
     dx = 1 if w > 1 else 0
     dy = w if h > 1 else 0
     first = ((np.asarray(chan) * h + corner[1]) * w + corner[0]).astype(int)

@@ -12,13 +12,13 @@ exponential-map 3-vector, then the remaining joints' rotational coordinates
 (radians) in model order.  This module alone knows it: ``dof_joint`` maps
 each coordinate to its joint and ``dofs_of`` gives a joint's coordinates.
 
-Each model carries a dof/target table built once (see ``SkeletonModel``),
-including the table of ``model.keypoints``, the keypoints it maps in
-``KEYPOINTS`` order, which the FK calls use by default.  Every entry point
-makes one FK pass: ``forward_kinematics`` returns a dict of every joint and
-keypoint, ``keypoint_positions`` an ``(n, 3)`` array of the requested
-targets in order, and ``fk_and_jacobians`` that array plus the
-C-contiguous ``(n, 3, total_dof)`` jacobians.  The pass (``_frames``) walks
+Each model carries one table, built once: the keypoint table of
+``model.keypoints``, the labels it maps in ``KEYPOINTS`` order (a label
+outside ``KEYPOINTS`` is refused: it could never be tracked).  Every entry
+point makes one FK pass: ``forward_kinematics`` returns a dict of every
+joint and keypoint, ``keypoint_positions`` the ``(n, 3)`` keypoint array
+and ``fk_and_jacobians`` that array plus the C-contiguous
+``(n, 3, total_dof)`` jacobians.  The pass (``_frames``) walks
 the chain on Python floats: rotations are row-major 9-tuples composed by an
 unrolled 3x3 product, and exp joints, their left Jacobians and single-axis
 joints share one Rodrigues formula.  Only its results become numpy arrays,
@@ -116,22 +116,19 @@ class Joint:
 class SkeletonModel:
     """Immutable kinematic chain plus keypoint attachment map.
 
-    ``keypoint_map`` maps a keypoint label either to a joint name or to
-    ``(joint name, local offset 3-vector)`` for points rigidly attached to a
-    segment frame.
+    ``keypoint_map`` maps a keypoint label of ``KEYPOINTS`` either to a
+    joint name or to ``(joint name, local offset 3-vector)`` for points
+    rigidly attached to a segment frame.
 
-    The targets are every joint, then every keypoint label (a label that is
-    also a joint name resolves to the keypoint).  Built once per model:
-    ``target_index`` (name -> row), ``target_joint`` and ``target_offset``
-    (the segment each target rides on and its local offset),
-    ``target_mask`` (target x dof: the dof belongs to the target's segment
-    or one of its ancestors), ``dof_joint`` (the joint of each dof) and
-    ``dof_rotational`` (per dof).  A joint origin does not move with its
-    own rotation while an attached point does; the rotational column
-    ``axis x (p - origin)`` is zero for the former because p is the origin,
-    so the mask needs no rule for it.  ``keypoints`` are the keypoint labels
-    the model maps, in ``KEYPOINTS`` order, ``keypoint_rows`` their rows in
-    ``KEYPOINTS`` and ``keypoint_targets`` their target table.
+    Built once per model: ``dof_joint`` (the joint of each dof),
+    ``dof_rotational`` (per dof), ``keypoints`` (the labels the model maps,
+    in ``KEYPOINTS`` order), ``keypoint_rows`` (their rows in ``KEYPOINTS``)
+    and ``keypoint_targets``, their table: the segment joint each rides on
+    (n,), its local offset (n, 3, 1) and the dof mask (n, 1, D), true where
+    the dof belongs to the segment or one of its ancestors.  A joint origin
+    does not move with its own rotation while an attached point does; the
+    rotational column ``axis x (p - origin)`` is zero for the former because
+    p is the origin, so the mask needs no rule for it.
     """
 
     joints: tuple
@@ -150,14 +147,15 @@ class SkeletonModel:
         index = {j.name: i for i, j in enumerate(self.joints)}
         if len(index) != len(self.joints):
             raise SkeletonError("duplicate joint names")
-        names = list(index)
-        refs = [(name, np.zeros(3)) for name in names]
+        refs = {}
         for label, ref in self.keypoint_map.items():
             jname, offset = ref if isinstance(ref, tuple) else (ref, np.zeros(3))
+            if label not in KEYPOINT_INDEX:
+                raise SkeletonError(f"keypoint {label}: not one of KEYPOINTS")
             if jname not in index:
                 raise SkeletonError(f"keypoint {label}: unknown joint {jname}")
-            names.append(label)
-            refs.append((jname, offset))
+            refs[label] = (index[jname], offset)
+        keypoints = tuple(lb for lb in KEYPOINTS if lb in refs)
 
         ancestry = np.zeros((len(self.joints),) * 2, dtype=bool)
         for i, j in enumerate(self.joints):
@@ -167,27 +165,23 @@ class SkeletonModel:
         dofs = [(i, tok[0] != "t") for i, j in enumerate(self.joints)
                 for tok in j.dofs for _ in range(_DOF_WIDTH[tok])]
         dof_joint = np.array([i for i, _ in dofs], dtype=int)
-        rotational = np.array([r for _, r in dofs], dtype=bool)
-        target_joint = np.array([index[jname] for jname, _ in refs], dtype=int)
+        segment = np.array([refs[lb][0] for lb in keypoints], dtype=int)
+        offset = np.array([np.asarray(refs[lb][1], dtype=float)
+                           for lb in keypoints])
         for attr, value in (
                 ("total_dof", len(dof_joint)),
                 ("joint_index", index),
                 ("dof_joint", dof_joint),
-                ("dof_rotational", rotational),
-                ("target_index", {n: i for i, n in enumerate(names)}),
-                ("target_joint", target_joint),
-                ("target_offset", np.array([np.asarray(off, dtype=float)
-                                            for _, off in refs])),
-                ("target_mask", ancestry[target_joint][:, dof_joint]),
+                ("dof_rotational", np.array([r for _, r in dofs], dtype=bool)),
                 ("link_offset", tuple(tuple((j.direction * j.length).tolist())
                                       for j in self.joints)),
-                ("keypoints", tuple(lb for lb in KEYPOINTS
-                                    if lb in self.keypoint_map))):
+                ("keypoints", keypoints),
+                ("keypoint_rows", np.array(
+                    [KEYPOINT_INDEX[lb] for lb in keypoints], dtype=int)),
+                ("keypoint_targets", (
+                    segment, offset.reshape(-1, 3)[:, :, None],
+                    ancestry[segment][:, dof_joint][:, None, :]))):
             object.__setattr__(self, attr, value)
-        object.__setattr__(self, "keypoint_rows", np.array(
-            [KEYPOINT_INDEX[lb] for lb in self.keypoints], dtype=int))
-        object.__setattr__(self, "keypoint_targets",
-                           _target_table(self, self.keypoints))
 
     def dofs_of(self, joint_name):
         """Pose indices of a joint's coordinates, in order."""
@@ -291,53 +285,38 @@ def _frames(model: SkeletonModel, q):
             flat[4 * n + d:].reshape(3, -1).T)
 
 
-def _target_table(model, targets):
-    """(segment joint (n,), local offset (n, 3, 1), dof mask (n, 1, D)) of
-    the targets (joint names or keypoint labels), in order; the prebuilt
-    table of ``model.keypoints`` for None."""
-    if targets is None:
-        return model.keypoint_targets
-    try:
-        rows = [model.target_index[t] for t in targets]
-    except KeyError as exc:
-        raise SkeletonError(f"unknown target: {exc.args[0]}") from None
-    return (model.target_joint[rows], model.target_offset[rows][:, :, None],
-            model.target_mask[rows][:, None, :])
-
-
-def _target_positions(pos, rot, table):
-    joint, offset, _ = table
+def _keypoints(model, pos, rot):
+    joint, offset, _ = model.keypoint_targets
     return pos[joint] + (rot[joint] @ offset)[:, :, 0]
 
 
 def forward_kinematics(model: SkeletonModel, q) -> dict:
-    """World positions (mm) of every joint and every mapped keypoint."""
+    """World positions (mm) of every joint and every mapped keypoint, from
+    one FK pass; a keypoint label that is also a joint name gives the
+    keypoint."""
     pos, rot, _, _ = _frames(model, q)
-    table = _target_table(model, model.target_index)
-    return dict(zip(model.target_index, _target_positions(pos, rot, table)))
+    out = dict(zip(model.joint_index, pos))
+    out.update(zip(model.keypoints, _keypoints(model, pos, rot)))
+    return out
 
 
-def keypoint_positions(model: SkeletonModel, q, targets=None):
-    """(n, 3) world positions of the targets (joint names or keypoint
-    labels), in order, from one FK pass; by default ``model.keypoints``."""
+def keypoint_positions(model: SkeletonModel, q):
+    """(n, 3) world positions of ``model.keypoints``, in order, from one FK
+    pass."""
     pos, rot, _, _ = _frames(model, q)
-    table = _target_table(model, targets)
-    return _target_positions(pos, rot, table)
+    return _keypoints(model, pos, rot)
 
 
-def fk_and_jacobians(model: SkeletonModel, q, targets=None):
-    """(n, 3) positions and (n, 3, total_dof) jacobians d(position)/dq of the
-    targets (joint names or keypoint labels; by default ``model.keypoints``,
-    whose table is built once per model) from one FK pass.
+def fk_and_jacobians(model: SkeletonModel, q):
+    """(n, 3) positions and (n, 3, total_dof) jacobians d(position)/dq of
+    ``model.keypoints`` from one FK pass.
 
     A rotational column is ``axis x (p - origin)``, a translational one the
-    axis; columns of dofs that do not move the target are zero.  Both arrays
-    are C-contiguous and own their data.  An unknown target raises
-    SkeletonError.
+    axis; columns of dofs that do not move the keypoint are zero.  Both
+    arrays are C-contiguous and own their data.
     """
     pos, rot, axes, origins = _frames(model, q)
-    table = _target_table(model, targets)
-    p = _target_positions(pos, rot, table)
+    p = _keypoints(model, pos, rot)
     # Rows x, y, z, x, y, so that a[1:4] * d[2:5] - a[2:5] * d[1:4] is
     # axis x d, component by component.
     a = axes.T.take(_XYZXY, axis=0)
@@ -345,7 +324,7 @@ def fk_and_jacobians(model: SkeletonModel, q, targets=None):
     J = a[1:4] * d[:, 2:5]
     J -= a[2:5] * d[:, 1:4]
     np.copyto(J, a[:3], where=~model.dof_rotational)
-    J *= table[2]
+    J *= model.keypoint_targets[2]
     return p, J
 
 
@@ -438,10 +417,14 @@ def save_skeleton(model: SkeletonModel, path):
 
 
 def load_skeleton(path) -> SkeletonModel:
-    """Model from a skeleton file; a missing key, an unknown parent or a value
-    of the wrong JSON type raises SkeletonError naming the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    """Model from a skeleton file; a directory, a missing key, an unknown
+    parent or a value of the wrong JSON type raises SkeletonError naming the
+    file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except IsADirectoryError:
+        raise SkeletonError(f"{path}: is a directory") from None
     try:
         return _model_from_tree(payload)
     except KeyError as exc:

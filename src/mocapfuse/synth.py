@@ -153,8 +153,8 @@ def ground_truth_keypoints(spec: SceneSpec, frame_index, model=None):
     if frame_index < 0:
         raise ValueError(f"frame index {frame_index} out of range")
     model = model or build_model(spec)
-    return sk.keypoint_positions(
-        model, ground_truth_pose(spec, frame_index, model), KEYPOINTS)
+    return sk.keypoint_positions(model,
+                                 ground_truth_pose(spec, frame_index, model))
 
 
 def ground_truth_positions(spec: SceneSpec, frame_index, model=None) -> dict:

@@ -71,9 +71,9 @@ def no_rotation(rig):
 def objective(model, q, markers):
     """The weighted squared marker-fit error at a pose (mm^2): what
     ``ik.solve`` minimizes and reports as ``residual``."""
-    rows = np.flatnonzero(markers.weights > 0.0)
-    e = markers.positions[rows] - sk.keypoint_positions(
-        model, q, [KEYPOINTS[i] for i in rows])
+    used = markers.weights[model.keypoint_rows] > 0.0
+    rows = model.keypoint_rows[used]
+    e = markers.positions[rows] - sk.keypoint_positions(model, q)[used]
     return 0.5 * float(markers.weights[rows] @ np.sum(e * e, axis=1))
 
 

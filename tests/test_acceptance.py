@@ -209,10 +209,10 @@ def test_acceptance_4_ik_correctness(rng):
         markers = marker_set(
             positions={lb: fk[lb] + rng.normal(0, 30.0, 3) for lb in labels},
             weights={lb: rng.uniform(0.2, 2.0) for lb in labels})
-        pos, jac = sk.fk_and_jacobians(human, q, list(labels))
+        pos, jac = sk.fk_and_jacobians(human, q)
         grad = np.zeros(human.total_dof)
-        for i, lb in enumerate(labels):
-            row = KEYPOINT_INDEX[lb]
+        for lb in labels:
+            i, row = human.keypoints.index(lb), KEYPOINT_INDEX[lb]
             grad -= markers.weights[row] * (jac[i].T
                                             @ (markers.positions[row] - pos[i]))
         fd = np.zeros(human.total_dof)

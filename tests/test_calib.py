@@ -250,6 +250,11 @@ class TestRigIO:
         with pytest.raises(MalformedCalibration):
             load_rig(tmp_path / "nope.json")
 
+    def test_directory_names_the_path(self, tmp_path):
+        with pytest.raises(MalformedCalibration) as err:
+            load_rig(tmp_path)
+        assert str(err.value).endswith(f"{tmp_path}: Is a directory")
+
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "calib.json"
         path.write_text("{not json")

@@ -450,6 +450,17 @@ class TestRuntimeErrors:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_calibration_directory_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = cli.main(["track", "--calib", str(tmp_path), "--pcm-dir", "x",
+                       "--skeleton", "skeleton.json", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: MalformedCalibration")
+        assert str(tmp_path) in err[0]
+        assert not out.exists()
+
     def test_track_without_pcm_files_exits_one(self, dataset, init_run,
                                                tmp_path, capsys):
         root, data = dataset
@@ -481,7 +492,8 @@ class TestRuntimeErrors:
         pcm_dir = link_two_frames(data, rig, first, tmp_path)
         path = pcm.frame_path(pcm_dir, camera.id, first)
         frame = pcm.read_pcm(path)
-        neck = sk.keypoint_positions(model, np.array(state["pose0"]), ["neck"])
+        neck = sk.keypoint_positions(model, np.array(state["pose0"]))[
+            [model.keypoints.index("neck")]]
         px, _ = project_points(camera, neck)
         x, y = np.floor(px[0] * frame.scale).astype(int)
         channels = frame.channels.copy()

@@ -208,10 +208,10 @@ class TestGradient:
             markers = marker_set(
                 positions={lb: fk[lb] + rng.normal(0, 30.0, 3) for lb in labels},
                 weights={lb: rng.uniform(0.2, 2.0) for lb in labels})
-            pos, jac = sk.fk_and_jacobians(model, q, list(labels))
+            pos, jac = sk.fk_and_jacobians(model, q)
             grad = np.zeros(model.total_dof)
-            for i, lb in enumerate(labels):
-                row = KEYPOINT_INDEX[lb]
+            for lb in labels:
+                i, row = model.keypoints.index(lb), KEYPOINT_INDEX[lb]
                 e = markers.positions[row] - pos[i]
                 grad -= markers.weights[row] * (jac[i].T @ e)
             fd = np.zeros(model.total_dof)
@@ -245,7 +245,8 @@ class TestAnchoredSolve:
         """rho = ANCHOR * trace(H) / n of the Gauss-Newton matrix at the warm
         start, in the scaled coordinates q / scale."""
         scale = np.where(model.dof_rotational, 1.0, ik.TRANSLATION_SCALE)
-        _, jac = sk.fk_and_jacobians(model, q_warm, list(self.LABELS))
+        _, jac = sk.fk_and_jacobians(model, q_warm)
+        jac = jac[[model.keypoints.index(lb) for lb in self.LABELS]]
         w = markers.weights[self.ROWS]
         trace_h = float(np.sum(w[:, None, None] * (jac * scale) ** 2))
         return ik.ANCHOR * trace_h / model.total_dof, scale
@@ -278,11 +279,12 @@ class TestAnchoredSolve:
             rho, scale = self.anchor_weight(model, q_warm, markers)
             observed = markers.positions[self.ROWS]
             w = markers.weights[self.ROWS]
+            fitted = [model.keypoints.index(lb) for lb in self.LABELS]
 
             def gradient(q):
                 """Of the anchored objective, in scaled coordinates."""
-                positions, jac = sk.fk_and_jacobians(model, q,
-                                                     list(self.LABELS))
+                positions, jac = sk.fk_and_jacobians(model, q)
+                positions, jac = positions[fitted], jac[fitted]
                 e = observed - positions
                 fit = -np.einsum("n,nk,nkd->d", w, e, jac) * scale
                 return fit + rho * (q - q_warm) / scale
@@ -474,7 +476,7 @@ class TestChainedSolves:
         held = ik.solve(model, result, nothing)
         assert held.no_evidence
         assert held.positions.tobytes() == sk.keypoint_positions(
-            model, result.q, KEYPOINTS).tobytes()
+            model, result.q).tobytes()
 
     def test_positions_are_the_fk_of_q(self, rng):
         model = sk.human_skeleton()
@@ -486,7 +488,7 @@ class TestChainedSolves:
                        ik.solve(model, start, markers, anchor=ik.ANCHOR),
                        ik.solve(model, start, nothing)):
             assert result.positions.tobytes() == sk.keypoint_positions(
-                model, result.q, KEYPOINTS).tobytes()
+                model, result.q).tobytes()
             _, jac = sk.fk_and_jacobians(model, result.q)
             assert result.jacobians.tobytes() == jac.tobytes()
 

@@ -177,6 +177,22 @@ class TestSample:
         assert pcm.sample_channels(frame, KEYPOINT_INDEX["nose"],
                                    (30.0, 20.0), [True])[0] == 0.0
 
+    def test_nan_pixel_samples_zero(self, rng):
+        """A NaN coordinate samples 0 like an off-grid pixel, leaves the
+        other samples' bits alone, and its clamped corner is checked."""
+        grid = rng.uniform(0, 1, (48, 64)).astype(np.float32)
+        frame = frame_with_channel("neck", grid)
+        chan = KEYPOINT_INDEX["neck"]
+        alone = pcm.sample_channels(frame, chan, (3.0, 4.0), [True])[0]
+        for bad in ((np.nan, 5.0), (5.0, np.nan), (np.nan, np.nan)):
+            got = pcm.sample_channels(frame, chan, [bad, (3.0, 4.0)],
+                                      [True, True])
+            assert got.tolist() == [0.0, alone]
+        grid[5, 63] = np.nan
+        with pytest.raises(pcm.PcmFormatError):
+            pcm.sample_channels(frame_with_channel("neck", grid), chan,
+                                (np.nan, 5.0), [True])
+
     def test_negative_zero_corners_accepted(self, rng):
         grid = rng.uniform(0, 1, (48, 64)).astype(np.float32)
         grid[::3, ::2] = -0.0

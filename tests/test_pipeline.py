@@ -204,7 +204,7 @@ class TestInitialize:
         gt = synth.ground_truth_positions(still_spec, first - 1)
         assert positions0.shape == (len(KEYPOINTS), 3)
         npt.assert_array_equal(
-            positions0, sk.keypoint_positions(model, pose0, KEYPOINTS))
+            positions0, sk.keypoint_positions(model, pose0))
         for p, lb in zip(positions0, KEYPOINTS):
             assert np.linalg.norm(p - gt[lb]) < 15.0
 

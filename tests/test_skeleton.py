@@ -158,35 +158,35 @@ class TestForwardKinematicsProperties:
             sk.forward_kinematics(model, q)
 
 
-def fd_jacobians(model, q, targets, eps=1e-6):
-    J = np.zeros((len(targets), 3, model.total_dof))
+def fd_jacobians(model, q, labels, eps=1e-6):
+    J = np.zeros((len(labels), 3, model.total_dof))
     for i in range(model.total_dof):
         qp, qm = q.copy(), q.copy()
         qp[i] += eps
         qm[i] -= eps
         fp = sk.forward_kinematics(model, qp)
         fm = sk.forward_kinematics(model, qm)
-        for k, t in enumerate(targets):
+        for k, t in enumerate(labels):
             J[k, :, i] = (fp[t] - fm[t]) / (2 * eps)
     return J
 
 
-def fd_jacobian(model, q, target):
-    return fd_jacobians(model, q, [target])[0]
+def fd_jacobian(model, q, label):
+    return fd_jacobians(model, q, [label])[0]
 
 
-def jacobian(model, q, target):
-    _, jac = sk.fk_and_jacobians(model, q, [target])
-    assert jac.shape == (1, 3, model.total_dof)
-    return jac[0]
+def jacobian(model, q, label):
+    _, jac = sk.fk_and_jacobians(model, q)
+    assert jac.shape == (len(model.keypoints), 3, model.total_dof)
+    return jac[model.keypoints.index(label)]
 
 
 class TestJacobian:
     def test_root_translation_columns_identity(self, rng):
         model = sk.human_skeleton()
         q = rng.normal(0, 0.4, model.total_dof)
-        for target in ("r_wrist", "l_ankle", "nose", "head"):
-            J = jacobian(model, q, target)
+        for label in ("r_wrist", "l_ankle", "nose", "r_ear"):
+            J = jacobian(model, q, label)
             npt.assert_allclose(J[:, root_translation(model)], np.eye(3),
                                 atol=1e-12)
 
@@ -210,44 +210,39 @@ class TestJacobian:
         for _ in range(20):
             q = rng.normal(0, 0.8, model.total_dof)
             q[root_translation(model)] = rng.normal(0, 300, 3)
-            _, jac = sk.fk_and_jacobians(model, q, KEYPOINTS)
+            _, jac = sk.fk_and_jacobians(model, q)
             assert np.all(np.abs(jac).max(axis=(0, 1)) > 0)
-
-    def test_unknown_target(self):
-        model = sk.human_skeleton()
-        with pytest.raises(sk.SkeletonError):
-            sk.fk_and_jacobians(model, zero_pose(model), ["tail"])
 
     def test_matches_finite_differences_randomized(self, rng):
         model = sk.human_skeleton()
-        targets = ("r_wrist", "l_ankle", "nose", "r_ear", "neck", "l_knee")
+        labels = ("r_wrist", "l_ankle", "nose", "r_ear", "neck", "l_knee")
         for trial in range(100):
             q = rng.normal(0, 0.8, model.total_dof)
             q[root_translation(model)] = rng.normal(0, 300, 3)
-            target = targets[trial % len(targets)]
-            J = jacobian(model, q, target)
-            J_fd = fd_jacobian(model, q, target)
+            label = labels[trial % len(labels)]
+            J = jacobian(model, q, label)
+            J_fd = fd_jacobian(model, q, label)
             assert np.abs(J - J_fd).max() <= 1e-5
 
     def test_batched_helpers_match_single(self, rng):
         model = sk.human_skeleton()
         q = rng.normal(0, 0.5, model.total_dof)
-        targets = ["r_wrist", "nose", "l_ankle"]
         fk_all = sk.forward_kinematics(model, q)
-        pos, jac = sk.fk_and_jacobians(model, q, targets)
-        only_pos = sk.keypoint_positions(model, q, targets)
-        assert pos.shape == only_pos.shape == (len(targets), 3)
-        for i, t in enumerate(targets):
+        pos, jac = sk.fk_and_jacobians(model, q)
+        only_pos = sk.keypoint_positions(model, q)
+        assert model.keypoints == KEYPOINTS
+        assert pos.shape == only_pos.shape == (len(KEYPOINTS), 3)
+        assert jac.flags.c_contiguous and jac.flags.owndata
+        for i, t in enumerate(KEYPOINTS):
             npt.assert_array_equal(pos[i], fk_all[t])
             npt.assert_array_equal(only_pos[i], fk_all[t])
-            npt.assert_array_equal(jac[i], jacobian(model, q, t))
 
 
 def planar_with_marker():
     """The two-link arm with a point riding on its second segment."""
     arm = planar_two_link()
     return sk.SkeletonModel(joints=arm.joints, keypoint_map={
-        "tip": "tip", "marker": ("mid", np.array([40.0, 30.0, 0.0]))})
+        "r_wrist": "tip", "r_elbow": ("mid", np.array([40.0, 30.0, 0.0]))})
 
 
 def saved_and_loaded(tmp_path):
@@ -349,15 +344,41 @@ def ref_frames(model, q):
     return pos, rot, axes, origins
 
 
-def ref_fk_and_jacobians(model, q, targets):
+def ref_keypoint_table(model):
+    """Labels, segment joints, local offsets and (keypoint x dof) masks of
+    the mapped keypoints in ``KEYPOINTS`` order, and the rotational flag of
+    every dof, from ``joints`` and ``keypoint_map`` alone."""
+    names = [j.name for j in model.joints]
+    labels = [lb for lb in KEYPOINTS if lb in model.keypoint_map]
+    refs = [model.keypoint_map[lb] for lb in labels]
+    refs = [r if isinstance(r, tuple) else (r, np.zeros(3)) for r in refs]
+    segments = [names.index(jname) for jname, _ in refs]
+    dofs = [(i, tok[0] != "t") for i, j in enumerate(model.joints)
+            for tok in j.dofs for _ in range(3 if tok == "exp" else 1)]
+
+    def chain(i):
+        """The joint and all its ancestors."""
+        out = set()
+        while i >= 0:
+            out.add(i)
+            i = model.joints[i].parent
+        return out
+
+    mask = np.array([[i in chain(s) for i, _ in dofs] for s in segments],
+                    dtype=bool).reshape(len(labels), len(dofs))
+    offsets = np.array([off for _, off in refs], dtype=float).reshape(-1, 3)
+    return (labels, segments, offsets, mask,
+            np.array([r for _, r in dofs], dtype=bool))
+
+
+def ref_fk_and_jacobians(model, q):
     pos, rot, axes, origins = ref_frames(model, q)
-    rows = [model.target_index[t] for t in targets]
-    tj = model.target_joint[rows]
-    p = pos[tj] + np.einsum("nij,nj->ni", rot[tj], model.target_offset[rows])
-    cols = np.where(model.dof_rotational[:, None],
+    labels, tj, offsets, mask, rotational = ref_keypoint_table(model)
+    p = pos[tj] + np.einsum("nij,nj->ni", rot[tj], offsets)
+    cols = np.where(rotational[:, None],
                     np.cross(axes, p[:, None, :] - origins), axes)
-    J = cols * model.target_mask[rows][:, :, None]
-    return p, J.transpose(0, 2, 1)
+    J = cols * mask[:, :, None]
+    return labels, p, J.transpose(0, 2, 1)
 
 
 def multi_token_template():
@@ -372,7 +393,8 @@ def multi_token_template():
         sk.Joint("e", 4, (0, 0, -1), 90.0, ("tz",)),
     )
     return sk.SkeletonModel(joints=joints, keypoint_map={
-        "c": "c", "e": "e", "marker": ("b", np.array([10.0, 20.0, 30.0]))})
+        "neck": "c", "r_ankle": "e",
+        "nose": ("b", np.array([10.0, 20.0, 30.0]))})
 
 
 def older_human():
@@ -429,17 +451,32 @@ class TestAgainstReferenceLoop:
     @ORACLE_MODELS
     def test_jacobians_match_reference(self, build, rng):
         model = build()
-        targets = list(model.target_index)
         for q in oracle_poses(model, rng):
-            pos, jac = sk.fk_and_jacobians(model, q, targets)
-            ref_pos, ref_jac = ref_fk_and_jacobians(model, q, targets)
+            pos, jac = sk.fk_and_jacobians(model, q)
+            labels, ref_pos, ref_jac = ref_fk_and_jacobians(model, q)
+            assert list(model.keypoints) == labels
             npt.assert_allclose(pos, ref_pos, rtol=0, atol=POSITION_TOL_MM)
             assert jac.shape == ref_jac.shape
             npt.assert_allclose(jac, ref_jac, rtol=0, atol=POSITION_TOL_MM)
 
+    @ORACLE_MODELS
+    def test_forward_kinematics_matches_reference(self, build, rng):
+        """Every joint and every keypoint of the dict, keypoints winning
+        where a label is also a joint name."""
+        model = build()
+        names = [j.name for j in model.joints]
+        for q in oracle_poses(model, rng, count=20):
+            fk = sk.forward_kinematics(model, q)
+            want = dict(zip(names, ref_frames(model, q)[0]))
+            labels, ref_pos, _ = ref_fk_and_jacobians(model, q)
+            want.update(zip(labels, ref_pos))
+            assert fk.keys() == want.keys()
+            for name, p in want.items():
+                npt.assert_allclose(fk[name], p, rtol=0, atol=POSITION_TOL_MM)
+
 
 class TestTargetTable:
-    """One call over every joint and keypoint of models built every way."""
+    """One call over every keypoint of models built every way."""
 
     @pytest.mark.parametrize("build", [
         lambda tmp: sk.with_link_lengths(
@@ -456,16 +493,18 @@ class TestTargetTable:
             "planar_marker", "multi_token"])
     def test_all_targets_match_finite_differences(self, build, tmp_path, rng):
         model = build(tmp_path)
-        targets = [j.name for j in model.joints] + list(model.keypoint_map)
+        labels = model.keypoints
+        assert set(labels) == set(model.keypoint_map)
         for _ in range(5):
             q = rng.normal(0, 0.8, model.total_dof)
             if model.joints[0].dofs[:3] == ("tx", "ty", "tz"):
                 q[root_translation(model)] = rng.normal(0, 300, 3)
-            pos, jac = sk.fk_and_jacobians(model, q, targets)
-            assert jac.shape == (len(targets), 3, model.total_dof)
+            pos, jac = sk.fk_and_jacobians(model, q)
+            assert jac.shape == (len(labels), 3, model.total_dof)
             fk = sk.forward_kinematics(model, q)
-            npt.assert_array_equal(pos, [fk[t] for t in targets])
-            assert np.abs(jac - fd_jacobians(model, q, targets)).max() <= 1e-5
+            npt.assert_array_equal(pos, [fk[t] for t in labels])
+            npt.assert_array_equal(sk.keypoint_positions(model, q), pos)
+            assert np.abs(jac - fd_jacobians(model, q, labels)).max() <= 1e-5
 
 
 class TestModelEdits:
@@ -543,6 +582,12 @@ class TestTopologyInvariants:
             sk.SkeletonModel(joints=(sk.Joint("a", -1, (0, 0, 1), 0.0, ()),),
                              keypoint_map={"nose": "missing"})
 
+    def test_keypoint_map_label_outside_keypoints(self):
+        """A point no detector reports could never be tracked."""
+        with pytest.raises(sk.SkeletonError, match="keypoint tail: not one"):
+            sk.SkeletonModel(joints=(sk.Joint("a", -1, (0, 0, 1), 0.0, ()),),
+                             keypoint_map={"nose": "a", "tail": "a"})
+
 
 class TestSkeletonIO:
     def test_round_trip_preserves_fk(self, tmp_path, rng):
@@ -581,3 +626,19 @@ class TestSkeletonIO:
         with pytest.raises(sk.SkeletonError) as err:
             sk.load_skeleton(path)
         assert str(err.value).startswith(f"{path}: joint r_knee: direction")
+
+    def test_label_outside_keypoints_in_file_names_file_and_label(
+            self, tmp_path):
+        path = tmp_path / "skeleton.json"
+        sk.save_skeleton(sk.human_skeleton(), path)
+        payload = json.loads(path.read_text())
+        payload["keypoints"]["tail"] = {"joint": "pelvis"}
+        path.write_text(json.dumps(payload))
+        with pytest.raises(sk.SkeletonError) as err:
+            sk.load_skeleton(path)
+        assert str(err.value).startswith(f"{path}: keypoint tail: not one")
+
+    def test_directory_names_the_path(self, tmp_path):
+        with pytest.raises(sk.SkeletonError, match="is a directory") as err:
+            sk.load_skeleton(tmp_path)
+        assert str(err.value).startswith(f"{tmp_path}: ")

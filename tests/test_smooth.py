@@ -190,7 +190,7 @@ def stage1_result(model, q):
     """A stage-1 ``ik.IkResult`` at the pose ``q``: an unanchored solve at
     its own FK markers returns ``q`` unchanged."""
     markers = VirtualMarkerSet(
-        positions=sk.keypoint_positions(model, q, KEYPOINTS),
+        positions=sk.keypoint_positions(model, q),
         weights=np.ones(len(KEYPOINTS)))
     result = ik.solve(model, q, markers)
     npt.assert_array_equal(result.q, q)
@@ -273,7 +273,7 @@ class TestRefitOffline:
         poses = np.zeros((n, model.total_dof))
         poses[:, model.dofs_of("r_elbow")] = 1.2 * np.sin(
             0.5 * np.arange(n))[:, None]
-        return poses, np.stack([sk.keypoint_positions(model, q, KEYPOINTS)
+        return poses, np.stack([sk.keypoint_positions(model, q)
                                 for q in poses])
 
     def test_equals_a_chain_of_refits_over_filtfilt_rows(self):

@@ -441,7 +441,7 @@ class TestPlanRotations:
         q = np.zeros(model.total_dof)
         q[root_z] = 1000.0
         q[root_rx] = pitch
-        return sk.keypoint_positions(model, q, KEYPOINTS)
+        return sk.keypoint_positions(model, q)
 
     def test_upright_pose_plans_zero(self, still_spec, still_rig):
         plan = plan_rotations(self.upright_positions(still_spec), still_rig)
