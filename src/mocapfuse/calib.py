@@ -230,8 +230,8 @@ def load_rig(path) -> CameraRig:
     except OSError as exc:
         raise MalformedCalibration(
             f"cannot read calibration file {path}: {exc.strerror}") from None
-    except json.JSONDecodeError as exc:
-        raise MalformedCalibration(f"invalid JSON in {path}: {exc}") from exc
+    except ValueError as exc:   # JSONDecodeError or UnicodeDecodeError
+        raise MalformedCalibration(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(payload, dict) or "cameras" not in payload:
         raise MalformedCalibration(f"{path}: missing top-level 'cameras' list")
     entries = payload["cameras"]

@@ -61,13 +61,22 @@ _FLAG_PATHS = {
 }
 
 
+def _read_json(path):
+    """The JSON value a file holds; a file that is not UTF-8 JSON raises
+    ValueError naming it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:   # JSONDecodeError or UnicodeDecodeError
+            raise ValueError(f"{path}: {exc}") from None
+
+
 def _build_config(args) -> pipeline_mod.PipelineConfig:
     """The --config file's tree (or a run.json's "config" member) with
     track's flags laid over it, checked by PipelineConfig.from_dict."""
     tree = {}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            tree = json.load(fh)
+        tree = _read_json(args.config)
         if isinstance(tree, dict) and "config" in tree:
             tree = tree["config"]
         if not isinstance(tree, dict):
@@ -81,8 +90,7 @@ def _build_config(args) -> pipeline_mod.PipelineConfig:
 
 def cmd_synth(args):
     if args.spec:
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+        payload = _read_json(args.spec)
         if args.seed is not None:
             payload["seed"] = args.seed
         spec = synth_mod.spec_from_json(payload)
@@ -120,8 +128,7 @@ def cmd_track(args):
     model = sk.load_skeleton(args.skeleton)
     init_state = args.init_state or os.path.join(
         os.path.dirname(args.skeleton), "init_state.json")
-    with open(init_state, "r", encoding="utf-8") as fh:
-        state = json.load(fh)
+    state = _read_json(init_state)
     if not isinstance(state, dict):
         raise ValueError(f"{init_state}: must be a JSON object, not a "
                          f"{type(state).__name__}")

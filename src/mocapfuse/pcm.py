@@ -163,24 +163,29 @@ def centroids(frame: HeatmapFrame, floor: float):
     (18, 2), row i for ``KEYPOINTS[i]``.
 
     Cells below ``floor`` (at or below 0 when ``floor`` is 0) are ignored; a
-    channel with no other cell gives a NaN row.  One scan over the frame
-    selects cells by their float32 bit patterns, which sort like the values
-    from +0.0 to 1.0; every value outside [0, 1] and NaN has a larger
-    pattern, so it is selected and refused with PcmFormatError.  A -0.0 is
-    accepted; it adds nothing to the sums.
+    channel with no other cell gives a NaN row.  Cells are selected by their
+    float32 bit patterns, which sort like the values from +0.0 to 1.0; every
+    value outside [0, 1] and NaN has a larger pattern, so it is selected and
+    refused with PcmFormatError.  A -0.0 is accepted; it adds nothing to the
+    sums.  Row maxima first: one pass takes the largest pattern of every
+    (channel, row), and only the rows whose maximum reaches the floor are
+    scanned cell by cell, in the order of a scan of the whole frame.
     """
     if not (0.0 <= floor < 1.0):
         raise PcmError(f"floor must be in [0, 1), got {floor}")
     n, h, w = frame.channels.shape
-    flat = frame.channels.reshape(-1)
-    bits = flat.view(np.uint32)
-    cells = np.flatnonzero(bits >= np.float32(floor).view(np.uint32)
-                           if floor > 0 else bits > 0)
-    values = flat[cells]
+    bits = frame.channels.reshape(n * h, w).view(np.uint32)
+    # The lowest pattern selected: the floor's, or that of the smallest
+    # value above 0 when the floor is 0.
+    lowest = max(int(np.float32(floor).view(np.uint32)), 1)
+    rows = np.flatnonzero(bits.max(axis=1) >= lowest)
+    scanned = bits[rows]
+    cells = np.flatnonzero(scanned >= lowest)
+    values = scanned.reshape(-1)[cells].view(np.float32)
     _check_values(frame, values)
     weights = values.astype(float)
-    chan, cell = np.divmod(cells, h * w)
-    ys, xs = np.divmod(cell, w)
+    picked, xs = np.divmod(cells, w)
+    chan, ys = np.divmod(rows[picked], h)
     total = np.bincount(chan, weights, n)
     sums = np.stack([np.bincount(chan, v * weights, n) for v in (xs, ys)], 1)
     with np.errstate(invalid="ignore"):       # 0 / 0 for an empty channel
@@ -191,13 +196,16 @@ def centroids(frame: HeatmapFrame, floor: float):
 # Binary file format
 
 def write_pcm(frame: HeatmapFrame, path):
+    """Write a .pcm file; the payload goes out from the channels' own buffer
+    (a little-endian copy only on a big-endian machine)."""
     _, height, width = frame.channels.shape
     header = _HEADER.pack(MAGIC, VERSION, 0, frame.camera_id,
                           frame.frame_index, frame.rotation_deg,
                           width, height, len(KEYPOINTS), frame.scale)
+    payload = np.ascontiguousarray(frame.channels, dtype="<f4")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(frame.channels, dtype="<f4").tobytes())
+        fh.write(memoryview(payload).cast("B"))
 
 
 def read_pcm(path) -> HeatmapFrame:

@@ -417,14 +417,16 @@ def save_skeleton(model: SkeletonModel, path):
 
 
 def load_skeleton(path) -> SkeletonModel:
-    """Model from a skeleton file; a directory, a missing key, an unknown
-    parent or a value of the wrong JSON type raises SkeletonError naming the
-    file."""
+    """Model from a skeleton file; a directory, a file that is not UTF-8
+    JSON, a missing key, an unknown parent or a value of the wrong JSON type
+    raises SkeletonError naming the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
     except IsADirectoryError:
         raise SkeletonError(f"{path}: is a directory") from None
+    except ValueError as exc:   # JSONDecodeError or UnicodeDecodeError
+        raise SkeletonError(f"{path}: {exc}") from None
     try:
         return _model_from_tree(payload)
     except KeyError as exc:

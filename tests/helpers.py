@@ -248,3 +248,38 @@ def csv_writer_diagnostics(seq, rig, path):
                 + cams
                 for label, w, cams in zip(KEYPOINTS, f.weights.tolist(),
                                           f.per_camera.tolist()))
+
+
+# ---------------------------------------------------------------------------
+# PCM references: the forms ``pcm`` had before it scanned row maxima first
+# and wrote payloads from the array's own buffer.  Same bits, same bytes.
+
+def wholeframe_centroids(frame, floor):
+    """``pcm.centroids`` as one scan over the whole frame, before it took
+    row maxima first: every cell selected by its bit pattern, then the same
+    value check and sums."""
+    n, h, w = frame.channels.shape
+    flat = frame.channels.reshape(-1)
+    bits = flat.view(np.uint32)
+    cells = np.flatnonzero(bits >= np.float32(floor).view(np.uint32)
+                           if floor > 0 else bits > 0)
+    values = flat[cells]
+    pcm._check_values(frame, values)
+    weights = values.astype(float)
+    chan, cell = np.divmod(cells, h * w)
+    ys, xs = np.divmod(cell, w)
+    total = np.bincount(chan, weights, n)
+    sums = np.stack([np.bincount(chan, v * weights, n) for v in (xs, ys)], 1)
+    with np.errstate(invalid="ignore"):
+        return sums / total[:, None] / frame.scale
+
+
+def tobytes_write_pcm(frame, path):
+    """``pcm.write_pcm`` with the payload copied out by ``tobytes``."""
+    _, height, width = frame.channels.shape
+    header = pcm._HEADER.pack(pcm.MAGIC, pcm.VERSION, 0, frame.camera_id,
+                              frame.frame_index, frame.rotation_deg,
+                              width, height, len(KEYPOINTS), frame.scale)
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(np.ascontiguousarray(frame.channels, dtype="<f4").tobytes())

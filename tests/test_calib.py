@@ -261,6 +261,15 @@ class TestRigIO:
         with pytest.raises(MalformedCalibration):
             load_rig(path)
 
+    @pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe\x00"])
+    def test_undecodable_file_names_the_path(self, tmp_path, content):
+        """Broken JSON and bytes that are not UTF-8 both name the file."""
+        path = tmp_path / "calib.json"
+        path.write_bytes(content)
+        with pytest.raises(MalformedCalibration) as err:
+            load_rig(path)
+        assert str(err.value).startswith(f"{path}: ")
+
     def test_missing_field(self, tmp_path):
         path = tmp_path / "calib.json"
         path.write_text(json.dumps({"cameras": [{"id": 0}]}))

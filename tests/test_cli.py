@@ -746,6 +746,33 @@ class TestRuntimeErrors:
         assert "keypoints" not in err[0]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe\x00"])
+    @pytest.mark.parametrize("option", ["--calib", "--skeleton", "--config",
+                                        "--init-state", "--spec"])
+    def test_undecodable_json_names_the_file(self, dataset, init_run,
+                                             tmp_path, capsys, option,
+                                             content):
+        """Every JSON file the CLI reads names its path in the one error
+        line when it is broken JSON or not UTF-8."""
+        root, data = dataset
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        out = tmp_path / "out"
+        if option == "--spec":
+            argv = ["synth", "--spec", str(bad), "--frames", "1"]
+        else:
+            files = {"--calib": data / "calib.json",
+                     "--skeleton": init_run / "skeleton.json",
+                     "--init-state": init_run / "init_state.json",
+                     option: bad}
+            argv = ["track", "--pcm-dir", str(data / "pcm"),
+                    *(str(v) for item in files.items() for v in item)]
+        assert cli.main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert f"{bad}: " in err[0]
+        assert not out.exists()
+
     def test_unknown_spec_preset_exits_one(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"motion": {"preset": "custom"}}))

@@ -11,7 +11,8 @@ import pytest
 
 from conftest import small_scene
 from helpers import (DictProvider, frame_with_channel, gaussian_grid,
-                     make_frame, sample_oracle)
+                     make_frame, sample_oracle, tobytes_write_pcm,
+                     wholeframe_centroids)
 from mocapfuse import pcm, synth, tracker
 from mocapfuse.calib import Camera, CameraRig, project_points, rotate_pixel
 from mocapfuse.labels import KEYPOINT_INDEX, KEYPOINTS
@@ -432,6 +433,64 @@ class TestCentroid:
         assert compared > 1000
 
 
+class TestCentroidRowMaxima:
+    """``pcm.centroids`` scans only the rows whose largest bit pattern
+    reaches the floor; it must give the whole-frame scan's rows to the last
+    bit, and refuse what it refuses with the same message."""
+
+    def assert_same(self, frame, floors=(0.0, 0.3)):
+        for floor in floors:
+            try:
+                expected = wholeframe_centroids(frame, floor)
+            except pcm.PcmFormatError as exc:
+                with pytest.raises(pcm.PcmFormatError) as err:
+                    pcm.centroids(frame, floor)
+                assert str(err.value) == str(exc)
+            else:
+                assert pcm.centroids(frame, floor).tobytes() == \
+                    expected.tobytes(), floor
+
+    @pytest.mark.parametrize("h, w", [(1, 1), (1, 40), (40, 1), (24, 32)])
+    def test_sparse_random_frames(self, rng, h, w):
+        for density in (0.0, 0.01, 0.2, 1.0):
+            values = rng.uniform(0.0, 1.0, (18, h, w))
+            channels = np.where(rng.random((18, h, w)) < density, values, 0.0)
+            self.assert_same(make_frame(channels=channels.astype(np.float32),
+                                        h=h, w=w, scale=0.5))
+
+    @pytest.mark.parametrize("odd", [np.nan, -np.nan, np.inf, -np.inf, 1.5,
+                                     np.nextafter(np.float32(1), np.inf),
+                                     -0.25, -1e-45, -0.0, 1e-45,
+                                     np.float32(0.3)])
+    @pytest.mark.parametrize("h, w", [(1, 1), (1, 40), (24, 32)])
+    @pytest.mark.parametrize("rest", [0.0, 0.1])
+    def test_odd_cell_alone_in_its_row(self, odd, h, w, rest):
+        """A bad value, -0.0, or a value exactly at a floor (the smallest
+        above 0, or 0.3) in a row that holds nothing else above 0 (``rest``
+        0), or nothing else at the 0.3 floor (``rest`` 0.1): its pattern
+        sets the row's maximum, so the row is scanned or skipped as the
+        whole-frame scan would select the cell."""
+        channels = np.zeros((18, h, w), np.float32)
+        channels[KEYPOINT_INDEX["nose"]] = gaussian_grid(h, w, w / 2, h / 2,
+                                                         3.0)
+        ankle = KEYPOINT_INDEX["l_ankle"]
+        channels[ankle, h - 1] = rest
+        channels[ankle, h - 1, w // 2] = odd
+        self.assert_same(make_frame(channels=channels, h=h, w=w,
+                                    camera_id=2, frame_index=9))
+
+    def test_rendered_frames(self):
+        spec = small_scene(motion=synth.walk_like(), heatmap_scale=0.5,
+                           noise=synth.NoiseModel(jitter_px=2.0,
+                                                  amplitude_std=0.2,
+                                                  false_peak_rate=0.5))
+        rig = synth.build_rig(spec)
+        for camera in rig.cameras:
+            for rotation in (0.0, 90.0):
+                frame = synth.render_frame(spec, camera, 40, rotation)
+                self.assert_same(frame, floors=(0.0, 0.1, 0.3, 0.5))
+
+
 class TestFileFormat:
     def random_frame(self, rng):
         channels = rng.uniform(0, 1, (18, 24, 32)).astype(np.float32)
@@ -451,6 +510,22 @@ class TestFileFormat:
         assert back.camera_id == 3 and back.frame_index == 17
         assert back.rotation_deg == 90.0 and back.scale == 0.25
         npt.assert_array_equal(back.channels, frame.channels)
+
+    def test_bytes_equal_the_tobytes_writer(self, tmp_path, rng):
+        """Written from the channels' own buffer, a file holds the bytes the
+        ``tobytes`` copy gave: for a fresh frame, one with -0.0, NaN and
+        values above 1, and a read-only frame mapped from a file."""
+        frame = self.random_frame(rng)
+        odd = frame.channels.copy()
+        odd[0, 0, :4] = [-0.0, np.nan, 1.5, -np.inf]
+        path = tmp_path / "frame.pcm"
+        pcm.write_pcm(frame, path)
+        for source in (frame, make_frame(channels=odd, h=24, w=32),
+                       pcm.read_pcm(path)):
+            pcm.write_pcm(source, tmp_path / "new.pcm")
+            tobytes_write_pcm(source, tmp_path / "old.pcm")
+            assert (tmp_path / "new.pcm").read_bytes() == \
+                (tmp_path / "old.pcm").read_bytes()
 
     def test_bad_magic(self, tmp_path, rng):
         path = tmp_path / "frame.pcm"

@@ -642,3 +642,12 @@ class TestSkeletonIO:
         with pytest.raises(sk.SkeletonError, match="is a directory") as err:
             sk.load_skeleton(tmp_path)
         assert str(err.value).startswith(f"{tmp_path}: ")
+
+    @pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe\x00"])
+    def test_undecodable_file_names_the_path(self, tmp_path, content):
+        """Broken JSON and bytes that are not UTF-8 both name the file."""
+        path = tmp_path / "skeleton.json"
+        path.write_bytes(content)
+        with pytest.raises(sk.SkeletonError) as err:
+            sk.load_skeleton(path)
+        assert str(err.value).startswith(f"{path}: ")
