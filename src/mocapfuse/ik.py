@@ -8,10 +8,17 @@ fixed diagonal scaling (1 rad = ``TRANSLATION_SCALE`` mm).
 An anchored solve (``anchor`` > 0) minimizes the marker term plus
 rho/2 * ||(q - q_warm) / scale||^2, with rho = anchor * trace(H) / n of the
 first iteration's Gauss-Newton matrix H, so the few dofs the markers barely
-observe stay at the warm start instead of drifting along a flat valley.  It
-also stops once an accepted step lowers that objective by at most
-``RELATIVE_DECREASE_TOL`` of its value.  Tracking (stage 1 and the stage-2
-refit) passes ``ANCHOR``; every other solve is unanchored.
+observe stay at the warm start instead of drifting along a flat valley.
+Tracking (stage 1 and the stage-2 refit) passes ``ANCHOR``; every other
+solve is unanchored.
+
+Every solve, anchored or not, stops once its keypoints have converged: the
+largest coordinate move m of any keypoint in an accepted step, against the
+same m_prev of the accepted step before it, gives the geometric tail
+m^2 / (m_prev - m) of the moves still to come (Aitken's delta-squared
+process), and a tail of at most ``KEYPOINT_TAIL_MM`` with m < m_prev stops
+the solve.  Near a minimum LM converges about linearly or faster, so the
+steps after that move no keypoint by an amount any output resolves.
 
 ``solve`` returns an ``IkResult`` that carries the FK pass made at its final
 pose: the positions and Jacobians of every keypoint the model maps.  A solve
@@ -44,9 +51,11 @@ LAMBDA_UP = 10.0
 LAMBDA_DOWN = 10.0
 TRANSLATION_SCALE = 500.0   # mm per radian-equivalent unit
 # Anchor weight of the tracking solves, relative to the mean curvature of the
-# marker term, and the stop of an anchored solve.
+# marker term.
 ANCHOR = 1e-3
-RELATIVE_DECREASE_TOL = 1e-9
+# The stop of every solve: the most, in mm, that any keypoint coordinate is
+# still estimated to move (see ``solve``).
+KEYPOINT_TAIL_MM = 5e-4
 
 
 @dataclass(frozen=True)
@@ -96,7 +105,13 @@ def solve(model, q_init, markers: VirtualMarkerSet,
     pose to ``q_init`` (see the module docstring); ``residual`` is always
     the marker-fit objective.  The accepted-step objective sequence is
     non-increasing; with all weights zero the warm start is returned
-    untouched with ``no_evidence`` set.  Each pose tried gets one FK pass
+    untouched with ``no_evidence`` set.  The solve stops at
+    ``settings.max_iterations``, at a step shorter than ``step_tol``, at a
+    marker fit of at most ``residual_tol``, when the damping is exhausted,
+    or once the keypoints have converged: an accepted step after the first
+    whose largest keypoint coordinate move m (mm) is below the previous
+    accepted step's m_prev, with m^2 <= ``KEYPOINT_TAIL_MM`` * (m_prev - m).
+    A rejected trial leaves m_prev as it is.  Each pose tried gets one FK pass
     over every keypoint the model maps, which also gives its Jacobian: the
     residual uses the rows with weight > 0, and an accepted trial's pass
     serves the next iteration and the result.  A marker with weight > 0 on
@@ -138,6 +153,8 @@ def solve(model, q_init, markers: VirtualMarkerSet,
     r = residual(positions)
     fit = obj = 0.5 * float(r @ r)
     rho = 0.0
+    # No accepted step yet: the first one cannot stop on the tail rule.
+    move_prev = 0.0
     converged = False
     for iterations in range(1, settings.max_iterations + 1):
         if fit <= settings.residual_tol:
@@ -179,9 +196,13 @@ def solve(model, q_init, markers: VirtualMarkerSet,
                 obj_new = fit_new + 0.5 * rho * float(d @ d)
             if math.isfinite(obj_new) and obj_new < obj:
                 step = math.sqrt(delta_u @ delta_u)
-                if step < settings.step_tol or (
-                        rho and obj - obj_new <= RELATIVE_DECREASE_TOL * obj):
+                move = float(np.abs(positions_new - positions).max())
+                # Moves shrinking by move / move_prev per step leave a tail
+                # of move^2 / (move_prev - move) (Aitken's delta-squared).
+                if step < settings.step_tol or move < move_prev and (
+                        move * move <= KEYPOINT_TAIL_MM * (move_prev - move)):
                     converged = True
+                move_prev = move
                 q, fit, obj, r = q_new, fit_new, obj_new, r_new
                 positions, jac = positions_new, jac_new
                 lam = max(lam / LAMBDA_DOWN, 1e-12)

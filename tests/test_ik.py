@@ -313,6 +313,69 @@ class TestAnchoredSolve:
                 ik.solve(model, np.zeros(2), markers, anchor=anchor)
 
 
+class TestKeypointTail:
+    """The stop of every solve: a geometric tail of at most
+    ``ik.KEYPOINT_TAIL_MM`` of the keypoints' coordinate moves."""
+
+    def test_restart_moves_no_observed_keypoint(self, rng):
+        """Restarting an unanchored weak fit from its own result moves no
+        marked keypoint coordinate by more than 10 tails.  (The unmarked
+        ones lie along the fit's flat valleys, where any step may move
+        them; an anchored solve holds them.)"""
+        weak = TestAnchoredSolve()
+        restarted = 0
+        for _ in range(40):
+            model, markers, q_true = weak.weak_fit(rng)
+            q0 = q_true + rng.normal(0, 0.05, model.total_dof)
+            result = ik.solve(model, q0, markers)
+            if not result.converged:    # stopped at the iteration cap
+                continue
+            again = ik.solve(model, result, markers)
+            marked = [model.keypoints.index(lb) for lb in weak.LABELS]
+            moved = np.abs(again.positions - result.positions)[marked]
+            assert moved.max() <= 10 * ik.KEYPOINT_TAIL_MM
+            restarted += 1
+        assert restarted >= 20
+
+    def test_moves_that_do_not_shrink_never_stop_on_the_tail(
+            self, rng, monkeypatch):
+        """An unweighted keypoint that the patched FK carries 1 mm further
+        on every pass moves at least 1 mm in every accepted step, so the
+        solve runs as it does with the tail rule off; without the drift the
+        rule stops the same fit sooner."""
+        model = sk.human_skeleton()
+        q_true = rng.normal(0, 0.4, model.total_dof)
+        fk = sk.forward_kinematics(model, q_true)
+        drifting = "nose"
+        markers = marker_set(
+            positions={lb: fk[lb] + rng.normal(0, 5.0, 3)
+                       for lb in model.keypoints},
+            weights={lb: 0.0 if lb == drifting else rng.uniform(0.5, 2.0)
+                     for lb in model.keypoints})
+        q0 = q_true + rng.normal(0, 0.05, model.total_dof)
+        plain = ik.solve(model, q0, markers)
+        fk_and_jacobians = sk.fk_and_jacobians
+        row = model.keypoints.index(drifting)
+
+        def solve_drifting():
+            passes = itertools.count()
+
+            def drifted(model, q):
+                positions, jac = fk_and_jacobians(model, q)
+                positions = positions.copy()
+                positions[row] += next(passes)
+                return positions, jac
+            monkeypatch.setattr(sk, "fk_and_jacobians", drifted)
+            return ik.solve(model, q0, markers)
+
+        drift = solve_drifting()
+        monkeypatch.setattr(ik, "KEYPOINT_TAIL_MM", 0.0)
+        no_tail = solve_drifting()
+        assert drift.q.tobytes() == no_tail.q.tobytes()
+        assert drift.iterations == no_tail.iterations
+        assert plain.converged and plain.iterations < drift.iterations
+
+
 class TestOneFkPassPerPose:
     def test_no_pose_is_computed_twice(self, rng, monkeypatch):
         """Every pose a solve tries gets one FK pass, which also gives its
