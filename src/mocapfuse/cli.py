@@ -9,6 +9,7 @@ MOCAPFUSE_LOG environment variable.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -91,12 +92,14 @@ def _build_config(args) -> pipeline_mod.PipelineConfig:
 def cmd_synth(args):
     if args.spec:
         payload = _read_json(args.spec)
-        if args.seed is not None:
-            payload["seed"] = args.seed
-        spec = synth_mod.spec_from_json(payload)
+        try:    # every check runs before anything is written to --out
+            spec = synth_mod.spec_from_json(payload)
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise ValueError(f"{args.spec}: {exc}") from None
     else:
-        preset = synth_mod.PRESETS[args.preset]
-        spec = synth_mod.SceneSpec(motion=preset(), seed=args.seed or 0)
+        spec = synth_mod.SceneSpec(motion=synth_mod.PRESETS[args.preset]())
+    if args.seed is not None:
+        spec = dataclasses.replace(spec, seed=args.seed)
     synth_mod.generate(spec, args.frames, args.out)
     print(f"wrote {args.frames} frames to {args.out}")
     return 0
@@ -182,6 +185,13 @@ def cmd_eval(args):
     return 0
 
 
+def _frame_count(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _on_off(text):
     if text not in ("on", "off"):
         raise argparse.ArgumentTypeError(f"expected on or off, got {text!r}")
@@ -208,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", default="walk",
                    choices=sorted(synth_mod.PRESETS),
                    help="motion preset when no spec file is given")
-    p.add_argument("--frames", type=int, required=True)
+    p.add_argument("--frames", type=_frame_count, required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, help="noise RNG seed")
     p.set_defaults(func=cmd_synth)

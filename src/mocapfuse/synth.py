@@ -116,8 +116,18 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma_px <= 0:
-            raise ValueError("sigma_px must be > 0")
+        for name, kind in (("camera_count", int), ("image_width", int),
+                           ("image_height", int), ("focal_px", float),
+                           ("fps", float), ("sigma_px", float),
+                           ("heatmap_scale", float)):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, (int, kind))
+                    or not (math.isfinite(value) and value > 0)):
+                raise ValueError(f"{name} must be a finite {kind.__name__} "
+                                 f"> 0, got {value!r}")
+        if min(round(self.image_width * self.heatmap_scale),
+               round(self.image_height * self.heatmap_scale)) < 1:
+            raise ValueError("heatmap_scale leaves an empty heatmap grid")
         if self.camera_count < 2:
             raise ValueError("at least 2 cameras required")
         if not (0.0 <= self.tilt_bias.floor <= 1.0):
@@ -455,6 +465,9 @@ def spec_to_json(spec: SceneSpec):
 def spec_from_json(payload) -> SceneSpec:
     """Scene from its JSON tree; a missing or unknown motion preset raises
     ValueError naming the key and the presets."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"scene spec must be a JSON object, not a "
+                         f"{type(payload).__name__}")
     payload = dict(payload)
     motion = payload.pop("motion", None) or {}
     preset = PRESETS.get(motion.get("preset"))

@@ -782,6 +782,42 @@ class TestRuntimeErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ValueError") and "'custom'" in err
 
+    @pytest.mark.parametrize("payload, named", [
+        ([], "JSON object"),
+        ({"camera_cout": 4}, "camera_cout"),
+        ({"sigma_px": "8"}, "sigma_px"),
+        ({"heatmap_scale": 0}, "heatmap_scale"),
+        ({"fps": -60}, "fps"),
+        ({"focal_px": float("nan")}, "focal_px"),
+        ({"image_width": 320.5}, "image_width"),
+        ({"camera_count": 4.0}, "camera_count"),
+        ({"motion": "walk"}, "'str'"),
+    ])
+    def test_bad_spec_names_the_file_and_writes_nothing(
+            self, tmp_path, capsys, payload, named):
+        if isinstance(payload, dict):
+            payload = {"motion": {"preset": "walk"}, **payload}
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        rc = cli.main(["synth", "--spec", str(spec), "--frames", "1",
+                       "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: ValueError: {spec}: ")
+        assert named in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("frames", ["0", "-3"])
+    def test_frames_below_one_is_usage_error(self, tmp_path, capsys, frames):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["synth", "--frames", frames, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--frames" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestInstalledEntryPoint:
     def test_console_script_smoke(self, tmp_path):

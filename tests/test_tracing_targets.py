@@ -92,3 +92,16 @@ def test_benchmark_reads_a_rotated_track(tracing):
     assert failed == [False] * len(frames), reasons
     assert all(math.isfinite(v) for v in accuracy.values()), accuracy
     assert len(checks.digest(positions)) == 64
+
+
+def test_every_workload_builds(monkeypatch):
+    """Every benchmark workload's config and seed-0 scene construct, so a
+    config or scene change that breaks the benchmark fails here first."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))  # its own imports
+    workloads = load("workloads")
+    assert workloads.WORKLOADS
+    for name, workload in workloads.WORKLOADS.items():
+        assert isinstance(workload.config(), pipeline.PipelineConfig), name
+        spec = workload.scene(0)
+        assert isinstance(spec, synth.SceneSpec), name
+        assert synth.build_rig(spec).n_c == spec.camera_count, name
