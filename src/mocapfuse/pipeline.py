@@ -318,9 +318,8 @@ def initialize(provider, rig: CameraRig, skeleton_template, config: PipelineConf
     model = sk.with_keypoint_offsets(model, dict(zip(
         (KEYPOINTS[i] for i in face), np.median(offsets, axis=0))))
 
-    # A new model object: this solve makes its own first FK pass.
-    fit = ik_mod.solve(model, fit, VirtualMarkerSet(tri[-1], weights))
-    return model, fit.q, fit.positions, frame_index + 1
+    # The face offsets weigh 0 in the fit, so the last fit is pose0 as it is.
+    return model, fit.q, sk.keypoint_positions(model, fit.q), frame_index + 1
 
 
 # ---------------------------------------------------------------------------
