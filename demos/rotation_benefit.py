@@ -19,8 +19,7 @@ def run(rotation_enabled, spec, rig, model, pose0, first, n_frames):
     provider = synth.SyntheticProvider(spec, rig, n_frames=n_frames)
     config = pipeline.PipelineConfig(
         lattice=LatticeConfig(s=15.0, rotation_enabled=rotation_enabled),
-        filter=smooth.FilterSpec(cutoff_hz=10.0, sample_rate_hz=60.0),
-        lattice_center="stage1")
+        filter=smooth.FilterSpec(cutoff_hz=10.0, sample_rate_hz=60.0))
     return pipeline.track(provider, rig, model, pose0, config,
                           range(first, n_frames))
 

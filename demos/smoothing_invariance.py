@@ -25,9 +25,7 @@ def main():
         camera_distance_mm=2800.0, sigma_px=4.0, heatmap_scale=1.0)
     rig = synth.build_rig(spec)
     provider = synth.SyntheticProvider(spec, rig, n_frames=100)
-    # Stage-1 search centers: the brisk swing outruns the causal filter's
-    # group delay, so smoothed centers would trail the joints.
-    config = pipeline.PipelineConfig(lattice_center="stage1")
+    config = pipeline.PipelineConfig()
     model, pose0, _, first = pipeline.initialize(
         provider, rig, sk.human_skeleton(), config)
     seq = pipeline.track(provider, rig, model, pose0, config, range(first, 90))

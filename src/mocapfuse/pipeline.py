@@ -3,9 +3,10 @@
 Initialization triangulates the per-camera confidence-map centroids over a
 run of frames until they agree in 3D, identifies the subject's link lengths
 from the triangulated keypoints and fits the initial pose.  Tracking then
-runs lattice search and weighted IK (stage 1) frame by frame; stage 2, the
-filter and the re-solve after it, is ``smooth.smooth_and_refit`` on each
-frame, or ``smooth.refit_offline`` over the whole run once stage 1 is done.
+runs lattice search around the last stage-1 positions and weighted IK (stage
+1) frame by frame; stage 2, the filter and the re-solve after it, is
+``smooth.smooth_and_refit`` on each frame, or ``smooth.refit_offline`` over
+the whole run once stage 1 is done.
 """
 
 from __future__ import annotations
@@ -103,11 +104,12 @@ class PipelineConfig:
         default_factory=lambda: smooth_mod.FilterSpec(cutoff_hz=5.0,
                                                       sample_rate_hz=60.0))
     init: InitSettings = field(default_factory=InitSettings)
-    lattice_center: str = "stage2"       # or "stage1"
+    lattice_center: str = "stage1"       # its only value
 
     def __post_init__(self):
-        if self.lattice_center not in ("stage1", "stage2"):
-            raise ValueError("lattice_center must be 'stage1' or 'stage2'")
+        if self.lattice_center != "stage1":
+            raise ValueError(f"lattice_center must be 'stage1', got "
+                             f"{self.lattice_center!r}")
 
     def to_dict(self) -> dict:
         """The whole config as a tree of JSON values (what run.json holds)."""
@@ -329,16 +331,18 @@ def track(provider, rig: CameraRig, model, pose0, config: PipelineConfig,
           frame_range) -> MotionSequence:
     """Run the per-frame loop over ``frame_range`` (iterable of indices).
 
-    Each frame: plan per-camera rotations from the previous frame's output,
-    lattice-search every keypoint, solve weighted IK (stage 1), then filter
-    and re-solve (stage 2).  Deterministic for identical inputs.  A model
-    that places no position for a keypoint raises SkeletonError first.
+    Each frame: plan per-camera rotations from the previous frame's stage-1
+    positions, lattice-search every keypoint around them, solve weighted IK
+    (stage 1), then filter and re-solve (stage 2).  Deterministic for
+    identical inputs.  A model that places no position for a keypoint raises
+    SkeletonError first.
     """
     _check_keypoints(model)
     cfg = config.lattice
     traj_filter = smooth_mod.TrajectoryFilter(config.filter)
     # The previous frame's stage-2 result starts stage 1, whose result starts
-    # stage 2: each pose tried gets one FK pass in the whole track.
+    # stage 2: each pose tried gets one FK pass in the whole track.  The
+    # search follows stage 1: stage 2 trails it by the filter's delay.
     prev = pose0
     positions_prev = sk.keypoint_positions(model, pose0)
     frames = []
@@ -370,9 +374,7 @@ def track(provider, rig: CameraRig, model, pose0, config: PipelineConfig,
             rotations=rotations,
             lattice_offsets=dict(zip(KEYPOINTS,
                                      map(tuple, markers.offsets.tolist())))))
-        prev = result2
-        positions_prev = (result2.positions if config.lattice_center == "stage2"
-                          else result1.positions)
+        prev, positions_prev = result2, result1.positions
 
     if config.filter.mode == "offline" and frames:
         # The zero-phase stage 2 replaces the causal one.

@@ -293,13 +293,18 @@ class TestFlags:
                          "--out", str(out), "--end-frame", "13", *extra])
 
     def test_config_file_reaches_lattice_center(self, dataset, init_run,
-                                                tmp_path):
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({"lattice_center": "stage1"}))
+                                                tmp_path, capsys):
+        """A run.json written while the lattice could be centered on stage 2
+        is refused with one line naming the key."""
+        tree = pipeline.PipelineConfig().to_dict()
+        tree["lattice_center"] = "stage2"
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"version": 1, "config": tree}))
         assert self.track(dataset, init_run, tmp_path / "run",
-                          "--config", str(cfg)) == 0
-        run = json.loads((tmp_path / "run" / "run.json").read_text())
-        assert run["config"]["lattice_center"] == "stage1"
+                          "--config", str(cfg)) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: ValueError: lattice_center must be 'stage1', got 'stage2'"]
+        assert not (tmp_path / "run").exists()
 
     def test_run_json_round_trips_through_config(self, dataset, init_run,
                                                  tmp_path):
