@@ -180,10 +180,15 @@ def _channel_rng(spec, camera_id, frame_index, rotation_key, channel):
         (spec.seed, camera_id, frame_index, rotation_key % 360, channel))
 
 
-def _splat(grid, center_hm, amplitude, sigma_hm):
+def _splat(grid, center_hm, amplitude, sigma_hm, fresh=False):
     """Add a Gaussian bump to a heatmap grid (windowed at 5 sigma), clamp
     the touched window to [0, 1] and return that window (a view of
-    ``grid``, empty when the bump misses the grid)."""
+    ``grid``, empty when the bump misses the grid).
+
+    ``fresh``: the window is all +0.0, so the bump (>= 0) is stored rather
+    than added, with the same bits.  A store writes each page of the
+    window without reading it first, so a page of a fresh private mapping
+    faults once, not twice (a read maps the zero page, a write copies it)."""
     h, w = grid.shape
     cx, cy = center_hm
     r = 5.0 * sigma_hm
@@ -195,7 +200,11 @@ def _splat(grid, center_hm, amplitude, sigma_hm):
     xs = np.arange(x0, x1) - cx
     ys = np.arange(y0, y1) - cy
     d2 = ys[:, None] ** 2 + xs[None, :] ** 2
-    window += amplitude * np.exp(-d2 / (2.0 * sigma_hm * sigma_hm))
+    bump = amplitude * np.exp(-d2 / (2.0 * sigma_hm * sigma_hm))
+    if fresh:
+        window[...] = bump
+    else:
+        window += bump
     np.clip(window, 0.0, 1.0, out=window)
     return window
 
@@ -206,14 +215,19 @@ _POOL_CAP = 4
 
 
 class _Buffer:
-    """One anonymous mapping of (18, h, w) float32 cells: only the pages a
-    render writes or reads become resident.  ``grid`` is the renderer's
-    writable view, ``touched`` the windows written since the last clear and
-    ``handed`` a weak reference to the read-only channels last handed out."""
+    """One private anonymous mapping of (18, h, w) float32 cells: only the
+    pages a render writes become resident.  A read of a page never written
+    (``pcm.centroids`` or ``pcm.write_pcm`` of a whole frame) maps the
+    kernel's shared zero page and allocates nothing, and the mapping asks
+    for no transparent huge pages, so a drawn window faults in 4 KiB pages.
+    ``grid`` is the renderer's writable view, ``touched`` the windows
+    written since the last clear and ``handed`` a weak reference to the
+    read-only channels last handed out."""
 
     def __init__(self, shape):
-        self.grid = np.ndarray(shape, np.float32,
-                               buffer=mmap.mmap(-1, 4 * math.prod(shape)))
+        mapping = mmap.mmap(-1, 4 * math.prod(shape), flags=mmap.MAP_PRIVATE)
+        mapping.madvise(mmap.MADV_NOHUGEPAGE)
+        self.grid = np.ndarray(shape, np.float32, buffer=mapping)
         self.touched = []
         self.handed = None
 
@@ -241,9 +255,10 @@ class FrameBuffers:
 
     A buffer is reused only when the channels last handed out from it, and
     with them every view of them (``frame.channels[3]`` too), are gone;
-    then only the windows its last render wrote are cleared.  At most
-    ``_POOL_CAP`` buffers are kept; past that a render gets a mapping of its
-    own, released with its frame."""
+    then only the windows its last render wrote are cleared, and those
+    pages stay resident: a kept buffer holds every page it has drawn.  At
+    most ``_POOL_CAP`` buffers are kept; past that a render gets a mapping
+    of its own, released with its frame."""
 
     def __init__(self):
         self._buffers = []
@@ -323,7 +338,7 @@ def render_frame(spec: SceneSpec, camera, frame_index, rotation_deg=0.0,
             amplitude *= max(0.0, 1.0 + rng.normal(0.0, noise.amplitude_std))
         buf.touched.append(_splat(buf.grid[ch],
                                   np.asarray(p) * spec.heatmap_scale,
-                                  amplitude, sigma_hm))
+                                  amplitude, sigma_hm, fresh=True))
         if rng is not None and noise.false_peak_rate:
             if rng.random() < noise.false_peak_rate:
                 fp = rng.uniform([0, 0], [w - 1, h - 1])

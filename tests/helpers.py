@@ -3,6 +3,7 @@ reference formulas the package itself does not need."""
 
 import csv
 import math
+import os
 
 import numpy as np
 
@@ -66,6 +67,17 @@ def marker_set(positions, weights):
 def no_rotation(rig):
     """The rotation plan that samples every camera at rotation 0."""
     return {c.id: 0.0 for c in rig.cameras}
+
+
+def resident_mb():
+    """This process's resident memory in MB, read from /proc/self/statm;
+    None where that file is absent."""
+    try:
+        with open("/proc/self/statm", encoding="ascii") as fh:
+            pages = int(fh.read().split()[1])
+    except FileNotFoundError:
+        return None
+    return pages * os.sysconf("SC_PAGE_SIZE") / 2 ** 20
 
 
 def objective(model, q, markers):

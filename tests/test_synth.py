@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import math
@@ -9,6 +10,7 @@ import numpy.testing as npt
 import pytest
 
 from conftest import small_scene
+from helpers import resident_mb
 from mocapfuse import pcm, skeleton as sk, synth
 from mocapfuse.calib import project_points, rotate_pixel
 from mocapfuse.labels import KEYPOINT_INDEX, KEYPOINTS, LOWER_BODY
@@ -309,6 +311,41 @@ class TestProvider:
             npt.assert_array_equal(channels, fresh.channels)
             del channels
         assert len(addresses) <= synth._POOL_CAP
+
+    @pytest.mark.parametrize("read", ["centroids", "write_pcm"])
+    def test_whole_frame_reads_make_only_drawn_pages_resident(
+            self, read, tmp_path):
+        """A fresh default-scene frame is 14.2 MB, of which its bumps draw
+        a few hundred KB; reading all of it leaves the rest unallocated."""
+        if resident_mb() is None:
+            pytest.skip("no /proc/self/statm to read resident memory from")
+        provider = synth.SyntheticProvider(
+            synth.SceneSpec(motion=synth.walk_like()))
+        frame = provider.get(0, 0)
+        before = resident_mb()
+        if read == "centroids":
+            pcm.centroids(frame, CENTROID_FLOOR)
+        else:
+            pcm.write_pcm(frame, tmp_path / "frame.pcm")
+        assert resident_mb() - before < 1.0
+
+    def test_first_bump_is_stored_with_the_bits_of_an_added_one(
+            self, still_rig, monkeypatch):
+        """Each channel's first bump is stored into its all-zero window;
+        renders whose bumps are all added instead have the same bits, with
+        noise, false peaks and the tilt bias on."""
+        spec = dataclasses.replace(
+            inversion_spec(jitter_px=4.0), noise=synth.NoiseModel(
+                jitter_px=1.0, amplitude_std=0.5, false_peak_rate=0.5))
+        provider = synth.SyntheticProvider(spec, still_rig)
+        keys = [(i % 4, 200 + 13 * i, 40.0 * (i % 3)) for i in range(12)]
+        stored = [np.array(provider.get(*key).channels) for key in keys]
+        splat = synth._splat
+        monkeypatch.setattr(synth, "_splat",
+                            lambda *args, fresh=False: splat(*args))
+        for key, channels in zip(keys, stored):
+            assert provider.get(*key).channels.tobytes() == \
+                channels.tobytes(), key
 
 
 class TestSceneJson:
