@@ -18,7 +18,12 @@ same m_prev of the accepted step before it, gives the geometric tail
 m^2 / (m_prev - m) of the moves still to come (Aitken's delta-squared
 process), and a tail of at most ``KEYPOINT_TAIL_MM`` with m < m_prev stops
 the solve.  Near a minimum LM converges about linearly or faster, so the
-steps after that move no keypoint by an amount any output resolves.
+steps after that move no keypoint by an amount any output resolves.  Nor
+does a solve make a trial whose decrease of the objective, as the LM
+quadratic model predicts it, is at most ``DECREASE_EPS`` * eps * obj (Moré
+1978, as in MINPACK): that is below the objective's own rounding, so the
+solve ends there as when the damping is exhausted.  A solve restarted at its
+minimum makes no FK pass.
 
 ``solve`` returns an ``IkResult`` that carries the FK pass made at its final
 pose: the positions and Jacobians of every keypoint the model maps.  A solve
@@ -33,6 +38,7 @@ place.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,6 +62,12 @@ ANCHOR = 1e-3
 # The stop of every solve: the most, in mm, that any keypoint coordinate is
 # still estimated to move (see ``solve``).
 KEYPOINT_TAIL_MM = 5e-4
+# A trial is not made when the LM model predicts a decrease of the objective
+# obj of at most DECREASE_EPS * eps * obj (eps: the float64 epsilon).  The
+# computed objective, a sum of up to 54 squared residuals that each carry the
+# FK's rounding, is itself uncertain by a few eps * obj, so no such trial can
+# lower it by more than its own rounding.
+DECREASE_EPS = 8.0
 
 
 @dataclass(frozen=True)
@@ -107,18 +119,22 @@ def solve(model, q_init, markers: VirtualMarkerSet,
     non-increasing; with all weights zero the warm start is returned
     untouched with ``no_evidence`` set.  The solve stops at
     ``settings.max_iterations``, at a step shorter than ``step_tol``, at a
-    marker fit of at most ``residual_tol``, when the damping is exhausted,
-    or once the keypoints have converged: an accepted step after the first
-    whose largest keypoint coordinate move m (mm) is below the previous
-    accepted step's m_prev, with m^2 <= ``KEYPOINT_TAIL_MM`` * (m_prev - m).
-    A rejected trial leaves m_prev as it is.  Each pose tried gets one FK pass
+    marker fit of at most ``residual_tol``, when the damping is exhausted or
+    the next trial's predicted decrease of the objective obj is at most
+    ``DECREASE_EPS`` * eps * obj (both converged, before that trial's FK
+    pass), or once the keypoints have converged: an accepted step after the
+    first whose largest keypoint coordinate move m (mm) is below the
+    previous accepted step's m_prev, with m^2 <= ``KEYPOINT_TAIL_MM`` *
+    (m_prev - m).  A rejected trial leaves m_prev as it is.  An ``anchor``
+    that is not finite and >= 0, or whose anchor weight overflows, raises
+    ValueError naming it.  Each pose tried gets one FK pass
     over every keypoint the model maps, which also gives its Jacobian: the
     residual uses the rows with weight > 0, and an accepted trial's pass
     serves the next iteration and the result.  A marker with weight > 0 on
     a keypoint the model does not map raises SkeletonError.
     """
-    if not anchor >= 0.0:
-        raise ValueError("anchor must be >= 0")
+    if not (anchor >= 0.0 and math.isfinite(anchor)):
+        raise ValueError(f"anchor must be finite and >= 0, got {anchor!r}")
     if isinstance(q_init, IkResult) and q_init.model is model:
         q, positions, jac = q_init.q, q_init.positions, q_init.jacobians
     else:
@@ -173,12 +189,16 @@ def solve(model, q_init, markers: VirtualMarkerSet,
             if iterations == 1:
                 rho = anchor * trace / n_dof
             diagonal += rho
-            g -= rho * (q - q_warm) / scale
             trace = float(np.trace(H))
+            if not math.isfinite(trace):
+                raise ValueError(f"anchor {anchor!r} overflows the anchored "
+                                 f"objective")
+            g -= rho * (q - q_warm) / scale
         # Damping proportional to the mean curvature makes the iterates
         # invariant to a uniform rescaling of all marker weights.
         mu = max(trace / n_dof, 1e-30)
         undamped = diagonal.copy()
+        floor = DECREASE_EPS * sys.float_info.epsilon * obj
         accepted = False
         while lam <= 1e12:
             np.add(undamped, lam * mu, out=diagonal)
@@ -187,6 +207,12 @@ def solve(model, q_init, markers: VirtualMarkerSet,
             except np.linalg.LinAlgError:
                 lam *= LAMBDA_UP
                 continue
+            # The quadratic model's decrease g.d - d.H.d / 2 for the damped
+            # step d (H undamped) is (g.d + lam mu d.d) / 2.  It only falls
+            # as lam grows, so below the floor no trial is left.
+            if 0.5 * float(g @ delta_u + lam * mu * (delta_u @ delta_u)) \
+                    <= floor:
+                break
             q_new = q + scale * delta_u
             positions_new, jac_new = sk.fk_and_jacobians(model, q_new)
             r_new = residual(positions_new)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -308,8 +309,10 @@ class TestAnchoredSolve:
         model = planar_two_link()
         markers = marker_set(positions={"r_wrist": np.array([400.0, 0, 0])},
                              weights={"r_wrist": 1.0})
-        for anchor in (-1e-3, math.nan):
-            with pytest.raises(ValueError):
+        # 1e308 is finite, but its anchor weight overflows.
+        for anchor in (-1e-3, math.nan, math.inf, 1e308):
+            with pytest.raises(ValueError,
+                               match="anchor.*" + re.escape(repr(anchor))):
                 ik.solve(model, np.zeros(2), markers, anchor=anchor)
 
 
@@ -374,6 +377,63 @@ class TestKeypointTail:
         assert drift.q.tobytes() == no_tail.q.tobytes()
         assert drift.iterations == no_tail.iterations
         assert plain.converged and plain.iterations < drift.iterations
+
+
+class TestPredictedDecrease:
+    """No trial is made once the LM model predicts a decrease of at most
+    ``ik.DECREASE_EPS`` * eps * obj."""
+
+    def count_fk_passes(self, monkeypatch):
+        """A one-item list that counts ``sk.fk_and_jacobians`` calls."""
+        passes = [0]
+        fk_and_jacobians = sk.fk_and_jacobians
+
+        def counted(*args, **kwargs):
+            passes[0] += 1
+            return fk_and_jacobians(*args, **kwargs)
+
+        monkeypatch.setattr(sk, "fk_and_jacobians", counted)
+        return passes
+
+    def test_restart_at_the_minimum_makes_no_fk_pass(self, rng, monkeypatch):
+        """A noisy fit run to its minimum (no tail rule, tight tolerances)
+        and restarted from its own result, unanchored or anchored, makes no
+        FK pass and returns the same pose, three times over."""
+        model = sk.human_skeleton()
+        q_true = rng.normal(0, 0.4, model.total_dof)
+        fk = sk.forward_kinematics(model, q_true)
+        markers = marker_set(
+            positions={lb: fk[lb] + rng.normal(0, 10.0, 3)
+                       for lb in model.keypoints},
+            weights={lb: rng.uniform(0.5, 1.0) for lb in model.keypoints})
+        assert np.count_nonzero(markers.weights) == 18
+        q0 = q_true + rng.normal(0, 0.05, model.total_dof)
+        monkeypatch.setattr(ik, "KEYPOINT_TAIL_MM", 0.0)
+        minimum = ik.solve(model, q0, markers, tight_settings())
+        monkeypatch.undo()
+        assert minimum.converged
+        passes = self.count_fk_passes(monkeypatch)
+        for anchor in (0.0, ik.ANCHOR):
+            result = minimum
+            for _ in range(3):
+                passes[0] = 0
+                result = ik.solve(model, result, markers, anchor=anchor)
+                assert passes[0] == 0, anchor
+                assert result.q.tobytes() == minimum.q.tobytes()
+                assert result.converged and result.iterations == 1
+
+    def test_initialize_on_noise_free_hold_frames(self, monkeypatch):
+        """The hold frames of a noise-free scene triangulate to the same
+        points, so every agreement fit after the first few starts at its
+        minimum.  Without this stop, ``initialize`` made 120 FK passes
+        here, 112 of them in the 7 fits that started at their minimum and
+        exhausted the damping (16 each): 8 are left."""
+        spec = small_scene(motion=synth.handstand_like())
+        rig = synth.build_rig(spec)
+        passes = self.count_fk_passes(monkeypatch)
+        pipeline.initialize(synth.SyntheticProvider(spec, rig), rig,
+                            sk.human_skeleton(), pipeline.PipelineConfig())
+        assert passes[0] <= 120 - 7 * 16
 
 
 class TestOneFkPassPerPose:
