@@ -235,6 +235,9 @@ def load_rig(path) -> CameraRig:
     if not isinstance(payload, dict) or "cameras" not in payload:
         raise MalformedCalibration(f"{path}: missing top-level 'cameras' list")
     entries = payload["cameras"]
+    if not isinstance(entries, list):
+        raise MalformedCalibration(f"{path}: 'cameras' must be a list, not "
+                                   f"a {type(entries).__name__}")
     if not entries:
         raise MalformedCalibration(f"{path}: empty camera list")
     cameras = []
@@ -249,8 +252,6 @@ def load_rig(path) -> CameraRig:
                 rotation=np.asarray(entry["R"], dtype=float).reshape(3, 3),
                 translation=np.asarray(entry["t"], dtype=float),
             ))
-        except NonOrthonormalRotation:
-            raise
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, CalibrationError):
                 raise

@@ -94,7 +94,7 @@ def cmd_synth(args):
         payload = _read_json(args.spec)
         try:    # every check runs before anything is written to --out
             spec = synth_mod.spec_from_json(payload)
-        except (TypeError, ValueError, AttributeError) as exc:
+        except ValueError as exc:
             raise ValueError(f"{args.spec}: {exc}") from None
     else:
         spec = synth_mod.SceneSpec(motion=synth_mod.PRESETS[args.preset]())

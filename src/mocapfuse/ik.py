@@ -73,17 +73,14 @@ DECREASE_EPS = 8.0
 @dataclass(frozen=True)
 class IkSettings:
     max_iterations: int = 50
-    step_tol: float = 1e-8          # in scaled coordinates
     residual_tol: float = 1e-4      # mm^2, objective value
 
     def __post_init__(self):
-        n = self.max_iterations
+        n, tol = self.max_iterations, self.residual_tol
         if not (isinstance(n, int) and not isinstance(n, bool) and n >= 1):
             raise ValueError(f"max_iterations must be an int >= 1, got {n!r}")
-        for name in ("step_tol", "residual_tol"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        if not (math.isfinite(tol) and tol > 0):
+            raise ValueError(f"residual_tol must be finite and > 0, got {tol}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,20 +115,20 @@ def solve(model, q_init, markers: VirtualMarkerSet,
     the marker-fit objective.  The accepted-step objective sequence is
     non-increasing; with all weights zero the warm start is returned
     untouched with ``no_evidence`` set.  The solve stops at
-    ``settings.max_iterations``, at a step shorter than ``step_tol``, at a
-    marker fit of at most ``residual_tol``, when the damping is exhausted or
-    the next trial's predicted decrease of the objective obj is at most
-    ``DECREASE_EPS`` * eps * obj (both converged, before that trial's FK
-    pass), or once the keypoints have converged: an accepted step after the
-    first whose largest keypoint coordinate move m (mm) is below the
-    previous accepted step's m_prev, with m^2 <= ``KEYPOINT_TAIL_MM`` *
-    (m_prev - m).  A rejected trial leaves m_prev as it is.  An ``anchor``
-    that is not finite and >= 0, or whose anchor weight overflows, raises
-    ValueError naming it.  Each pose tried gets one FK pass
-    over every keypoint the model maps, which also gives its Jacobian: the
-    residual uses the rows with weight > 0, and an accepted trial's pass
-    serves the next iteration and the result.  A marker with weight > 0 on
-    a keypoint the model does not map raises SkeletonError.
+    ``settings.max_iterations``, at a marker fit of at most
+    ``residual_tol``, when the damping is exhausted or the next trial's
+    predicted decrease of the objective obj is at most ``DECREASE_EPS`` *
+    eps * obj (both converged, before that trial's FK pass), or once the
+    keypoints have converged: an accepted step after the first whose
+    largest keypoint coordinate move m (mm) is below the previous accepted
+    step's m_prev, with m^2 <= ``KEYPOINT_TAIL_MM`` * (m_prev - m).  A
+    rejected trial leaves m_prev as it is.  An ``anchor`` that is not
+    finite and >= 0, or whose anchor weight overflows, raises ValueError
+    naming it.  Each pose tried gets one FK pass over every keypoint the
+    model maps, which also gives its Jacobian: the residual uses the rows
+    with weight > 0, and an accepted trial's pass serves the next iteration
+    and the result.  A marker with weight > 0 on a keypoint the model does
+    not map raises SkeletonError.
     """
     if not (anchor >= 0.0 and math.isfinite(anchor)):
         raise ValueError(f"anchor must be finite and >= 0, got {anchor!r}")
@@ -221,11 +218,10 @@ def solve(model, q_init, markers: VirtualMarkerSet,
                 d = (q_new - q_warm) / scale
                 obj_new = fit_new + 0.5 * rho * float(d @ d)
             if math.isfinite(obj_new) and obj_new < obj:
-                step = math.sqrt(delta_u @ delta_u)
                 move = float(np.abs(positions_new - positions).max())
                 # Moves shrinking by move / move_prev per step leave a tail
                 # of move^2 / (move_prev - move) (Aitken's delta-squared).
-                if step < settings.step_tol or move < move_prev and (
+                if move < move_prev and (
                         move * move <= KEYPOINT_TAIL_MM * (move_prev - move)):
                     converged = True
                 move_prev = move

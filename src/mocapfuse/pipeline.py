@@ -123,11 +123,13 @@ class PipelineConfig:
         of the wrong type, raises ValueError naming its dotted path (e.g.
         ``lattice.spacing``); every rebuilt section runs its own validation.
         """
-        return _overlay(cls(), tree, "")
+        return overlay(cls(), tree, "")
 
 
-def _overlay(default, tree, path):
-    """Copy of the dataclass ``default`` with the values of ``tree`` set."""
+def overlay(default, tree, path):
+    """Copy of the dataclass ``default`` with the values of ``tree`` set
+    (see ``PipelineConfig.from_dict``); an int may set a float, a list a
+    tuple."""
     if not isinstance(tree, dict):
         raise ValueError(f"config {path.rstrip('.') or 'tree'} must be a "
                          f"JSON object, got {tree!r}")
@@ -139,12 +141,15 @@ def _overlay(default, tree, path):
             raise ValueError(f"unknown config key {dotted!r}")
         current = getattr(default, key)
         if dataclasses.is_dataclass(current):
-            value = _overlay(current, value, dotted + ".")
+            value = overlay(current, value, dotted + ".")
         elif type(current) is float and type(value) is int:
             value = float(value)
+        elif type(current) is tuple and type(value) is list:
+            value = tuple(value)
         elif type(value) is not type(current):
-            raise ValueError(f"config key {dotted!r} must be "
-                             f"{type(current).__name__}, got {value!r}")
+            kind = "list" if type(current) is tuple else type(current).__name__
+            raise ValueError(f"config key {dotted!r} must be {kind}, got "
+                             f"{value!r}")
         changes[key] = value
     try:
         return dataclasses.replace(default, **changes)

@@ -17,7 +17,7 @@ import math
 import mmap
 import os
 import weakref
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -25,7 +25,8 @@ from . import pcm as pcm_mod
 from . import skeleton as sk
 from .calib import CameraRig, look_at_camera, project_points, rotate_pixel, save_rig
 from .labels import KEYPOINTS, LOWER_BODY
-from .tracker import trunk_tilt
+from .pipeline import overlay
+from .tracker import camera_tilt
 
 
 @dataclass(frozen=True)
@@ -60,11 +61,39 @@ class MotionProgram:
         return q
 
 
+# The ranges ``_check_numbers`` can ask of a field.
+_RANGES = {"": lambda v: True, "> 0": lambda v: v > 0,
+           ">= 0": lambda v: v >= 0, "in [0, 1]": lambda v: 0 <= v <= 1,
+           "in [0, 180]": lambda v: 0 <= v <= 180}
+
+
+def _finite(value, kind=float):
+    """Whether ``value`` is a finite ``kind``; an int passes as a float, a
+    bool never."""
+    return (isinstance(value, (int, kind)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _check_numbers(owner, kind, rule, *names):
+    """ValueError naming the first field of ``owner`` among ``names`` that
+    is not a ``_finite`` ``kind`` in the range ``rule``, a key of
+    ``_RANGES``."""
+    for name in names:
+        value = getattr(owner, name)
+        if not (_finite(value, kind) and _RANGES[rule](value)):
+            raise ValueError(f"{name} must be a finite {kind.__name__}"
+                             f"{' ' + rule if rule else ''}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     jitter_px: float = 0.0         # std of the peak-center offset
     amplitude_std: float = 0.0     # relative peak amplitude noise
     false_peak_rate: float = 0.0   # per channel per render
+
+    def __post_init__(self):
+        _check_numbers(self, float, ">= 0", "jitter_px", "amplitude_std")
+        _check_numbers(self, float, "in [0, 1]", "false_peak_rate")
 
 
 @dataclass(frozen=True)
@@ -81,6 +110,11 @@ class TiltBias:
     full_at_deg: float = 45.0
     floor: float = 0.15
     jitter_px: float = 6.0    # peak localization error std at full bias
+
+    def __post_init__(self):
+        _check_numbers(self, float, "in [0, 180]", "full_at_deg")
+        _check_numbers(self, float, "in [0, 1]", "floor")
+        _check_numbers(self, float, ">= 0", "jitter_px")
 
     def multiplier(self, tilt_deg):
         a = abs(float(tilt_deg))
@@ -116,22 +150,22 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name, kind in (("camera_count", int), ("image_width", int),
-                           ("image_height", int), ("focal_px", float),
-                           ("fps", float), ("sigma_px", float),
-                           ("heatmap_scale", float)):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, (int, kind))
-                    or not (math.isfinite(value) and value > 0)):
-                raise ValueError(f"{name} must be a finite {kind.__name__} "
-                                 f"> 0, got {value!r}")
+        _check_numbers(self, int, "> 0", "camera_count", "image_width",
+                       "image_height")
+        _check_numbers(self, float, "> 0", "camera_distance_mm", "focal_px",
+                       "fps", "sigma_px", "heatmap_scale", "subject_scale")
+        _check_numbers(self, float, "", "camera_height_mm", "root_height_mm")
+        _check_numbers(self, int, ">= 0", "seed")
+        look = self.look_at_mm
+        if not (isinstance(look, tuple) and len(look) == 3
+                and all(map(_finite, look))):
+            raise ValueError(f"look_at_mm must be 3 finite numbers, got "
+                             f"{look!r}")
         if min(round(self.image_width * self.heatmap_scale),
                round(self.image_height * self.heatmap_scale)) < 1:
             raise ValueError("heatmap_scale leaves an empty heatmap grid")
         if self.camera_count < 2:
             raise ValueError("at least 2 cameras required")
-        if not (0.0 <= self.tilt_bias.floor <= 1.0):
-            raise ValueError("tilt bias floor must be in [0, 1]")
 
 
 def build_rig(spec: SceneSpec) -> CameraRig:
@@ -296,16 +330,7 @@ def render_frame(spec: SceneSpec, camera, frame_index, rotation_deg=0.0,
     center = camera.image_center
 
     # Trunk tilt of the ground truth in this camera, for the bias model.
-    tilt = None
-    if spec.tilt_bias.enabled:
-        gt = dict(zip(KEYPOINTS, truth))
-        px, in_front = project_points(
-            camera, np.stack([gt["neck"], 0.5 * (gt["r_hip"] + gt["l_hip"])]))
-        if in_front[0] and in_front[1]:
-            try:
-                tilt = trunk_tilt(px[0], px[1])
-            except ValueError:
-                tilt = None
+    tilt = camera_tilt(camera, truth) if spec.tilt_bias.enabled else None
 
     if buffers is None:
         buffers = FrameBuffers()
@@ -462,6 +487,13 @@ PRESETS = {
 # ---------------------------------------------------------------------------
 # Dataset generation (files)
 
+@dataclass(frozen=True)
+class PresetMotion:
+    """A scene file's ``motion`` member: a preset name and its hold frames."""
+    preset: str = ""
+    hold_frames: int = 12
+
+
 def spec_to_json(spec: SceneSpec):
     """JSON tree of a scene.  The motion is stored as a preset name and its
     hold frames, so a motion that is not a preset at its default parameters
@@ -472,29 +504,22 @@ def spec_to_json(spec: SceneSpec):
         raise ValueError(f"motion {motion.name!r} is not a preset at its "
                          f"default parameters and cannot be stored by name")
     payload = asdict(spec)
-    payload["motion"] = {"preset": motion.name,
-                         "hold_frames": motion.hold_frames}
+    payload["motion"] = asdict(PresetMotion(motion.name, motion.hold_frames))
     return payload
 
 
 def spec_from_json(payload) -> SceneSpec:
-    """Scene from its JSON tree; a missing or unknown motion preset raises
-    ValueError naming the key and the presets."""
-    if not isinstance(payload, dict):
-        raise ValueError(f"scene spec must be a JSON object, not a "
-                         f"{type(payload).__name__}")
-    payload = dict(payload)
-    motion = payload.pop("motion", None) or {}
-    preset = PRESETS.get(motion.get("preset"))
+    """Scene from its JSON tree laid over the defaults by the config tree's
+    checker, ``pipeline.overlay``: any error is a ValueError naming the
+    key, a missing or unknown ``motion.preset`` too."""
+    scene = overlay(SceneSpec(motion=PresetMotion()), payload, "")
+    preset = PRESETS.get(scene.motion.preset)
     if preset is None:
         raise ValueError(f"motion.preset: unknown preset "
-                         f"{motion.get('preset')!r}, expected one of "
+                         f"{scene.motion.preset!r}, expected one of "
                          f"{sorted(PRESETS)}")
-    payload["noise"] = NoiseModel(**payload.get("noise", {}))
-    payload["tilt_bias"] = TiltBias(**payload.get("tilt_bias", {}))
-    payload["look_at_mm"] = tuple(payload.get("look_at_mm", (0, 0, 1000)))
-    return SceneSpec(motion=preset(hold_frames=motion.get("hold_frames", 12)),
-                     **payload)
+    return replace(scene,
+                   motion=preset(hold_frames=scene.motion.hold_frames))
 
 
 def generate(spec: SceneSpec, n_frames, out_dir):

@@ -185,32 +185,35 @@ def trunk_tilt(neck_px, midhip_px) -> float:
     return angle
 
 
+def camera_tilt(camera: Camera, rows):
+    """``trunk_tilt`` of the neck and the hip midpoint of the (18, 3)
+    keypoint ``rows`` as projected by ``camera``, or None when either point
+    is not in front of it or both project to one pixel."""
+    midhip = 0.5 * (rows[KEYPOINT_INDEX["r_hip"]]
+                    + rows[KEYPOINT_INDEX["l_hip"]])
+    px, in_front = project_points(
+        camera, np.stack([rows[KEYPOINT_INDEX["neck"]], midhip]))
+    if not (in_front[0] and in_front[1]):
+        return None
+    try:
+        return trunk_tilt(px[0], px[1])
+    except ValueError:
+        return None
+
+
 def plan_rotations(positions, rig: CameraRig) -> dict:
     """Per-camera image rotation (degrees, 1-degree quantized) for the next
-    frame, from the neck and hip-midpoint rows of the (18, 3) ``positions``.
+    frame, from the ``camera_tilt`` of the (18, 3) ``positions``.
 
-    Cameras with |tilt| below ``TILT_THRESHOLD_DEG``, or where the trunk
-    does not project in front of the camera, get 0.
+    Cameras with |tilt| below ``TILT_THRESHOLD_DEG``, or without a tilt
+    (the trunk not in front of the camera, or projected to one pixel), get
+    0.
     """
-    neck = positions[KEYPOINT_INDEX["neck"]]
-    midhip = 0.5 * (positions[KEYPOINT_INDEX["r_hip"]]
-                    + positions[KEYPOINT_INDEX["l_hip"]])
-    plan = {}
+    plan = {camera.id: 0.0 for camera in rig.cameras}
     for camera in rig.cameras:
-        px, in_front = project_points(camera, np.stack([neck, midhip]))
-        if not (in_front[0] and in_front[1]):
-            log.info("camera %s: trunk not in front, rotation 0", camera.id)
-            plan[camera.id] = 0.0
-            continue
-        try:
-            tilt = trunk_tilt(px[0], px[1])
-        except ValueError:
-            log.info("camera %s: degenerate trunk projection, rotation 0",
-                     camera.id)
-            plan[camera.id] = 0.0
-            continue
-        if abs(tilt) < TILT_THRESHOLD_DEG:
-            plan[camera.id] = 0.0
-        else:
+        tilt = camera_tilt(camera, positions)
+        if tilt is None:
+            log.info("camera %s: no trunk tilt, rotation 0", camera.id)
+        elif abs(tilt) >= TILT_THRESHOLD_DEG:
             plan[camera.id] = float(pcm_mod.quantize_rotation(tilt))
     return plan

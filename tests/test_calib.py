@@ -261,9 +261,12 @@ class TestRigIO:
         with pytest.raises(MalformedCalibration):
             load_rig(path)
 
-    @pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe\x00"])
+    @pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe\x00",
+                                         b'{"cameras": 5}',
+                                         b'{"cameras": true}'])
     def test_undecodable_file_names_the_path(self, tmp_path, content):
-        """Broken JSON and bytes that are not UTF-8 both name the file."""
+        """Broken JSON, bytes that are not UTF-8 and a ``cameras`` value
+        that is not a list all name the file."""
         path = tmp_path / "calib.json"
         path.write_bytes(content)
         with pytest.raises(MalformedCalibration) as err:

@@ -796,7 +796,25 @@ class TestRuntimeErrors:
         ({"focal_px": float("nan")}, "focal_px"),
         ({"image_width": 320.5}, "image_width"),
         ({"camera_count": 4.0}, "camera_count"),
-        ({"motion": "walk"}, "'str'"),
+        ({"motion": "walk"}, "motion"),
+        ({"tilt_bias": {"enabled": "no"}}, "'tilt_bias.enabled' must be bool"),
+        ({"noise": {"jitter_px": "1"}}, "'noise.jitter_px' must be float"),
+        ({"seed": 1.5}, "'seed' must be int"),
+        ({"motion": {"preset": "walk", "hold_frames": "12"}},
+         "'motion.hold_frames' must be int"),
+        ({"motion": {"preset": "walk", "period_s": 4.0}}, "'motion.period_s'"),
+        ({"noise": {"jiter_px": 1.0}}, "'noise.jiter_px'"),
+        ({"look_at_mm": "origin"}, "'look_at_mm' must be list"),
+        ({"camera_distance_mm": 0}, "camera_distance_mm"),
+        ({"camera_distance_mm": float("nan")}, "camera_distance_mm"),
+        ({"camera_height_mm": float("nan")}, "camera_height_mm"),
+        ({"look_at_mm": [0, 0]}, "look_at_mm"),
+        ({"subject_scale": -1}, "subject_scale"),
+        ({"noise": {"jitter_px": -1}}, "noise: jitter_px"),
+        ({"noise": {"amplitude_std": -0.5}}, "noise: amplitude_std"),
+        ({"noise": {"false_peak_rate": 1.5}}, "noise: false_peak_rate"),
+        ({"seed": -1, "noise": {"jitter_px": 1.0}}, "seed"),
+        ({"tilt_bias": {"floor": 1.5}}, "tilt_bias: floor"),
     ])
     def test_bad_spec_names_the_file_and_writes_nothing(
             self, tmp_path, capsys, payload, named):

@@ -41,7 +41,7 @@ def wrap(a):
 
 
 def tight_settings(**kw):
-    base = dict(max_iterations=300, step_tol=1e-14, residual_tol=1e-18)
+    base = dict(max_iterations=300, residual_tol=1e-18)
     base.update(kw)
     return ik.IkSettings(**base)
 
@@ -51,12 +51,11 @@ class TestSettings:
         with pytest.raises(ValueError):
             ik.IkSettings(max_iterations=0)
         with pytest.raises(ValueError):
-            ik.IkSettings(step_tol=0.0)
+            ik.IkSettings(residual_tol=0.0)
         with pytest.raises(ValueError):
             ik.IkSettings(residual_tol=-1.0)
-        for bad in ({"step_tol": math.nan}, {"step_tol": math.inf},
-                    {"residual_tol": math.nan}, {"max_iterations": 50.0},
-                    {"max_iterations": True}):
+        for bad in ({"residual_tol": math.nan}, {"residual_tol": math.inf},
+                    {"max_iterations": 50.0}, {"max_iterations": True}):
             with pytest.raises(ValueError, match=next(iter(bad))):
                 ik.IkSettings(**bad)
 

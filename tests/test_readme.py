@@ -12,7 +12,7 @@ from mocapfuse.pipeline import PipelineConfig
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 # A stated constant: `module.NAME` = value (NAME may be a dotted path, such
-# as a dataclass default `ik.IkSettings.step_tol`).
+# as a dataclass default `ik.IkSettings.residual_tol`).
 STATED = re.compile(
     r"`(\w+)\.([\w.]+)`\s*=\s*([-+]?\d+(?:\.\d+)?(?:e[-+]?\d+)?)")
 

@@ -350,11 +350,29 @@ class TestProvider:
 
 class TestSceneJson:
     def test_round_trip(self):
-        spec = small_scene(
-            motion=synth.walk_like(hold_frames=7),
-            noise=synth.NoiseModel(jitter_px=1.5),
-            tilt_bias=synth.TiltBias(enabled=True, jitter_px=9.0),
-            seed=42)
+        def changed(default):
+            """Copy of the dataclass ``default`` with every field that has a
+            default set to another valid value (nested ones field by
+            field), so that a field added later is covered too."""
+            values = {}
+            for f in dataclasses.fields(default):
+                if f.default is f.default_factory is dataclasses.MISSING:
+                    continue
+                value = getattr(default, f.name)
+                if dataclasses.is_dataclass(value):
+                    values[f.name] = changed(value)
+                elif isinstance(value, bool):
+                    values[f.name] = not value
+                elif isinstance(value, int):
+                    values[f.name] = value + 1
+                elif isinstance(value, float):
+                    values[f.name] = 0.5 * value + 0.3
+                else:
+                    values[f.name] = tuple(v + 1.0 for v in value)
+                assert values[f.name] != value, f.name
+            return dataclasses.replace(default, **values)
+
+        spec = changed(synth.SceneSpec(motion=synth.walk_like(hold_frames=7)))
         payload = json.loads(json.dumps(synth.spec_to_json(spec)))
         kept = json.loads(json.dumps(payload))
         back = synth.spec_from_json(payload)

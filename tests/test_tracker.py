@@ -15,6 +15,7 @@ from mocapfuse.calib import (Camera, CameraRig, look_at_camera, project_points,
 from mocapfuse.labels import KEYPOINT_INDEX, KEYPOINTS, LOWER_BODY
 from mocapfuse.tracker import (
     LatticeConfig,
+    camera_tilt,
     lattice_offsets,
     lattice_search,
     plan_rotations,
@@ -428,6 +429,19 @@ class TestTrunkTilt:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             trunk_tilt((np.nan, 0), (0, 0))
+
+
+class TestCameraTilt:
+    def test_tilt_of_the_projected_neck_over_the_hip_midpoint(
+            self, still_spec, still_rig):
+        rows = keypoint_rows(synth.ground_truth_positions(still_spec, 0))
+        rows[KEYPOINT_INDEX["neck"], 0] += 300.0      # lean the trunk
+        midhip = 0.5 * (rows[KEYPOINT_INDEX["r_hip"]]
+                        + rows[KEYPOINT_INDEX["l_hip"]])
+        for camera in still_rig.cameras:
+            px, _ = project_points(
+                camera, np.stack([rows[KEYPOINT_INDEX["neck"]], midhip]))
+            assert camera_tilt(camera, rows) == trunk_tilt(px[0], px[1])
 
 
 class TestPlanRotations:
