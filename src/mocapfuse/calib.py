@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import ranges
+
 
 class CalibrationError(ValueError):
     """Base class for calibration-file problems."""
@@ -37,7 +39,9 @@ _ORTHO_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Camera:
-    """One calibrated pinhole camera with optional radial/tangential distortion."""
+    """A calibrated pinhole camera with optional radial/tangential distortion.
+    Each number is checked (``ranges.check``; finite arrays of their shapes;
+    an orthonormal rotation), and CalibrationError names the camera."""
 
     id: int
     width: int
@@ -51,25 +55,26 @@ class Camera:
     translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        object.__setattr__(self, "dist", np.asarray(self.dist, dtype=float))
-        object.__setattr__(self, "rotation", np.asarray(self.rotation, dtype=float))
-        object.__setattr__(self, "translation",
-                           np.asarray(self.translation, dtype=float))
-        if self.width <= 0 or self.height <= 0:
-            raise CalibrationError(f"camera {self.id}: image dimensions must be > 0")
-        if self.fx <= 0 or self.fy <= 0:
-            raise CalibrationError(f"camera {self.id}: focal lengths must be > 0")
-        if self.dist.shape != (5,):
-            raise CalibrationError(f"camera {self.id}: dist must have 5 coefficients")
+        try:
+            ranges.check(self, int, "", "id")
+            ranges.check(self, int, "> 0", "width", "height")
+            ranges.check(self, float, "> 0", "fx", "fy")
+            ranges.check(self, float, "", "cx", "cy")
+        except ValueError as exc:
+            raise CalibrationError(f"camera {self.id}: {exc}") from None
+        for name, shape in (("dist", (5,)), ("rotation", (3, 3)),
+                            ("translation", (3,))):
+            value = np.asarray(getattr(self, name), dtype=float)
+            if value.shape != shape or not np.isfinite(value).all():
+                raise CalibrationError(f"camera {self.id}: {name} must be "
+                                       f"finite numbers of shape {shape}, "
+                                       f"got {value.tolist()}")
+            object.__setattr__(self, name, value)
         R = self.rotation
-        if R.shape != (3, 3):
-            raise CalibrationError(f"camera {self.id}: rotation must be 3x3")
         if (np.abs(R @ R.T - np.eye(3)).max() > _ORTHO_TOL
                 or abs(np.linalg.det(R) - 1.0) > _ORTHO_TOL):
             raise NonOrthonormalRotation(
                 f"camera {self.id}: rotation is not orthonormal with det +1")
-        if self.translation.shape != (3,):
-            raise CalibrationError(f"camera {self.id}: translation must be a 3-vector")
 
     @property
     def center(self):
@@ -189,11 +194,18 @@ def rotate_pixel(pixel, angle_deg, center):
 
 
 def look_at_camera(cam_id, position, target, width, height, f_px, up=(0.0, 0.0, 1.0)):
-    """Build a camera at ``position`` looking at ``target`` (both world mm)."""
+    """Build a camera at ``position`` looking at ``target`` (both world mm).
+    A view within 1e-6 rad of the unit vector ``up``, about which rounding
+    would set the camera's roll, or a target at the position: ValueError."""
     pos = np.asarray(position, dtype=float)
-    fwd = np.asarray(target, dtype=float) - pos
-    fwd = fwd / np.linalg.norm(fwd)
+    aim = np.asarray(target, dtype=float)
+    fwd = aim - pos
+    with np.errstate(invalid="ignore"):     # a target at the position
+        fwd = fwd / np.linalg.norm(fwd)
     right = np.cross(fwd, np.asarray(up, dtype=float))
+    if not np.linalg.norm(right) > 1e-6:        # NaN too
+        raise ValueError(f"camera {cam_id}: the view from {pos.tolist()} to "
+                         f"{aim.tolist()} is parallel to up {up}")
     right = right / np.linalg.norm(right)
     down = np.cross(fwd, right)
     R = np.stack([right, down, fwd])
@@ -240,20 +252,14 @@ def load_rig(path) -> CameraRig:
                                    f"a {type(entries).__name__}")
     if not entries:
         raise MalformedCalibration(f"{path}: empty camera list")
-    cameras = []
-    for entry in entries:
-        try:
-            cameras.append(Camera(
-                id=int(entry["id"]), width=int(entry["width"]),
-                height=int(entry["height"]),
-                fx=float(entry["fx"]), fy=float(entry["fy"]),
-                cx=float(entry["cx"]), cy=float(entry["cy"]),
-                dist=np.asarray(entry["dist"], dtype=float),
-                rotation=np.asarray(entry["R"], dtype=float).reshape(3, 3),
-                translation=np.asarray(entry["t"], dtype=float),
-            ))
-        except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, CalibrationError):
-                raise
-            raise MalformedCalibration(f"{path}: bad camera entry: {exc}") from exc
-    return CameraRig(cameras=tuple(cameras))
+    try:
+        return CameraRig(cameras=tuple(Camera(
+            id=entry["id"], width=entry["width"], height=entry["height"],
+            fx=entry["fx"], fy=entry["fy"], cx=entry["cx"], cy=entry["cy"],
+            dist=entry["dist"],
+            rotation=np.asarray(entry["R"], dtype=float).reshape(3, 3),
+            translation=entry["t"]) for entry in entries))
+    except CalibrationError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedCalibration(f"{path}: bad camera entry: {exc}") from exc

@@ -136,9 +136,13 @@ def cmd_track(args):
         raise ValueError(f"{init_state}: must be a JSON object, not a "
                          f"{type(state).__name__}")
     for key, kind in (("first_track_frame", int), ("pose0", list)):
-        if not isinstance(state.get(key), kind):
+        if type(state.get(key)) is not kind:      # a bool is no frame
             raise ValueError(f"{init_state}: {key!r} is missing or not of "
                              f"type {kind.__name__}")
+    try:
+        pose0 = sk.check_pose(model, state["pose0"])
+    except ValueError as exc:       # SkeletonError too, which it stays
+        raise type(exc)(f"{init_state}: 'pose0': {exc}") from None
     first = state["first_track_frame"] if args.start_frame is None \
         else args.start_frame
     last = args.end_frame
@@ -156,7 +160,7 @@ def cmd_track(args):
     elif last <= first:
         raise ValueError(f"nothing to track: empty frame range "
                          f"[{first}, {last})")
-    seq = pipeline_mod.track(provider, rig, model, state["pose0"], config,
+    seq = pipeline_mod.track(provider, rig, model, pose0, config,
                              range(first, last))
     with _AtomicWriter(args.out) as writer:
         pipeline_mod.write_positions_csv(seq, writer.path("positions.csv"))

@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import ranges
 from . import skeleton as sk
 from .labels import KEYPOINTS
 from .tracker import VirtualMarkerSet
@@ -76,11 +77,8 @@ class IkSettings:
     residual_tol: float = 1e-4      # mm^2, objective value
 
     def __post_init__(self):
-        n, tol = self.max_iterations, self.residual_tol
-        if not (isinstance(n, int) and not isinstance(n, bool) and n >= 1):
-            raise ValueError(f"max_iterations must be an int >= 1, got {n!r}")
-        if not (math.isfinite(tol) and tol > 0):
-            raise ValueError(f"residual_tol must be finite and > 0, got {tol}")
+        ranges.check(self, int, "> 0", "max_iterations")
+        ranges.check(self, float, "> 0", "residual_tol")
 
 
 @dataclass(frozen=True, eq=False)

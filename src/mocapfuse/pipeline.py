@@ -15,13 +15,13 @@ import csv
 import dataclasses
 import json
 import logging
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import ik as ik_mod
 from . import pcm as pcm_mod
+from . import ranges
 from . import skeleton as sk
 from . import smooth as smooth_mod
 from . import tracker as tracker_mod
@@ -82,14 +82,8 @@ class InitSettings:
     min_agreement_frames: int = 10
 
     def __post_init__(self):
-        residual, needed = self.agreement_residual_mm, self.min_agreement_frames
-        if not (math.isfinite(residual) and residual > 0):
-            raise ValueError(f"agreement_residual_mm must be finite and > 0, "
-                             f"got {residual}")
-        if not (isinstance(needed, int) and not isinstance(needed, bool)
-                and needed >= 1):
-            raise ValueError(f"min_agreement_frames must be an int >= 1, "
-                             f"got {needed!r}")
+        ranges.check(self, float, "> 0", "agreement_residual_mm")
+        ranges.check(self, int, "> 0", "min_agreement_frames")
         if self.min_agreement_frames > MAX_SEARCH_FRAMES:
             raise ValueError(
                 f"min_agreement_frames must be <= {MAX_SEARCH_FRAMES}, the "
@@ -143,7 +137,8 @@ def overlay(default, tree, path):
         if dataclasses.is_dataclass(current):
             value = overlay(current, value, dotted + ".")
         elif type(current) is float and type(value) is int:
-            value = float(value)
+            # An int beyond the float64 range is left to the record to refuse.
+            value = float(value) if ranges.finite(value) else value
         elif type(current) is tuple and type(value) is list:
             value = tuple(value)
         elif type(value) is not type(current):

@@ -35,6 +35,7 @@ from itertools import chain
 
 import numpy as np
 
+from . import ranges
 from .labels import KEYPOINT_INDEX, KEYPOINTS
 
 _DOF_WIDTH = {"tx": 1, "ty": 1, "tz": 1, "rx": 1, "ry": 1, "rz": 1, "exp": 3}
@@ -92,6 +93,10 @@ def _mul(A, B):
 
 @dataclass(frozen=True)
 class Joint:
+    """One joint of the chain: a finite ``length`` (``ranges.check``), and
+    for a joint with a parent a length > 0 and a unit ``direction``, or
+    SkeletonError names the joint."""
+
     name: str
     parent: int            # index into the joint list, -1 for the root
     direction: np.ndarray  # unit vector in the parent frame
@@ -105,6 +110,11 @@ class Joint:
         for tok in self.dofs:
             if tok not in _DOF_WIDTH:
                 raise SkeletonError(f"joint {self.name}: unknown dof token {tok!r}")
+        try:
+            ranges.check(self, float, "> 0" if self.parent >= 0 else "",
+                         "length")
+        except ValueError as exc:
+            raise SkeletonError(f"joint {self.name}: {exc}") from None
         d = self.direction
         if self.parent >= 0 and not (d.shape == (3,) and np.all(np.isfinite(d))
                                      and abs(np.linalg.norm(d) - 1.0) <= 1e-9):
@@ -142,8 +152,6 @@ class SkeletonModel:
         for i, j in enumerate(self.joints):
             if j.parent >= i:
                 raise SkeletonError("joints must be listed parents-first")
-            if j.parent >= 0 and j.length <= 0:
-                raise SkeletonError(f"joint {j.name}: link length must be > 0")
         index = {j.name: i for i, j in enumerate(self.joints)}
         if len(index) != len(self.joints):
             raise SkeletonError("duplicate joint names")
@@ -193,15 +201,14 @@ class SkeletonModel:
 
 
 def with_link_lengths(model: SkeletonModel, lengths: dict) -> SkeletonModel:
-    """Return a copy of the model with the given link lengths substituted."""
+    """Return a copy of the model with the given link lengths substituted
+    (each checked by ``Joint``)."""
     index = model.joint_index
-    for name, value in lengths.items():
+    for name in lengths:
         if name not in index:
             raise SkeletonError(f"unknown joint in length map: {name}")
         if model.joints[index[name]].parent < 0:
             raise SkeletonError(f"root joint {name} has no link length")
-        if not (value > 0):
-            raise SkeletonError(f"link length for {name} must be > 0, got {value}")
     joints = tuple(
         Joint(j.name, j.parent, j.direction,
               lengths.get(j.name, j.length), j.dofs)
@@ -449,7 +456,7 @@ def _model_from_tree(payload) -> SkeletonModel:
         pidx = -1 if parent is None else name_to_idx[parent]
         joints.append(Joint(entry["name"], pidx,
                             np.asarray(entry["direction"], dtype=float),
-                            float(entry["length"]), tuple(entry["dofs"])))
+                            entry["length"], tuple(entry["dofs"])))
         name_to_idx[entry["name"]] = len(joints) - 1
     kmap = {}
     for label, entry in payload["keypoints"].items():

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ik as ik_mod
+from . import ranges
 from .labels import KEYPOINTS
 from .tracker import VirtualMarkerSet
 
@@ -32,13 +33,10 @@ class FilterSpec:
     def __post_init__(self):
         if self.mode not in ("causal", "offline"):
             raise ValueError(f"unknown filter mode {self.mode!r}")
-        if not math.isfinite(self.sample_rate_hz):
-            raise ValueError(f"sample_rate_hz must be finite, got "
-                             f"{self.sample_rate_hz}")
-        if not (0.0 < self.cutoff_hz < self.sample_rate_hz / 2.0):
-            raise ValueError(
-                f"cutoff {self.cutoff_hz} Hz must be in (0, Nyquist "
-                f"{self.sample_rate_hz / 2.0} Hz)")
+        ranges.check(self, float, "> 0", "cutoff_hz", "sample_rate_hz")
+        if not self.cutoff_hz < self.sample_rate_hz / 2.0:
+            raise ValueError(f"cutoff_hz {self.cutoff_hz} must be below "
+                             f"Nyquist, {self.sample_rate_hz / 2.0} Hz")
 
 
 def design_biquad(spec: FilterSpec):

@@ -22,6 +22,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import pcm as pcm_mod
+from . import ranges
 from . import skeleton as sk
 from .calib import CameraRig, look_at_camera, project_points, rotate_pixel, save_rig
 from .labels import KEYPOINTS, LOWER_BODY
@@ -46,12 +47,15 @@ class DofCurve:
 class MotionProgram:
     """Per-DOF parametric curves with an initial neutral hold.
 
-    During the first ``hold_frames`` frames the pose is the program at t=0;
-    the initializer needs a quiet, near-reference segment.
+    During the first ``hold_frames`` frames (an int >= 0) the pose is the
+    program at t=0; the initializer needs a quiet, near-reference segment.
     """
     curves: dict                   # dof index -> DofCurve
     hold_frames: int = 12
     name: str = "custom"
+
+    def __post_init__(self):
+        ranges.check(self, int, ">= 0", "hold_frames")
 
     def pose(self, frame_index, fps, model):
         t = max(0.0, (frame_index - self.hold_frames)) / fps
@@ -61,30 +65,6 @@ class MotionProgram:
         return q
 
 
-# The ranges ``_check_numbers`` can ask of a field.
-_RANGES = {"": lambda v: True, "> 0": lambda v: v > 0,
-           ">= 0": lambda v: v >= 0, "in [0, 1]": lambda v: 0 <= v <= 1,
-           "in [0, 180]": lambda v: 0 <= v <= 180}
-
-
-def _finite(value, kind=float):
-    """Whether ``value`` is a finite ``kind``; an int passes as a float, a
-    bool never."""
-    return (isinstance(value, (int, kind)) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
-def _check_numbers(owner, kind, rule, *names):
-    """ValueError naming the first field of ``owner`` among ``names`` that
-    is not a ``_finite`` ``kind`` in the range ``rule``, a key of
-    ``_RANGES``."""
-    for name in names:
-        value = getattr(owner, name)
-        if not (_finite(value, kind) and _RANGES[rule](value)):
-            raise ValueError(f"{name} must be a finite {kind.__name__}"
-                             f"{' ' + rule if rule else ''}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class NoiseModel:
     jitter_px: float = 0.0         # std of the peak-center offset
@@ -92,8 +72,8 @@ class NoiseModel:
     false_peak_rate: float = 0.0   # per channel per render
 
     def __post_init__(self):
-        _check_numbers(self, float, ">= 0", "jitter_px", "amplitude_std")
-        _check_numbers(self, float, "in [0, 1]", "false_peak_rate")
+        ranges.check(self, float, ">= 0", "jitter_px", "amplitude_std")
+        ranges.check(self, float, "in [0, 1]", "false_peak_rate")
 
 
 @dataclass(frozen=True)
@@ -112,9 +92,9 @@ class TiltBias:
     jitter_px: float = 6.0    # peak localization error std at full bias
 
     def __post_init__(self):
-        _check_numbers(self, float, "in [0, 180]", "full_at_deg")
-        _check_numbers(self, float, "in [0, 1]", "floor")
-        _check_numbers(self, float, ">= 0", "jitter_px")
+        ranges.check(self, float, "in [0, 180]", "full_at_deg")
+        ranges.check(self, float, "in [0, 1]", "floor")
+        ranges.check(self, float, ">= 0", "jitter_px")
 
     def multiplier(self, tilt_deg):
         a = abs(float(tilt_deg))
@@ -150,34 +130,36 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
-        _check_numbers(self, int, "> 0", "camera_count", "image_width",
-                       "image_height")
-        _check_numbers(self, float, "> 0", "camera_distance_mm", "focal_px",
-                       "fps", "sigma_px", "heatmap_scale", "subject_scale")
-        _check_numbers(self, float, "", "camera_height_mm", "root_height_mm")
-        _check_numbers(self, int, ">= 0", "seed")
+        ranges.check(self, int, ">= 2", "camera_count")
+        ranges.check(self, int, "> 0", "image_width", "image_height")
+        ranges.check(self, float, "> 0", "camera_distance_mm", "focal_px",
+                     "fps", "sigma_px", "heatmap_scale", "subject_scale")
+        ranges.check(self, float, "", "camera_height_mm", "root_height_mm")
+        ranges.check(self, int, ">= 0", "seed")
         look = self.look_at_mm
         if not (isinstance(look, tuple) and len(look) == 3
-                and all(map(_finite, look))):
+                and all(map(ranges.finite, look))):
             raise ValueError(f"look_at_mm must be 3 finite numbers, got "
                              f"{look!r}")
         if min(round(self.image_width * self.heatmap_scale),
                round(self.image_height * self.heatmap_scale)) < 1:
             raise ValueError("heatmap_scale leaves an empty heatmap grid")
-        if self.camera_count < 2:
-            raise ValueError("at least 2 cameras required")
 
 
 def build_rig(spec: SceneSpec) -> CameraRig:
-    """Cameras at the corners of a square around the capture volume."""
+    """Cameras at the corners of a square around the capture volume; a
+    ``look_at_mm`` straight above or below one raises ValueError naming it."""
     cams = []
     r = spec.camera_distance_mm
     for i in range(spec.camera_count):
         angle = 2.0 * math.pi * (i + 0.5) / spec.camera_count
         pos = (r * math.cos(angle), r * math.sin(angle), spec.camera_height_mm)
-        cams.append(look_at_camera(i, pos, spec.look_at_mm,
-                                   spec.image_width, spec.image_height,
-                                   spec.focal_px))
+        try:
+            cams.append(look_at_camera(i, pos, spec.look_at_mm,
+                                       spec.image_width, spec.image_height,
+                                       spec.focal_px))
+        except ValueError as exc:
+            raise ValueError(f"look_at_mm: {exc}") from None
     return CameraRig(cameras=tuple(cams))
 
 
@@ -493,6 +475,9 @@ class PresetMotion:
     preset: str = ""
     hold_frames: int = 12
 
+    def __post_init__(self):
+        ranges.check(self, int, ">= 0", "hold_frames")
+
 
 def spec_to_json(spec: SceneSpec):
     """JSON tree of a scene.  The motion is stored as a preset name and its
@@ -511,13 +496,15 @@ def spec_to_json(spec: SceneSpec):
 def spec_from_json(payload) -> SceneSpec:
     """Scene from its JSON tree laid over the defaults by the config tree's
     checker, ``pipeline.overlay``: any error is a ValueError naming the
-    key, a missing or unknown ``motion.preset`` too."""
+    key, a missing or unknown ``motion.preset`` too, and so is a
+    ``look_at_mm`` that ``build_rig`` refuses."""
     scene = overlay(SceneSpec(motion=PresetMotion()), payload, "")
     preset = PRESETS.get(scene.motion.preset)
     if preset is None:
         raise ValueError(f"motion.preset: unknown preset "
                          f"{scene.motion.preset!r}, expected one of "
                          f"{sorted(PRESETS)}")
+    build_rig(scene)
     return replace(scene,
                    motion=preset(hold_frames=scene.motion.hold_frames))
 
@@ -528,9 +515,9 @@ def generate(spec: SceneSpec, n_frames, out_dir):
 
     Returns (ground truth keypoints (n_frames, 18, 3), rig).
     """
-    os.makedirs(out_dir, exist_ok=True)
     rig = build_rig(spec)
     model = build_model(spec)
+    os.makedirs(out_dir, exist_ok=True)
     save_rig(rig, os.path.join(out_dir, "calib.json"))
     with open(os.path.join(out_dir, "scene.json"), "w", encoding="utf-8") as fh:
         json.dump(spec_to_json(spec), fh, indent=2, sort_keys=True)

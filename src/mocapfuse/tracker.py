@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pcm as pcm_mod
+from . import ranges
 from .calib import Camera, CameraRig, project_points, rotate_pixel
 from .labels import KEYPOINT_INDEX, KEYPOINTS, LOWER_BODY
 
@@ -43,13 +44,8 @@ class LatticeConfig:
     rotation_enabled: bool = False
 
     def __post_init__(self):
-        if not (math.isfinite(self.s) and self.s > 0):
-            raise ValueError(f"lattice spacing s must be finite and > 0, "
-                             f"got {self.s}")
-        if not (isinstance(self.k, int) and not isinstance(self.k, bool)
-                and self.k >= 1):
-            raise ValueError(f"lattice half-extent k must be an int >= 1, "
-                             f"got {self.k!r}")
+        ranges.check(self, float, "> 0", "s")
+        ranges.check(self, int, "> 0", "k")
 
 
 @dataclass

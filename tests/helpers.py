@@ -2,6 +2,7 @@
 reference formulas the package itself does not need."""
 
 import csv
+import dataclasses
 import math
 import os
 
@@ -11,6 +12,46 @@ from mocapfuse import pcm, skeleton as sk, tracker
 from mocapfuse.labels import KEYPOINT_INDEX, KEYPOINTS, LOWER_BODY
 from mocapfuse.pipeline import LOW_CONFIDENCE_FRACTION
 from mocapfuse.tracker import VirtualMarkerSet
+
+
+def bad_numbers(default, prefix=""):
+    """(dotted key, value, named) for every numeric field of the dataclass
+    ``default`` and of the records it holds, walked by
+    ``dataclasses.fields``: true and 10**400 for every one, and NaN and
+    +-Infinity for a float field.  ``named`` is the part of the error that
+    names the key: the config tree's type error for true, the record's
+    range rule (under its section) otherwise."""
+    for f in dataclasses.fields(default):
+        value, dotted = getattr(default, f.name), prefix + f.name
+        if dataclasses.is_dataclass(value):
+            yield from bad_numbers(value, dotted + ".")
+            continue
+        kind = type(value)
+        if kind not in (int, float):
+            continue
+        yield dotted, True, f"config key '{dotted}' must be {kind.__name__}"
+        section = f"config {prefix.rstrip('.')}: " if prefix else ""
+        named = f"{section}{f.name} must be a finite {kind.__name__}"
+        for bad in [10 ** 400] + [math.nan, math.inf, -math.inf] * (
+                kind is float):
+            yield dotted, bad, named
+
+
+def tree_at(dotted, value):
+    """The config tree that sets only the dotted key to ``value``."""
+    *sections, key = dotted.split(".")
+    tree = {key: value}
+    for section in reversed(sections):
+        tree = {section: tree}
+    return tree
+
+
+def value_id(value):
+    """A short test id for a number such as 10**400; None (pytest's own id)
+    for anything else."""
+    if type(value) is int and value == 10 ** 400:
+        return "1e400"
+    return str(value).lower() if isinstance(value, (int, float)) else None
 
 
 def gaussian_grid(h, w, cx, cy, sigma):

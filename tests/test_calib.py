@@ -1,11 +1,12 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import rowmajor_project_points, rowmajor_rotate_pixel
+from helpers import rowmajor_project_points, rowmajor_rotate_pixel, value_id
 from mocapfuse.calib import (
     Camera,
     CameraRig,
@@ -202,6 +203,26 @@ class TestCameraInvariants:
         with pytest.raises(NonOrthonormalRotation):
             axis_camera(rotation=np.diag([1.0, 1.0, -1.0]))  # det -1
 
+    @pytest.mark.parametrize("field, value", [
+        ("fx", math.nan), ("fy", math.inf), ("cx", math.nan),
+        ("cy", -math.inf), ("fx", 10 ** 400), ("fy", True), ("width", True),
+        ("height", 480.0), ("rotation", np.full((3, 3), np.nan)),
+        ("dist", [0.0, 0.0, 0.0, 0.0, math.nan]),
+        ("translation", [0.0, math.inf, 0.0]), ("translation", [0.0, 0.0])],
+        ids=value_id)
+    def test_non_finite_or_mistyped_values_name_the_camera(self, field,
+                                                           value):
+        """A NaN rotation used to pass the orthonormality test, whose
+        comparisons are false for NaN."""
+        with pytest.raises(CalibrationError,
+                           match=f"^camera 3: {field} must be "):
+            axis_camera(id=3, **{field: value})
+
+    def test_view_parallel_to_up_rejected(self):
+        for target in ((0, 0, 0), (0, 0, 3000), (0, 0, 1500)):
+            with pytest.raises(ValueError, match="^camera 2: .*parallel to up"):
+                look_at_camera(2, (0, 0, 1500), target, 640, 480, 500)
+
     def test_duplicate_ids(self):
         with pytest.raises(DuplicateCameraId):
             CameraRig(cameras=(axis_camera(), axis_camera()))
@@ -272,6 +293,25 @@ class TestRigIO:
         with pytest.raises(MalformedCalibration) as err:
             load_rig(path)
         assert str(err.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("key, value, named", [
+        ("fx", math.nan, "fx"), ("cy", math.inf, "cy"), ("id", 1.9, "id"),
+        ("fy", 10 ** 400, "fy"), ("width", True, "width"),
+        ("R", [math.nan] * 9, "rotation"),
+        ("dist", [0.0, 0.0, 0.0, 0.0, math.nan], "dist"),
+        ("t", [0.0, math.nan, 0.0], "translation")], ids=value_id)
+    def test_non_finite_value_names_the_file_and_camera(self, tmp_path, key,
+                                                        value, named):
+        path = tmp_path / "calib.json"
+        save_rig(self.make_rig(), path)
+        payload = json.loads(path.read_text())
+        payload["cameras"][1][key] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CalibrationError) as err:
+            load_rig(path)
+        camera = payload["cameras"][1]["id"]
+        assert str(err.value).startswith(f"{path}: camera {camera}: {named} "
+                                         f"must be ")
 
     def test_missing_field(self, tmp_path):
         path = tmp_path / "calib.json"

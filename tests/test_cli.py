@@ -2,6 +2,7 @@ import builtins
 import csv
 import dataclasses
 import json
+import math
 import os
 import struct
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 
 import mocapfuse
 from conftest import small_scene
+from helpers import bad_numbers, tree_at, value_id
 from mocapfuse import cli, metrics, pcm, pipeline, skeleton as sk, synth
 from mocapfuse.calib import load_rig, project_points
 from mocapfuse.labels import KEYPOINT_INDEX
@@ -339,8 +341,8 @@ class TestFlags:
         assert self.track(dataset, init_run, tmp_path / "run",
                           "--lattice-s", "nan") == 1
         assert capsys.readouterr().err.splitlines() == [
-            "error: ValueError: config lattice: lattice spacing s must be "
-            "finite and > 0, got nan"]
+            "error: ValueError: config lattice: s must be a finite float "
+            "> 0, got nan"]
         assert reads == []
         assert not (tmp_path / "run").exists()
 
@@ -466,6 +468,26 @@ class TestRuntimeErrors:
         assert str(tmp_path) in err[0]
         assert not out.exists()
 
+    def test_nan_focal_length_names_the_calibration_file(
+            self, dataset, init_run, tmp_path, capsys):
+        """A calibration whose camera 1 has "fx": NaN is refused by file
+        and camera before anything is tracked."""
+        root, data = dataset
+        payload = json.loads((data / "calib.json").read_text())
+        payload["cameras"][1]["fx"] = math.nan
+        calib = tmp_path / "calib.json"
+        calib.write_text(json.dumps(payload))
+        out = tmp_path / "track"
+        rc = cli.main(["track", "--calib", str(calib),
+                       "--pcm-dir", str(data / "pcm"),
+                       "--skeleton", str(init_run / "skeleton.json"),
+                       "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: CalibrationError: {calib}: camera 1: fx must be a finite "
+            f"float > 0, got nan"]
+        assert not out.exists()
+
     def test_track_without_pcm_files_exits_one(self, dataset, init_run,
                                                tmp_path, capsys):
         root, data = dataset
@@ -582,14 +604,24 @@ class TestRuntimeErrors:
         assert "[12, 12)" in err[0]
         assert not out.exists()
 
-    @pytest.mark.parametrize("payload, key", [
-        ([], "JSON object"),
-        ({"first_track_frame": 12}, "'pose0'"),
-        ({"first_track_frame": "12", "pose0": [0.0]}, "'first_track_frame'"),
-    ], ids=["list", "no_pose0", "string_frame"])
+    @pytest.mark.parametrize("payload, error, key", [
+        ([], "ValueError", "JSON object"),
+        ({"first_track_frame": 12}, "ValueError", "'pose0'"),
+        ({"first_track_frame": "12", "pose0": [0.0]}, "ValueError",
+         "'first_track_frame'"),
+        ({"first_track_frame": True, "pose0": [0.0] * 34}, "ValueError",
+         "'first_track_frame'"),
+        ({"first_track_frame": 12, "pose0": [math.nan] + [0.0] * 33},
+         "SkeletonError", "'pose0': pose contains non-finite values"),
+        ({"first_track_frame": 12, "pose0": ["x"] + [0.0] * 33},
+         "ValueError", "'pose0': could not convert"),
+    ], ids=["list", "no_pose0", "string_frame", "bool_frame", "nan_pose",
+            "string_pose"])
     def test_malformed_init_state_names_the_file(self, dataset, init_run,
                                                  tmp_path, capsys,
-                                                 payload, key):
+                                                 payload, error, key):
+        """Every value is checked, the pose against the skeleton, before
+        anything is tracked; a bool is no frame index."""
         root, data = dataset
         state = tmp_path / "init_state.json"
         state.write_text(json.dumps(payload))
@@ -600,8 +632,9 @@ class TestRuntimeErrors:
                        "--init-state", str(state), "--out", str(out)])
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ValueError")
-        assert str(state) in err[0] and key in err[0]
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {error}: {state}: ")
+        assert key in err[0]
         assert not out.exists()
 
     def test_eval_of_zero_frames_exits_one(self, dataset, tmp_path, capsys):
@@ -647,7 +680,16 @@ class TestRuntimeErrors:
                                          for i, j in enumerate(tree["joints"])]),
          "'zz'"),
         (lambda tree: [], "must be a JSON object, not a list"),
-    ], ids=["missing_joints", "unknown_parent", "top_level_list"])
+        (lambda tree: dict(tree, joints=[dict(j, length=math.nan) if i == 3
+                                         else j for i, j in
+                                         enumerate(tree["joints"])]),
+         "joint neck: length must be a finite float > 0, got nan"),
+        (lambda tree: dict(tree, joints=[dict(j, length=math.inf) if i == 3
+                                         else j for i, j in
+                                         enumerate(tree["joints"])]),
+         "joint neck: length must be a finite float > 0, got inf"),
+    ], ids=["missing_joints", "unknown_parent", "top_level_list",
+            "nan_length", "infinite_length"])
     def test_bad_skeleton_file_exits_one(self, dataset, tmp_path, capsys,
                                          edit, named):
         root, data = dataset
@@ -815,6 +857,19 @@ class TestRuntimeErrors:
         ({"noise": {"false_peak_rate": 1.5}}, "noise: false_peak_rate"),
         ({"seed": -1, "noise": {"jitter_px": 1.0}}, "seed"),
         ({"tilt_bias": {"floor": 1.5}}, "tilt_bias: floor"),
+        ({"look_at_mm": [math.nan, 0, 0]}, "look_at_mm"),
+        ({"look_at_mm": [True, 0, 0]}, "look_at_mm"),
+        ({"look_at_mm": [10 ** 400, 0, 0]}, "look_at_mm"),
+        # Straight below camera 0 of the default rig.
+        ({"look_at_mm": [4200.0 * math.cos(math.pi / 4),
+                         4200.0 * math.sin(math.pi / 4), 0.0]},
+         "look_at_mm: camera 0: "),
+        ({"motion": {"preset": "walk", "hold_frames": -5}},
+         "config motion: hold_frames must be a finite int >= 0, got -5"),
+        *(pytest.param(tree_at(key, value), named,
+                       id=f"{key}={value_id(value)}")
+          for key, value, named in bad_numbers(
+              synth.SceneSpec(motion=synth.PresetMotion()))),
     ])
     def test_bad_spec_names_the_file_and_writes_nothing(
             self, tmp_path, capsys, payload, named):

@@ -10,7 +10,8 @@ import numpy.testing as npt
 import pytest
 
 from conftest import small_scene
-from helpers import csv_writer_diagnostics, csv_writer_positions, no_rotation
+from helpers import (bad_numbers, csv_writer_diagnostics, csv_writer_positions,
+                     no_rotation, tree_at, value_id)
 from mocapfuse import ik, metrics, pcm, pipeline, skeleton as sk, synth
 from mocapfuse.calib import (CameraRig, look_at_camera, pixel_to_ray,
                              project_points)
@@ -600,7 +601,7 @@ class TestConfigTree:
     def test_non_finite_values_are_refused(self):
         """NaN and +-Infinity, as a JSON config file may hold them, are
         refused for every float setting, with the setting named."""
-        for section, key, named in (("lattice", "s", "spacing s"),
+        for section, key, named in (("lattice", "s", "s must"),
                                     ("filter", "cutoff_hz", "cutoff"),
                                     ("filter", "sample_rate_hz",
                                      "sample_rate_hz"),
@@ -620,6 +621,17 @@ class TestConfigTree:
                                          sample_rate_hz=math.inf)):
             with pytest.raises(ValueError):
                 build()
+
+    @pytest.mark.parametrize("key, value, named", [
+        pytest.param(*case, id=f"{case[0]}={value_id(case[1])}")
+        for case in bad_numbers(PipelineConfig())])
+    def test_every_numeric_field_is_refused_by_key(self, key, value, named):
+        """Walked from the dataclass fields, so a setting added later is
+        covered too: a bool, a number beyond the float64 range and (in a
+        float field) NaN and +-Infinity raise ValueError naming the key."""
+        with pytest.raises(ValueError) as exc:
+            PipelineConfig.from_dict(tree_at(key, value))
+        assert named in str(exc.value)
 
     def test_values_are_checked(self):
         for tree in ({"lattice": {"k": 0}},            # section validation

@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import exp_so3, left_jacobian_so3
+from helpers import exp_so3, left_jacobian_so3, value_id
 from mocapfuse import skeleton as sk
 from mocapfuse.labels import KEYPOINTS
 from test_cli import older_layout
@@ -526,6 +526,16 @@ class TestModelEdits:
         model = sk.human_skeleton()
         with pytest.raises(sk.SkeletonError):
             sk.with_link_lengths(model, {"r_elbow": 0.0})
+
+    @pytest.mark.parametrize("length", [math.nan, math.inf, -1.0, True,
+                                        10 ** 400], ids=value_id)
+    def test_bad_length_rejected_by_name(self, length):
+        model = sk.human_skeleton()
+        message = "^joint waist: length must be a finite float > 0, got "
+        with pytest.raises(sk.SkeletonError, match=message):
+            sk.with_link_lengths(model, {"waist": length})
+        with pytest.raises(sk.SkeletonError, match=message):
+            sk.Joint("waist", 0, (0, 0, 1), length, ("exp",))
 
     def test_unknown_joint_rejected(self):
         model = sk.human_skeleton()

@@ -10,7 +10,7 @@ import numpy.testing as npt
 import pytest
 
 from conftest import small_scene
-from helpers import resident_mb
+from helpers import resident_mb, value_id
 from mocapfuse import pcm, skeleton as sk, synth
 from mocapfuse.calib import project_points, rotate_pixel
 from mocapfuse.labels import KEYPOINT_INDEX, KEYPOINTS, LOWER_BODY
@@ -52,6 +52,13 @@ class TestMotionProgram:
         for frame in (3, 7, 10):
             npt.assert_array_equal(program.pose(frame, 60.0, model), q0)
         assert not np.array_equal(program.pose(30, 60.0, model), q0)
+
+    @pytest.mark.parametrize("hold_frames", [-5, 10 ** 400, True, 2.0],
+                             ids=value_id)
+    def test_hold_frames_checked(self, hold_frames):
+        with pytest.raises(ValueError, match="^hold_frames must be a finite "
+                                             "int >= 0, got "):
+            synth.walk_like(hold_frames=hold_frames)
 
 
 class TestSceneSpec:
@@ -433,6 +440,16 @@ class TestGenerate:
                     os.path.join(tmp_path, "pcm"), camera.id, frame_index))
                 fresh = synth.render_frame(spec, camera, frame_index)
                 npt.assert_array_equal(back.channels, fresh.channels)
+
+    def test_unbuildable_rig_writes_nothing(self, tmp_path):
+        """A look_at_mm straight below camera 0 is refused by name before
+        the output directory is created."""
+        angle = math.pi / 4           # camera 0 of a 4-camera rig
+        spec = small_scene(look_at_mm=(2800.0 * math.cos(angle),
+                                       2800.0 * math.sin(angle), 0.0))
+        with pytest.raises(ValueError, match="^look_at_mm: camera 0: "):
+            synth.generate(spec, 1, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_scene_json_reloads(self, dataset):
         spec, out, truth, rig = dataset
