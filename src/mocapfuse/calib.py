@@ -40,8 +40,9 @@ _ORTHO_TOL = 1e-9
 @dataclass(frozen=True)
 class Camera:
     """A calibrated pinhole camera with optional radial/tangential distortion.
-    Each number is checked (``ranges.check``; finite arrays of their shapes;
-    an orthonormal rotation), and CalibrationError names the camera."""
+    Each number is checked (``ranges.check``; ``ranges.floats`` for the
+    arrays; an orthonormal rotation), and CalibrationError names the
+    camera."""
 
     id: int
     width: int
@@ -64,11 +65,10 @@ class Camera:
             raise CalibrationError(f"camera {self.id}: {exc}") from None
         for name, shape in (("dist", (5,)), ("rotation", (3, 3)),
                             ("translation", (3,))):
-            value = np.asarray(getattr(self, name), dtype=float)
-            if value.shape != shape or not np.isfinite(value).all():
-                raise CalibrationError(f"camera {self.id}: {name} must be "
-                                       f"finite numbers of shape {shape}, "
-                                       f"got {value.tolist()}")
+            try:
+                value = ranges.floats(name, getattr(self, name), shape)
+            except ValueError as exc:
+                raise CalibrationError(f"camera {self.id}: {exc}") from None
             object.__setattr__(self, name, value)
         R = self.rotation
         if (np.abs(R @ R.T - np.eye(3)).max() > _ORTHO_TOL
@@ -234,6 +234,19 @@ def save_rig(rig: CameraRig, path):
         fh.write("\n")
 
 
+def _camera(entry):
+    """The camera of one calibration-file entry; its ``R`` is 9 numbers row
+    by row (or 3 rows of 3), passed on element by element so that the
+    camera sees what the file holds."""
+    R = entry["R"]
+    if isinstance(R, list) and len(R) == 9:
+        R = [R[0:3], R[3:6], R[6:9]]
+    return Camera(id=entry["id"], width=entry["width"],
+                  height=entry["height"], fx=entry["fx"], fy=entry["fy"],
+                  cx=entry["cx"], cy=entry["cy"], dist=entry["dist"],
+                  rotation=R, translation=entry["t"])
+
+
 def load_rig(path) -> CameraRig:
     """Load and validate a calibration file (see the JSON schema in save_rig)."""
     try:
@@ -253,12 +266,7 @@ def load_rig(path) -> CameraRig:
     if not entries:
         raise MalformedCalibration(f"{path}: empty camera list")
     try:
-        return CameraRig(cameras=tuple(Camera(
-            id=entry["id"], width=entry["width"], height=entry["height"],
-            fx=entry["fx"], fy=entry["fy"], cx=entry["cx"], cy=entry["cy"],
-            dist=entry["dist"],
-            rotation=np.asarray(entry["R"], dtype=float).reshape(3, 3),
-            translation=entry["t"]) for entry in entries))
+        return CameraRig(cameras=tuple(_camera(entry) for entry in entries))
     except CalibrationError as exc:
         raise type(exc)(f"{path}: {exc}") from None
     except (KeyError, TypeError, ValueError) as exc:

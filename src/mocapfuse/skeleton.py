@@ -93,9 +93,10 @@ def _mul(A, B):
 
 @dataclass(frozen=True)
 class Joint:
-    """One joint of the chain: a finite ``length`` (``ranges.check``), and
-    for a joint with a parent a length > 0 and a unit ``direction``, or
-    SkeletonError names the joint."""
+    """One joint of the chain: a finite ``length`` (``ranges.check``) and a
+    ``direction`` of 3 finite numbers (``ranges.floats``), and for a joint
+    with a parent a length > 0 and a unit direction, or SkeletonError names
+    the joint."""
 
     name: str
     parent: int            # index into the joint list, -1 for the root
@@ -104,8 +105,6 @@ class Joint:
     dofs: tuple            # dof tokens: tx/ty/tz/rx/ry/rz/exp
 
     def __post_init__(self):
-        object.__setattr__(self, "direction",
-                           np.asarray(self.direction, dtype=float))
         object.__setattr__(self, "dofs", tuple(self.dofs))
         for tok in self.dofs:
             if tok not in _DOF_WIDTH:
@@ -113,11 +112,11 @@ class Joint:
         try:
             ranges.check(self, float, "> 0" if self.parent >= 0 else "",
                          "length")
+            d = ranges.floats("direction", self.direction, (3,))
         except ValueError as exc:
             raise SkeletonError(f"joint {self.name}: {exc}") from None
-        d = self.direction
-        if self.parent >= 0 and not (d.shape == (3,) and np.all(np.isfinite(d))
-                                     and abs(np.linalg.norm(d) - 1.0) <= 1e-9):
+        object.__setattr__(self, "direction", d)
+        if self.parent >= 0 and abs(np.linalg.norm(d) - 1.0) > 1e-9:
             raise SkeletonError(f"joint {self.name}: direction must be a unit "
                                 f"3-vector, got {d.tolist()}")
 
@@ -162,7 +161,11 @@ class SkeletonModel:
                 raise SkeletonError(f"keypoint {label}: not one of KEYPOINTS")
             if jname not in index:
                 raise SkeletonError(f"keypoint {label}: unknown joint {jname}")
-            refs[label] = (index[jname], offset)
+            try:
+                refs[label] = (index[jname],
+                               ranges.floats("offset", offset, (3,)))
+            except ValueError as exc:
+                raise SkeletonError(f"keypoint {label}: {exc}") from None
         keypoints = tuple(lb for lb in KEYPOINTS if lb in refs)
 
         ancestry = np.zeros((len(self.joints),) * 2, dtype=bool)
@@ -174,8 +177,7 @@ class SkeletonModel:
                 for tok in j.dofs for _ in range(_DOF_WIDTH[tok])]
         dof_joint = np.array([i for i, _ in dofs], dtype=int)
         segment = np.array([refs[lb][0] for lb in keypoints], dtype=int)
-        offset = np.array([np.asarray(refs[lb][1], dtype=float)
-                           for lb in keypoints])
+        offset = np.array([refs[lb][1] for lb in keypoints])
         for attr, value in (
                 ("total_dof", len(dof_joint)),
                 ("joint_index", index),
@@ -228,13 +230,15 @@ def with_keypoint_offsets(model: SkeletonModel, offsets: dict) -> SkeletonModel:
 
 
 def check_pose(model: SkeletonModel, q):
-    q = np.asarray(q, dtype=float)
-    if q.shape != (model.total_dof,):
-        raise SkeletonError(
-            f"pose length {q.shape} does not match model dof {model.total_dof}")
-    if not np.all(np.isfinite(q)):
+    pose = np.asarray(q, dtype=float)
+    if not ranges.numeric(q):
+        raise SkeletonError("pose contains a value that is not a number")
+    if pose.shape != (model.total_dof,):
+        raise SkeletonError(f"pose length {pose.shape} does not match model "
+                            f"dof {model.total_dof}")
+    if not np.all(np.isfinite(pose)):
         raise SkeletonError("pose contains non-finite values")
-    return q
+    return pose
 
 
 def _frames(model: SkeletonModel, q):
@@ -454,14 +458,13 @@ def _model_from_tree(payload) -> SkeletonModel:
             raise SkeletonError(f"joint {entry['name']!r}: unknown parent "
                                 f"{parent!r} (parents are listed first)")
         pidx = -1 if parent is None else name_to_idx[parent]
-        joints.append(Joint(entry["name"], pidx,
-                            np.asarray(entry["direction"], dtype=float),
+        joints.append(Joint(entry["name"], pidx, entry["direction"],
                             entry["length"], tuple(entry["dofs"])))
         name_to_idx[entry["name"]] = len(joints) - 1
     kmap = {}
     for label, entry in payload["keypoints"].items():
         if "offset" in entry:
-            kmap[label] = (entry["joint"], np.asarray(entry["offset"], dtype=float))
+            kmap[label] = (entry["joint"], entry["offset"])
         else:
             kmap[label] = entry["joint"]
     return SkeletonModel(joints=tuple(joints), keypoint_map=kmap)

@@ -45,7 +45,10 @@ class LatticeConfig:
 
     def __post_init__(self):
         ranges.check(self, float, "> 0", "s")
-        ranges.check(self, int, "> 0", "k")
+        # Each camera samples 18 * (2k+1)^3 candidates per frame, with about
+        # 240 B of work arrays per sample on a 4-camera rig: k = 30 gives
+        # 4.1 million samples and ~1 GB, and 1000 would ask for 8e9 offsets.
+        ranges.check(self, int, "in [1, 30]", "k")
 
 
 @dataclass

@@ -309,7 +309,7 @@ def csv_writer_diagnostics(seq, rig, path):
 
 def wholeframe_centroids(frame, floor):
     """``pcm.centroids`` as one scan over the whole frame, before it took
-    row maxima first: every cell selected by its bit pattern, then the same
+    maxima first: every cell selected by its bit pattern, then the same
     value check and sums."""
     n, h, w = frame.channels.shape
     flat = frame.channels.reshape(-1)

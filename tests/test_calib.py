@@ -208,7 +208,9 @@ class TestCameraInvariants:
         ("cy", -math.inf), ("fx", 10 ** 400), ("fy", True), ("width", True),
         ("height", 480.0), ("rotation", np.full((3, 3), np.nan)),
         ("dist", [0.0, 0.0, 0.0, 0.0, math.nan]),
-        ("translation", [0.0, math.inf, 0.0]), ("translation", [0.0, 0.0])],
+        ("translation", [0.0, math.inf, 0.0]), ("translation", [0.0, 0.0]),
+        ("translation", [True, 0.0, 0.0]), ("dist", [0, 0, 0, 0, False]),
+        ("rotation", np.eye(3, dtype=bool))],
         ids=value_id)
     def test_non_finite_or_mistyped_values_name_the_camera(self, field,
                                                            value):
@@ -299,7 +301,11 @@ class TestRigIO:
         ("fy", 10 ** 400, "fy"), ("width", True, "width"),
         ("R", [math.nan] * 9, "rotation"),
         ("dist", [0.0, 0.0, 0.0, 0.0, math.nan], "dist"),
-        ("t", [0.0, math.nan, 0.0], "translation")], ids=value_id)
+        ("t", [0.0, math.nan, 0.0], "translation"),
+        ("t", [True, 0.0, 0.0], "translation"),
+        ("dist", [0.0, 0.0, 0.0, 0.0, False], "dist"),
+        ("R", [True, 0, 0, 0, 1, 0, 0, 0, 1], "rotation"),
+        ("R", [1, 0, 0, 0, 1, 0, 0, 0], "rotation")], ids=value_id)
     def test_non_finite_value_names_the_file_and_camera(self, tmp_path, key,
                                                         value, named):
         path = tmp_path / "calib.json"

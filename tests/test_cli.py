@@ -14,7 +14,8 @@ import pytest
 import mocapfuse
 from conftest import small_scene
 from helpers import bad_numbers, tree_at, value_id
-from mocapfuse import cli, metrics, pcm, pipeline, skeleton as sk, synth
+from mocapfuse import (cli, metrics, pcm, pipeline, skeleton as sk, synth,
+                       tracker)
 from mocapfuse.calib import load_rig, project_points
 from mocapfuse.labels import KEYPOINT_INDEX
 
@@ -331,18 +332,29 @@ class TestFlags:
         assert err.startswith("error: ") and "lattice.spacing" in err
         assert not (tmp_path / "run").exists()
 
-    def test_nan_lattice_spacing_exits_one_before_reading(
-            self, dataset, init_run, tmp_path, capsys, monkeypatch):
-        """A NaN flag is refused as config, before any PCM file is read."""
+    @pytest.mark.parametrize("flag, value, refusal", [
+        ("--lattice-s", "nan", "s must be a finite float > 0, got nan"),
+        ("--lattice-k", "1000", "k must be a finite int in [1, 30], got 1000")],
+        ids=["nan_spacing", "k_above_the_cap"])
+    def test_bad_lattice_flag_exits_one_before_reading(
+            self, dataset, init_run, tmp_path, capsys, monkeypatch, flag,
+            value, refusal):
+        """A NaN spacing, or a half-extent whose lattice would not fit in
+        memory, is refused as config before any PCM file is read or any
+        lattice built (a call would fail the test, not allocate it)."""
         reads = []
         read_pcm = pcm.read_pcm
         monkeypatch.setattr(pcm, "read_pcm",
                             lambda path: reads.append(path) or read_pcm(path))
+
+        def no_lattice(k):
+            raise AssertionError(f"lattice of k={k} built")
+
+        monkeypatch.setattr(tracker, "lattice_offsets", no_lattice)
         assert self.track(dataset, init_run, tmp_path / "run",
-                          "--lattice-s", "nan") == 1
+                          flag, value) == 1
         assert capsys.readouterr().err.splitlines() == [
-            "error: ValueError: config lattice: s must be a finite float "
-            "> 0, got nan"]
+            f"error: ValueError: config lattice: {refusal}"]
         assert reads == []
         assert not (tmp_path / "run").exists()
 
@@ -615,8 +627,10 @@ class TestRuntimeErrors:
          "SkeletonError", "'pose0': pose contains non-finite values"),
         ({"first_track_frame": 12, "pose0": ["x"] + [0.0] * 33},
          "ValueError", "'pose0': could not convert"),
+        ({"first_track_frame": 12, "pose0": [0.0] * 33 + [True]},
+         "SkeletonError", "'pose0': pose contains a value that is not"),
     ], ids=["list", "no_pose0", "string_frame", "bool_frame", "nan_pose",
-            "string_pose"])
+            "string_pose", "bool_pose"])
     def test_malformed_init_state_names_the_file(self, dataset, init_run,
                                                  tmp_path, capsys,
                                                  payload, error, key):

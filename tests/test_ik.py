@@ -10,7 +10,8 @@ from conftest import small_scene
 from helpers import DictProvider, marker_set, objective
 from mocapfuse import ik, pcm, pipeline, skeleton as sk, synth
 from mocapfuse.labels import KEYPOINT_INDEX, KEYPOINTS
-from mocapfuse.tracker import VirtualMarkerSet
+from mocapfuse.smooth import FilterSpec
+from mocapfuse.tracker import LatticeConfig, VirtualMarkerSet
 
 
 def planar_two_link(l1=300.0, l2=250.0):
@@ -378,21 +379,22 @@ class TestKeypointTail:
         assert plain.converged and plain.iterations < drift.iterations
 
 
+def count_fk_passes(monkeypatch):
+    """A one-item list that counts ``sk.fk_and_jacobians`` calls."""
+    passes = [0]
+    fk_and_jacobians = sk.fk_and_jacobians
+
+    def counted(*args, **kwargs):
+        passes[0] += 1
+        return fk_and_jacobians(*args, **kwargs)
+
+    monkeypatch.setattr(sk, "fk_and_jacobians", counted)
+    return passes
+
+
 class TestPredictedDecrease:
     """No trial is made once the LM model predicts a decrease of at most
     ``ik.DECREASE_EPS`` * eps * obj."""
-
-    def count_fk_passes(self, monkeypatch):
-        """A one-item list that counts ``sk.fk_and_jacobians`` calls."""
-        passes = [0]
-        fk_and_jacobians = sk.fk_and_jacobians
-
-        def counted(*args, **kwargs):
-            passes[0] += 1
-            return fk_and_jacobians(*args, **kwargs)
-
-        monkeypatch.setattr(sk, "fk_and_jacobians", counted)
-        return passes
 
     def test_restart_at_the_minimum_makes_no_fk_pass(self, rng, monkeypatch):
         """A noisy fit run to its minimum (no tail rule, tight tolerances)
@@ -411,7 +413,7 @@ class TestPredictedDecrease:
         minimum = ik.solve(model, q0, markers, tight_settings())
         monkeypatch.undo()
         assert minimum.converged
-        passes = self.count_fk_passes(monkeypatch)
+        passes = count_fk_passes(monkeypatch)
         for anchor in (0.0, ik.ANCHOR):
             result = minimum
             for _ in range(3):
@@ -429,10 +431,51 @@ class TestPredictedDecrease:
         exhausted the damping (16 each): 8 are left."""
         spec = small_scene(motion=synth.handstand_like())
         rig = synth.build_rig(spec)
-        passes = self.count_fk_passes(monkeypatch)
+        passes = count_fk_passes(monkeypatch)
         pipeline.initialize(synth.SyntheticProvider(spec, rig), rig,
                             sk.human_skeleton(), pipeline.PipelineConfig())
         assert passes[0] <= 120 - 7 * 16
+
+
+class TestTrackingCounts:
+    """The tracking work per frame, barred as ``initialize``'s is above, so
+    that a solve that takes more LM iterations or FK passes fails here
+    without a benchmark run.  The counts repeat exactly; the bars leave
+    about 8 % for another platform's last-bit rounding."""
+
+    @pytest.mark.parametrize("scene, config, frames, bar", [
+        (lambda: small_scene(motion=synth.walk_like(), noise=synth.NoiseModel(
+            jitter_px=1.0, amplitude_std=0.1)),
+         pipeline.PipelineConfig, range(30, 50), 11.0),
+        (lambda: small_scene(motion=synth.handstand_like(period_s=4.0),
+                             tilt_bias=synth.TiltBias(enabled=True,
+                                                      jitter_px=10.0)),
+         lambda: pipeline.PipelineConfig(
+             lattice=LatticeConfig(s=15.0, rotation_enabled=True),
+             filter=FilterSpec(cutoff_hz=10.0, sample_rate_hz=60.0)),
+         range(110, 140), 7.5)], ids=["walk", "handstand"])
+    def test_lm_iterations_and_fk_passes_per_frame(self, monkeypatch, scene,
+                                                   config, frames, bar):
+        """Both stages of a causal track: 10.15 LM iterations and as many
+        FK passes per frame on the walk (seed 0), 7.00 on the handstand
+        through its inversion."""
+        spec = scene()
+        rig = synth.build_rig(spec)
+        model = synth.build_model(spec)
+        pose0 = synth.ground_truth_pose(spec, frames[0] - 1, model)
+        passes = count_fk_passes(monkeypatch)
+        solve, results = ik.solve, []
+
+        def recorded_solve(*args, **kwargs):
+            results.append(solve(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(ik, "solve", recorded_solve)
+        pipeline.track(synth.SyntheticProvider(spec, rig), rig, model, pose0,
+                       config(), frames)
+        assert len(results) == 2 * len(frames)
+        assert sum(r.iterations for r in results) / len(frames) <= bar
+        assert passes[0] / len(frames) <= bar
 
 
 class TestOneFkPassPerPose:

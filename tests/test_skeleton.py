@@ -579,7 +579,8 @@ class TestTopologyInvariants:
             ), keypoint_map={})
 
     @pytest.mark.parametrize("direction", [
-        (0, 0, -2), (0, 0, 0), (0, np.nan, 1), (0, 0, 1 + 1e-6), (1, 0)])
+        (0, 0, -2), (0, 0, 0), (0, np.nan, 1), (0, 0, 1 + 1e-6), (1, 0),
+        (True, 0, 0)])
     def test_non_unit_direction_rejected(self, direction):
         with pytest.raises(sk.SkeletonError, match="joint knee: direction"):
             sk.Joint("knee", 0, direction, 420.0, ("rx",))
@@ -623,19 +624,40 @@ class TestSkeletonIO:
             npt.assert_array_equal(a.direction, b.direction)
             assert a.length == b.length
 
-    def test_non_unit_direction_in_file_names_file_and_joint(self, tmp_path):
+    @pytest.mark.parametrize("joint, direction", [
+        ("r_knee", [0.0, 0.0, -2.0]), ("r_knee", [0.0, 0.0, 0.0, -1.0]),
+        ("r_knee", [0.0, 0.0, "-1"]), ("r_elbow", [True, 0, 0]),
+        ("pelvis", [0, 0, False])],
+        ids=["doubled", "four_numbers", "string", "bool", "bool_root"])
+    def test_bad_direction_in_file_names_file_and_joint(self, tmp_path,
+                                                        joint, direction):
         """A doubled direction would put the knee twice its declared length
-        from the hip."""
+        from the hip, and JSON's ``true`` would pass as 1.0."""
         path = tmp_path / "skeleton.json"
         sk.save_skeleton(sk.human_skeleton(), path)
         payload = json.loads(path.read_text())
-        for entry in payload["joints"]:
-            if entry["name"] == "r_knee":
-                entry["direction"] = [0.0, 0.0, -2.0]
+        names = [entry["name"] for entry in payload["joints"]]
+        payload["joints"][names.index(joint)]["direction"] = direction
         path.write_text(json.dumps(payload))
         with pytest.raises(sk.SkeletonError) as err:
             sk.load_skeleton(path)
-        assert str(err.value).startswith(f"{path}: joint r_knee: direction")
+        assert str(err.value).startswith(f"{path}: joint {joint}: direction")
+
+    @pytest.mark.parametrize("offset", [
+        [True, 0.0, 0.0], [0.0, 0.0], [0.0, math.nan, 0.0], "abc"],
+        ids=["bool", "two_numbers", "nan", "string"])
+    def test_bad_keypoint_offset_in_file_names_file_and_label(
+            self, tmp_path, offset):
+        path = tmp_path / "skeleton.json"
+        sk.save_skeleton(sk.human_skeleton(), path)
+        payload = json.loads(path.read_text())
+        payload["keypoints"]["nose"]["offset"] = offset
+        path.write_text(json.dumps(payload))
+        with pytest.raises(sk.SkeletonError) as err:
+            sk.load_skeleton(path)
+        assert str(err.value).startswith(
+            f"{path}: keypoint nose: offset must be finite numbers of shape "
+            f"(3,), got ")
 
     def test_label_outside_keypoints_in_file_names_file_and_label(
             self, tmp_path):

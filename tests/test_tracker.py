@@ -91,6 +91,10 @@ class TestLatticeOffsets:
             LatticeConfig(s=0.0)
         with pytest.raises(ValueError):
             LatticeConfig(k=0)
+        assert LatticeConfig(k=30).k == 30
+        with pytest.raises(ValueError, match=r"k must be a finite int in "
+                                             r"\[1, 30\], got 31"):
+            LatticeConfig(k=31)
 
 
 class TestLatticeSearch:
