@@ -35,6 +35,10 @@ class DuplicateCameraId(CalibrationError):
 
 
 _ORTHO_TOL = 1e-9
+# Fixed-point iterations that invert the lens distortion model.
+UNDISTORT_ITERATIONS = 8
+# The world axis a ``look_at_camera`` image's up direction is aligned with.
+LOOK_AT_UP = (0.0, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -152,11 +156,12 @@ def project_points(camera: Camera, points):
     return px, in_front
 
 
-def undistort_normalized(camera: Camera, xd, yd, iterations=8):
-    """Invert the distortion model for normalized coordinates (iteratively)."""
+def undistort_normalized(camera: Camera, xd, yd):
+    """Invert the distortion model for normalized coordinates
+    (``UNDISTORT_ITERATIONS`` fixed-point iterations)."""
     k1, k2, p1, p2, k3 = camera.dist
     x, y = xd, yd
-    for _ in range(iterations):
+    for _ in range(UNDISTORT_ITERATIONS):
         r2 = x * x + y * y
         radial = 1.0 + r2 * (k1 + r2 * (k2 + r2 * k3))
         dx = 2.0 * p1 * x * y + p2 * (r2 + 2.0 * x * x)
@@ -193,19 +198,20 @@ def rotate_pixel(pixel, angle_deg, center):
     return (R @ (p - c).T).T + c
 
 
-def look_at_camera(cam_id, position, target, width, height, f_px, up=(0.0, 0.0, 1.0)):
-    """Build a camera at ``position`` looking at ``target`` (both world mm).
-    A view within 1e-6 rad of the unit vector ``up``, about which rounding
-    would set the camera's roll, or a target at the position: ValueError."""
+def look_at_camera(cam_id, position, target, width, height, f_px):
+    """Build a camera at ``position`` looking at ``target`` (both world mm),
+    its image upright about ``LOOK_AT_UP``.  A view within 1e-6 rad of that
+    axis, about which rounding would set the camera's roll, or a target at
+    the position: ValueError."""
     pos = np.asarray(position, dtype=float)
     aim = np.asarray(target, dtype=float)
     fwd = aim - pos
     with np.errstate(invalid="ignore"):     # a target at the position
         fwd = fwd / np.linalg.norm(fwd)
-    right = np.cross(fwd, np.asarray(up, dtype=float))
+    right = np.cross(fwd, LOOK_AT_UP)
     if not np.linalg.norm(right) > 1e-6:        # NaN too
         raise ValueError(f"camera {cam_id}: the view from {pos.tolist()} to "
-                         f"{aim.tolist()} is parallel to up {up}")
+                         f"{aim.tolist()} is parallel to up {LOOK_AT_UP}")
     right = right / np.linalg.norm(right)
     down = np.cross(fwd, right)
     R = np.stack([right, down, fwd])

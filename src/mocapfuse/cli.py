@@ -74,7 +74,9 @@ def _read_json(path):
 
 def _build_config(args) -> pipeline_mod.PipelineConfig:
     """The --config file's tree (or a run.json's "config" member) with
-    track's flags laid over it, checked by PipelineConfig.from_dict."""
+    track's flags laid over it, checked by PipelineConfig.from_dict.  A
+    section that is not an object takes no flag, so from_dict refuses it
+    by name as it would without one."""
     tree = {}
     if args.config:
         tree = _read_json(args.config)
@@ -84,7 +86,7 @@ def _build_config(args) -> pipeline_mod.PipelineConfig:
             raise ValueError(f"{args.config}: config must be a JSON object")
     for flag, (section, key) in _FLAG_PATHS.items():
         value = getattr(args, flag, None)
-        if value is not None:
+        if value is not None and isinstance(tree.get(section, {}), dict):
             tree.setdefault(section, {})[key] = value
     return pipeline_mod.PipelineConfig.from_dict(tree)
 
@@ -174,8 +176,8 @@ def cmd_track(args):
 
 
 def cmd_eval(args):
-    indices_p, pred, weights = pipeline_mod._read_positions_and_weights(
-        args.pred, "stage2")
+    indices_p, pred, weights = pipeline_mod.read_keypoint_csv(args.pred,
+                                                             "stage2")
     indices_g, gt = synth_mod.read_ground_truth_csv(args.gt)
     tracked = set(indices_p)
     gt = [frame for idx, frame in zip(indices_g, gt) if idx in tracked]

@@ -5,12 +5,12 @@ Levenberg-Marquardt on the sqrt(W)-scaled stacked residuals.  Translation
 coordinates (mm) and rotation coordinates (radians) are conditioned by a
 fixed diagonal scaling (1 rad = ``TRANSLATION_SCALE`` mm).
 
-An anchored solve (``anchor`` > 0) minimizes the marker term plus
-rho/2 * ||(q - q_warm) / scale||^2, with rho = anchor * trace(H) / n of the
-first iteration's Gauss-Newton matrix H, so the few dofs the markers barely
-observe stay at the warm start instead of drifting along a flat valley.
-Tracking (stage 1 and the stage-2 refit) passes ``ANCHOR``; every other
-solve is unanchored.
+An anchored solve (``anchored=True``) minimizes the marker term plus
+rho/2 * ||(q - q_warm) / scale||^2, with rho = ``ANCHOR`` * trace(H) / n of
+the first iteration's Gauss-Newton matrix H, so the few dofs the markers
+barely observe stay at the warm start instead of drifting along a flat
+valley.  Tracking (stage 1 and the stage-2 refit) is anchored; every other
+solve is not.
 
 Every solve, anchored or not, stops once its keypoints have converged: the
 largest coordinate move m of any keypoint in an accepted step, against the
@@ -103,12 +103,12 @@ class IkResult:
 
 
 def solve(model, q_init, markers: VirtualMarkerSet,
-          settings: IkSettings = IkSettings(), *, anchor=0.0) -> IkResult:
+          settings: IkSettings = IkSettings(), *, anchored=False) -> IkResult:
     """Fit the pose to the weighted markers, warm-started at ``q_init``.
 
     ``q_init`` is a pose or an earlier ``IkResult``; one of the same
     ``model`` object starts the solve from its final FK pass, any other is
-    read for its ``q``.  With ``anchor`` > 0 the objective also holds the
+    read for its ``q``.  With ``anchored`` the objective also holds the
     pose to ``q_init`` (see the module docstring); ``residual`` is always
     the marker-fit objective.  The accepted-step objective sequence is
     non-increasing; with all weights zero the warm start is returned
@@ -120,16 +120,12 @@ def solve(model, q_init, markers: VirtualMarkerSet,
     keypoints have converged: an accepted step after the first whose
     largest keypoint coordinate move m (mm) is below the previous accepted
     step's m_prev, with m^2 <= ``KEYPOINT_TAIL_MM`` * (m_prev - m).  A
-    rejected trial leaves m_prev as it is.  An ``anchor`` that is not
-    finite and >= 0, or whose anchor weight overflows, raises ValueError
-    naming it.  Each pose tried gets one FK pass over every keypoint the
-    model maps, which also gives its Jacobian: the residual uses the rows
-    with weight > 0, and an accepted trial's pass serves the next iteration
-    and the result.  A marker with weight > 0 on a keypoint the model does
-    not map raises SkeletonError.
+    rejected trial leaves m_prev as it is.  Each pose tried gets one FK
+    pass over every keypoint the model maps, which also gives its Jacobian:
+    the residual uses the rows with weight > 0, and an accepted trial's
+    pass serves the next iteration and the result.  A marker with weight >
+    0 on a keypoint the model does not map raises SkeletonError.
     """
-    if not (anchor >= 0.0 and math.isfinite(anchor)):
-        raise ValueError(f"anchor must be finite and >= 0, got {anchor!r}")
     if isinstance(q_init, IkResult) and q_init.model is model:
         q, positions, jac = q_init.q, q_init.positions, q_init.jacobians
     else:
@@ -174,21 +170,17 @@ def solve(model, q_init, markers: VirtualMarkerSet,
         Js = (jac[sel] * jac_scale).reshape(r.size, n_dof)
         H = Js.T @ Js
         g = Js.T @ r
+        diagonal = H.ravel()[::n_dof + 1]     # a view: H's diagonal in place
+        if anchored:
+            if iterations == 1:
+                rho = ANCHOR * float(np.trace(H)) / n_dof
+            diagonal += rho
+            g -= rho * (q - q_warm) / scale
         # A non-finite Jacobian entry makes its column's diagonal entry of H,
         # a sum of squares, non-finite; a non-finite residual makes g so.
         trace = float(np.trace(H))
         if not (math.isfinite(trace) and np.isfinite(g).all()):
             raise FloatingPointError("non-finite IK residual or jacobian")
-        diagonal = H.ravel()[::n_dof + 1]     # a view: H's diagonal in place
-        if anchor:
-            if iterations == 1:
-                rho = anchor * trace / n_dof
-            diagonal += rho
-            trace = float(np.trace(H))
-            if not math.isfinite(trace):
-                raise ValueError(f"anchor {anchor!r} overflows the anchored "
-                                 f"objective")
-            g -= rho * (q - q_warm) / scale
         # Damping proportional to the mean curvature makes the iterates
         # invariant to a uniform rescaling of all marker weights.
         mu = max(trace / n_dof, 1e-30)

@@ -33,6 +33,8 @@ UPPER_BODY = PartGroup("UpperBody", lb.UPPER_BODY)
 LOWER_BODY = PartGroup("LowerBody", lb.LOWER_BODY)
 TOTAL = PartGroup("Total", lb.TOTAL)
 GROUPS = (HEAD, UPPER_BODY, LOWER_BODY, TOTAL)
+# The 3D-PCK thresholds of a summary, mm.
+SUMMARY_TAUS_MM = (50.0, 100.0, 150.0)
 
 
 def _errors(pred_frames, gt_frames, group: PartGroup):
@@ -83,12 +85,13 @@ def emit_series(indices, pred_frames, weights, gt_frames, path):
                              repr(float(sum(w.values())))])
 
 
-def summary(pred_frames, gt_frames, taus=(50.0, 100.0, 150.0)) -> dict:
-    """Per-group MPJPE and 3D-PCK table as a JSON-friendly dict."""
+def summary(pred_frames, gt_frames) -> dict:
+    """Per-group MPJPE and 3D-PCK table (at ``SUMMARY_TAUS_MM``) as a
+    JSON-friendly dict."""
     out = {"mpjpe_mm": {}, "pck_percent": {}}
     for group in GROUPS:
         out["mpjpe_mm"][group.name] = mpjpe(pred_frames, gt_frames, group)
-    for tau in taus:
+    for tau in SUMMARY_TAUS_MM:
         key = f"@{int(tau)}mm"
         out["pck_percent"][key] = {
             group.name: pck3d(pred_frames, gt_frames, group, tau)
@@ -96,10 +99,10 @@ def summary(pred_frames, gt_frames, taus=(50.0, 100.0, 150.0)) -> dict:
     return out
 
 
-def write_summary(pred_frames, gt_frames, path, taus=(50.0, 100.0, 150.0)):
+def write_summary(pred_frames, gt_frames, path):
     """Write the summary table as JSON; returns the text written, without
     its final newline."""
-    text = json.dumps(summary(pred_frames, gt_frames, taus), indent=2,
+    text = json.dumps(summary(pred_frames, gt_frames), indent=2,
                       sort_keys=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import ranges
 from .labels import KEYPOINTS
 
 MAGIC = b"PCMF"
@@ -57,10 +58,10 @@ class HeatmapFrame:
     """One camera's 18 channels for one frame.
 
     Pixels are image pixels, distortion included, times ``scale``.
-    Construction checks the scale and the channel shape, not the values:
-    ``sample_channels`` and ``centroids`` check every cell they read and
-    raise PcmFormatError for a value outside [0, 1] or NaN, so the cost does
-    not grow with the frame.
+    Construction checks the scale (``ranges.check``) and the channel shape,
+    not the values: ``sample_channels`` and ``centroids`` check every cell
+    they read and raise PcmFormatError for a value outside [0, 1] or NaN,
+    so the cost does not grow with the frame.
     """
     camera_id: int
     frame_index: int
@@ -71,9 +72,10 @@ class HeatmapFrame:
     def __post_init__(self):
         ch = np.ascontiguousarray(self.channels, dtype=np.float32)
         object.__setattr__(self, "channels", ch)
-        if not (math.isfinite(self.scale) and self.scale > 0):
-            raise PcmError(f"heatmap scale must be finite and > 0, "
-                           f"got {self.scale}")
+        try:
+            ranges.check(self, float, "> 0", "scale")
+        except ValueError as exc:
+            raise PcmError(str(exc)) from None
         if ch.ndim != 3 or ch.shape[0] != len(KEYPOINTS) or 0 in ch.shape:
             raise PcmError(f"channels must be (18, height, width) with "
                            f"height, width > 0, got {ch.shape}")

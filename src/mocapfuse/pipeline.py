@@ -361,7 +361,7 @@ def track(provider, rig: CameraRig, model, pose0, config: PipelineConfig,
         if low.any():
             log.debug("frame %s: low-confidence keypoints %s", frame_index,
                       tuple(lb for lb, flag in zip(KEYPOINTS, low) if flag))
-        result1 = ik_mod.solve(model, prev, markers, anchor=ik_mod.ANCHOR)
+        result1 = ik_mod.solve(model, prev, markers, anchored=True)
         if result1.no_evidence:
             log.info("frame %s: no PCM evidence, holding previous pose",
                      frame_index)
@@ -411,24 +411,28 @@ def write_positions_csv(seq: MotionSequence, path):
 
 def read_positions_csv(path, stage="stage2"):
     """Read back a positions CSV into (frame indices, list of label->pos)."""
-    return _read_positions_and_weights(path, stage)[:2]
+    return read_keypoint_csv(path, stage)[:2]
 
 
-def _read_positions_and_weights(path, stage):
-    """One pass over a positions CSV: (frame indices, list of label->pos,
-    list of label->weight)."""
+def read_keypoint_csv(path, stage):
+    """One pass over a keypoint CSV: (frame indices, list of label->pos,
+    list of label->weight) of its rows of ``stage``; with ``stage`` None (a
+    ground-truth CSV) of every row, a later one of a frame and label
+    replacing an earlier one, with empty weight dicts."""
     positions, weights = {}, {}
     with open(path, "r", newline="", encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
-            if row["stage"] != stage:
+            if stage is not None and row["stage"] != stage:
                 continue
             idx = int(row["frame"])
             positions.setdefault(idx, {})[row["label"]] = np.array(
                 [float(row["x_mm"]), float(row["y_mm"]), float(row["z_mm"])])
-            weights.setdefault(idx, {})[row["label"]] = float(row["weight"])
+            if stage is not None:
+                weights.setdefault(idx, {})[row["label"]] = float(
+                    row["weight"])
     indices = sorted(positions)
     return (indices, [positions[i] for i in indices],
-            [weights[i] for i in indices])
+            [weights.get(i, {}) for i in indices])
 
 
 def write_pose_csv(seq: MotionSequence, path):
@@ -441,14 +445,13 @@ def write_pose_csv(seq: MotionSequence, path):
                          for f in seq.frames)
 
 
-def write_run_metadata(path, config: PipelineConfig, model, extra=None):
+def write_run_metadata(path, config: PipelineConfig, model, extra):
     payload = {
         "version": 1,
         "config": config.to_dict(),
         "link_lengths_mm": {k: float(v) for k, v in model.link_lengths().items()},
+        **extra,
     }
-    if extra:
-        payload.update(extra)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

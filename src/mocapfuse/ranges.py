@@ -14,11 +14,16 @@ RULES = {"": lambda v: True, "> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0,
          "in [1, 30]": lambda v: 1 <= v <= 30}
 
 
+# The types that pass as each kind: numpy's numbers as Python's.
+_TYPES = {int: (int, np.integer), float: (int, np.integer, float, np.floating)}
+
+
 def finite(value, kind=float):
-    """Whether ``value`` is a finite ``kind``: an int passes as a float, a
-    bool never, nor a number beyond the float64 range (10**400)."""
+    """Whether ``value`` is a finite ``kind``: an int passes as a float, and
+    numpy's ints and floats as Python's; a bool never, nor a number beyond
+    the float64 range (10**400)."""
     try:
-        return (isinstance(value, (int, kind)) and not isinstance(value, bool)
+        return (isinstance(value, _TYPES[kind]) and not isinstance(value, bool)
                 and math.isfinite(value))
     except OverflowError:
         return False

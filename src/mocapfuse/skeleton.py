@@ -377,20 +377,15 @@ _HUMAN_FACE_OFFSETS = {
 
 
 def human_skeleton() -> SkeletonModel:
-    """The default 34-DOF human model in its reference proportions."""
-    name_to_idx = {}
-    joints = []
-    for name, parent, direction, length, dofs in _HUMAN_SPEC:
-        pidx = -1 if parent is None else name_to_idx[parent]
-        joints.append(Joint(name, pidx, direction, length, dofs))
-        name_to_idx[name] = len(joints) - 1
-    kmap = {}
-    for label in KEYPOINTS:
-        if label in _HUMAN_FACE_OFFSETS:
-            kmap[label] = ("head", np.asarray(_HUMAN_FACE_OFFSETS[label]))
-        else:
-            kmap[label] = label
-    return SkeletonModel(joints=tuple(joints), keypoint_map=kmap)
+    """The default 34-DOF human model in its reference proportions, built
+    from its description as a skeleton file's is."""
+    keys = ("name", "parent", "direction", "length", "dofs")
+    return _model_from_tree({
+        "joints": [dict(zip(keys, entry)) for entry in _HUMAN_SPEC],
+        "keypoints": {label: {"joint": "head",
+                              "offset": _HUMAN_FACE_OFFSETS[label]}
+                      if label in _HUMAN_FACE_OFFSETS else {"joint": label}
+                      for label in KEYPOINTS}})
 
 
 def scaled_human_skeleton(scale: float) -> SkeletonModel:

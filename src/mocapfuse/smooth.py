@@ -127,4 +127,4 @@ def refit(model, q_init, positions):
     all weighted 1."""
     markers = VirtualMarkerSet(positions=positions,
                                weights=np.ones(len(KEYPOINTS)))
-    return ik_mod.solve(model, q_init, markers, anchor=ik_mod.ANCHOR)
+    return ik_mod.solve(model, q_init, markers, anchored=True)

@@ -26,7 +26,7 @@ from . import ranges
 from . import skeleton as sk
 from .calib import CameraRig, look_at_camera, project_points, rotate_pixel, save_rig
 from .labels import KEYPOINTS, LOWER_BODY
-from .pipeline import overlay
+from .pipeline import overlay, read_keypoint_csv
 from .tracker import camera_tilt
 
 
@@ -291,21 +291,20 @@ class FrameBuffers:
         return buf
 
 
-def render_frame(spec: SceneSpec, camera, frame_index, rotation_deg=0.0,
-                 model=None, truth=None, buffers=None) -> pcm_mod.HeatmapFrame:
-    """Render one camera's heatmap frame, optionally on the rotated image,
-    from the frame's ``ground_truth_keypoints`` (``truth``, when given).
-    The pixels, the tilt bias and ``rotation_deg`` all use the angle's
-    1-degree bin (``pcm.quantize_rotation``), as a stored frame would.
+def render_frame(spec: SceneSpec, camera, frame_index, rotation_deg, truth,
+                 buffers) -> pcm_mod.HeatmapFrame:
+    """Render one camera's heatmap frame on the image rotated by
+    ``rotation_deg``, from the frame's ``ground_truth_keypoints``
+    (``truth``).  The pixels, the tilt bias and ``rotation_deg`` all use the
+    angle's 1-degree bin (``pcm.quantize_rotation``), as a stored frame
+    would.
 
     The channels are rendered into a buffer of ``buffers`` (a
-    ``FrameBuffers``; None: a pool of one use) and handed out read-only, so
-    a write raises ValueError.  The buffer is not written again while the
-    frame's channels or any view of them is alive."""
+    ``FrameBuffers``) and handed out read-only, so a write raises
+    ValueError.  The buffer is not written again while the frame's channels
+    or any view of them is alive."""
     rot_key = pcm_mod.quantize_rotation(rotation_deg)
     rotation_deg = float(rot_key)
-    if truth is None:
-        truth = ground_truth_keypoints(spec, frame_index, model)
     w = int(round(spec.image_width * spec.heatmap_scale))
     h = int(round(spec.image_height * spec.heatmap_scale))
     sigma_hm = spec.sigma_px * spec.heatmap_scale
@@ -314,8 +313,6 @@ def render_frame(spec: SceneSpec, camera, frame_index, rotation_deg=0.0,
     # Trunk tilt of the ground truth in this camera, for the bias model.
     tilt = camera_tilt(camera, truth) if spec.tilt_bias.enabled else None
 
-    if buffers is None:
-        buffers = FrameBuffers()
     buf = buffers.take((len(KEYPOINTS), h, w))
     noise = spec.noise
     pixels, in_front = project_points(camera, truth)
@@ -382,8 +379,7 @@ class SyntheticProvider(pcm_mod.PcmProvider):
             self._truth = (frame_index, ground_truth_keypoints(
                 self.spec, frame_index, self.model))
         return render_frame(self.spec, self.rig.camera(camera_id), frame_index,
-                            rotation_deg, self.model, self._truth[1],
-                            self._buffers)
+                            rotation_deg, self._truth[1], self._buffers)
 
 
 # ---------------------------------------------------------------------------
@@ -434,10 +430,11 @@ def handstand_like(hold_frames=12, period_s=8.0) -> MotionProgram:
                          name="handstand")
 
 
-def cartwheel_like(hold_frames=12, period_s=8.0) -> MotionProgram:
-    """Slow roll about the forward axis through inversion and back."""
+def cartwheel_like(hold_frames=12) -> MotionProgram:
+    """Slow roll about the forward axis through inversion and back, over
+    8 s."""
     curves = {
-        Q_ROOT_RY: DofCurve(amp=math.pi / 2, freq_hz=1.0 / period_s,
+        Q_ROOT_RY: DofCurve(amp=math.pi / 2, freq_hz=1.0 / 8.0,
                             phase=-math.pi / 2, offset=math.pi / 2),
     }
     return MotionProgram(curves=curves, hold_frames=hold_frames,
@@ -528,7 +525,7 @@ def generate(spec: SceneSpec, n_frames, out_dir):
     for frame_index in range(n_frames):
         truth[frame_index] = ground_truth_keypoints(spec, frame_index, model)
         for camera in rig.cameras:
-            frame = render_frame(spec, camera, frame_index, 0.0, model,
+            frame = render_frame(spec, camera, frame_index, 0.0,
                                  truth[frame_index], buffers)
             path = pcm_mod.frame_path(pcm_root, camera.id, frame_index)
             os.makedirs(os.path.dirname(path), exist_ok=True)
@@ -548,11 +545,5 @@ def _write_ground_truth_csv(spec, truth, path):
 
 
 def read_ground_truth_csv(path):
-    per_frame = {}
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            idx = int(row["frame"])
-            per_frame.setdefault(idx, {})[row["label"]] = np.array(
-                [float(row["x_mm"]), float(row["y_mm"]), float(row["z_mm"])])
-    indices = sorted(per_frame)
-    return indices, [per_frame[i] for i in indices]
+    """(frame indices, list of label->pos) of a ground-truth CSV."""
+    return read_keypoint_csv(path, None)[:2]

@@ -8,7 +8,7 @@ import os
 
 import numpy as np
 
-from mocapfuse import pcm, skeleton as sk, tracker
+from mocapfuse import pcm, skeleton as sk, synth, tracker
 from mocapfuse.labels import KEYPOINT_INDEX, KEYPOINTS, LOWER_BODY
 from mocapfuse.pipeline import LOW_CONFIDENCE_FRACTION
 from mocapfuse.tracker import VirtualMarkerSet
@@ -73,6 +73,14 @@ def frame_with_channel(label, grid, **kw):
     channels = np.zeros((len(KEYPOINTS), h, w), dtype=np.float32)
     channels[KEYPOINT_INDEX[label]] = grid
     return make_frame(channels=channels, h=h, w=w, **kw)
+
+
+def render(spec, camera, frame_index, rotation_deg=0.0):
+    """``synth.render_frame`` of one frame from its own ground truth, into a
+    pool of its own."""
+    return synth.render_frame(spec, camera, frame_index, rotation_deg,
+                              synth.ground_truth_keypoints(spec, frame_index),
+                              synth.FrameBuffers())
 
 
 class DictProvider(pcm.PcmProvider):

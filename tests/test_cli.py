@@ -332,6 +332,38 @@ class TestFlags:
         assert err.startswith("error: ") and "lattice.spacing" in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("payload, flags, refusal", [
+        ({"lattice": 5}, [], "lattice must be a JSON object, got 5"),
+        ({"lattice": 5}, ["--lattice-s", "12"],
+         "lattice must be a JSON object, got 5"),
+        ({"config": {"filter": [1]}}, [],
+         "filter must be a JSON object, got [1]"),
+        ({"config": {"filter": [1]}}, ["--cutoff-hz", "4"],
+         "filter must be a JSON object, got [1]"),
+    ], ids=["int_section", "int_section_and_flag", "list_section",
+            "list_section_and_flag"])
+    def test_section_that_is_not_an_object_exits_one(
+            self, dataset, init_run, tmp_path, capsys, payload, flags,
+            refusal):
+        """A config section that is not an object is refused by name,
+        whether or not one of track's flags sets a key in it."""
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(payload))
+        assert self.track(dataset, init_run, tmp_path / "run",
+                          "--config", str(cfg), *flags) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: ValueError: config {refusal}"]
+        assert not (tmp_path / "run").exists()
+
+    def test_flag_overrides_a_wrong_file_value(self, dataset, init_run,
+                                               tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"lattice": {"s": "wide"}}))
+        assert self.track(dataset, init_run, tmp_path / "run",
+                          "--config", str(cfg), "--lattice-s", "12") == 0
+        run = json.loads((tmp_path / "run" / "run.json").read_text())
+        assert run["config"]["lattice"]["s"] == 12.0
+
     @pytest.mark.parametrize("flag, value, refusal", [
         ("--lattice-s", "nan", "s must be a finite float > 0, got nan"),
         ("--lattice-k", "1000", "k must be a finite int in [1, 30], got 1000")],
@@ -576,7 +608,8 @@ class TestRuntimeErrors:
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(
-            f"error: PcmFormatError: {path}: heatmap scale must be finite")
+            f"error: PcmFormatError: {path}: scale must be a finite float "
+            f"> 0, got {scale}")
         assert not out.exists()
 
     def test_directory_at_a_frame_path_exits_one(self, dataset, init_run,

@@ -11,7 +11,7 @@ import pytest
 
 from conftest import small_scene
 from helpers import (DictProvider, frame_with_channel, gaussian_grid,
-                     make_frame, sample_oracle, tobytes_write_pcm,
+                     make_frame, render, sample_oracle, tobytes_write_pcm,
                      wholeframe_centroids)
 from mocapfuse import pcm, synth, tracker
 from mocapfuse.calib import Camera, CameraRig, project_points, rotate_pixel
@@ -95,9 +95,15 @@ class TestHeatmapFrame:
                 make_frame(channels=np.zeros(shape))
 
     def test_bad_scale(self):
-        for scale in (0.0, -0.5, np.nan, np.inf):
+        for scale in (0.0, -0.5, np.nan, np.inf, True):
             with pytest.raises(pcm.PcmError, match="scale"):
                 make_frame(scale=scale)
+
+    def test_numpy_and_int_scales_accepted(self):
+        # The range rule's float: a numpy float32, as a header read with
+        # numpy gives it, or an int.
+        for scale in (np.float32(0.5), np.float64(0.25), 2):
+            assert make_frame(scale=scale).scale == scale
 
 
 def sample(frame, label, pixel):
@@ -254,7 +260,7 @@ class TestSample:
                                                   false_peak_rate=0.5))
         camera = synth.build_rig(spec).cameras[1]
         for rotation in (0.0, 90.0, -37.0):
-            frame = synth.render_frame(spec, camera, 120, rotation)
+            frame = render(spec, camera, 120, rotation)
             self.assert_matches_oracle(frame, rng)
 
     @pytest.mark.parametrize("h, w", [(1, 7), (7, 1), (1, 1)])
@@ -400,6 +406,8 @@ class TestCentroid:
         """Rendered frames (noise with false peaks, a tilt-biased inversion
         and a cartwheel; rotations 0, 90 and -37 degrees) give, at every
         floor, each channel's centroid to the last bit."""
+        # A 4 s cartwheel: the 4 s handstand's pitch about the forward axis.
+        roll = synth.handstand_like(period_s=4.0).curves[synth.Q_ROOT_RX]
         scenes = [
             small_scene(motion=synth.walk_like(), heatmap_scale=scale,
                         noise=synth.NoiseModel(jitter_px=2.0,
@@ -409,7 +417,7 @@ class TestCentroid:
                         heatmap_scale=scale,
                         tilt_bias=synth.TiltBias(enabled=True,
                                                  jitter_px=10.0)),
-            small_scene(motion=synth.cartwheel_like(period_s=4.0),
+            small_scene(motion=synth.MotionProgram({synth.Q_ROOT_RY: roll}),
                         heatmap_scale=scale),
         ]
         compared = 0
@@ -418,8 +426,7 @@ class TestCentroid:
             for frame_index in (0, 120):
                 for camera in rig.cameras[:2]:
                     for rotation in (0.0, 90.0, -37.0):
-                        frame = synth.render_frame(spec, camera, frame_index,
-                                                   rotation)
+                        frame = render(spec, camera, frame_index, rotation)
                         for floor in (0.1, 0.3, 0.5):
                             rows = pcm.centroids(frame, floor)
                             for i, label in enumerate(KEYPOINTS):
@@ -488,7 +495,7 @@ class TestCentroidScan:
         rig = synth.build_rig(spec)
         for camera in rig.cameras:
             for rotation in (0.0, 90.0):
-                frame = synth.render_frame(spec, camera, 40, rotation)
+                frame = render(spec, camera, 40, rotation)
                 self.assert_same(frame, floors=(0.0, 0.1, 0.3, 0.5))
 
     @staticmethod
@@ -721,8 +728,11 @@ class TestFileFormat:
         assert back.channels.tobytes() == path.read_bytes()[header.size:]
 
     @pytest.mark.parametrize("offset, field, value, message", [
-        (32, "<f", np.nan, "heatmap scale"), (32, "<f", np.inf, "heatmap scale"),
-        (24, "<I", 0, "channels")], ids=["nan_scale", "inf_scale", "no_rows"])
+        (32, "<f", np.nan, "scale must be a finite float > 0, got nan"),
+        (32, "<f", np.inf, "scale must be a finite float > 0, got inf"),
+        (32, "<f", -0.5, "scale must be a finite float > 0, got -0.5"),
+        (24, "<I", 0, "channels")],
+        ids=["nan_scale", "inf_scale", "negative_scale", "no_rows"])
     def test_bad_scale_or_empty_grid_in_header(self, tmp_path, rng, offset,
                                                field, value, message):
         # The header's scale (float32 at byte 32) must be finite and > 0,

@@ -36,4 +36,5 @@ def test_stated_constants_match_the_code():
             f"{module}.{path} is {actual}, README says {value}"
     names = {f"{module}.{path}" for module, path, _ in stated}
     assert {"ik.LAMBDA0", "ik.TRANSLATION_SCALE", "ik.ANCHOR",
-            "ik.DECREASE_EPS", "tracker.TILT_THRESHOLD_DEG"} <= names
+            "ik.DECREASE_EPS", "tracker.TILT_THRESHOLD_DEG",
+            "calib.UNDISTORT_ITERATIONS"} <= names

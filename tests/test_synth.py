@@ -10,7 +10,7 @@ import numpy.testing as npt
 import pytest
 
 from conftest import small_scene
-from helpers import resident_mb, value_id
+from helpers import render, resident_mb, value_id
 from mocapfuse import pcm, skeleton as sk, synth
 from mocapfuse.calib import project_points, rotate_pixel
 from mocapfuse.labels import KEYPOINT_INDEX, KEYPOINTS, LOWER_BODY
@@ -108,7 +108,7 @@ class TestRenderFrame:
     def test_centroids_match_projections(self, still_spec, still_rig):
         gt = synth.ground_truth_positions(still_spec, 0)
         for camera in still_rig.cameras:
-            frame = synth.render_frame(still_spec, camera, 0)
+            frame = render(still_spec, camera, 0)
             rows = pcm.centroids(frame, CENTROID_FLOOR)
             for label, c in zip(KEYPOINTS, rows):
                 px, in_front = project_points(camera, gt[label])
@@ -118,22 +118,22 @@ class TestRenderFrame:
     def test_deterministic(self, still_rig):
         noisy = small_scene(noise=synth.NoiseModel(
             jitter_px=2.0, amplitude_std=0.2, false_peak_rate=0.5))
-        a = synth.render_frame(noisy, still_rig.cameras[1], 7)
-        b = synth.render_frame(noisy, still_rig.cameras[1], 7)
+        a = render(noisy, still_rig.cameras[1], 7)
+        b = render(noisy, still_rig.cameras[1], 7)
         npt.assert_array_equal(a.channels, b.channels)
 
     def test_channels_stay_in_range_under_noise(self, still_rig):
         noisy = small_scene(noise=synth.NoiseModel(
             jitter_px=3.0, amplitude_std=1.0, false_peak_rate=1.0))
         for frame_index in range(3):
-            frame = synth.render_frame(noisy, still_rig.cameras[0], frame_index)
+            frame = render(noisy, still_rig.cameras[0], frame_index)
             assert frame.channels.min() >= 0.0
             assert frame.channels.max() <= 1.0
 
     def test_rotated_render_moves_peak(self, still_spec, still_rig):
         camera = still_rig.cameras[0]
         gt = synth.ground_truth_positions(still_spec, 0)
-        frame = synth.render_frame(still_spec, camera, 0, rotation_deg=37.0)
+        frame = render(still_spec, camera, 0, rotation_deg=37.0)
         assert frame.rotation_deg == 37.0
         px, _ = project_points(camera, gt["neck"])
         expected = rotate_pixel(px, 37.0, camera.image_center)
@@ -147,8 +147,8 @@ class TestRenderFrame:
         for spec, frame_index, angle, binned in (
                 (walk, 0, 12.3, 12.0), (walk, 40, -7.6, -8.0),
                 (inversion_spec(), INVERSION_FRAME, 179.6, 180.0)):
-            a = synth.render_frame(spec, camera, frame_index, angle)
-            b = synth.render_frame(spec, camera, frame_index, binned)
+            a = render(spec, camera, frame_index, angle)
+            b = render(spec, camera, frame_index, binned)
             assert a.rotation_deg == b.rotation_deg == binned
             npt.assert_array_equal(a.channels, b.channels)
 
@@ -179,7 +179,7 @@ class TestTiltBias:
     def test_inverted_body_degrades_lower_channels(self, still_rig):
         spec = inversion_spec(jitter_px=0.0)
         camera = still_rig.cameras[0]
-        plain = synth.render_frame(spec, camera, INVERSION_FRAME)
+        plain = render(spec, camera, INVERSION_FRAME)
         for label in sorted(LOWER_BODY):
             peak = plain.channels[KEYPOINT_INDEX[label]].max()
             assert peak < 0.3
@@ -189,8 +189,7 @@ class TestTiltBias:
     def test_tilt_aligned_render_recovers_amplitude(self, still_rig):
         spec = inversion_spec(jitter_px=0.0)
         camera = still_rig.cameras[0]
-        aligned = synth.render_frame(spec, camera, INVERSION_FRAME,
-                                     rotation_deg=180.0)
+        aligned = render(spec, camera, INVERSION_FRAME, rotation_deg=180.0)
         for label in sorted(LOWER_BODY):
             assert aligned.channels[KEYPOINT_INDEX[label]].max() > 0.8
 
@@ -198,9 +197,8 @@ class TestTiltBias:
         spec = inversion_spec(jitter_px=20.0)
         camera = still_rig.cameras[0]
         gt = synth.ground_truth_positions(spec, INVERSION_FRAME)
-        plain = synth.render_frame(spec, camera, INVERSION_FRAME)
-        aligned = synth.render_frame(spec, camera, INVERSION_FRAME,
-                                     rotation_deg=180.0)
+        plain = render(spec, camera, INVERSION_FRAME)
+        aligned = render(spec, camera, INVERSION_FRAME, rotation_deg=180.0)
         displaced = []
         for label in sorted(LOWER_BODY):
             px, _ = project_points(camera, gt[label])
@@ -248,11 +246,10 @@ class TestProvider:
         for frame_index, cam, rotation in [(f, 0, 0.0), (f + 1, 2, 37.0),
                                            (f, 1, -120.0), (f, 1, 0.0)]:
             got = provider.get(cam, frame_index, rotation)
-            fresh = synth.render_frame(spec, still_rig.camera(cam),
-                                       frame_index, rotation, provider.model)
+            fresh = render(spec, still_rig.camera(cam), frame_index, rotation)
             npt.assert_array_equal(got.channels, fresh.channels)
         # The two frames render differently, so a stale memo would show.
-        other = synth.render_frame(spec, still_rig.camera(1), f + 1, 0.0)
+        other = render(spec, still_rig.camera(1), f + 1, 0.0)
         assert not np.array_equal(got.channels, other.channels)
 
     def test_provider_keeps_no_frames(self, still_spec, still_rig):
@@ -301,7 +298,7 @@ class TestProvider:
             with pytest.raises(ValueError):
                 frame.channels.reshape(-1)[:] = 0.0
         with pytest.raises(ValueError):
-            synth.render_frame(spec, rig.cameras[0], 0).channels[2] += 0.1
+            render(spec, rig.cameras[0], 0).channels[2] += 0.1
 
     def test_dropped_frames_reuse_the_pool(self, still_rig):
         """A loop that drops each frame renders into at most the pool's
@@ -313,8 +310,7 @@ class TestProvider:
         for i in range(30):
             channels = provider.get(i % 4, i, 45.0 * (i % 2)).channels
             addresses.add(channels.__array_interface__["data"][0])
-            fresh = synth.render_frame(spec, still_rig.camera(i % 4), i,
-                                       45.0 * (i % 2))
+            fresh = render(spec, still_rig.camera(i % 4), i, 45.0 * (i % 2))
             npt.assert_array_equal(channels, fresh.channels)
             del channels
         assert len(addresses) <= synth._POOL_CAP
@@ -422,7 +418,7 @@ class TestGenerate:
         spec, out, truth, rig = dataset
         provider = pcm.DirectoryProvider(os.path.join(out, "pcm"))
         frame = provider.get(1, 2)
-        fresh = synth.render_frame(spec, rig.camera(1), 2)
+        fresh = render(spec, rig.camera(1), 2)
         npt.assert_array_equal(frame.channels, fresh.channels)
         assert frame.scale == fresh.scale
 
@@ -438,7 +434,7 @@ class TestGenerate:
             for frame_index in range(3):
                 back = pcm.read_pcm(pcm.frame_path(
                     os.path.join(tmp_path, "pcm"), camera.id, frame_index))
-                fresh = synth.render_frame(spec, camera, frame_index)
+                fresh = render(spec, camera, frame_index)
                 npt.assert_array_equal(back.channels, fresh.channels)
 
     def test_unbuildable_rig_writes_nothing(self, tmp_path):
