@@ -4,9 +4,9 @@ Initialization triangulates the per-camera confidence-map centroids over a
 run of frames until they agree in 3D, identifies the subject's link lengths
 from the triangulated keypoints and fits the initial pose.  Tracking then
 runs lattice search around the last stage-1 positions and weighted IK (stage
-1) frame by frame; stage 2, the filter and the re-solve after it, is
-``smooth.smooth_and_refit`` on each frame, or ``smooth.refit_offline`` over
-the whole run once stage 1 is done.
+1) frame by frame; stage 2, the filter and the re-solve after it, is a chain
+of ``smooth.refit`` solves, one per frame (``smooth.smooth_and_refit``) or,
+offline, over the ``smooth.filtfilt`` rows of the whole run after stage 1.
 """
 
 from __future__ import annotations
@@ -378,11 +378,11 @@ def track(provider, rig: CameraRig, model, pose0, config: PipelineConfig,
 
     if config.filter.mode == "offline" and frames:
         # The zero-phase stage 2 replaces the causal one.
-        stage2 = smooth_mod.refit_offline(
-            model, frames[0].pose_stage1,
-            np.stack([f.positions_stage1 for f in frames]), config.filter)
-        for f, result in zip(frames, stage2):
-            f.pose_stage2, f.positions_stage2 = result.q, result.positions
+        prev = frames[0].pose_stage1
+        for f, row in zip(frames, smooth_mod.filtfilt(
+                config.filter, [f.positions_stage1 for f in frames])):
+            prev = smooth_mod.refit(model, prev, row)
+            f.pose_stage2, f.positions_stage2 = prev.q, prev.positions
     return MotionSequence(frames=frames,
                           sample_rate_hz=config.filter.sample_rate_hz)
 

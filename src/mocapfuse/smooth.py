@@ -4,11 +4,12 @@ and the second IK pass.
 The stage-1 keypoint rows are low-pass filtered with a 2nd-order
 Butterworth biquad (bilinear transform, unit DC gain), causally frame by
 frame (``smooth_and_refit``) or forward-backward over the whole run
-(``refit_offline``).  Filtering raw positions would change link lengths
-frame to frame, so the smoothed positions are used as uniform-weight
-virtual markers for a second IK solve, which projects them back onto the
-constant-link-length skeleton.  The causal solve starts from the stage-1
-``ik.IkResult``, so the stage-1 pose's FK pass is not repeated.
+(``filtfilt``, whose rows ``pipeline.track`` refits in turn).  Filtering
+raw positions would change link lengths frame to frame, so the smoothed
+positions are used as uniform-weight virtual markers for a second IK
+solve, which projects them back onto the constant-link-length skeleton.
+The causal solve starts from the stage-1 ``ik.IkResult``, so the stage-1
+pose's FK pass is not repeated.
 """
 
 from __future__ import annotations
@@ -104,21 +105,6 @@ def smooth_and_refit(model, stage1, traj_filter: TrajectoryFilter):
     keeping the filtered positions.
     """
     return refit(model, stage1, traj_filter.step_positions(stage1.positions))
-
-
-def refit_offline(model, pose0, stage1_positions, spec: FilterSpec):
-    """Zero-phase stage 2 of a whole run: yields one ``ik.IkResult`` per row
-    of the (T, 18, 3) ``stage1_positions``, refit against its
-    forward-backward filtered rows.  The first refit starts from ``pose0``,
-    each later one from the previous result.
-
-    A generator, so that a caller keeps only the results it needs: each
-    holds its Jacobian.
-    """
-    prev = pose0
-    for row in filtfilt(spec, stage1_positions):
-        prev = refit(model, prev, row)
-        yield prev
 
 
 def refit(model, q_init, positions):

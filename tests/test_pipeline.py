@@ -12,7 +12,8 @@ import pytest
 from conftest import small_scene
 from helpers import (bad_numbers, csv_writer_diagnostics, csv_writer_positions,
                      no_rotation, tree_at, value_id)
-from mocapfuse import ik, metrics, pcm, pipeline, skeleton as sk, synth
+from mocapfuse import (ik, metrics, pcm, pipeline, skeleton as sk, smooth,
+                       synth)
 from mocapfuse.calib import (CameraRig, look_at_camera, pixel_to_ray,
                              project_points)
 from mocapfuse.labels import KEYPOINT_INDEX, KEYPOINTS
@@ -393,6 +394,31 @@ class TestTrack:
             for i, lb in enumerate(KEYPOINTS):
                 npt.assert_allclose(frame.positions_stage2[i], fk[lb],
                                     atol=1e-9)
+
+    def test_offline_stage2_chains_refits_over_filtfilt_rows(self):
+        """Offline stage 2 refits the filtfilt rows of the stage-1 positions
+        in turn, the first refit from frame 0's stage-1 pose and each later
+        one from the previous result, bit for bit; stage 1 is the causal
+        track's.  The walk is noisy, so that frame 0's stage-1 pose is not
+        the pose the track starts from."""
+        spec = small_scene(motion=synth.walk_like(), noise=synth.NoiseModel(
+            jitter_px=1.0, amplitude_std=0.1))
+        rig = synth.build_rig(spec)
+        model = synth.build_model(spec)
+        pose0 = synth.ground_truth_pose(spec, 29, model)
+        offline = PipelineConfig(filter=FilterSpec(
+            cutoff_hz=5.0, sample_rate_hz=60.0, mode="offline"))
+        seq, causal = (track(synth.SyntheticProvider(spec, rig), rig, model,
+                             pose0, config, range(30, 45))
+                       for config in (offline, PipelineConfig()))
+        rows = smooth.filtfilt(offline.filter, np.stack(
+            [f.positions_stage1 for f in seq.frames]))
+        prev = seq.frames[0].pose_stage1
+        for f, c, row in zip(seq.frames, causal.frames, rows, strict=True):
+            assert f.pose_stage1.tobytes() == c.pose_stage1.tobytes()
+            prev = smooth.refit(model, prev, row)
+            npt.assert_array_equal(f.pose_stage2, prev.q)
+            npt.assert_array_equal(f.positions_stage2, prev.positions)
 
     def test_monotone_evidence_under_camera_subsets(self, still_spec,
                                                     still_rig, rng):

@@ -1,4 +1,3 @@
-import inspect
 import math
 
 import numpy as np
@@ -265,40 +264,3 @@ class TestSmoothAndRefit:
             worst = max(worst, abs(d - forearm))
         assert worst > 1.0
 
-
-class TestRefitOffline:
-    def swing(self, model, n=30):
-        """Stage-1 poses (n, dof) of a swinging right elbow, and their
-        (n, 18, 3) keypoint rows."""
-        poses = np.zeros((n, model.total_dof))
-        poses[:, model.dofs_of("r_elbow")] = 1.2 * np.sin(
-            0.5 * np.arange(n))[:, None]
-        return poses, np.stack([sk.keypoint_positions(model, q)
-                                for q in poses])
-
-    def test_equals_a_chain_of_refits_over_filtfilt_rows(self):
-        model = sk.human_skeleton()
-        poses, rows = self.swing(model)
-        prev = poses[0]
-        for row, got in zip(smooth.filtfilt(spec_5_60(), rows),
-                            smooth.refit_offline(model, poses[0], rows,
-                                                 spec_5_60()),
-                            strict=True):
-            prev = smooth.refit(model, prev, row)
-            npt.assert_array_equal(got.q, prev.q)
-            npt.assert_array_equal(got.positions, prev.positions)
-
-    def test_yields_one_result_per_refit(self, monkeypatch):
-        # A generator: no refit runs before its result is asked for, so a
-        # caller need not hold every result (and its Jacobian) at once.
-        model = sk.human_skeleton()
-        poses, rows = self.swing(model, n=5)
-        calls = []
-        refit = smooth.refit
-        monkeypatch.setattr(smooth, "refit",
-                            lambda *a: calls.append(1) or refit(*a))
-        results = smooth.refit_offline(model, poses[0], rows, spec_5_60())
-        assert inspect.isgenerator(results) and not calls
-        for n, _ in enumerate(results, 1):
-            assert len(calls) == n
-        assert len(calls) == len(rows)
