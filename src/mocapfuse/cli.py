@@ -176,16 +176,24 @@ def cmd_track(args):
 
 
 def cmd_eval(args):
-    indices_p, pred, weights = pipeline_mod.read_keypoint_csv(args.pred,
-                                                             "stage2")
-    indices_g, gt = synth_mod.read_ground_truth_csv(args.gt)
-    tracked = set(indices_p)
-    gt = [frame for idx, frame in zip(indices_g, gt) if idx in tracked]
-    if len(pred) != len(gt):
-        raise ValueError("prediction and ground truth frames do not align")
+    indices, pred, weights = pipeline_mod.read_keypoint_csv(args.pred,
+                                                           "stage2")
+    truth = dict(zip(*synth_mod.read_ground_truth_csv(args.gt)))
+    gt = []
+    for index, frame in zip(indices, pred):
+        if index not in truth:
+            raise ValueError(f"{args.gt}: no ground truth for tracked frame "
+                             f"{index}")
+        gt.append(truth[index])
+        for path, keypoints in ((args.pred, frame), (args.gt, gt[-1])):
+            missing = [label for label in metrics_mod.TOTAL.labels
+                       if label not in keypoints]
+            if missing:
+                raise ValueError(f"{path}: frame {index} has no keypoint "
+                                 f"{missing[0]!r}")
     with _AtomicWriter(args.out) as writer:
         table = metrics_mod.write_summary(pred, gt, writer.path("summary.json"))
-        metrics_mod.emit_series(indices_p, pred, weights, gt,
+        metrics_mod.emit_series(indices, pred, weights, gt,
                                 writer.path("series.csv"))
     print(table)
     return 0

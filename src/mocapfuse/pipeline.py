@@ -417,19 +417,37 @@ def read_positions_csv(path, stage="stage2"):
 def read_keypoint_csv(path, stage):
     """One pass over a keypoint CSV: (frame indices, list of label->pos,
     list of label->weight) of its rows of ``stage``; with ``stage`` None (a
-    ground-truth CSV) of every row, a later one of a frame and label
-    replacing an earlier one, with empty weight dicts."""
+    ground-truth CSV, which has no ``stage`` column) of every row, a later
+    one of a frame and label replacing an earlier one, with empty weight
+    dicts.  A missing column, a ``stage`` column in ground truth or a cell
+    that does not parse raises ValueError naming the file."""
     positions, weights = {}, {}
+    columns = ("frame", "label", "x_mm", "y_mm", "z_mm") + (
+        () if stage is None else ("weight", "stage"))
     with open(path, "r", newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or ()
+        missing = [c for c in columns if c not in header]
+        if missing:
+            raise ValueError(f"{path}: no {' or '.join(map(repr, missing))} "
+                             f"column")
+        if stage is None and "stage" in header:
+            raise ValueError(f"{path}: has a 'stage' column, so it is "
+                             f"tracked output, not ground truth")
+        for row in reader:
             if stage is not None and row["stage"] != stage:
                 continue
-            idx = int(row["frame"])
-            positions.setdefault(idx, {})[row["label"]] = np.array(
-                [float(row["x_mm"]), float(row["y_mm"]), float(row["z_mm"])])
-            if stage is not None:
-                weights.setdefault(idx, {})[row["label"]] = float(
-                    row["weight"])
+            try:
+                idx = int(row["frame"])
+                xyz = np.array([float(row["x_mm"]), float(row["y_mm"]),
+                                float(row["z_mm"])])
+                if stage is not None:
+                    weights.setdefault(idx, {})[row["label"]] = float(
+                        row["weight"])
+            except (TypeError, ValueError) as exc:  # TypeError: short row
+                raise ValueError(f"{path}: line {reader.line_num}: "
+                                 f"{exc}") from None
+            positions.setdefault(idx, {})[row["label"]] = xyz
     indices = sorted(positions)
     return (indices, [positions[i] for i in indices],
             [weights.get(i, {}) for i in indices])

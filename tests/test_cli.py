@@ -944,6 +944,88 @@ class TestRuntimeErrors:
         assert not out.exists()
 
 
+def with_cell(lines, row, column, value):
+    """CSV ``lines`` with the cell at ``lines[row]``, ``column`` set."""
+    cells = lines[row].split(",")
+    cells[column] = value
+    return lines[:row] + [",".join(cells)] + lines[row + 1:]
+
+
+class TestEvalInputs:
+    """eval refuses a keypoint CSV it cannot score with one line that names
+    the file, and names frames by their index."""
+
+    def run_eval(self, pred, gt, out, capsys):
+        rc = cli.main(["eval", "--pred", str(pred), "--gt", str(gt),
+                       "--out", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 1 and len(err) == 1 and not out.exists()
+        return err[0]
+
+    def test_tracked_output_is_not_ground_truth(self, track_run, tmp_path,
+                                                capsys):
+        """eval of one run's positions.csv against itself scored every
+        frame's stage 2 against its own stage-2 rows (MPJPE 0.0)."""
+        pred = track_run / "positions.csv"
+        err = self.run_eval(pred, pred, tmp_path / "eval", capsys)
+        assert err == (f"error: ValueError: {pred}: has a 'stage' column, so "
+                       f"it is tracked output, not ground truth")
+
+    @pytest.mark.parametrize("which, edit, named", [
+        ("pred", None, "no 'weight' or 'stage' column"),
+        ("gt", lambda lines: ["a,b,c", "1,2,3"],
+         "no 'frame' or 'label' or 'x_mm' or 'y_mm' or 'z_mm' column"),
+        ("gt", lambda lines: with_cell(lines, 5, 3, "abc"),
+         "line 6: could not convert string to float: 'abc'"),
+        # Line 20 is the first stage-2 row: the header, then 18 of stage 1.
+        ("pred", lambda lines: with_cell(lines, 19, 6, "x"),
+         "line 20: could not convert string to float: 'x'"),
+    ], ids=["ground-truth-as-pred", "other-columns", "gt-cell", "weight-cell"])
+    def test_unreadable_csv_is_named(self, dataset, track_run, tmp_path,
+                                     capsys, which, edit, named):
+        root, data = dataset
+        paths = {"pred": track_run / "positions.csv",
+                 "gt": data / "ground_truth.csv"}
+        if edit is None:
+            paths[which] = data / "ground_truth.csv"
+        else:
+            lines = paths[which].read_text().splitlines()
+            paths[which] = tmp_path / f"{which}.csv"
+            paths[which].write_text("\n".join(edit(lines)) + "\n")
+        err = self.run_eval(paths["pred"], paths["gt"], tmp_path / "eval",
+                            capsys)
+        assert err == f"error: ValueError: {paths[which]}: {named}"
+
+    def without(self, data, tmp_path, keep):
+        """ground_truth.csv without the rows ``keep`` refuses."""
+        lines = (data / "ground_truth.csv").read_text().splitlines()
+        gt = tmp_path / "gt.csv"
+        gt.write_text("\n".join(lines[:1] + [
+            line for line in lines[1:] if keep(line.split(","))]) + "\n")
+        return gt
+
+    def test_a_tracked_frame_without_ground_truth_is_named(
+            self, dataset, track_run, tmp_path, capsys):
+        root, data = dataset
+        pred = track_run / "positions.csv"
+        frame = pipeline.read_positions_csv(pred)[0][1]
+        gt = self.without(data, tmp_path, lambda row: int(row[0]) != frame)
+        err = self.run_eval(pred, gt, tmp_path / "eval", capsys)
+        assert err == (f"error: ValueError: {gt}: no ground truth for "
+                       f"tracked frame {frame}")
+
+    def test_a_missing_keypoint_is_named_by_frame_index(
+            self, dataset, track_run, tmp_path, capsys):
+        root, data = dataset
+        pred = track_run / "positions.csv"
+        frame = pipeline.read_positions_csv(pred)[0][2]
+        gt = self.without(data, tmp_path, lambda row: (
+            int(row[0]), row[2]) != (frame, "l_knee"))
+        err = self.run_eval(pred, gt, tmp_path / "eval", capsys)
+        assert err == (f"error: ValueError: {gt}: frame {frame} has no "
+                       f"keypoint 'l_knee'")
+
+
 class TestInstalledEntryPoint:
     def test_console_script_smoke(self, tmp_path):
         spec = small_scene(image_width=160, image_height=120, focal_px=150.0,
