@@ -12,7 +12,6 @@ header is reserved: written 0 and ignored on read.
 
 from __future__ import annotations
 
-import _thread
 import math
 import mmap
 import os
@@ -166,23 +165,6 @@ def sample_channels(frame: HeatmapFrame, chan, pixels, valid):
 # group's contiguous cells runs nearly as fast as one over the whole frame,
 # where one per row costs a quarter to a half more.
 _GROUP_ROWS = 16
-# The fewest cells one thread of that pass is given.  Starting and joining a
-# thread costs about 0.1 ms, the time the pass takes over ~1 MB; a block of
-# 4 MB keeps that cost near a quarter of the block's.
-_BLOCK_CELLS = 1 << 20
-
-
-def _block_edges(n_groups, group_cells):
-    """Group indices that split ``n_groups`` groups into contiguous blocks,
-    one per CPU this process may run on but none under ``_BLOCK_CELLS``
-    cells: a list whose neighbours bound block 0, 1, ... (one block for a
-    small frame)."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:      # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    n_blocks = max(1, min(cpus, n_groups * group_cells // _BLOCK_CELLS))
-    return [n_groups * i // n_blocks for i in range(n_blocks + 1)]
 
 
 def _cells_reaching(bits, lowest):
@@ -192,45 +174,16 @@ def _cells_reaching(bits, lowest):
     Group maxima first: each group of ``_GROUP_ROWS`` rows gets its largest
     pattern in one pass, and only the groups that reach ``lowest`` are
     scanned cell by cell; the rows after the last whole group are scanned
-    cell by cell.  The groups are split by ``_block_edges``, and each block
-    after the first runs on a thread started here (numpy releases the GIL
-    while it reduces) and waited for before the return, so no thread
-    outlives the call: a process forked later scans as its parent did.  The
-    threads are ``_thread``'s: ``threading.Thread.start`` waits until the
-    new thread runs, 0.2-0.6 ms on average on a busy 2-CPU machine, which
-    this thread spends on its own block instead.
+    cell by cell.
     """
     n_rows, w = bits.shape
     size = _GROUP_ROWS * w
     groups = bits[:n_rows - n_rows % _GROUP_ROWS].reshape(-1, size)
-    edges = _block_edges(len(groups), size)
-    found = [None] * (len(edges) - 1)
-
-    def scan(i, done=None):
-        try:
-            block = groups[edges[i]:edges[i + 1]]
-            hit = np.flatnonzero(block.max(axis=1) >= lowest)
-            cells = np.flatnonzero(block[hit] >= lowest)
-            found[i] = (edges[i] + hit[cells // size]) * size + cells % size
-        except Exception as exc:     # raised again by the calling thread
-            found[i] = exc
-        finally:
-            if done is not None:
-                done.release()
-
-    waits = []
-    for i in range(1, len(found)):
-        waits.append(_thread.allocate_lock())
-        waits[-1].acquire()
-        _thread.start_new_thread(scan, (i, waits[-1]))
-    scan(0)
-    for done in waits:
-        done.acquire()          # released when its block's thread ends
-    for part in found:
-        if isinstance(part, Exception):
-            raise part
+    hit = np.flatnonzero(groups.max(axis=1) >= lowest)
+    cells = np.flatnonzero(groups[hit] >= lowest)
     tail = np.flatnonzero(bits[len(groups) * _GROUP_ROWS:] >= lowest)
-    return np.concatenate(found + [groups.size + tail])
+    return np.concatenate([hit[cells // size] * size + cells % size,
+                           groups.size + tail])
 
 
 def centroids(frame: HeatmapFrame, floor: float):
@@ -243,8 +196,7 @@ def centroids(frame: HeatmapFrame, floor: float):
     value outside [0, 1] and NaN has a larger pattern, so it is selected and
     refused with PcmFormatError.  A -0.0 is accepted; it adds nothing to the
     sums.  The selected cells are those of a scan of the whole frame, in its
-    order, found by group maxima first on one thread per usable CPU
-    (``_cells_reaching``).
+    order, found by group maxima first (``_cells_reaching``).
     """
     if not (0.0 <= floor < 1.0):
         raise PcmError(f"floor must be in [0, 1), got {floor}")

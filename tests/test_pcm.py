@@ -442,9 +442,8 @@ class TestCentroid:
 
 class TestCentroidScan:
     """``pcm.centroids`` scans only the groups of rows whose largest bit
-    pattern reaches the floor, on one thread per usable CPU; it must give
-    the whole-frame scan's rows to the last bit, and refuse what it refuses
-    with the same message."""
+    pattern reaches the floor; it must give the whole-frame scan's rows to
+    the last bit, and refuse what it refuses with the same message."""
 
     def assert_same(self, frame, floors=(0.0, 0.3)):
         for floor in floors:
@@ -498,120 +497,30 @@ class TestCentroidScan:
                 frame = render(spec, camera, 40, rotation)
                 self.assert_same(frame, floors=(0.0, 0.1, 0.3, 0.5))
 
-    @staticmethod
-    def split(monkeypatch, cpus, w):
-        """Let the scan split a frame ``w`` cells wide into blocks of three
-        groups, one per each of ``cpus`` usable CPUs."""
-        monkeypatch.setattr(pcm, "_BLOCK_CELLS", 3 * pcm._GROUP_ROWS * w)
-        monkeypatch.setattr(os, "sched_getaffinity",
-                            lambda pid: set(range(cpus)), raising=False)
-
     @pytest.mark.parametrize("h, region", [
-        (8, "first"), (8, "later"), (9, "first"), (9, "later"),
-        (9, "tail")])
+        (8, "first"), (8, "last"), (9, "first"), (9, "last"), (9, "tail")])
     @pytest.mark.parametrize("odd", [np.nan, -1.0, 1.5, np.inf, -0.0])
-    def test_blocks_and_tail_scan_as_the_whole_frame(self, monkeypatch, rng,
-                                                     h, region, odd):
+    def test_groups_and_tail_scan_as_the_whole_frame(self, rng, h, region,
+                                                     odd):
         """The 18 * 8 rows of a frame are nine whole groups; 18 * 9 rows
-        leave two tail rows.  A bad value in the first block, in the last
-        of three (another thread's) or in the tail is refused with the
-        whole-frame scan's message, and a -0.0 there is accepted, with
-        three usable CPUs and with one: the rows are the same bits."""
+        leave two tail rows.  A bad value in the first group, in the last
+        whole group or in the tail is refused with the whole-frame scan's
+        message, and a -0.0 there is accepted."""
         w = 24
         values = rng.uniform(0.0, 1.0, (18, h, w))
         channels = np.where(rng.random((18, h, w)) < 0.2, values, 0.0)
         channels = channels.astype(np.float32)
-        self.split(monkeypatch, 3, w)
-        edges = pcm._block_edges(18 * h // pcm._GROUP_ROWS,
-                                 pcm._GROUP_ROWS * w)
-        assert len(edges) == 4
-        first, later, tail = (edges[1] // 2, (edges[2] + edges[3]) // 2,
-                              edges[3])
-        row = {"first": first, "later": later, "tail": tail}[region]
-        row = row * pcm._GROUP_ROWS + (region != "tail") * 7
+        n_groups = 18 * h // pcm._GROUP_ROWS
+        row = {"first": 7, "last": (n_groups - 1) * pcm._GROUP_ROWS + 7,
+               "tail": n_groups * pcm._GROUP_ROWS}[region]
         assert row < 18 * h
         channels.reshape(18 * h, w)[row, w // 3] = odd
         frame = make_frame(channels=channels, h=h, w=w, camera_id=1,
                            frame_index=6)
-        for cpus in (3, 1):
-            self.split(monkeypatch, cpus, w)
-            self.assert_same(frame)
-            for floor in (0.0, CENTROID_FLOOR):
-                assert refused(lambda: pcm.centroids(frame, floor)) == \
-                    (odd != 0), (cpus, floor)
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
-    def test_scan_in_a_forked_child(self, monkeypatch, rng):
-        """A child forked after a split scan scans as its parent does: no
-        thread of the parent's scan is left for it to wait on, as a pool
-        kept across calls would be.  The child exits 0 with the parent's
-        rows, or an alarm ends it after 5 s."""
-        w = 24
-        self.split(monkeypatch, 3, w)
-        frame = make_frame(channels=rng.uniform(
-            0.0, 1.0, (18, 40, w)).astype(np.float32), h=40, w=w)
-        rows = pcm.centroids(frame, CENTROID_FLOOR).tobytes()
-        pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:
-                signal.signal(signal.SIGALRM, signal.SIG_DFL)
-                signal.alarm(5)
-                same = pcm.centroids(frame, CENTROID_FLOOR).tobytes() == rows
-                code = 0 if same else 2
-            finally:
-                os._exit(code)
-        _, status = os.waitpid(pid, 0)
-        assert os.waitstatus_to_exitcode(status) == 0
-
-    def test_concurrent_callers_get_their_own_rows(self, monkeypatch, rng):
-        """Four threads, each scanning its own frame split three ways under
-        a short switch interval, each get the serial rows."""
-        w = 24
-        frames = [make_frame(channels=rng.uniform(
-            0.0, 1.0, (18, 20 + i, w)).astype(np.float32), h=20 + i, w=w)
-            for i in range(4)]
-        wants = [wholeframe_centroids(frame, CENTROID_FLOOR).tobytes()
-                 for frame in frames]
-        self.split(monkeypatch, 3, w)
-        wrong = []
-
-        def work(frame, want):
-            for _ in range(50):
-                if pcm.centroids(frame, CENTROID_FLOOR).tobytes() != want:
-                    wrong.append(frame.channels.shape)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work, args=job)
-                       for job in zip(frames, wants)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert wrong == []
-
-    def test_a_failing_block_raises_in_the_caller(self, monkeypatch, rng):
-        """An error in a block scanned on another thread reaches the
-        caller."""
-        w = 24
-        self.split(monkeypatch, 3, w)
-        frame = make_frame(channels=rng.uniform(
-            0.0, 1.0, (18, 20, w)).astype(np.float32), h=20, w=w)
-        flatnonzero = np.flatnonzero
-
-        def failing(*args):
-            if threading.current_thread() is not threading.main_thread():
-                raise MemoryError("block on another thread")
-            return flatnonzero(*args)
-
-        monkeypatch.setattr(np, "flatnonzero", failing)
-        with pytest.raises(MemoryError, match="another thread"):
-            pcm.centroids(frame, CENTROID_FLOOR)
+        self.assert_same(frame)
+        for floor in (0.0, CENTROID_FLOOR):
+            assert refused(lambda: pcm.centroids(frame, floor)) == \
+                (odd != 0), floor
 
 
 class TestFileFormat:
