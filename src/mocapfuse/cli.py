@@ -178,6 +178,8 @@ def cmd_track(args):
 def cmd_eval(args):
     indices, pred, weights = pipeline_mod.read_keypoint_csv(args.pred,
                                                            "stage2")
+    if not indices:
+        raise ValueError(f"{args.pred}: no 'stage2' rows to score")
     truth = dict(zip(*synth_mod.read_ground_truth_csv(args.gt)))
     gt = []
     for index, frame in zip(indices, pred):

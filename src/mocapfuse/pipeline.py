@@ -15,6 +15,7 @@ import csv
 import dataclasses
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -419,11 +420,13 @@ def read_keypoint_csv(path, stage):
     list of label->weight) of its rows of ``stage``; with ``stage`` None (a
     ground-truth CSV, which has no ``stage`` column) of every row, a later
     one of a frame and label replacing an earlier one, with empty weight
-    dicts.  A missing column, a ``stage`` column in ground truth or a cell
-    that does not parse raises ValueError naming the file."""
+    dicts.  A missing column, a ``stage`` column in ground truth, a cell
+    that does not parse, or a coordinate or weight that is not finite
+    raises ValueError naming the file."""
     positions, weights = {}, {}
-    columns = ("frame", "label", "x_mm", "y_mm", "z_mm") + (
-        () if stage is None else ("weight", "stage"))
+    numbers = ("x_mm", "y_mm", "z_mm") + (() if stage is None else ("weight",))
+    columns = ("frame", "label") + numbers + (
+        () if stage is None else ("stage",))
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or ()
@@ -439,11 +442,14 @@ def read_keypoint_csv(path, stage):
                 continue
             try:
                 idx = int(row["frame"])
-                xyz = np.array([float(row["x_mm"]), float(row["y_mm"]),
-                                float(row["z_mm"])])
+                values = [float(row[c]) for c in numbers]
+                for name, value in zip(numbers, values):
+                    if not math.isfinite(value):
+                        raise ValueError(f"{name} must be a finite float, "
+                                         f"got {row[name]}")
+                xyz = np.array(values[:3])
                 if stage is not None:
-                    weights.setdefault(idx, {})[row["label"]] = float(
-                        row["weight"])
+                    weights.setdefault(idx, {})[row["label"]] = values[3]
             except (TypeError, ValueError) as exc:  # TypeError: short row
                 raise ValueError(f"{path}: line {reader.line_num}: "
                                  f"{exc}") from None

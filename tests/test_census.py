@@ -16,9 +16,9 @@ DEFAULTED = {
     # IkSettings in the benchmark change (ROADMAP item 1).
     "ik.solve(settings)": "perfbench/tracing.py (reads it)",
     "ik.solve(anchored)": "pipeline.track, smooth.refit",
-    "metrics.mpjpe(group)": "metrics.emit_series, metrics.summary",
-    "metrics.pck3d(group)": "metrics.summary",
-    "metrics.pck3d(tau)": "metrics.summary",
+    "metrics.mpjpe(group)": "perfbench/checks.py, demos/rotation_benefit.py",
+    "metrics.pck3d(group)": "perfbench/checks.py",
+    "metrics.pck3d(tau)": "perfbench/checks.py",
     "pcm.frame_path(rotation_deg)": "pcm.DirectoryProvider.get",
     "pcm.PcmProvider.get(rotation_deg)": "tracker._rotated_frame",
     "pcm.DirectoryProvider.get(rotation_deg)": "tracker._rotated_frame",

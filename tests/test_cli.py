@@ -980,7 +980,17 @@ class TestEvalInputs:
         # Line 20 is the first stage-2 row: the header, then 18 of stage 1.
         ("pred", lambda lines: with_cell(lines, 19, 6, "x"),
          "line 20: could not convert string to float: 'x'"),
-    ], ids=["ground-truth-as-pred", "other-columns", "gt-cell", "weight-cell"])
+        # A non-finite cell used to be scored: "Total": NaN in summary.json.
+        ("gt", lambda lines: with_cell(lines, 5, 3, "nan"),
+         "line 6: x_mm must be a finite float, got nan"),
+        ("gt", lambda lines: with_cell(lines, 5, 5, "-inf"),
+         "line 6: z_mm must be a finite float, got -inf"),
+        ("pred", lambda lines: with_cell(lines, 19, 4, "inf"),
+         "line 20: y_mm must be a finite float, got inf"),
+        ("pred", lambda lines: with_cell(lines, 19, 6, "NaN"),
+         "line 20: weight must be a finite float, got NaN"),
+    ], ids=["ground-truth-as-pred", "other-columns", "gt-cell", "weight-cell",
+            "gt-nan", "gt-inf", "pred-inf", "weight-nan"])
     def test_unreadable_csv_is_named(self, dataset, track_run, tmp_path,
                                      capsys, which, edit, named):
         root, data = dataset
@@ -995,6 +1005,19 @@ class TestEvalInputs:
         err = self.run_eval(paths["pred"], paths["gt"], tmp_path / "eval",
                             capsys)
         assert err == f"error: ValueError: {paths[which]}: {named}"
+
+    @pytest.mark.parametrize("stages", [(), ("stage1",)],
+                             ids=["header-only", "stage1-only"])
+    def test_a_prediction_without_stage2_rows_is_named(
+            self, dataset, track_run, tmp_path, capsys, stages):
+        root, data = dataset
+        lines = (track_run / "positions.csv").read_text().splitlines()
+        pred = tmp_path / "positions.csv"
+        kept = [line for line in lines[1:] if line.split(",")[7] in stages]
+        pred.write_text("\n".join(lines[:1] + kept) + "\n")
+        err = self.run_eval(pred, data / "ground_truth.csv",
+                            tmp_path / "eval", capsys)
+        assert err == f"error: ValueError: {pred}: no 'stage2' rows to score"
 
     def without(self, data, tmp_path, keep):
         """ground_truth.csv without the rows ``keep`` refuses."""
