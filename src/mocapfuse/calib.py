@@ -9,7 +9,6 @@ Conventions (fixed package-wide):
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -235,9 +234,7 @@ def _camera_to_dict(c: Camera):
 
 def save_rig(rig: CameraRig, path):
     payload = {"cameras": [_camera_to_dict(c) for c in rig.cameras]}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    ranges.write_json(path, payload, sort_keys=False)
 
 
 def _camera(entry):
@@ -256,13 +253,12 @@ def _camera(entry):
 def load_rig(path) -> CameraRig:
     """Load and validate a calibration file (see the JSON schema in save_rig)."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+        payload = ranges.read_json(path)
     except OSError as exc:
         raise MalformedCalibration(
             f"cannot read calibration file {path}: {exc.strerror}") from None
-    except ValueError as exc:   # JSONDecodeError or UnicodeDecodeError
-        raise MalformedCalibration(f"{path}: invalid JSON: {exc}") from exc
+    except ValueError as exc:
+        raise MalformedCalibration(str(exc)) from None
     if not isinstance(payload, dict) or "cameras" not in payload:
         raise MalformedCalibration(f"{path}: missing top-level 'cameras' list")
     entries = payload["cameras"]

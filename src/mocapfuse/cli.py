@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import os
 import sys
@@ -18,6 +17,7 @@ import sys
 from . import metrics as metrics_mod
 from . import pcm as pcm_mod
 from . import pipeline as pipeline_mod
+from . import ranges
 from . import skeleton as sk
 from . import synth as synth_mod
 from .calib import load_rig
@@ -52,48 +52,31 @@ class _AtomicWriter:
             os.rmdir(self.out_dir)
 
 
-# Each of track's config flags and the config-tree path (section, key) it sets.
-_FLAG_PATHS = {
-    "lattice_s": ("lattice", "s"),
-    "lattice_k": ("lattice", "k"),
-    "rotation": ("lattice", "rotation_enabled"),
-    "cutoff_hz": ("filter", "cutoff_hz"),
-    "filter_mode": ("filter", "mode"),
-}
-
-
-def _read_json(path):
-    """The JSON value a file holds; a file that is not UTF-8 JSON raises
-    ValueError naming it."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except ValueError as exc:   # JSONDecodeError or UnicodeDecodeError
-            raise ValueError(f"{path}: {exc}") from None
-
-
 def _build_config(args) -> pipeline_mod.PipelineConfig:
     """The --config file's tree (or a run.json's "config" member) with
     track's flags laid over it, checked by PipelineConfig.from_dict.  A
+    config flag's argparse ``dest`` is the dotted key it sets
+    (``section.key``), and every one given is laid over the tree.  A
     section that is not an object takes no flag, so from_dict refuses it
     by name as it would without one."""
     tree = {}
     if args.config:
-        tree = _read_json(args.config)
+        tree = ranges.read_json(args.config)
         if isinstance(tree, dict) and "config" in tree:
             tree = tree["config"]
         if not isinstance(tree, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")
-    for flag, (section, key) in _FLAG_PATHS.items():
-        value = getattr(args, flag, None)
-        if value is not None and isinstance(tree.get(section, {}), dict):
+    for dest, value in vars(args).items():
+        section, _, key = dest.partition(".")
+        if key and value is not None and isinstance(tree.get(section, {}),
+                                                    dict):
             tree.setdefault(section, {})[key] = value
     return pipeline_mod.PipelineConfig.from_dict(tree)
 
 
 def cmd_synth(args):
     if args.spec:
-        payload = _read_json(args.spec)
+        payload = ranges.read_json(args.spec)
         try:    # every check runs before anything is written to --out
             spec = synth_mod.spec_from_json(payload)
         except ValueError as exc:
@@ -117,10 +100,9 @@ def cmd_init(args):
         provider, rig, template, config)
     with _AtomicWriter(args.out) as writer:
         sk.save_skeleton(model, writer.path("skeleton.json"))
-        with open(writer.path("init_state.json"), "w", encoding="utf-8") as fh:
-            json.dump({"pose0": [float(v) for v in pose0],
-                       "first_track_frame": first_frame}, fh, indent=2)
-            fh.write("\n")
+        ranges.write_json(writer.path("init_state.json"),
+                          {"pose0": [float(v) for v in pose0],
+                           "first_track_frame": first_frame}, sort_keys=False)
     print(f"initialized: lengths in {args.out}/skeleton.json, "
           f"tracking starts at frame {first_frame}")
     return 0
@@ -133,7 +115,7 @@ def cmd_track(args):
     model = sk.load_skeleton(args.skeleton)
     init_state = args.init_state or os.path.join(
         os.path.dirname(args.skeleton), "init_state.json")
-    state = _read_json(init_state)
+    state = ranges.read_json(init_state)
     if not isinstance(state, dict):
         raise ValueError(f"{init_state}: must be a JSON object, not a "
                          f"{type(state).__name__}")
@@ -247,13 +229,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("track", help="run the tracking pipeline")
     common(p)
-    p.add_argument("--lattice-s", type=float, help="lattice spacing, mm")
-    p.add_argument("--lattice-k", type=int, help="lattice half-extent")
-    p.add_argument("--cutoff-hz", type=float, help="smoothing cutoff, Hz")
-    p.add_argument("--rotation", type=_on_off, metavar="{on,off}",
+    p.add_argument("--lattice-s", dest="lattice.s", type=float,
+                   metavar="LATTICE_S", help="lattice spacing, mm")
+    p.add_argument("--lattice-k", dest="lattice.k", type=int,
+                   metavar="LATTICE_K", help="lattice half-extent")
+    p.add_argument("--cutoff-hz", dest="filter.cutoff_hz", type=float,
+                   metavar="CUTOFF_HZ", help="smoothing cutoff, Hz")
+    p.add_argument("--rotation", dest="lattice.rotation_enabled",
+                   type=_on_off, metavar="{on,off}",
                    help="tilt-driven rotated sampling")
-    p.add_argument("--filter-mode", choices=["causal", "offline"],
-                   help="smoothing mode")
+    p.add_argument("--filter-mode", dest="filter.mode",
+                   choices=["causal", "offline"], help="smoothing mode")
     p.add_argument("--skeleton", required=True,
                    help="initialized skeleton JSON")
     p.add_argument("--init-state", help="init_state.json from the init step")

@@ -9,12 +9,12 @@ applied: both sequences live in the same calibrated world frame.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import labels as lb
+from . import ranges
 
 
 @dataclass(frozen=True)
@@ -106,8 +106,5 @@ def summary(pred_frames, gt_frames) -> dict:
 def write_summary(pred_frames, gt_frames, path):
     """Write the summary table as JSON; returns the text written, without
     its final newline."""
-    text = json.dumps(summary(pred_frames, gt_frames), indent=2,
-                      sort_keys=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
-    return text
+    return ranges.write_json(path, summary(pred_frames, gt_frames),
+                             sort_keys=True)

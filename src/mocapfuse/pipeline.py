@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import json
 import logging
 import math
 from dataclasses import dataclass, field
@@ -476,9 +475,7 @@ def write_run_metadata(path, config: PipelineConfig, model, extra):
         "link_lengths_mm": {k: float(v) for k, v in model.link_lengths().items()},
         **extra,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    ranges.write_json(path, payload, sort_keys=True)
 
 
 def write_diagnostics_csv(seq: MotionSequence, rig: CameraRig, path):

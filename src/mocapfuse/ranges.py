@@ -1,7 +1,9 @@
 """One range rule for the numeric fields of every record built from outside
-input: settings, scenes, cameras and joints.  It imports nothing from the
+input (settings, scenes, cameras and joints), and one JSON reader and writer
+for every file the package reads or writes.  It imports nothing from the
 package, so every module can use it."""
 
+import json
 import math
 import reprlib
 
@@ -68,3 +70,22 @@ def floats(name, value, shape):
         raise ValueError(f"{name} must be finite numbers of shape {shape}, "
                          f"got {reprlib.repr(shown)}")
     return array
+
+
+def read_json(path):
+    """The JSON value a file holds; a file that is not UTF-8 JSON raises
+    ValueError ``<path>: <decoder message>``, and an OSError propagates."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:   # JSONDecodeError or UnicodeDecodeError
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def write_json(path, payload, *, sort_keys):
+    """Write ``payload`` to ``path`` as JSON indented by 2, with a final
+    newline; returns the text written, without that newline."""
+    text = json.dumps(payload, indent=2, sort_keys=sort_keys)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
+    return text

@@ -28,7 +28,6 @@ products cost less in plain arithmetic than in numpy calls.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import chain
@@ -417,9 +416,8 @@ def save_skeleton(model: SkeletonModel, path):
                                 "offset": [float(v) for v in ref[1]]}
         else:
             keypoints[label] = {"joint": ref}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"joints": joints, "keypoints": keypoints}, fh, indent=2)
-        fh.write("\n")
+    ranges.write_json(path, {"joints": joints, "keypoints": keypoints},
+                      sort_keys=False)
 
 
 def load_skeleton(path) -> SkeletonModel:
@@ -427,12 +425,11 @@ def load_skeleton(path) -> SkeletonModel:
     JSON, a missing key, an unknown parent or a value of the wrong JSON type
     raises SkeletonError naming the file."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+        payload = ranges.read_json(path)
     except IsADirectoryError:
         raise SkeletonError(f"{path}: is a directory") from None
-    except ValueError as exc:   # JSONDecodeError or UnicodeDecodeError
-        raise SkeletonError(f"{path}: {exc}") from None
+    except ValueError as exc:
+        raise SkeletonError(str(exc)) from None
     try:
         return _model_from_tree(payload)
     except KeyError as exc:

@@ -12,7 +12,6 @@ rotated, image) to emulate a detector trained mostly on upright people.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import mmap
 import os
@@ -516,9 +515,8 @@ def generate(spec: SceneSpec, n_frames, out_dir):
     model = build_model(spec)
     os.makedirs(out_dir, exist_ok=True)
     save_rig(rig, os.path.join(out_dir, "calib.json"))
-    with open(os.path.join(out_dir, "scene.json"), "w", encoding="utf-8") as fh:
-        json.dump(spec_to_json(spec), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    ranges.write_json(os.path.join(out_dir, "scene.json"),
+                      spec_to_json(spec), sort_keys=True)
     truth = np.empty((n_frames, len(KEYPOINTS), 3))
     pcm_root = os.path.join(out_dir, "pcm")
     buffers = FrameBuffers()
