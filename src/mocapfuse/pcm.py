@@ -280,8 +280,10 @@ def read_pcm(path) -> HeatmapFrame:
 # Providers
 
 def quantize_rotation(angle_deg) -> int:
-    """The 1-degree bin a rotation angle's frames are stored and rendered at."""
-    return int(round(float(angle_deg)))
+    """The 1-degree bin a rotation angle's frames are stored and rendered
+    at, in (-180, 180]: one bin per image rotation, so -180 and 180 share
+    bin 180, and 370 and 10 bin 10."""
+    return (int(round(float(angle_deg))) + 179) % 360 - 179
 
 
 def frame_path(root, camera_id, frame_index, rotation_deg=0.0):

@@ -771,6 +771,24 @@ class TestQuantizeRotation:
         assert pcm.quantize_rotation(-0.4) == 0
         assert pcm.quantize_rotation(180.0) == 180
 
+    def test_one_bin_per_image_rotation(self):
+        """Angles that rotate an image alike share one bin in (-180, 180]."""
+        assert pcm.quantize_rotation(-180.0) == 180
+        assert pcm.quantize_rotation(-179.4) == -179
+        assert pcm.quantize_rotation(370) == 10
+        assert pcm.quantize_rotation(-190.0) == 170
+        assert pcm.quantize_rotation(540.0) == 180
+
+    def test_directory_serves_minus_180_from_rot180(self, tmp_path):
+        """A directory holding only rot180/ serves a request for -179.6."""
+        frame = make_frame(rotation=180.0, camera_id=0, frame_index=5)
+        path = tmp_path / "cam0" / "rot180" / "frame5.pcm"
+        os.makedirs(path.parent)
+        pcm.write_pcm(frame, str(path))
+        assert pcm.frame_path(tmp_path, 0, 5, -180.0) == str(path)
+        back = pcm.DirectoryProvider(tmp_path).get(0, 5, -179.6)
+        assert back.rotation_deg == 180.0
+
 
 class TestSampleRotated:
     """Lower-body samples through a rotated heatmap: the projected pixel is
