@@ -64,9 +64,10 @@ def mpjpe(pred_frames, gt_frames, group: PartGroup = TOTAL) -> float:
 
 def pck3d(pred_frames, gt_frames, group: PartGroup = TOTAL,
           tau: float = 50.0) -> float:
-    """Percentage of (frame, joint) pairs with 3D error < tau mm."""
-    if tau <= 0:
-        raise ValueError("tau must be > 0")
+    """Percentage of (frame, joint) pairs with 3D error < tau mm; ``tau``
+    must be a finite number > 0 (a bool is not one)."""
+    if not (ranges.finite(tau) and tau > 0):
+        raise ValueError(f"tau must be a finite number > 0, got {tau!r}")
     return _pck(_errors(pred_frames, gt_frames, group), tau)
 
 

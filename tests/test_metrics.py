@@ -1,5 +1,7 @@
 import csv
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -106,10 +108,13 @@ class TestPck:
         vals = [metrics.pck3d(pred, gt, tau=t) for t in taus]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
-    def test_bad_tau(self, rng):
+    @pytest.mark.parametrize("tau", [0.0, -1.0, math.nan, math.inf, True])
+    def test_bad_tau(self, rng, tau):
+        """A threshold that is not a finite number > 0 is refused by value:
+        NaN would score 0 %, inf 100 % and True (1 mm) pass as a number."""
         frames = pose_frames(1, rng)
-        with pytest.raises(ValueError):
-            metrics.pck3d(frames, frames, tau=0.0)
+        with pytest.raises(ValueError, match=re.escape(f"got {tau!r}")):
+            metrics.pck3d(frames, frames, tau=tau)
 
 
 class TestSummary:
