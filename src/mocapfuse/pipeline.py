@@ -352,11 +352,8 @@ def track(provider, rig: CameraRig, model, pose0, config: PipelineConfig,
             rotations = tracker_mod.plan_rotations(positions_prev, rig)
         else:
             rotations = {c.id: 0.0 for c in rig.cameras}
-        try:
-            markers = tracker_mod.lattice_search(
-                positions_prev, provider, rig, cfg, frame_index, rotations)
-        except pcm_mod.FrameMissing as exc:
-            raise pcm_mod.FrameMissing(f"frame {frame_index}: {exc}") from exc
+        markers = tracker_mod.lattice_search(
+            positions_prev, provider, rig, cfg, frame_index, rotations)
         low = markers.weights < LOW_CONFIDENCE_FRACTION * rig.n_c
         if low.any():
             log.debug("frame %s: low-confidence keypoints %s", frame_index,

@@ -550,6 +550,33 @@ class TestRuntimeErrors:
         assert err[0].endswith(pcm.frame_path(str(empty), cam0, first))
         assert not out.exists()
 
+    def test_missing_camera_file_names_the_frame_once(
+            self, dataset, init_run, tmp_path, capsys):
+        """A camera-1 file missing inside the tracked range is refused by
+        one error line that names the frame once."""
+        root, data = dataset
+        rig = load_rig(str(data / "calib.json"))
+        first = json.loads(
+            (init_run / "init_state.json").read_text())["first_track_frame"]
+        cam1, missing = rig.cameras[1].id, first + 2
+        pcm_dir = str(tmp_path / "pcm")
+        for c in rig.cameras:
+            for f in range(first, first + 4):
+                if (c.id, f) != (cam1, missing):
+                    path = pcm.frame_path(pcm_dir, c.id, f)
+                    os.makedirs(os.path.dirname(path), exist_ok=True)
+                    os.symlink(pcm.frame_path(str(data / "pcm"), c.id, f),
+                               path)
+        out = tmp_path / "track"
+        rc = cli.main(["track", "--calib", str(data / "calib.json"),
+                       "--pcm-dir", pcm_dir,
+                       "--skeleton", str(init_run / "skeleton.json"),
+                       "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: FrameMissing: no PCM for camera {cam1} frame {missing}"]
+        assert not out.exists()
+
     def test_nan_in_a_sampled_window_exits_one(self, dataset, init_run,
                                                tmp_path, capsys):
         """A NaN under the neck's initial projection, in a file of the first
