@@ -46,7 +46,6 @@ import numpy as np
 from . import ranges
 from . import skeleton as sk
 from .labels import KEYPOINTS
-from .tracker import VirtualMarkerSet
 
 # Levenberg-Marquardt damping: starts at LAMBDA0, is multiplied by LAMBDA_UP
 # after a rejected step and divided by LAMBDA_DOWN after an accepted one.
@@ -69,6 +68,20 @@ KEYPOINT_TAIL_MM = 5e-4
 # FK's rounding, is itself uncertain by a few eps * obj, so no such trial can
 # lower it by more than its own rounding.
 DECREASE_EPS = 8.0
+
+
+@dataclass
+class VirtualMarkerSet:
+    """One frame's virtual markers, row i for ``KEYPOINTS[i]``: ``positions``
+    (18, 3) mm and ``weights`` (18,), where 0 means no evidence (IK leaves
+    that marker out).  A lattice search also fills ``per_camera`` (18, n_c),
+    each camera's sample at the chosen point, and ``offsets`` (18, 3), the
+    chosen integer lattice offsets (a, b, c)."""
+
+    positions: np.ndarray
+    weights: np.ndarray
+    per_camera: np.ndarray = None
+    offsets: np.ndarray = None
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,9 @@ from . import skeleton as sk
 from . import smooth as smooth_mod
 from . import tracker as tracker_mod
 from .calib import CameraRig, pixel_to_ray
+from .ik import VirtualMarkerSet
 from .labels import KEYPOINT_INDEX, KEYPOINTS
-from .tracker import LatticeConfig, VirtualMarkerSet
+from .tracker import LatticeConfig
 
 log = logging.getLogger("mocapfuse.pipeline")
 

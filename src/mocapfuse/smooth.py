@@ -21,8 +21,8 @@ import numpy as np
 
 from . import ik as ik_mod
 from . import ranges
+from .ik import VirtualMarkerSet
 from .labels import KEYPOINTS
-from .tracker import VirtualMarkerSet
 
 
 @dataclass(frozen=True)

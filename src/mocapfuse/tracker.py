@@ -30,6 +30,7 @@ import numpy as np
 from . import pcm as pcm_mod
 from . import ranges
 from .calib import Camera, CameraRig, project_points, rotate_pixel
+from .ik import VirtualMarkerSet
 from .labels import KEYPOINT_INDEX, KEYPOINTS, LOWER_BODY
 
 log = logging.getLogger("mocapfuse.tracker")
@@ -49,20 +50,6 @@ class LatticeConfig:
         # 240 B of work arrays per sample on a 4-camera rig: k = 30 gives
         # 4.1 million samples and ~1 GB, and 1000 would ask for 8e9 offsets.
         ranges.check(self, int, "in [1, 30]", "k")
-
-
-@dataclass
-class VirtualMarkerSet:
-    """One frame's virtual markers, row i for ``KEYPOINTS[i]``: ``positions``
-    (18, 3) mm and ``weights`` (18,), where 0 means no evidence (IK leaves
-    that marker out).  A lattice search also fills ``per_camera`` (18, n_c),
-    each camera's sample at the chosen point, and ``offsets`` (18, 3), the
-    chosen integer lattice offsets (a, b, c)."""
-
-    positions: np.ndarray
-    weights: np.ndarray
-    per_camera: np.ndarray = None
-    offsets: np.ndarray = None
 
 
 @functools.lru_cache(maxsize=None)

@@ -9,9 +9,9 @@ import os
 import numpy as np
 
 from mocapfuse import pcm, skeleton as sk, synth, tracker
+from mocapfuse.ik import VirtualMarkerSet
 from mocapfuse.labels import KEYPOINT_INDEX, KEYPOINTS, LOWER_BODY
 from mocapfuse.pipeline import LOW_CONFIDENCE_FRACTION
-from mocapfuse.tracker import VirtualMarkerSet
 
 
 def bad_numbers(default, prefix=""):

@@ -1,5 +1,7 @@
+import ast
 import itertools
 import math
+import pathlib
 
 import numpy as np
 import numpy.testing as npt
@@ -7,10 +9,11 @@ import pytest
 
 from conftest import small_scene
 from helpers import DictProvider, marker_set, objective
-from mocapfuse import ik, pcm, pipeline, skeleton as sk, synth
+from mocapfuse import ik, pcm, pipeline, skeleton as sk, smooth, synth
+from mocapfuse.ik import VirtualMarkerSet
 from mocapfuse.labels import KEYPOINT_INDEX, KEYPOINTS
 from mocapfuse.smooth import FilterSpec
-from mocapfuse.tracker import LatticeConfig, VirtualMarkerSet
+from mocapfuse.tracker import LatticeConfig
 
 
 def planar_two_link(l1=300.0, l2=250.0):
@@ -44,6 +47,28 @@ def tight_settings(**kw):
     base = dict(max_iterations=300, residual_tol=1e-18)
     base.update(kw)
     return ik.IkSettings(**base)
+
+
+def imported_modules(module):
+    """The last dotted part of every module that ``module``'s source imports
+    from, and of every name it imports with ``from . import``."""
+    tree = ast.parse(pathlib.Path(module.__file__).read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.add((node.module or "").rsplit(".", 1)[-1])
+            if not node.module or node.module == "mocapfuse":
+                names.update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(a.name.rsplit(".", 1)[-1] for a in node.names)
+    return names
+
+
+@pytest.mark.parametrize("module", [ik, smooth], ids=lambda m: m.__name__)
+def test_solver_layer_does_not_import_the_search(module):
+    """The solvers fit markers alone: ik and smooth import nothing from the
+    lattice search, the PCM layer or the camera model."""
+    assert not imported_modules(module) & {"tracker", "pcm", "calib"}
 
 
 class TestSettings:

@@ -6,9 +6,9 @@ import pytest
 
 from helpers import biquad_response
 from mocapfuse import ik, skeleton as sk, smooth
+from mocapfuse.ik import VirtualMarkerSet
 from mocapfuse.pipeline import PipelineConfig
 from mocapfuse.labels import KEYPOINT_INDEX, KEYPOINTS
-from mocapfuse.tracker import VirtualMarkerSet
 
 
 def spec_5_60(**kw):
