@@ -188,8 +188,9 @@ def camera_tilt(camera: Camera, rows):
 
 
 def plan_rotations(positions, rig: CameraRig) -> dict:
-    """Per-camera image rotation (degrees, 1-degree quantized) for the next
-    frame, from the ``camera_tilt`` of the (18, 3) ``positions``.
+    """Per-camera image rotation (degrees, 1-degree quantized into
+    (-180, 180] by ``pcm.quantize_rotation``) for the next frame, from the
+    ``camera_tilt`` of the (18, 3) ``positions``.
 
     Cameras with |tilt| below ``TILT_THRESHOLD_DEG``, or without a tilt
     (the trunk not in front of the camera, or projected to one pixel), get
